@@ -13,7 +13,6 @@ package: integer polynomials in the symbol ``z`` (for example ``1 - z^3 +
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -243,29 +242,18 @@ class CycInt:
 
     def conj(self) -> "CycInt":
         """Complex conjugation, the involution zeta -> zeta^(d-1)."""
-        table = _power_table(self.d)
-        phi = len(self.coeffs)
-        out = [0] * phi
-        for m, c in enumerate(self.coeffs):
-            if c:
-                row = table[(self.d - m) % self.d]
-                for j in range(phi):
-                    out[j] += c * row[j]
-        return CycInt(self.d, tuple(out))
+        return _galois(self, -1)
 
     def is_real(self) -> bool:
         return self.conj() == self
 
     def inverse(self) -> "CycInt":
-        """Exact inverse in Z[zeta_d]; raises if self is not a unit."""
-        ue = unit_exponent(self)
-        if ue is not None:
-            s, k = ue
-            inv = zeta_pow(self.d, -k)
-            return -inv if s < 0 else inv
-        q = _q_inv(self.d, _q_from(self))
+        """Exact inverse in Z[zeta_d]; ValueError if self is not a unit and
+        ZeroDivisionError if it is zero."""
         try:
-            return _q_to_cyc(self.d, q)
+            return divide_exact(1, self)
+        except ZeroDivisionError:
+            raise
         except ArithmeticError:
             raise ValueError(f"{self!r} is not a unit in Z[zeta_{self.d}]") from None
 
@@ -405,129 +393,46 @@ def _solve_integer_columns(cols, b):
     return x
 
 
-# ---------------------------------------------------------------------------
-# Rational helpers: arithmetic in Q(zeta) = Q[x]/Phi_d, used for exact
-# division (determinants, inverses) with an integrality check on the way out.
-
-def _q_from(a: CycInt):
-    return tuple(Fraction(c) for c in a.coeffs)
-
-
-def _q_zero(d):
-    return (Fraction(0),) * euler_phi(d)
-
-
-def _q_is_zero(q):
-    return not any(q)
-
-
-def _q_add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def _q_sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def _q_mul(d, x, y):
-    phi = len(x)
-    conv = [Fraction(0)] * (2 * phi - 1)
-    for i, a in enumerate(x):
-        if a:
-            for j, b in enumerate(y):
-                if b:
-                    conv[i + j] += a * b
-    out = conv[:phi]
-    table = _power_table(d)
-    for m in range(phi, 2 * phi - 1):
-        c = conv[m]
+def _galois(a: CycInt, k: int) -> CycInt:
+    """The Galois automorphism sigma_k: zeta -> zeta^k (k coprime to d)."""
+    table = _power_table(a.d)
+    phi = len(a.coeffs)
+    out = [0] * phi
+    for m, c in enumerate(a.coeffs):
         if c:
-            row = table[m]
+            row = table[k * m % a.d]
             for j in range(phi):
                 out[j] += c * row[j]
-    return tuple(out)
+    return CycInt(a.d, tuple(out))
 
 
-def _qpoly_divmod(num, den):
-    num = list(num)
-    dlead = den[-1]
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] / dlead
-        if c:
-            q[k] = c
-            for j, y in enumerate(den):
-                num[k + j] -= c * y
-    while num and not num[-1]:
-        num.pop()
-    return q, num
+def divide_exact(a, b: CycInt) -> CycInt:
+    """a / b when the quotient lies in Z[zeta_d], in integer arithmetic only.
 
-
-def _q_inv(d, x):
-    """Inverse in Q[x]/Phi_d via the extended Euclidean algorithm."""
-    if _q_is_zero(x):
-        raise ZeroDivisionError("division by zero in Q(zeta)")
-    phi_poly = [Fraction(c) for c in cyclotomic_poly(d)]
-    a = [Fraction(c) for c in x]
-    while a and not a[-1]:
-        a.pop()
-    # extended gcd of a and Phi_d, tracking only the coefficient of a
-    r0, r1 = phi_poly, a
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, r2 = _qpoly_divmod(r0, r1)
-        r0, r1 = r1, r2
-        s0, s1 = s1, _qpoly_sub(s0, _qpoly_mul(q, s1))
-    # r0 = gcd, must be a nonzero constant since Phi_d is irreducible
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is a zero divisor mod Phi_d (impossible)")
-    c = r0[0]
-    inv = [v / c for v in s0]
-    phi = euler_phi(d)
-    _, rem = _qpoly_divmod(inv, phi_poly) if len(inv) >= len(phi_poly) else (None, inv)
-    out = list(rem) + [Fraction(0)] * (phi - len(rem))
-    return tuple(out[:phi])
-
-
-def _qpoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _qpoly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _q_to_cyc(d, q) -> CycInt:
-    """Convert back to Z[zeta_d]; ArithmeticError if any denominator survives."""
-    for c in q:
-        if c.denominator != 1:
-            raise ArithmeticError("element of Q(zeta) is not integral")
-    return CycInt(d, tuple(int(c) for c in q))
-
-
-def divide_exact(a: CycInt, b: CycInt) -> CycInt:
-    """a / b when the quotient lies in Z[zeta_d]; ArithmeticError otherwise."""
-    if a.d != b.d:
-        raise ValueError("modulus mismatch")
-    q = _q_mul(a.d, _q_from(a), _q_inv(a.d, _q_from(b)))
-    return _q_to_cyc(a.d, q)
+    A unit b = +-zeta^k divides by rotation.  Otherwise a / b = a*b' / N(b),
+    where b' is the product of the conjugates sigma_k(b) over 1 < k < d with
+    gcd(k, d) = 1, and N(b) = b*b' is a rational integer.  Raises
+    ZeroDivisionError for b = 0 and ArithmeticError when the quotient is not
+    integral; a may be a rational integer.
+    """
+    a = b._coerce(a)
+    d = b.d
+    ue = unit_exponent(b)
+    if ue is not None:
+        s, k = ue
+        q = a * zeta_pow(d, -k) if k else a
+        return -q if s < 0 else q
+    if b.is_zero():
+        raise ZeroDivisionError(f"division by zero in Z[zeta_{d}]")
+    b_prime = one(d)
+    for k in range(2, d):
+        if gcd(k, d) == 1:
+            b_prime = b_prime * _galois(b, k)
+    norm = (b * b_prime).coeffs[0]
+    num = (a * b_prime).coeffs
+    if any(c % norm for c in num):
+        raise ArithmeticError(f"{a!r} / {b!r} is not in Z[zeta_{d}]")
+    return CycInt(d, tuple(c // norm for c in num))
 
 
 # ---------------------------------------------------------------------------

@@ -11,19 +11,12 @@ form preservation literally M* Omega M = Omega.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cyclotomic import (
     CycInt,
     ParseError,
-    _q_from,
-    _q_inv,
-    _q_is_zero,
-    _q_mul,
-    _q_sub,
-    _q_to_cyc,
     divide_exact,
-    euler_phi,
+    one,
     parse_ring_literal,
     render_poly,
     zero,
@@ -211,8 +204,8 @@ class RingMatrix:
     def det(self) -> CycInt:
         """Exact determinant by fraction-free (Bareiss) elimination.
 
-        Intermediate divisions happen in Q[x]/Phi_d and are asserted to be
-        integral; a failed assertion signals a bug, not bad input.
+        Each step divides by the previous pivot with divide_exact, exact by
+        Sylvester's identity; an ArithmeticError signals a bug, not bad input.
         """
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
@@ -259,43 +252,34 @@ class RingMatrix:
     def inverse(self) -> "RingMatrix":
         """Exact inverse with entries in Z[zeta_d].
 
-        Gauss-Jordan over Q(zeta); raises ZeroDivisionError if singular and
-        ArithmeticError if the inverse exists over Q(zeta) but not over the
-        ring (i.e. the determinant is not a unit).
+        Gauss-Jordan on [M | I] in fraction-free (Bareiss) form: each update
+        (p*x - f*y) / prev is exact by Sylvester's identity and the last step
+        leaves [p*I | p*M^-1] with p = +-det M, so the right half is divided
+        by p at the end.  Raises ZeroDivisionError if M is singular and
+        ArithmeticError if det M is not a unit.
         """
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         d, n = self.d, self.rows
-        phi = euler_phi(d)
-        qz = (Fraction(0),) * phi
-        qone = (Fraction(1),) + (Fraction(0),) * (phi - 1)
-        aug = []
-        for i in range(n):
-            row = [_q_from(e) for e in self.entries[i]]
-            row += [qone if i == j else qz for j in range(n)]
-            aug.append(row)
-        for col in range(n):
-            piv = None
-            for i in range(col, n):
-                if not _q_is_zero(aug[i][col]):
-                    piv = i
-                    break
+        o, z = one(d), zero(d)
+        aug = [list(row) + [o if i == j else z for j in range(n)]
+               for i, row in enumerate(self.entries)]
+        prev = o
+        for k in range(n):
+            piv = next((i for i in range(k, n) if not aug[i][k].is_zero()), None)
             if piv is None:
                 raise ZeroDivisionError("matrix is not invertible")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = _q_inv(d, aug[col][col])
-            aug[col] = [_q_mul(d, inv, e) for e in aug[col]]
+            aug[k], aug[piv] = aug[piv], aug[k]
+            p, pivot_row = aug[k][k], aug[k]
             for i in range(n):
-                if i != col and not _q_is_zero(aug[i][col]):
-                    f = aug[i][col]
-                    aug[i] = [
-                        _q_sub(e, _q_mul(d, f, p))
-                        for e, p in zip(aug[i], aug[col])
-                    ]
-        out = []
-        for i in range(n):
-            out.append([_q_to_cyc(d, aug[i][n + j]) for j in range(n)])
-        return RingMatrix(d, out)
+                f = aug[i][k]
+                # with f = 0 and p = prev the update would leave row i as it is
+                if i != k and not (f.is_zero() and p == prev):
+                    aug[i] = [divide_exact(p * x - f * y, prev)
+                              for x, y in zip(aug[i], pivot_row)]
+            prev = p
+        return RingMatrix(d, [[divide_exact(x, prev) for x in row[n:]]
+                              for row in aug])
 
     def to_text(self) -> str:
         return " ; ".join(
@@ -364,23 +348,25 @@ class BlockMat:
         return cls(RingMatrix(d, rows), g)
 
     def blocks(self):
+        return (self.upper_left(), self.upper_right(),
+                self.lower_left(), self.lower_right())
+
+    def _block(self, row, col):
         n = self.n
-        r1, r2 = range(n), range(n, 2 * n)
-        m = self.mat
-        return (m.submatrix(r1, r1), m.submatrix(r1, r2),
-                m.submatrix(r2, r1), m.submatrix(r2, r2))
+        return self.mat.submatrix(range(row * n, row * n + n),
+                                  range(col * n, col * n + n))
 
     def upper_left(self):
-        return self.blocks()[0]
+        return self._block(0, 0)
 
     def upper_right(self):
-        return self.blocks()[1]
+        return self._block(0, 1)
 
     def lower_left(self):
-        return self.blocks()[2]
+        return self._block(1, 0)
 
     def lower_right(self):
-        return self.blocks()[3]
+        return self._block(1, 1)
 
     def __mul__(self, other):
         if isinstance(other, BlockMat):

@@ -48,6 +48,7 @@ def test_criterion_3_generator_soundness():
     # pass Lambda; twist generators pass Delta and the full subgroup chain
     rep = soundness_sweep(range(2, 9), range(2, 5), seed=SEED)
     report(3, rep)
+    assert rep.checked == 2198
 
 
 def test_criterion_4_delta_roundtrip():
@@ -64,7 +65,7 @@ def test_criterion_5_lambda_roundtrip():
     rep = lambda_roundtrip_sweep((2, 3, 5, 7), (2, 3, 4), per_cell=9,
                                  seed=SEED, max_len=6)
     report(5, rep)
-    assert rep.checked >= 100
+    assert rep.checked == 108
 
 
 def test_criterion_6_dual_oracle():
@@ -74,7 +75,7 @@ def test_criterion_6_dual_oracle():
     rep = oracle_sweep(range(2, 9), range(2, 6), per_cell=8, pairs_per_cell=2,
                        seed=SEED, max_moves=8)
     report(6, rep)
-    assert rep.checked >= 200 + 50
+    assert rep.checked == 280
 
 
 def test_criterion_7_deck_scalar():

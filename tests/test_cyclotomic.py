@@ -1,3 +1,6 @@
+import random
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,8 +8,10 @@ from hypothesis import strategies as st
 from prymrep.cyclotomic import (
     CycInt,
     ParseError,
+    _galois,
     conj,
     cyclotomic_poly,
+    divide_exact,
     euler_phi,
     eval_real_basis,
     is_real,
@@ -15,6 +20,7 @@ from prymrep.cyclotomic import (
     render_poly,
     solve_real_basis,
     unit_exponent,
+    zero,
     zeta_pow,
 )
 
@@ -173,6 +179,56 @@ def test_inverse():
     assert u * u.inverse() == 1
     with pytest.raises(ValueError):
         (1 + zeta_pow(4, 1)).inverse()  # norm 2, not a unit
+
+
+def _rand_nonzero(rng, d):
+    while True:
+        b = CycInt(d, [rng.randint(-4, 4) for _ in range(euler_phi(d))])
+        if not b.is_zero():
+            return b
+
+
+def test_divide_exact_recovers_products():
+    rng = random.Random(11)
+    for d in range(2, 13):
+        units = [s * zeta_pow(d, k) for k in range(d) for s in (1, -1)]
+        for _ in range(15):
+            a = CycInt(d, [rng.randint(-6, 6) for _ in range(euler_phi(d))])
+            for b in (_rand_nonzero(rng, d), rng.choice(units)):
+                assert divide_exact(a * b, b) == a, (d, a, b)
+    # d = 2: Z[zeta_2] = Z, with a trivial Galois group and signed norms
+    assert divide_exact(CycInt(2, [12]), CycInt(2, [-3])) == CycInt(2, [-4])
+    u = 1 + zeta_pow(5, 1)  # a unit that is not +-zeta^k
+    assert divide_exact(1, u) * u == 1
+
+
+def test_divide_exact_errors():
+    with pytest.raises(ArithmeticError) as exc:
+        divide_exact(one(5), 1 - zeta_pow(5, 1))
+    assert exc.type is ArithmeticError
+    with pytest.raises(ZeroDivisionError):
+        divide_exact(one(5), zero(5))
+    with pytest.raises(ZeroDivisionError):
+        zero(7).inverse()
+    with pytest.raises(ValueError):
+        divide_exact(one(5), zeta_pow(7, 1))
+
+
+def test_norm_matches_resultant():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(12)
+    for d in range(2, 13):
+        phi_d = sympy.cyclotomic_poly(d, x)
+        for _ in range(6):
+            b = _rand_nonzero(rng, d)
+            norm = one(d)
+            for k in range(1, d):
+                if gcd(k, d) == 1:
+                    norm = norm * _galois(b, k)
+            poly = sum(c * x ** m for m, c in enumerate(b.coeffs))
+            assert norm == int(sympy.resultant(phi_d, poly, x)), (d, b)
+            assert divide_exact(norm, b) * b == norm
 
 
 def test_pow():

@@ -25,6 +25,7 @@ from prymrep.ringlinalg import (
     BlockMat,
     RingMatrix,
     basis_vector,
+    omega,
     parse_matrix,
     preserves_form,
 )
@@ -272,3 +273,41 @@ def test_catalogue_d_blocks_of_twists_are_identity():
               delta_g1(g, d, 1), delta_g2(g, d, 2, 2), delta_g3(g, d, 2, 1, 4)):
         assert m.lower_right() == ident
         assert m.upper_left() == ident
+
+
+def _catalogue(g, d):
+    """Every generator family at (d, g), with a few ring arguments."""
+    z = zeta_pow(d, 1)
+    yield big_T(g, d)
+    for k in range(d):
+        yield scalar_zeta(g, d, k)
+    for i in range(1, g):
+        for r in (one(d), z + z.conj() - 2):
+            yield elem_Ti(g, d, i, r)
+            yield elem_Ti(g, d, -i, r)
+        yield conj_AH(g, d, i)
+        yield TH(g, d, i)
+        yield twist_E(g, d, i)
+        yield delta_g1(g, d, i)
+        for k in range(d):
+            yield gamma_ik(g, d, i, k)
+            yield delta_g2(g, d, i, k)
+        for j in [s * m for m in range(1, g) for s in (1, -1) if m != i]:
+            for r in (one(d), 1 - 2 * z):
+                yield elem_Tij(g, d, i, j, r)
+            yield conj_AHPrime(g, d, i, j)
+            yield THPrime(g, d, i, j)
+        for j in range(1, g):
+            if j != i:
+                for k in range(d):
+                    yield gamma_ijk(g, d, i, j, k)
+                    yield delta_g3(g, d, i, j, k)
+
+
+def test_inverse_matches_form_inverse():
+    # a form-preserving M has M^-1 = Omega^-1 M* Omega = (-Omega) M* Omega,
+    # which needs no division: an independent oracle for Gauss-Jordan
+    for d, g in ((2, 2), (5, 3), (12, 3), (3, 4)):
+        om = omega(g, d)
+        for m in _catalogue(g, d):
+            assert m.inverse() == (-1 * om) * m.adjoint() * om, (d, g, m)

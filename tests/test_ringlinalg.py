@@ -176,7 +176,7 @@ def rand_unit_det_matrix(rng, d, n):
 
 def test_inverse_round_trip():
     rng = random.Random(6)
-    for d in (3, 5, 8):
+    for d in (2, 3, 5, 8, 12):
         ident = RingMatrix.identity(d, 3)
         for _ in range(5):
             m = rand_unit_det_matrix(rng, d, 3)
