@@ -97,19 +97,43 @@ def _power_table(d: int) -> tuple[tuple[int, ...], ...]:
 def _reduce_poly(d, coeffs):
     """Reduce an integer polynomial (constant first, any degree) mod Phi_d."""
     phi = euler_phi(d)
-    table = _power_table(d)
-    out = [0] * phi
-    for m, c in enumerate(coeffs):
-        if not c:
-            continue
-        if m < phi:
-            out[m] += c
-        else:
+    out = list(coeffs[:phi])
+    out += [0] * (phi - len(out))
+    for m in range(phi, len(coeffs)):
+        c = coeffs[m]
+        if c:
+            table = _power_table(d)
             # Phi_d divides x^d - 1, so x^m = x^(m mod d) in the quotient.
             row = table[m] if m < len(table) else table[m % d]
             for j in range(phi):
                 out[j] += c * row[j]
     return tuple(out)
+
+
+def _mul_reduce(d, a, b):
+    """The product of two reduced coefficient tuples, reduced mod Phi_d."""
+    conv = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    conv[i + j] += x * y
+    return _reduce_poly(d, conv)
+
+
+def _power(base, e, unit):
+    """base ** e for e >= 0 by binary powering, with no product wasted:
+    e = 1 costs none, e = 2 one and e = 3 two.  unit() is the e = 0 result."""
+    if e == 0:
+        return unit()
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else result * base
+        e >>= 1
+        if not e:
+            return result
+        base = base * base
 
 
 class CycInt:
@@ -131,12 +155,9 @@ class CycInt:
     @classmethod
     def from_poly(cls, d, coeffs):
         """Build from an integer polynomial in zeta of any degree."""
-        c = cls.__new__(cls)
         if d < 2:
             raise ValueError("modulus d must be >= 2")
-        c.d = d
-        c.coeffs = _reduce_poly(d, tuple(coeffs))
-        return c
+        return _new(d, _reduce_poly(d, tuple(coeffs)))
 
     @classmethod
     def from_int(cls, d, n):
@@ -168,7 +189,7 @@ class CycInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycInt(self.d, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return _new(self.d, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
@@ -176,7 +197,7 @@ class CycInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycInt(self.d, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return _new(self.d, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -185,48 +206,22 @@ class CycInt:
         return o - self
 
     def __neg__(self):
-        return CycInt(self.d, tuple(-a for a in self.coeffs))
+        return _new(self.d, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if not any(a) or not any(b):
-            return CycInt(self.d, (0,) * len(a))
-        phi = len(a)
-        conv = [0] * (2 * phi - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        out = conv[:phi]
-        table = _power_table(self.d)
-        for m in range(phi, 2 * phi - 1):
-            c = conv[m]
-            if c:
-                row = table[m]
-                for j in range(phi):
-                    out[j] += c * row[j]
-        return CycInt(self.d, tuple(out))
+        return _new(self.d, _mul_reduce(self.d, self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
-        base = self
         if e < 0:
-            base = self.inverse()
-            e = -e
-        result = CycInt.from_int(self.d, 1)
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+            return self.inverse() ** -e
+        return _power(self, e, lambda: one(self.d))
 
     def __eq__(self, other):
         o = self._coerce(other) if isinstance(other, (CycInt, int)) else None
@@ -261,11 +256,23 @@ class CycInt:
         return render_poly(self.coeffs)
 
 
+def _new(d: int, coeffs: tuple) -> CycInt:
+    """Trusted constructor: coeffs is already a reduced tuple of phi(d) ints.
+
+    For results that are canonical by construction; CycInt(d, coeffs)
+    validates its input, this does not.
+    """
+    c = object.__new__(CycInt)
+    c.d = d
+    c.coeffs = coeffs
+    return c
+
+
 def zeta_pow(d: int, k: int) -> CycInt:
     """The canonical representative of zeta_d^k."""
     if d < 2:
         raise ValueError("modulus d must be >= 2")
-    return CycInt(d, _power_table(d)[k % d])
+    return _new(d, _power_table(d)[k % d])
 
 
 def one(d: int) -> CycInt:
@@ -395,6 +402,8 @@ def _solve_integer_columns(cols, b):
 
 def _galois(a: CycInt, k: int) -> CycInt:
     """The Galois automorphism sigma_k: zeta -> zeta^k (k coprime to d)."""
+    if not any(a.coeffs[1:]):
+        return a  # sigma_k fixes the rational integers
     table = _power_table(a.d)
     phi = len(a.coeffs)
     out = [0] * phi
@@ -403,7 +412,7 @@ def _galois(a: CycInt, k: int) -> CycInt:
             row = table[k * m % a.d]
             for j in range(phi):
                 out[j] += c * row[j]
-    return CycInt(a.d, tuple(out))
+    return _new(a.d, tuple(out))
 
 
 def divide_exact(a, b: CycInt) -> CycInt:
@@ -432,7 +441,7 @@ def divide_exact(a, b: CycInt) -> CycInt:
     num = (a * b_prime).coeffs
     if any(c % norm for c in num):
         raise ArithmeticError(f"{a!r} / {b!r} is not in Z[zeta_{d}]")
-    return CycInt(d, tuple(c // norm for c in num))
+    return _new(d, tuple(c // norm for c in num))
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,15 @@ elementary transvections, the diagonal map T, the conjugators A_H and A_H',
 their conjugates T_H and T_H', lifted-twist transvections, deck scalars, and
 the embedding of integer upper-block symplectic matrices.
 
-All constructors assemble the matrix column by column from the defining
-action on basis vectors, so the sign bookkeeping of the form convention is
-applied in exactly one place (form_eval).  With that convention the forward
-twist transvection x -> x + <x, v>v has upper-right block -vv* for v in the
-meridian span, and its inverse has +vv*.
+The transvection-type maps x -> x + c<x, v>u (T_i, T_ij and the lifted
+twists) are built directly as rank updates Id + sum of c u w^T, where w is
+the form row of v: <x, v> = w . x with w[i] = conj(v[n+i]) and
+w[n+i] = -conj(v[i]), n = g - 1.  That row (_form_row) is the one place the
+sign bookkeeping of the form convention is applied, and it agrees with
+form_eval, the definition of the form.  The remaining maps are assembled
+column by column from their images of the basis vectors.  With this
+convention the forward twist transvection x -> x + <x, v>v has upper-right
+block -vv* for v in the meridian span, and its inverse has +vv*.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .ringlinalg import (
     BlockMat,
     RingMatrix,
     basis_vector,
-    form_eval,
     signed_indices,
 )
 
@@ -36,12 +39,24 @@ def _from_images(d, g, images):
     return BlockMat(RingMatrix.from_columns(d, cols), g)
 
 
-def _vector_map(d, g, fn):
-    """Apply fn to each basis vector and assemble the matrix."""
-    images = {}
-    for i in signed_indices(g):
-        images[i] = fn(basis_vector(d, g, i))
-    return _from_images(d, g, images)
+def _form_row(g, v):
+    """The row w with <x, v> = w . x for every x."""
+    n = g - 1
+    return [c.conj() for c in v[n:]] + [-c.conj() for c in v[:n]]
+
+
+def _rank_update(d, g, terms):
+    """Id + sum of u w^T over the (column u, row w) pairs in terms."""
+    size = 2 * (g - 1)
+    o, z = one(d), zero(d)
+    rows = [[o if r == s else z for s in range(size)] for r in range(size)]
+    for u, w in terms:
+        for r, ur in enumerate(u):
+            if not ur.is_zero():
+                for s, ws in enumerate(w):
+                    if not ws.is_zero():
+                        rows[r][s] = rows[r][s] + ur * ws
+    return BlockMat(RingMatrix._make(d, tuple(map(tuple, rows))), g)
 
 
 def _vec_add(u, v):
@@ -60,11 +75,7 @@ def elem_Ti(g: int, d: int, i: int, rprime: CycInt) -> BlockMat:
     if not rprime.is_real():
         raise ValueError("Ti requires a real ring element r'")
     ei = basis_vector(d, g, i)
-
-    def image(x):
-        return _vec_add(x, _vec_scale(rprime * form_eval(x, ei, g), ei))
-
-    return _vector_map(d, g, image)
+    return _rank_update(d, g, [(_vec_scale(rprime, ei), _form_row(g, ei))])
 
 
 def elem_Tij(g: int, d: int, i: int, j: int, r: CycInt) -> BlockMat:
@@ -78,12 +89,8 @@ def elem_Tij(g: int, d: int, i: int, j: int, r: CycInt) -> BlockMat:
     rbar = r.conj()
     ei = basis_vector(d, g, i)
     ej = basis_vector(d, g, j)
-
-    def image(x):
-        out = _vec_add(x, _vec_scale(r * form_eval(x, ei, g), ej))
-        return _vec_add(out, _vec_scale(rbar * form_eval(x, ej, g), ei))
-
-    return _vector_map(d, g, image)
+    return _rank_update(d, g, [(_vec_scale(r, ej), _form_row(g, ei)),
+                               (_vec_scale(rbar, ei), _form_row(g, ej))])
 
 
 def big_T(g: int, d: int) -> BlockMat:
@@ -150,14 +157,14 @@ def conj_AHPrime(g: int, d: int, i: int, j: int) -> BlockMat:
 
 def TH(g: int, d: int, i: int) -> BlockMat:
     """T_H = A_H^-1 T A_H: multiplication by zeta on <e_i, e_-i>."""
-    ah = conj_AH(g, d, i)
-    return BlockMat(ah.mat.inverse() * big_T(g, d).mat * ah.mat, g)
+    ah = conj_AH(g, d, i)  # integer symplectic, so in U
+    return ah.form_inverse() * big_T(g, d) * ah
 
 
 def THPrime(g: int, d: int, i: int, j: int) -> BlockMat:
     """T_H' = A_H'^-1 T A_H': multiplication by zeta on <e_i, e_-i + e_j>."""
-    ahp = conj_AHPrime(g, d, i, j)
-    return BlockMat(ahp.mat.inverse() * big_T(g, d).mat * ahp.mat, g)
+    ahp = conj_AHPrime(g, d, i, j)  # integer symplectic, so in U
+    return ahp.form_inverse() * big_T(g, d) * ahp
 
 
 def transvection(g: int, d: int, v, direction: int = 1) -> BlockMat:
@@ -167,14 +174,8 @@ def transvection(g: int, d: int, v, direction: int = 1) -> BlockMat:
         raise ValueError("vector length must be 2(g-1)")
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-
-    def image(x):
-        c = form_eval(x, v, g)
-        if direction < 0:
-            c = -c
-        return _vec_add(x, _vec_scale(c, v))
-
-    return _vector_map(d, g, image)
+    u = v if direction > 0 else [-c for c in v]
+    return _rank_update(d, g, [(u, _form_row(g, v))])
 
 
 def twist_transvection(g: int, d: int, v, direction: int = 1) -> BlockMat:

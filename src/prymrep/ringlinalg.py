@@ -15,7 +15,11 @@ from dataclasses import dataclass
 from .cyclotomic import (
     CycInt,
     ParseError,
+    _new,
+    _power,
+    _reduce_poly,
     divide_exact,
+    euler_phi,
     one,
     parse_ring_literal,
     render_poly,
@@ -42,6 +46,21 @@ class RingMatrix:
         self.rows = len(entries)
         self.cols = len(entries[0])
         self.entries = entries
+
+    @classmethod
+    def _make(cls, d, entries):
+        """Trusted constructor: entries is already a rectangular tuple of row
+        tuples of CycInt at modulus d.  For results that are correct by
+        construction; RingMatrix(d, entries) validates the entries, this only
+        the dimensions."""
+        if not entries or not entries[0]:
+            raise ValueError("matrix dimensions must be positive")
+        m = object.__new__(cls)
+        m.d = d
+        m.rows = len(entries)
+        m.cols = len(entries[0])
+        m.entries = entries
+        return m
 
     @classmethod
     def from_rows(cls, d, rows):
@@ -95,20 +114,21 @@ class RingMatrix:
 
     def __add__(self, other):
         self._check_same_shape(other)
-        return RingMatrix(self.d, [
-            [a + b for a, b in zip(ra, rb)]
+        return RingMatrix._make(self.d, tuple(
+            tuple(a + b for a, b in zip(ra, rb))
             for ra, rb in zip(self.entries, other.entries)
-        ])
+        ))
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        return RingMatrix(self.d, [
-            [a - b for a, b in zip(ra, rb)]
+        return RingMatrix._make(self.d, tuple(
+            tuple(a - b for a, b in zip(ra, rb))
             for ra, rb in zip(self.entries, other.entries)
-        ])
+        ))
 
     def __neg__(self):
-        return RingMatrix(self.d, [[-a for a in row] for row in self.entries])
+        return RingMatrix._make(self.d, tuple(
+            tuple(-a for a in row) for row in self.entries))
 
     def _check_same_shape(self, other):
         if not isinstance(other, RingMatrix) or other.d != self.d:
@@ -119,7 +139,8 @@ class RingMatrix:
     def scale(self, c):
         if isinstance(c, int):
             c = CycInt.from_int(self.d, c)
-        return RingMatrix(self.d, [[c * a for a in row] for row in self.entries])
+        return RingMatrix._make(self.d, tuple(
+            tuple(c * a for a in row) for row in self.entries))
 
     def __mul__(self, other):
         if isinstance(other, (int, CycInt)):
@@ -130,23 +151,8 @@ class RingMatrix:
             raise ValueError("modulus mismatch")
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        z = zero(self.d)
-        out = []
-        for i in range(self.rows):
-            row_i = self.entries[i]
-            acc = [z] * other.cols
-            for k in range(self.cols):
-                a = row_i[k]
-                if a.is_zero():
-                    continue
-                orow = other.entries[k]
-                if a.is_one():
-                    acc = [x + y if not y.is_zero() else x for x, y in zip(acc, orow)]
-                else:
-                    acc = [x + a * y if not y.is_zero() else x
-                           for x, y in zip(acc, orow)]
-            out.append(acc)
-        return RingMatrix(self.d, out)
+        return RingMatrix._make(self.d, _sparse_product(self.d, self.entries,
+                                                        other.entries, other.cols))
 
     def __rmul__(self, other):
         if isinstance(other, (int, CycInt)):
@@ -156,32 +162,17 @@ class RingMatrix:
     def __pow__(self, e: int):
         if not self.is_square():
             raise ValueError("only square matrices can be raised to powers")
-        base = self
         if e < 0:
-            base = self.inverse()
-            e = -e
-        result = RingMatrix.identity(self.d, self.rows)
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+            return self.inverse() ** -e
+        return _power(self, e, lambda: RingMatrix.identity(self.d, self.rows))
 
     def transpose(self):
-        return RingMatrix(self.d, [
-            [self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)
-        ])
-
-    def conj_entries(self):
-        return RingMatrix(self.d, [[a.conj() for a in row] for row in self.entries])
+        return RingMatrix._make(self.d, tuple(zip(*self.entries)))
 
     def adjoint(self):
         """Conjugate transpose: (M*)* = M and (MN)* = N* M*."""
-        return RingMatrix(self.d, [
-            [self.entries[i][j].conj() for i in range(self.rows)]
-            for j in range(self.cols)
-        ])
+        return RingMatrix._make(self.d, tuple(
+            tuple(a.conj() for a in col) for col in zip(*self.entries)))
 
     def apply(self, vec):
         """Matrix times column vector."""
@@ -197,9 +188,9 @@ class RingMatrix:
         return out
 
     def submatrix(self, row_range, col_range):
-        return RingMatrix(self.d, [
-            [self.entries[i][j] for j in col_range] for i in row_range
-        ])
+        return RingMatrix._make(self.d, tuple(
+            tuple(self.entries[i][j] for j in col_range) for i in row_range
+        ))
 
     def det(self) -> CycInt:
         """Exact determinant by fraction-free (Bareiss) elimination.
@@ -290,6 +281,43 @@ class RingMatrix:
         return f"RingMatrix({self.d}, '{self.to_text()}')"
 
 
+def _sparse_rows(entries):
+    """Each row as its nonzero entries: (column, nonzero (power, coefficient)
+    pairs)."""
+    return [[(j, [(t, c) for t, c in enumerate(e.coeffs) if c])
+             for j, e in enumerate(row) if any(e.coeffs)] for row in entries]
+
+
+def _sparse_product(d, a_rows, b_rows, cols):
+    """The entries of A * B, by a row-sparse (Gustavson) kernel over raw
+    coefficient tuples.
+
+    Row i of the product sums a_ik * b_kj over the nonzero a_ik and the
+    nonzero b_kj of row k, into one unreduced convolution of length
+    2*phi - 1 per entry that is reduced mod Phi_d once.  Entries with no
+    contribution share one zero.
+    """
+    width = 2 * euler_phi(d) - 1
+    z = zero(d)
+    sparse_b = _sparse_rows(b_rows)
+    out = []
+    for row in _sparse_rows(a_rows):
+        acc = {}
+        for k, terms_a in row:
+            for j, terms_b in sparse_b[k]:
+                conv = acc.get(j)
+                if conv is None:
+                    conv = acc[j] = [0] * width
+                for s, x in terms_a:
+                    for t, y in terms_b:
+                        conv[s + t] += x * y
+        new_row = [z] * cols
+        for j, conv in acc.items():
+            new_row[j] = _new(d, _reduce_poly(d, conv))
+        out.append(tuple(new_row))
+    return tuple(out)
+
+
 def parse_matrix_poly(text: str):
     """Parse matrix text into a grid of integer polynomials (no modulus yet)."""
     rows = []
@@ -338,14 +366,9 @@ class BlockMat:
 
     @classmethod
     def from_blocks(cls, g, upper_left, upper_right, lower_left, lower_right):
-        n = g - 1
-        d = upper_left.d
-        rows = []
-        for i in range(n):
-            rows.append(list(upper_left.entries[i]) + list(upper_right.entries[i]))
-        for i in range(n):
-            rows.append(list(lower_left.entries[i]) + list(lower_right.entries[i]))
-        return cls(RingMatrix(d, rows), g)
+        rows = tuple(a + b for a, b in zip(upper_left.entries, upper_right.entries))
+        rows += tuple(a + b for a, b in zip(lower_left.entries, lower_right.entries))
+        return cls(RingMatrix._make(upper_left.d, rows), g)
 
     def blocks(self):
         return (self.upper_left(), self.upper_right(),
@@ -387,6 +410,21 @@ class BlockMat:
 
     def inverse(self):
         return BlockMat(self.mat.inverse(), self.g)
+
+    def form_inverse(self):
+        """M^-1 for M in U, without division: [[D*, -B*], [-C*, A*]], which is
+        -Omega M* Omega for M = [[A, B], [C, D]].  Meaningless for M outside U;
+        inverse() is the route for any invertible matrix."""
+        n, e = self.n, self.mat.entries
+        across = [*range(n, 2 * n), *range(n)]  # a position's twin across the split
+        rows = []
+        for p in range(2 * n):
+            row = []
+            for q in range(2 * n):
+                x = e[across[q]][across[p]].conj()
+                row.append(x if (p < n) == (q < n) or x.is_zero() else -x)
+            rows.append(tuple(row))
+        return BlockMat(RingMatrix._make(self.d, tuple(rows)), self.g)
 
     def adjoint(self):
         return BlockMat(self.mat.adjoint(), self.g)

@@ -11,8 +11,8 @@ Grammar (EBNF):
 Names: Ti, Tij, AH, AHPrime, TH, THPrime, TwistE, GammaIK, GammaIJK, Zeta,
 G1, G2, G3, and UrSp (which takes an inline matrix literal instead of
 indices).  The empty string denotes the identity.  Evaluation is the
-left-to-right matrix product with exact inverses for negative exponents; no
-symbolic simplification is performed.
+left-to-right matrix product, with the division-free form inverse for
+negative exponents; no symbolic simplification is performed.
 """
 
 from __future__ import annotations
@@ -91,11 +91,22 @@ class Word:
 
 
 def evaluate(word: Word, d: int, g: int) -> BlockMat:
-    """Left-to-right product of factor matrices raised to their exponents."""
-    acc = BlockMat.identity(d, g)
+    """Left-to-right product of factor matrices raised to their exponents.
+
+    The product starts from the first factor, so a word of k factors with
+    exponents +-1 costs k - 1 matrix products.  Every generator matrix lies in
+    U (UrSp literals are checked on entry, the other families by
+    construction), so a negative exponent inverts by the division-free
+    BlockMat.form_inverse, -Omega M* Omega, before powering.
+    """
+    acc = None
     for spec, e in word.factors:
-        acc = acc * (matrix_of(spec, d, g) ** e)
-    return acc
+        m = matrix_of(spec, d, g)
+        if e < 0:
+            m, e = m.form_inverse(), -e
+        m = m ** e
+        acc = m if acc is None else acc * m
+    return BlockMat.identity(d, g) if acc is None else acc
 
 
 class _Parser:

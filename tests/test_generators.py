@@ -24,10 +24,13 @@ from prymrep.predicates import GroupTag, is_member
 from prymrep.ringlinalg import (
     BlockMat,
     RingMatrix,
+    basis_position,
     basis_vector,
+    form_eval,
     omega,
     parse_matrix,
     preserves_form,
+    signed_indices,
 )
 
 
@@ -310,4 +313,63 @@ def test_inverse_matches_form_inverse():
     for d, g in ((2, 2), (5, 3), (12, 3), (3, 4)):
         om = omega(g, d)
         for m in _catalogue(g, d):
-            assert m.inverse() == (-1 * om) * m.adjoint() * om, (d, g, m)
+            inv = m.form_inverse()
+            assert inv == m.inverse(), (d, g, m)
+            assert inv == (-1 * om) * m.adjoint() * om, (d, g, m)
+
+
+def _assert_images(m, d, g, terms):
+    """m sends every basis vector x to x + sum of c <x, v> u over the terms
+    (c, v, u), with the form taken from its definition, form_eval."""
+    for i in signed_indices(g):
+        x = basis_vector(d, g, i)
+        want = list(x)
+        for c, v, u in terms:
+            f = c * form_eval(x, v, g)
+            want = [a + f * b for a, b in zip(want, u)]
+        assert m.mat.column(basis_position(g, i)) == want, (d, g, i, m)
+
+
+def test_rank_update_builders_match_form_eval():
+    for d, g in ((2, 2), (5, 3), (12, 3), (7, 4)):
+        z = zeta_pow(d, 1)
+
+        def vec(*pairs):
+            """sum of c e_i over the pairs (c, i)"""
+            out = [CycInt.from_int(d, 0)] * (2 * (g - 1))
+            for c, i in pairs:
+                p = basis_position(g, i)
+                out[p] = out[p] + c
+            return out
+
+        for i in signed_indices(g):
+            ei = vec((1, i))
+            for r in (one(d), z + z.conj() - 2, CycInt.from_int(d, 0)):
+                _assert_images(elem_Ti(g, d, i, r), d, g, [(r, ei, ei)])
+            for j in signed_indices(g):
+                if abs(j) != abs(i):
+                    ej = vec((1, j))
+                    for r in (one(d), 1 - 2 * z, 3 * z * z):
+                        _assert_images(elem_Tij(g, d, i, j, r), d, g,
+                                       [(r, ei, ej), (r.conj(), ej, ei)])
+        vectors = [vec((1, 1)), vec((1 - z, 1), (2, -1)), vec((z, g - 1), (-3, 1 - g))]
+        if g > 2:
+            vectors.append(vec((1, 1), (-z * z, 2), (1 + z, -2)))
+        for v in vectors:
+            for c in (1, -1):
+                _assert_images(transvection(g, d, v, direction=c), d, g, [(c, v, v)])
+        for i in range(1, g):
+            ei = vec((1, i))
+            _assert_images(twist_E(g, d, i), d, g, [(1, ei, ei)])
+            _assert_images(delta_g1(g, d, i), d, g, [(-1, ei, ei)])
+            for k in range(d):
+                # G2 and G3 are products of commuting meridian transvections
+                v = vec((1 - zeta_pow(d, k), i))
+                _assert_images(delta_g2(g, d, i, k), d, g,
+                               [(1, v, v), (-1, ei, ei), (-1, ei, ei)])
+                for j in range(1, g):
+                    if j != i:
+                        ej = vec((1, j))
+                        v = vec((1, i), (-zeta_pow(d, k), j))
+                        _assert_images(delta_g3(g, d, i, j, k), d, g,
+                                       [(1, v, v), (-1, ei, ei), (-1, ej, ej)])

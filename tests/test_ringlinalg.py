@@ -233,3 +233,97 @@ def test_blockmat_blocks():
     assert ur.to_text() == "3, 4 ; 7, 8"
     assert ll.to_text() == "9, 10 ; 13, 14"
     assert lr.to_text() == "11, 12 ; 15, 16"
+
+
+def _naive_product(a, b):
+    """Entrywise sum_k a_ik * b_kj in CycInt arithmetic: the oracle for the
+    sparse product kernel."""
+    z = CycInt.from_int(a.d, 0)
+    return [[sum((a[i, k] * b[k, j] for k in range(a.cols)), z)
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+def test_product_matches_naive_reference():
+    rng = random.Random(9)
+    big = 10 ** 6
+    for d in (2, 5, 12):
+        phi = euler_phi(d)
+
+        def entry(density, bound):
+            if rng.random() >= density:
+                return CycInt(d, [0] * phi)
+            return CycInt(d, [rng.randint(-bound, bound) for _ in range(phi)])
+
+        for rows, inner, cols in ((1, 1, 1), (2, 3, 4), (4, 1, 3), (3, 5, 2), (6, 6, 6)):
+            for density, bound in ((1.0, 4), (0.4, big), (0.15, 3)):
+                a = [[entry(density, bound) for _ in range(inner)] for _ in range(rows)]
+                b = [[entry(density, bound) for _ in range(cols)] for _ in range(inner)]
+                # an all-zero row of A and an all-zero column of B
+                a[rng.randrange(rows)] = [CycInt(d, [0] * phi)] * inner
+                zc = rng.randrange(cols)
+                for row in b:
+                    row[zc] = CycInt(d, [0] * phi)
+                ma, mb = RingMatrix(d, a), RingMatrix(d, b)
+                prod = ma * mb
+                assert (prod.rows, prod.cols) == (rows, cols)
+                assert [list(r) for r in prod.entries] == _naive_product(ma, mb), \
+                    (d, rows, inner, cols, density)
+
+
+def test_public_constructors_validate():
+    with pytest.raises(ValueError):
+        CycInt(5, [1, 2, 3])  # phi(5) = 4 coefficients needed
+    with pytest.raises(ValueError):
+        CycInt(1, [1])
+    one5, one7 = CycInt.from_int(5, 1), CycInt.from_int(7, 1)
+    with pytest.raises(ValueError):
+        RingMatrix(5, [[one5, one5], [one5]])  # ragged
+    with pytest.raises(ValueError):
+        RingMatrix(5, [[one5, one7]])  # an entry at another modulus
+    with pytest.raises(ValueError):
+        RingMatrix(7, [[one5]])
+    with pytest.raises(ValueError):
+        RingMatrix(5, [[one5, 1]])  # not a CycInt
+    with pytest.raises(ValueError):
+        RingMatrix(5, [])
+
+
+def _count_calls(monkeypatch, cls):
+    calls = []
+    original = cls.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    return calls
+
+
+def test_pow_wastes_no_products(monkeypatch):
+    from prymrep.wordlang import evaluate, parse
+
+    m = rand_unit_det_matrix(random.Random(10), 5, 3)
+    z = zeta_pow(7, 1) + 2
+    expected_m = {0: RingMatrix.identity(5, 3), 1: m, 2: m * m, 3: m * m * m,
+                  -1: m.inverse()}
+    expected_z = {0: CycInt.from_int(7, 1), 1: z, 2: z * z, 3: z * z * z}
+    word = parse("TwistE(1) * Ti(1; 2)^-1 * AH(2)^2")
+    expected_w = evaluate(parse("TwistE(1)"), 5, 3).mat \
+        * evaluate(parse("Ti(1; 2)"), 5, 3).mat.inverse() \
+        * evaluate(parse("AH(2)"), 5, 3).mat * evaluate(parse("AH(2)"), 5, 3).mat
+    calls = _count_calls(monkeypatch, RingMatrix)
+    for e, products in ((0, 0), (1, 0), (2, 1), (3, 2), (-1, 0)):
+        calls.clear()
+        assert m ** e == expected_m[e]
+        assert len(calls) == products, e
+    # three factors, each built without a product: AH^2 costs one, and two
+    # more join the factors, starting from the first rather than from Id
+    calls.clear()
+    assert evaluate(word, 5, 3).mat == expected_w
+    assert len(calls) == 3
+    calls = _count_calls(monkeypatch, CycInt)
+    for e, products in ((0, 0), (1, 0), (2, 1), (3, 2)):
+        calls.clear()
+        assert z ** e == expected_z[e]
+        assert len(calls) == products, e

@@ -65,6 +65,26 @@ def test_word_algebra():
         assert evaluate(w1.inverse(), d, g) == evaluate(w1, d, g).inverse()
 
 
+def test_evaluate_is_left_to_right():
+    a, b = GenSpec("Ti", (1,), scalar=(1,)), GenSpec("Ti", (-1,), scalar=(1,))
+    ma, mb = matrix_of(a, 5, 2), matrix_of(b, 5, 2)
+    assert ma * mb != mb * ma
+    assert evaluate(Word(((a, 1), (b, 1))), 5, 2) == ma * mb
+    assert evaluate(Word(((a, -1), (b, 2))), 5, 2) == ma.inverse() * mb * mb
+
+
+def test_inverse_word_cancels():
+    # evaluate inverts negative-exponent factors by the form inverse; the
+    # inverse word must cancel the word exactly, at every exponent +-1, +-2
+    rng = random.Random(22)
+    for d, g in ((2, 2), (3, 3), (5, 4), (12, 3), (7, 2)):
+        ident = BlockMat.identity(d, g)
+        for _ in range(6):
+            w = random_lambda_word(rng, d, g, 6)
+            assert evaluate(w.inverse(), d, g) * evaluate(w, d, g) == ident, (d, g, w)
+            assert evaluate(w * w.inverse(), d, g) == ident, (d, g, w)
+
+
 def test_render_parse_round_trip():
     rng = random.Random(22)
     samples = [
