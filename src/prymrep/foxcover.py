@@ -97,10 +97,14 @@ class Endo:
         return Endo(gens, gens)
 
     def apply(self, w) -> FreeWord:
-        out = []
+        out, inverted = [], {}
         for s in w:
-            img = self.images[abs(s) - 1]
-            seq = img if s > 0 else word_inv(img)
+            if s > 0:
+                seq = self.images[s - 1]
+            elif s in inverted:
+                seq = inverted[s]
+            else:
+                seq = inverted[s] = word_inv(self.images[-s - 1])
             for t in seq:
                 if out and out[-1] == -t:
                     out.pop()

@@ -261,36 +261,92 @@ def embed_ursp(m: BlockMat) -> BlockMat:
     return m
 
 
-# ---------------------------------------------------------------------------
-# GenSpec: the tagged union of catalogue generator names, shared with the
-# word language.  Ring arguments are stored as raw integer polynomials so a
-# parsed word stays independent of the ambient modulus until evaluation.
+def _ring(d, spec):
+    return CycInt.from_poly(d, spec.scalar)
 
-_ARITY = {
-    # name: (number of integer arguments, takes ring scalar, takes matrix)
-    "T": (0, False, False),
-    "Ti": (1, True, False),
-    "Tij": (2, True, False),
-    "AH": (1, False, False),
-    "AHPrime": (2, False, False),
-    "TH": (1, False, False),
-    "THPrime": (2, False, False),
-    "TwistE": (1, False, False),
-    "GammaIK": (2, False, False),
-    "GammaIJK": (3, False, False),
-    "Zeta": (1, False, False),
-    "UrSp": (0, False, True),
-    "G1": (1, False, False),
-    "G2": (2, False, False),
-    "G3": (3, False, False),
+
+def _ursp_literal(g, d, spec):
+    n = 2 * (g - 1)
+    if len(spec.matrix) != n or any(len(r) != n for r in spec.matrix):
+        raise ValueError(f"UrSp literal must be {n}x{n} for genus {g}")
+    mat = RingMatrix(d, [[CycInt.from_poly(d, p) for p in row] for row in spec.matrix])
+    return embed_ursp(BlockMat(mat, g))
+
+
+# ---------------------------------------------------------------------------
+# The generator registry: one table of the catalogue families, read by
+# GenSpec, matrix_of, the word parser and renderer, and the sweeps.
+
+
+@dataclass(frozen=True)
+class Family:
+    """One catalogue family.
+
+    slots: one letter per integer argument, s a nonzero index, p a positive
+    index, k a zeta exponent (k slots come last); any two s/p indices differ
+    in absolute value.
+    takes: what follows the indices, "" nothing, "real" a real ring scalar,
+    "ring" any ring scalar, "matrix" an UrSp matrix literal.
+    group: the image group, Lambda or Delta, that the instances with a
+    positive first index lie in (the sweeps check the chain above it).
+    build: (g, d, spec) -> BlockMat.
+    """
+
+    slots: str
+    takes: str
+    group: GroupTag
+    build: object
+
+
+# Each builder calls its public constructor through the module globals, so
+# code that rebinds those names (a tracer, a test double) sees every build.
+# The order is the order of the random word draws in sweeps.
+FAMILIES = {
+    "T": Family("", "", GroupTag.Lambda, lambda g, d, s: big_T(g, d)),
+    "Zeta": Family("k", "", GroupTag.Delta,
+                   lambda g, d, s: scalar_zeta(g, d, *s.indices)),
+    "Ti": Family("s", "real", GroupTag.Lambda,
+                 lambda g, d, s: elem_Ti(g, d, *s.indices, _ring(d, s))),
+    "AH": Family("p", "", GroupTag.Lambda,
+                 lambda g, d, s: conj_AH(g, d, *s.indices)),
+    "TH": Family("p", "", GroupTag.Lambda, lambda g, d, s: TH(g, d, *s.indices)),
+    "TwistE": Family("p", "", GroupTag.Lambda,
+                     lambda g, d, s: twist_E(g, d, *s.indices)),
+    "GammaIK": Family("pk", "", GroupTag.Lambda,
+                      lambda g, d, s: gamma_ik(g, d, *s.indices)),
+    "G1": Family("p", "", GroupTag.Delta,
+                 lambda g, d, s: delta_g1(g, d, *s.indices)),
+    "G2": Family("pk", "", GroupTag.Delta,
+                 lambda g, d, s: delta_g2(g, d, *s.indices)),
+    "Tij": Family("ss", "ring", GroupTag.Lambda,
+                  lambda g, d, s: elem_Tij(g, d, *s.indices, _ring(d, s))),
+    "AHPrime": Family("ps", "", GroupTag.Lambda,
+                      lambda g, d, s: conj_AHPrime(g, d, *s.indices)),
+    "THPrime": Family("ps", "", GroupTag.Lambda,
+                      lambda g, d, s: THPrime(g, d, *s.indices)),
+    "GammaIJK": Family("ppk", "", GroupTag.Lambda,
+                       lambda g, d, s: gamma_ijk(g, d, *s.indices)),
+    "G3": Family("ppk", "", GroupTag.Delta,
+                 lambda g, d, s: delta_g3(g, d, *s.indices)),
+    "UrSp": Family("", "matrix", GroupTag.Lambda, lambda g, d, s: _ursp_literal(g, d, s)),
 }
 
-GENERATOR_NAMES = tuple(sorted(_ARITY))
+
+def _canon(poly):
+    poly = [int(c) for c in poly]
+    while len(poly) > 1 and poly[-1] == 0:
+        poly.pop()
+    return tuple(poly) if poly else (0,)
 
 
 @dataclass(frozen=True)
 class GenSpec:
-    """One named generator with its arguments; evaluation happens later."""
+    """One named generator with its arguments; evaluation happens later.
+
+    Ring arguments are stored as raw integer polynomials, so a parsed word
+    stays independent of the ambient modulus until evaluation.  Every rule
+    that needs no d or g is checked here, from the family's slots.
+    """
 
     name: str
     indices: tuple = ()
@@ -298,95 +354,37 @@ class GenSpec:
     matrix: tuple = None  # grid of integer polynomials (UrSp literal)
 
     def __post_init__(self):
-        if self.name not in _ARITY:
+        fam = FAMILIES.get(self.name)
+        if fam is None:
             raise ValueError(f"unknown generator name {self.name!r}")
-        n_idx, has_scalar, has_matrix = _ARITY[self.name]
-        idx = tuple(int(i) for i in self.indices)
+        name, idx = self.name, tuple(int(i) for i in self.indices)
         object.__setattr__(self, "indices", idx)
-        if len(idx) != n_idx:
+        if len(idx) != len(fam.slots):
             raise ValueError(
-                f"{self.name} takes {n_idx} integer argument(s), got {len(idx)}"
+                f"{name} takes {len(fam.slots)} integer argument(s), got {len(idx)}"
             )
-        if has_scalar != (self.scalar is not None):
-            raise ValueError(
-                f"{self.name} {'requires' if has_scalar else 'does not take'} a ring argument"
-            )
-        if has_matrix != (self.matrix is not None):
-            raise ValueError(
-                f"{self.name} {'requires' if has_matrix else 'does not take'} a matrix argument"
-            )
-        def canon(poly):
-            poly = [int(c) for c in poly]
-            while len(poly) > 1 and poly[-1] == 0:
-                poly.pop()
-            return tuple(poly) if poly else (0,)
-
+        for what, wanted, arg in (("ring", fam.takes in ("real", "ring"), self.scalar),
+                                  ("matrix", fam.takes == "matrix", self.matrix)):
+            if wanted != (arg is not None):
+                raise ValueError(
+                    f"{name} {'requires' if wanted else 'does not take'} a {what} argument"
+                )
         if self.scalar is not None:
-            object.__setattr__(self, "scalar", canon(self.scalar))
+            object.__setattr__(self, "scalar", _canon(self.scalar))
         if self.matrix is not None:
             object.__setattr__(
-                self,
-                "matrix",
-                tuple(tuple(canon(p) for p in row) for row in self.matrix),
+                self, "matrix", tuple(tuple(map(_canon, row)) for row in self.matrix)
             )
-        # static invariants that do not need d or g
-        name, ix = self.name, idx
-        if name in ("Ti", "AH", "TH", "TwistE") and ix[0] == 0:
-            raise ValueError(f"{name} index must be nonzero")
-        if name in ("AH", "TwistE") and ix[0] < 0:
-            raise ValueError(f"{name} requires a positive index")
-        if name in ("Tij", "AHPrime", "THPrime") and abs(ix[0]) == abs(ix[1]):
+        for slot, i in zip(fam.slots, idx):
+            if slot == "s" and i == 0:
+                raise ValueError(f"{name} index must be nonzero")
+            if slot == "p" and i <= 0:
+                raise ValueError(f"{name} requires a positive index")
+        free = [abs(i) for slot, i in zip(fam.slots, idx) if slot != "k"]
+        if len(set(free)) < len(free):
             raise ValueError(f"{name} requires |i| != |j|")
-        if name in ("AHPrime", "THPrime") and ix[0] <= 0:
-            raise ValueError(f"{name} requires a positive index i")
-        if name in ("GammaIK", "G2") and ix[0] <= 0:
-            raise ValueError(f"{name} requires a positive index i")
-        if name in ("GammaIJK", "G3"):
-            if ix[0] <= 0 or ix[1] <= 0:
-                raise ValueError(f"{name} requires positive indices i, j")
-            if ix[0] == ix[1]:
-                raise ValueError(f"{name} requires i != j")
-        if name == "G1" and ix[0] <= 0:
-            raise ValueError("G1 requires a positive index")
 
 
 def matrix_of(spec: GenSpec, d: int, g: int) -> BlockMat:
     """Evaluate a generator spec to its matrix for the ambient (d, g)."""
-    name, ix = spec.name, spec.indices
-    if name == "T":
-        return big_T(g, d)
-    if name == "Ti":
-        return elem_Ti(g, d, ix[0], CycInt.from_poly(d, spec.scalar))
-    if name == "Tij":
-        return elem_Tij(g, d, ix[0], ix[1], CycInt.from_poly(d, spec.scalar))
-    if name == "AH":
-        return conj_AH(g, d, ix[0])
-    if name == "AHPrime":
-        return conj_AHPrime(g, d, ix[0], ix[1])
-    if name == "TH":
-        return TH(g, d, ix[0])
-    if name == "THPrime":
-        return THPrime(g, d, ix[0], ix[1])
-    if name == "TwistE":
-        return twist_E(g, d, ix[0])
-    if name == "GammaIK":
-        return gamma_ik(g, d, ix[0], ix[1])
-    if name == "GammaIJK":
-        return gamma_ijk(g, d, ix[0], ix[1], ix[2])
-    if name == "Zeta":
-        return scalar_zeta(g, d, ix[0])
-    if name == "UrSp":
-        n = 2 * (g - 1)
-        if len(spec.matrix) != n or any(len(r) != n for r in spec.matrix):
-            raise ValueError(f"UrSp literal must be {n}x{n} for genus {g}")
-        mat = RingMatrix(
-            d, [[CycInt.from_poly(d, p) for p in row] for row in spec.matrix]
-        )
-        return embed_ursp(BlockMat(mat, g))
-    if name == "G1":
-        return delta_g1(g, d, ix[0])
-    if name == "G2":
-        return delta_g2(g, d, ix[0], ix[1])
-    if name == "G3":
-        return delta_g3(g, d, ix[0], ix[1], ix[2])
-    raise ValueError(f"unknown generator name {name!r}")
+    return FAMILIES[spec.name].build(g, d, spec)

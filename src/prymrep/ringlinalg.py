@@ -213,12 +213,15 @@ class RingMatrix:
                         break
                 else:
                     return zero(self.d)
+            p = m[k][k]
+            unchanged = p == prev  # then rows with m[i][k] = 0 stay as they are
             for i in range(k + 1, n):
+                if unchanged and m[i][k].is_zero():
+                    continue
                 for j in range(k + 1, n):
-                    num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                    m[i][j] = divide_exact(num, prev)
+                    m[i][j] = divide_exact(p * m[i][j] - m[i][k] * m[k][j], prev)
                 m[i][k] = zero(self.d)
-            prev = m[k][k]
+            prev = p
         result = m[n - 1][n - 1]
         return -result if sign < 0 else result
 

@@ -21,21 +21,7 @@ from .cyclotomic import (
 from .decompose import decompose_delta, reduce_lambda
 from .foxcover import deck_conjugation, eta_chain, eta_fox, random_member
 from .generators import (
-    GenSpec,
-    TH,
-    THPrime,
-    big_T,
-    conj_AH,
-    conj_AHPrime,
-    delta_g1,
-    delta_g2,
-    delta_g3,
-    elem_Ti,
-    elem_Tij,
-    gamma_ik,
-    gamma_ijk,
-    scalar_zeta,
-    twist_E,
+    FAMILIES, TH, GenSpec, THPrime, elem_Ti, elem_Tij, gamma_ik, matrix_of,
 )
 from .predicates import GroupTag, genus2_real_project, genus2_theta_project, is_member
 from .ringlinalg import BlockMat, RingMatrix, preserves_form
@@ -55,8 +41,16 @@ class SweepReport:
         return f"{status} {self.name}: {self.checked} checks{extra}"
 
 
-def _signed_js(g, i):
-    return [s * m for m in range(1, g) for s in (1, -1) if m != i]
+def _slot_values(slot, d, g, i=None):
+    """The values of an index slot in a positive-index instance: a zeta
+    exponent in 0..d-1, a first index in 1..g-1, and a later index of the
+    slot's kind (signed for s, positive for p) of another |value| than i."""
+    if slot == "k":
+        return range(d)
+    if i is None:
+        return range(1, g)
+    signs = (1, -1) if slot == "s" else (1,)
+    return [s * m for m in range(1, g) for s in signs if m != i]
 
 
 def identity_sweep(d_values, g_values) -> SweepReport:
@@ -65,7 +59,7 @@ def identity_sweep(d_values, g_values) -> SweepReport:
     for d in d_values:
         for g in g_values:
             for i in range(1, g):
-                for j in _signed_js(g, i):
+                for j in _slot_values("s", d, g, i):
                     th_inv = TH(g, d, i).inverse()
                     thp = THPrime(g, d, i, j)
                     acc_m = BlockMat.identity(d, g)
@@ -95,7 +89,7 @@ def commutator_sweep(d_values, g_values) -> SweepReport:
     for d in d_values:
         for g in g_values:
             for i in range(1, g):
-                for j in _signed_js(g, i):
+                for j in _slot_values("s", d, g, i):
                     b = elem_Tij(g, d, i, j, one(d))
                     b_inv = b.inverse()
                     for k in range(1, d):
@@ -128,11 +122,31 @@ def _sample_rings(rng, d):
     ]
 
 
+def _instances(slots, d, g):
+    """Every index tuple of the positive-index instances of a family."""
+    out = [()]
+    for slot in slots:
+        out = [ix + (v,) for ix in out
+               for v in _slot_values(slot, d, g, ix[0] if ix else None)]
+    return out
+
+
+def _sample_scalars(rng, d, takes):
+    """Sample scalar arguments, as coefficient tuples, for a family that
+    takes a "real" or a "ring" scalar; [None] for one that takes none."""
+    if not takes:
+        return [None]
+    sample = _sample_reals if takes == "real" else _sample_rings
+    return [r.coeffs for r in sample(rng, d)]
+
+
 def soundness_sweep(d_values, g_values, seed=0) -> SweepReport:
-    """Catalogue soundness: form preservation everywhere, the Lambda predicate
-    for positive-index transvections, the Delta predicate for the twist
-    generators, and the subgroup chain Delta <= Lambda <= urU# <= urU <= U
-    upward from whatever the smallest asserted group is."""
+    """Catalogue soundness over every family of FAMILIES but UrSp: form
+    preservation and a unit determinant everywhere, the family's group for
+    each positive-index instance and the subgroup chain
+    Delta <= Lambda <= urU# <= urU <= U upward from it, urSp(Z) for the
+    integer conjugators AH and AH', and for T_i(r') also the negative index,
+    which preserves the form but leaves Lambda."""
     rng = random.Random(seed)
     checked = 0
 
@@ -143,43 +157,23 @@ def soundness_sweep(d_values, g_values, seed=0) -> SweepReport:
              GroupTag.U)
     for d in d_values:
         for g in g_values:
-            catalogue = []  # (matrix, smallest expected group, also urSp(Z)?)
-            catalogue.append((big_T(g, d), GroupTag.Lambda, False))
-            for k in range(d):
-                catalogue.append((scalar_zeta(g, d, k), GroupTag.Delta, False))
-            for i in range(1, g):
-                for r in _sample_reals(rng, d):
-                    catalogue.append((elem_Ti(g, d, i, r), GroupTag.Lambda, False))
-                    catalogue.append((elem_Ti(g, d, -i, r), None, False))
-                catalogue.append((conj_AH(g, d, i), GroupTag.Lambda, True))
-                catalogue.append((TH(g, d, i), GroupTag.Lambda, False))
-                catalogue.append((twist_E(g, d, i), GroupTag.Lambda, False))
-                catalogue.append((delta_g1(g, d, i), GroupTag.Delta, False))
-                for k in range(d):
-                    catalogue.append((gamma_ik(g, d, i, k), GroupTag.Lambda, False))
-                    catalogue.append((delta_g2(g, d, i, k), GroupTag.Delta, False))
-                for j in _signed_js(g, i):
-                    for r in _sample_rings(rng, d):
-                        catalogue.append((elem_Tij(g, d, i, j, r),
-                                          GroupTag.Lambda, False))
-                    catalogue.append((conj_AHPrime(g, d, i, j),
-                                      GroupTag.Lambda, True))
-                    catalogue.append((THPrime(g, d, i, j), GroupTag.Lambda, False))
-                for j in range(1, g):
-                    if j == i:
-                        continue
-                    for k in range(d):
-                        catalogue.append((gamma_ijk(g, d, i, j, k),
-                                          GroupTag.Lambda, False))
-                        catalogue.append((delta_g3(g, d, i, j, k),
-                                          GroupTag.Delta, False))
-            for m, smallest, in_ursp in catalogue:
+            catalogue = []  # (spec, group to check, None for none)
+            for name, fam in FAMILIES.items():
+                if fam.takes == "matrix":
+                    continue
+                for ix in _instances(fam.slots, d, g):
+                    for scalar in _sample_scalars(rng, d, fam.takes):
+                        catalogue.append((GenSpec(name, ix, scalar), fam.group))
+                        if name == "Ti":
+                            catalogue.append((GenSpec(name, (-ix[0],), scalar), None))
+            for spec, smallest in catalogue:
+                m = matrix_of(spec, d, g)
                 checked += 1
                 if not preserves_form(m):
                     return fail(f"form broken at d={d} g={g}: {m!r}")
                 if unit_exponent(m.det()) is None:
                     return fail(f"det not +-zeta^k at d={d} g={g}: {m!r}")
-                if in_ursp and not is_member(m, GroupTag.UrSpZ):
+                if spec.name in ("AH", "AHPrime") and not is_member(m, GroupTag.UrSpZ):
                     return fail(f"urSp(Z) fails at d={d} g={g}: {m!r}")
                 if smallest is None:
                     continue
@@ -235,37 +229,23 @@ def delta_roundtrip_sweep(d_values, g_values, count, seed=0) -> SweepReport:
 
 
 def random_lambda_word(rng, d, g, max_len) -> Word:
-    """A random word over the catalogue generators that land in Lambda."""
-    choices = ["T", "Zeta", "Ti", "AH", "TH", "TwistE", "GammaIK", "G1", "G2"]
-    if g >= 3:
-        choices += ["Tij", "AHPrime", "THPrime", "GammaIJK", "G3"]
+    """A random word over the families of FAMILIES that land in Lambda (all
+    but UrSp) and whose indices fit genus g.  Each factor draws its name, i,
+    k, then j if the family has a second index and a scalar if it takes one,
+    and its exponent from +-1, +-2."""
+    names = [nm for nm, fam in FAMILIES.items()
+             if fam.takes != "matrix" and len(fam.slots.replace("k", "")) < g]
     factors = []
     for _ in range(rng.randint(0, max_len)):
-        name = rng.choice(choices)
+        name = rng.choice(names)
+        fam = FAMILIES[name]
         i = rng.randint(1, g - 1)
         k = rng.randrange(d)
-        if name == "T":
-            spec = GenSpec("T")
-        elif name == "Zeta":
-            spec = GenSpec("Zeta", (k,))
-        elif name == "Ti":
-            r = rng.choice(_sample_reals(rng, d))
-            spec = GenSpec("Ti", (i,), scalar=r.coeffs)
-        elif name in ("AH", "TH", "TwistE", "G1"):
-            spec = GenSpec(name, (i,))
-        elif name in ("GammaIK", "G2"):
-            spec = GenSpec(name, (i, k))
-        elif name == "Tij":
-            j = rng.choice(_signed_js(g, i))
-            r = rng.choice(_sample_rings(rng, d))
-            spec = GenSpec("Tij", (i, j), scalar=r.coeffs)
-        elif name in ("AHPrime", "THPrime"):
-            j = rng.choice(_signed_js(g, i))
-            spec = GenSpec(name, (i, j))
-        else:  # GammaIJK, G3
-            j = rng.choice([x for x in range(1, g) if x != i])
-            spec = GenSpec(name, (i, j, k))
-        factors.append((spec, rng.choice((-2, -1, 1, 2))))
+        free = fam.slots.replace("k", "")
+        ij = iter([i] + [rng.choice(_slot_values(s, d, g, i)) for s in free[1:]])
+        ix = tuple(k if s == "k" else next(ij) for s in fam.slots)
+        scalar = rng.choice(_sample_scalars(rng, d, fam.takes)) if fam.takes else None
+        factors.append((GenSpec(name, ix, scalar), rng.choice((-2, -1, 1, 2))))
     return Word(tuple(factors))
 
 

@@ -5,12 +5,13 @@ Grammar (EBNF):
 
     word   := factor { "*" factor }
     factor := gen [ "^" int ]
-    gen    := NAME "(" args ")" | "T"
-    args   := indices [ ";" ring-literal ]
+    gen    := NAME [ "(" args ")" ]
+    args   := [ indices ] [ ";" ring-literal | matrix-literal ]
 
-Names: Ti, Tij, AH, AHPrime, TH, THPrime, TwistE, GammaIK, GammaIJK, Zeta,
-G1, G2, G3, and UrSp (which takes an inline matrix literal instead of
-indices).  The empty string denotes the identity.  Evaluation is the
+The names, the number and kind of the indices, and what follows them come
+from generators.FAMILIES: a generator with no arguments is written bare (T),
+ring scalars follow the indices after ";" (Ti, Tij), and UrSp takes an inline
+matrix literal.  The empty string denotes the identity.  Evaluation is the
 left-to-right matrix product, with the division-free form inverse for
 negative exponents; no symbolic simplification is performed.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 import re
 
 from .cyclotomic import ParseError, parse_ring_literal, render_poly
-from .generators import _ARITY, GenSpec, matrix_of
+from .generators import FAMILIES, GenSpec, matrix_of
 from .ringlinalg import BlockMat, parse_matrix_poly
 
 _WS = re.compile(r"\s*")
@@ -65,18 +66,15 @@ class Word:
     def render(self) -> str:
         parts = []
         for spec, e in self.factors:
-            if spec.name == "T":
-                body = "T"
-            elif spec.name == "UrSp":
-                rows = " ; ".join(
+            fam = FAMILIES[spec.name]
+            args = ",".join(str(i) for i in spec.indices)
+            if spec.scalar is not None:
+                args += "; " + render_poly(spec.scalar)
+            if spec.matrix is not None:
+                args += " ; ".join(
                     ", ".join(render_poly(p) for p in row) for row in spec.matrix
                 )
-                body = f"UrSp({rows})"
-            else:
-                args = ",".join(str(i) for i in spec.indices)
-                if spec.scalar is not None:
-                    args += "; " + render_poly(spec.scalar)
-                body = f"{spec.name}({args})"
+            body = f"{spec.name}({args})" if fam.slots or fam.takes else spec.name
             parts.append(body if e == 1 else f"{body}^{e}")
         return " * ".join(parts)
 
@@ -149,53 +147,41 @@ class _Parser:
         self.pos = m.end()
         return int(m.group())
 
-    def until_close(self):
-        """Raw text up to the next ')'; ring and matrix literals contain none."""
-        end = self.text.find(")", self.pos)
+    def literal(self, parse_text, what):
+        """A ring or matrix literal: raw text up to the next ')', which
+        neither kind contains."""
+        start = self.pos
+        end = self.text.find(")", start)
         if end < 0:
-            self.err("unterminated '('")
-        chunk = self.text[self.pos:end]
+            self.err(f"bad {what} literal (unterminated '(')")
+        try:
+            value = parse_text(self.text[start:end])
+        except ParseError as exc:
+            self.err(f"bad {what} literal ({exc.args[0].split(' at ')[0]})")
         self.pos = end
-        return chunk
+        return value
 
     def factor(self):
         nm = self.name()
-        if nm not in _ARITY:
+        fam = FAMILIES.get(nm)
+        if fam is None:
             self.pos -= len(nm)
             self.err(f"unknown generator name {nm!r}")
-        n_idx, has_scalar, has_matrix = _ARITY[nm]
-        indices = ()
-        scalar = None
-        matrix = None
-        if nm == "T":
-            pass  # bare name, no argument list
-        else:
+        indices, scalar, matrix = [], None, None
+        if fam.slots or fam.takes:
             self.expect("(")
-            if has_matrix:
-                start = self.pos
-                try:
-                    matrix = parse_matrix_poly(self.until_close())
-                except ParseError as exc:
-                    self.pos = start
-                    self.err(f"bad matrix literal ({exc.args[0].split(' at ')[0]})")
-            else:
-                idx = []
-                for n in range(n_idx):
-                    if n:
-                        self.expect(",")
-                    idx.append(self.integer())
-                indices = tuple(idx)
-                if has_scalar:
-                    self.expect(";")
-                    start = self.pos
-                    try:
-                        scalar = parse_ring_literal(self.until_close())
-                    except ParseError as exc:
-                        self.pos = start
-                        self.err(f"bad ring literal ({exc.args[0].split(' at ')[0]})")
+            for n in range(len(fam.slots)):
+                if n:
+                    self.expect(",")
+                indices.append(self.integer())
+            if fam.takes == "matrix":
+                matrix = self.literal(parse_matrix_poly, "matrix")
+            elif fam.takes:
+                self.expect(";")
+                scalar = self.literal(parse_ring_literal, "ring")
             self.expect(")")
         try:
-            spec = GenSpec(nm, indices, scalar, matrix)
+            spec = GenSpec(nm, tuple(indices), scalar, matrix)
         except ValueError as exc:
             self.err(str(exc))
         exponent = 1

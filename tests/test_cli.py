@@ -41,6 +41,13 @@ def test_eval_range_error_exit_2(capsys):
     assert "out of range" in err
 
 
+def test_eval_static_index_error_exit_2(capsys):
+    code, out, err = run(capsys, "eval", "--d", "5", "--g", "3", "--word", "TH(-1)")
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: TH requires a positive index")
+    assert err.count("\n") == 1
+
+
 def test_check_member(capsys):
     code, out, _ = run(capsys, "check", "--d", "5", "--g", "2",
                        "--matrix", "1, 0 ; 0, 1", "--group", "Lambda")

@@ -137,6 +137,21 @@ def test_eta_multiplicative():
                     eta_chain(a, d, g) * eta_chain(b, d, g)
 
 
+def test_apply_inverts_each_image_once(monkeypatch):
+    import prymrep.foxcover as fc
+
+    rng = random.Random(44)
+    phi, psi = random_member(rng, 3, 5), random_member(rng, 3, 5)
+    w = (-1, -1, 2, -2, -1, 3, -3, -3, 1, -2)
+    want = free_reduce(sum((phi.images[s - 1] if s > 0
+                            else word_inv(phi.images[-s - 1]) for s in w), ()))
+    calls = []
+    monkeypatch.setattr(fc, "word_inv", lambda v: calls.append(v) or word_inv(v))
+    assert phi.apply(w) == want
+    assert len(calls) == 3  # once for each generator with an inverse letter
+    assert phi.compose(psi).apply(w) == phi.apply(psi.apply(w))
+
+
 def test_deck_conjugation_is_scalar():
     for d in (2, 5, 8):
         for g in (2, 3, 5):

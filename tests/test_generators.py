@@ -1,7 +1,15 @@
+import hashlib
+import random
+import re
+from pathlib import Path
+
 import pytest
 
+from prymrep import generators
 from prymrep.cyclotomic import CycInt, one, zeta_pow
 from prymrep.generators import (
+    FAMILIES,
+    GenSpec,
     TH,
     THPrime,
     big_T,
@@ -15,6 +23,7 @@ from prymrep.generators import (
     embed_ursp,
     gamma_ijk,
     gamma_ik,
+    matrix_of,
     scalar_zeta,
     transvection,
     twist_E,
@@ -32,6 +41,8 @@ from prymrep.ringlinalg import (
     preserves_form,
     signed_indices,
 )
+from prymrep.sweeps import random_lambda_word
+from prymrep.wordlang import Word, parse
 
 
 def test_elem_Ti_examples():
@@ -373,3 +384,77 @@ def test_rank_update_builders_match_form_eval():
                         v = vec((1, i), (-zeta_pow(d, k), j))
                         _assert_images(delta_g3(g, d, i, j, k), d, g,
                                        [(1, v, v), (-1, ei, ei), (-1, ej, ej)])
+
+
+def _registry_cases(d, g):
+    """One instance of every family, in table order, at a genus g >= 3:
+    (spec, the public constructor its builder calls, the direct call)."""
+    r = zeta_pow(d, 1) + zeta_pow(d, -1)
+    c = 1 - 2 * zeta_pow(d, 1)
+    lit = parse_matrix("1, 0, 2, 1 ; 0, 1, 1, 0 ; 0, 0, 1, 0 ; 0, 0, 0, 1", d)
+    polys = tuple(tuple(e.coeffs for e in row) for row in lit.entries)
+    return [
+        (GenSpec("T"), "big_T", lambda: big_T(g, d)),
+        (GenSpec("Zeta", (3,)), "scalar_zeta", lambda: scalar_zeta(g, d, 3)),
+        (GenSpec("Ti", (1,), r.coeffs), "elem_Ti", lambda: elem_Ti(g, d, 1, r)),
+        (GenSpec("AH", (2,)), "conj_AH", lambda: conj_AH(g, d, 2)),
+        (GenSpec("TH", (2,)), "TH", lambda: TH(g, d, 2)),
+        (GenSpec("TwistE", (1,)), "twist_E", lambda: twist_E(g, d, 1)),
+        (GenSpec("GammaIK", (2, 3)), "gamma_ik", lambda: gamma_ik(g, d, 2, 3)),
+        (GenSpec("G1", (2,)), "delta_g1", lambda: delta_g1(g, d, 2)),
+        (GenSpec("G2", (1, 4)), "delta_g2", lambda: delta_g2(g, d, 1, 4)),
+        (GenSpec("Tij", (1, -2), c.coeffs), "elem_Tij",
+         lambda: elem_Tij(g, d, 1, -2, c)),
+        (GenSpec("AHPrime", (2, -1)), "conj_AHPrime",
+         lambda: conj_AHPrime(g, d, 2, -1)),
+        (GenSpec("THPrime", (1, 2)), "THPrime", lambda: THPrime(g, d, 1, 2)),
+        (GenSpec("GammaIJK", (1, 2, 3)), "gamma_ijk",
+         lambda: gamma_ijk(g, d, 1, 2, 3)),
+        (GenSpec("G3", (2, 1, 4)), "delta_g3", lambda: delta_g3(g, d, 2, 1, 4)),
+        (GenSpec("UrSp", matrix=polys), "embed_ursp",
+         lambda: embed_ursp(BlockMat(lit, g))),
+    ]
+
+
+def test_registry_drives_parse_render_and_build():
+    d, g = 5, 3
+    cases = _registry_cases(d, g)
+    assert [spec.name for spec, _, _ in cases] == list(FAMILIES)
+    for spec, _, direct in cases:
+        word = Word(((spec, 1),))
+        assert parse(word.render()) == word, spec
+        m = matrix_of(spec, d, g)
+        assert m == direct(), spec
+        assert is_member(m, FAMILIES[spec.name].group), spec
+    assert Word(((GenSpec("T"), 2),)).render() == "T^2"
+
+
+def test_registry_builders_call_through_module_globals(monkeypatch):
+    # a builder must look its constructor up in the module at call time, so
+    # that rebinding the public name (a tracer, a test double) sees the build
+    for spec, ctor, _ in _registry_cases(5, 3):
+        marker = object()
+        monkeypatch.setattr(generators, ctor, lambda *args, marker=marker: marker)
+        assert matrix_of(spec, 5, 3) is marker, (spec, ctor)
+        monkeypatch.undo()
+    assert matrix_of(GenSpec("T"), 5, 3) == big_T(3, 5)
+
+
+def test_random_lambda_word_draws_are_pinned():
+    # the registry order and the draw order (name, i, k, [j], [scalar],
+    # exponent) fix the words a seed gives; the digest was taken before the
+    # registry replaced the hand-kept choice lists
+    lines = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        for d in (2, 3, 5, 12):
+            for g in (2, 3, 4, 5):
+                lines.append(random_lambda_word(rng, d, g, 6).render())
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "5be3c7ce133daef825b898ac2d24454d62a284e8d4b3075d1a21f96103ebb5d4"
+
+
+def test_readme_lists_the_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = re.findall(r"^\| `([A-Za-z][A-Za-z0-9]*)", readme, re.M)
+    assert sorted(names) == sorted(FAMILIES)

@@ -114,10 +114,17 @@ def test_zero_exponent_factors_drop():
 def test_parse_errors_carry_position():
     for text, pos_lo in (("Q(1)", 0), ("Ti(1)", 4), ("Ti(1; z", 5),
                          ("T * ", 4), ("Tij(1,1; z)", 0), ("TH(2", 4),
-                         ("T T", 2), ("G1(0)", 0)):
+                         ("T T", 2), ("G1(0)", 0), ("TH(-1)", 0),
+                         ("Tij(1,0; 1)", 0), ("AHPrime(1,0)", 0),
+                         ("THPrime(1,0)", 0)):
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert exc.value.pos >= pos_lo - 1, (text, exc.value.pos)
+    # index rules that need no (d, g) are parse errors naming the generator
+    for text in ("TH(-1)", "Tij(1,0; 1)", "AHPrime(1,0)", "THPrime(1,0)"):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value).startswith(text.split("(")[0] + " "), (text, exc.value)
 
 
 def test_arity_mismatch():
