@@ -73,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--max-d", type=int, default=6)
     ps.add_argument("--max-g", type=int, default=3)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--inject-failure", action="store_true",
-                    help=argparse.SUPPRESS)  # harness check: force exit 1
     ps.set_defaults(func=cmd_selftest)
 
     return p
@@ -154,8 +152,7 @@ def cmd_fox(args) -> int:
 def cmd_selftest(args) -> int:
     if args.max_d < 2 or args.max_g < 2:
         raise ValueError("--max-d and --max-g must be >= 2")
-    reports = run_selftest(args.max_d, args.max_g, seed=args.seed,
-                           inject_failure=args.inject_failure)
+    reports = run_selftest(args.max_d, args.max_g, seed=args.seed)
     ok = True
     for rep in reports:
         print(rep.line())

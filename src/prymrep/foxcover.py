@@ -213,17 +213,23 @@ def fox_derivative(w, i: int) -> dict:
     """The free derivative d w / d x_i as a formal sum {word: coefficient}.
 
     Product rule d(uv) = du + u dv with d x_j = delta_ij and
-    d x_j^-1 = -delta_ij x_j^-1.
+    d x_j^-1 = -delta_ij x_j^-1.  The reduced prefix is kept as one list,
+    extended or cancelled in place, and copied only at the letters +-i.
     """
     terms = {}
-    prefix = ()
+    prefix = []
     for s in w:
         if s == i:
-            terms[prefix] = terms.get(prefix, 0) + 1
-        elif s == -i:
-            key = word_mul(prefix, (-i,))
+            key = tuple(prefix)
+            terms[key] = terms.get(key, 0) + 1
+        if prefix and prefix[-1] == -s:
+            prefix.pop()
+        else:
+            prefix.append(s)
+        if s == -i:
+            # the term is the prefix times x_i^-1, reduced: the prefix just built
+            key = tuple(prefix)
             terms[key] = terms.get(key, 0) - 1
-        prefix = word_mul(prefix, (s,))
     return {k: c for k, c in terms.items() if c}
 
 

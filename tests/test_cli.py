@@ -130,11 +130,25 @@ def test_selftest_small(capsys):
     assert out.count("PASS") >= 9
 
 
-def test_selftest_injected_failure(capsys):
-    code, out, _ = run(capsys, "selftest", "--max-d", "2", "--max-g", "2",
-                       "--inject-failure")
+def test_selftest_injected_failure(capsys, monkeypatch):
+    # a wrong T_{i,j}(1 - zeta^3) at d = 4 makes the identity sweep fail
+    import prymrep.sweeps as sweeps
+    from prymrep.cyclotomic import one, zeta_pow
+    real = sweeps.elem_Tij
+
+    def wrong_at_d4_k3(g, d, i, j, r):
+        if d == 4 and r == one(d) - zeta_pow(d, 3):
+            r = one(d)
+        return real(g, d, i, j, r)
+
+    monkeypatch.setattr(sweeps, "elem_Tij", wrong_at_d4_k3)
+    code, out, _ = run(capsys, "selftest", "--max-d", "4", "--max-g", "3")
     assert code == 1
-    assert "FAIL injected-failure" in out
+    # 12 cases in d = 2, 3, none in (4, 2), the third in (4, 3) fails
+    assert ("FAIL identity-sweep: 15 checks "
+            "[mismatch at d=4 g=3 i=1 j=2 k=3]\n") in out
+    assert "PASS commutator-sweep" in out
+    assert out.endswith("selftest: FAILURES above\n")
 
 
 def test_usage_error_exit_2():

@@ -85,6 +85,33 @@ def test_fox_derivative_rules():
     assert fox_derivative((2,), 1) == {}
     # product rule on x1 x1
     assert fox_derivative((1, 1), 1) == {(): 1, (1,): 1}
+    # an unreduced input: the x1^-1 term cancels against the prefix x2 x1
+    assert fox_derivative((2, 1, -1, 3, -1), 1) == {(2, 3, -1): -1}
+
+
+def test_fox_derivative_matches_product_rule():
+    """The in-place prefix gives the same dict, key order included, as the
+    product rule written with word_mul, on unreduced words and on images of
+    random automorphisms."""
+    def reference(w, i):
+        terms, prefix = {}, ()
+        for s in w:
+            if s == i:
+                terms[prefix] = terms.get(prefix, 0) + 1
+            elif s == -i:
+                key = word_mul(prefix, (-i,))
+                terms[key] = terms.get(key, 0) - 1
+            prefix = word_mul(prefix, (s,))
+        return {k: c for k, c in terms.items() if c}
+
+    rng = random.Random(11)
+    words = [tuple(rng.choice((1, -1)) * rng.randint(1, 3)
+                   for _ in range(rng.randint(0, 40))) for _ in range(200)]
+    for g in (2, 3, 4):
+        words += random_member(rng, g, 5, 12).images
+    for w in words:
+        for i in (1, 2, 3):
+            assert list(fox_derivative(w, i).items()) == list(reference(w, i).items())
 
 
 def test_eta_fox_matches_chain_on_examples():

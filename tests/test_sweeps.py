@@ -1,0 +1,156 @@
+"""The sweep runner: pinned self-test output and seeded inputs, and forced
+failures that must name their cell and count the failing case."""
+
+import hashlib
+
+import pytest
+
+import prymrep.sweeps as sweeps
+from prymrep.cli import main
+from prymrep.cyclotomic import one, zeta_pow
+from prymrep.wordlang import parse
+
+# SHA-256 of the stdout of `prymrep selftest` with these options, taken
+# before the sweeps shared one runner; the text must not change.
+GOLDEN = [
+    ((), "c1ca571b6512e0bbea6263e302eeb632756eb3a627d8d916a344a157bac25a1d"),
+    (("--max-d", "4", "--max-g", "4", "--seed", "3"),
+     "7c3560d9e4f8e7fece7466601acda476c242272b98615adf38dbb253ff7157f0"),
+]
+
+
+@pytest.mark.parametrize("options,digest", GOLDEN)
+def test_selftest_output_is_pinned(capsys, options, digest):
+    code = main(["selftest", *options])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# (sweep, a function it calls on every case, arguments, keyword arguments,
+# checks, calls, SHA-256 of the calls' arguments), taken before the sweeps
+# shared one runner: the lazy case generators must hand every case the same
+# seeded inputs, in the same order.
+INPUTS = [
+    ("soundness_sweep", "matrix_of", (range(2, 7), range(2, 5)), {"seed": 3},
+     1415, 1415, "8f0aaaee443b60d4b0b1f621a9740949ed56f6bf9be72efdb0102d39dc5f6f01"),
+    ("delta_roundtrip_sweep", "decompose_delta", ((2, 3, 5, 12), (2, 3, 4)),
+     {"count": 7, "seed": 3},
+     84, 84, "d9c137753a36b5d419a1b8bc633d4d6389dc793d26a35e75fc0d4b30fbede46a"),
+    ("lambda_roundtrip_sweep", "reduce_lambda", ((2, 3, 5, 7), (2, 3, 4)),
+     {"per_cell": 4, "seed": 3},
+     48, 48, "ff447195410c67b6596331539a59ed075b530e91541a03cd6c2a0811d100ac06"),
+    ("oracle_sweep", "eta_chain", (range(2, 6), range(2, 5)),
+     {"per_cell": 3, "pairs_per_cell": 2, "seed": 3},
+     60, 108, "4ab92a4d9e12069dcb949b4d4db0e060b03ea6d047fb784366b9da0298c2ee6b"),
+    ("real_basis_sweep", "solve_real_basis", (range(2, 10),), {"count": 30, "seed": 3},
+     240, 240, "8c9f03192d9ff15950ec7a33c724b83c366991064eb81291aa03df872044aed5"),
+    ("genus2_sweep", "evaluate", (range(2, 8),),
+     {"count": 40, "theta_pairs": 20, "seed": 3},
+     60, 80, "e3ed7563e3526941822ac66361286abe6448704a600d5102d3b5744ef58a8ff4"),
+    ("genus2_sweep", "evaluate", ((2, 4),), {"count": 10, "theta_pairs": 20, "seed": 1},
+     10, 10, "0b37b246201c0b125e333d5732696562666ed6d9363fdd8e39d731f71b7e0b2b"),
+]
+
+
+@pytest.mark.parametrize("name,spy,args,kwargs,checks,calls,digest", INPUTS)
+def test_seeded_inputs_are_pinned(monkeypatch, name, spy, args, kwargs, checks,
+                                  calls, digest):
+    log = []
+    real = getattr(sweeps, spy)
+
+    def logged(*a):
+        log.append(repr(a))
+        return real(*a)
+
+    monkeypatch.setattr(sweeps, spy, logged)
+    rep = getattr(sweeps, name)(*args, **kwargs)
+    assert (rep.ok, rep.checked, len(log)) == (True, checks, calls)
+    assert hashlib.sha256("\n".join(log).encode()).hexdigest() == digest
+
+
+def test_run_counts_up_to_the_first_problem():
+    def cases():
+        yield "case a", None
+        yield "case b", "broken"
+        raise AssertionError("drawn past the first problem")
+
+    rep = sweeps._run("demo", cases())
+    assert (rep.ok, rep.checked, rep.detail) == (False, 2, "broken at case b")
+    assert sweeps._run("demo", iter([("a", None)] * 3)).line() == "PASS demo: 3 checks"
+    assert sweeps._run("demo", iter(())).line() == "PASS demo: 0 checks"
+
+
+def test_identity_failure_names_its_case(monkeypatch):
+    real = sweeps.elem_Tij
+
+    def wrong_at_d4_k3(g, d, i, j, r):
+        if d == 4 and r == one(d) - zeta_pow(d, 3):
+            r = one(d)
+        return real(g, d, i, j, r)
+
+    before = sweeps.identity_sweep(range(2, 4), range(2, 4)).checked
+    monkeypatch.setattr(sweeps, "elem_Tij", wrong_at_d4_k3)
+    rep = sweeps.identity_sweep(range(2, 7), range(2, 4))
+    # (4, 2) has no (i, j); in (4, 3) the first pair is i=1, j=2
+    assert not rep.ok
+    assert rep.checked == before + 3
+    assert rep.detail == "mismatch at d=4 g=3 i=1 j=2 k=3"
+
+
+def test_soundness_failure_names_its_generator(monkeypatch):
+    real = sweeps.matrix_of
+
+    def doubled_twist(spec, d, g):
+        m = real(spec, d, g)
+        return m * 2 if spec.name == "TwistE" else m
+
+    monkeypatch.setattr(sweeps, "matrix_of", doubled_twist)
+    rep = sweeps.soundness_sweep(range(3, 5), range(2, 4))
+    # d=3, g=2: T, Zeta(0..2), Ti(1; r) for 3 reals and Ti(-1; r) for the
+    # same 3, AH(1), TH(1), then TwistE(1)
+    assert not rep.ok
+    assert rep.checked == 1 + 3 + 6 + 2 + 1
+    assert rep.detail == "form broken at d=3 g=2 TwistE(1)"
+
+
+def test_delta_emitted_generator_failure_is_counted(monkeypatch):
+    real = sweeps.decompose_delta
+    monkeypatch.setattr(sweeps, "decompose_delta",
+                        lambda b, d, g: real(b, d, g) * parse("T"))
+    rep = sweeps.delta_roundtrip_sweep((5,), (3,), count=4)
+    assert not rep.ok
+    assert rep.checked == 1
+    assert rep.detail.startswith("unexpected generator T emitted at d=5 g=3 B=")
+
+
+def test_oracle_and_remark_failures_name_their_case(monkeypatch):
+    real_fox = sweeps.eta_fox
+    monkeypatch.setattr(sweeps, "eta_fox", lambda phi, d, g: real_fox(phi, d, g) * 2)
+    rep = sweeps.oracle_sweep(range(3, 5), range(2, 4), per_cell=2, pairs_per_cell=1)
+    assert (rep.ok, rep.checked) == (False, 1)
+    assert rep.detail.startswith("routes disagree at d=3 g=2 phi=Endo(")
+    rep = sweeps.deck_scalar_sweep(range(2, 4), range(2, 4))
+    assert (rep.ok, rep.checked) == (False, 1)
+    assert rep.detail == "eta of the deck conjugation is not zeta Id at d=2 g=2"
+
+    real_gamma = sweeps.gamma_ik
+    monkeypatch.setattr(sweeps, "gamma_ik", lambda *a: real_gamma(*a) * 2)
+    rep = sweeps.remark_crosscheck()
+    assert (rep.ok, rep.checked) == (False, 1)
+    assert rep.detail == "image mismatch at d=5 g=2 T_gamma"
+
+
+def test_genus2_failure_counts_the_failing_word(monkeypatch):
+    real = sweeps.evaluate
+    calls = []
+
+    def wrong_third(word, d, g):
+        calls.append(word)
+        m = real(word, d, g)
+        return m * 2 if len(calls) == 3 else m
+
+    monkeypatch.setattr(sweeps, "evaluate", wrong_third)
+    rep = sweeps.genus2_sweep(range(2, 6), count=10, theta_pairs=4, seed=1)
+    assert (rep.ok, rep.checked) == (False, 3)
+    assert f"at d=4 g=2 word={calls[2].render()!r}" in rep.detail
