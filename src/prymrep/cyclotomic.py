@@ -38,18 +38,6 @@ def _poly_trim(coeffs):
     return coeffs
 
 
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _poly_trim(out)
-
-
 def _poly_divmod_monic(num, den):
     """Divide integer polynomials, den monic.  Returns (quotient, remainder)."""
     num = list(num)
@@ -307,32 +295,28 @@ def unit_exponent(a: CycInt):
     return None
 
 
-def real_basis_columns(d: int):
-    """The redundant spanning set {1} u {zeta^k + zeta^-k : 1 <= k <= d-1} of R',
-    as coefficient vectors in the power basis."""
-    cols = [list(_power_table(d)[0])]
-    for k in range(1, d):
-        a = zeta_pow(d, k) + zeta_pow(d, -k)
-        cols.append(list(a.coeffs))
-    return cols
-
-
 def solve_real_basis(r: CycInt):
     """Write the real element r as n0*1 + sum_k n_k*(zeta^k + zeta^-k).
 
-    Returns (n0, nk) with nk indexed by k = 1..d-1.  The spanning set is
-    redundant, so the certificate is not unique; a failure to solve signals
-    an arithmetic bug and raises ArithmeticError.
+    Returns (n0, nk) with nk indexed by k = 1..m-1, m = max(phi(d)/2, 1).
+    {1} u {zeta^k + zeta^-k : 0 < k < m} is a Z-basis of the real integers
+    Z[zeta + zeta^-1] (Washington, Introduction to Cyclotomic Fields,
+    Prop. 2.16), so the coordinates are unique.  They are read off
+    r * zeta^(m-1), whose power-basis coefficients are n0 at m-1 and n_k at
+    m-1 +- k; any other shape signals an arithmetic bug and raises
+    ArithmeticError.
     """
     if not r.is_real():
         raise ValueError("solve_real_basis requires a real element")
-    cols = real_basis_columns(r.d)
-    sol = _solve_integer_columns(cols, list(r.coeffs))
-    if sol is None:
+    m = max(euler_phi(r.d) // 2, 1)
+    c = (r * zeta_pow(r.d, m - 1)).coeffs
+    nk = c[m:2 * m - 1]
+    if nk != c[:m - 1][::-1] or any(c[2 * m - 1:]):
         raise ArithmeticError(
-            f"no integer solution for real element {r!r}; this should be impossible"
+            f"real element {r!r} has no coordinates on the real basis; "
+            "this should be impossible"
         )
-    return sol[0], tuple(sol[1:])
+    return c[m - 1], nk
 
 
 def eval_real_basis(d: int, n0: int, nk) -> CycInt:
@@ -342,62 +326,6 @@ def eval_real_basis(d: int, n0: int, nk) -> CycInt:
         if n:
             acc = acc + (zeta_pow(d, k) + zeta_pow(d, -k)) * n
     return acc
-
-
-def _solve_integer_columns(cols, b):
-    """Solve sum_j x_j*cols[j] = b over the integers, or return None.
-
-    Column-operation Hermite reduction with a tracked unimodular transform.
-    """
-    n = len(cols)
-    m = len(b)
-    work = [list(c) for c in cols]
-    unim = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # unim[j] = column j
-    pivots = []
-    p = 0
-    for r in range(m):
-        while True:
-            nz = [c for c in range(p, n) if work[c][r] != 0]
-            if len(nz) <= 1:
-                break
-            c0 = min(nz, key=lambda c: abs(work[c][r]))
-            for c in nz:
-                if c == c0:
-                    continue
-                q = work[c][r] // work[c0][r]
-                if q:
-                    for i in range(m):
-                        work[c][i] -= q * work[c0][i]
-                    for i in range(n):
-                        unim[c][i] -= q * unim[c0][i]
-        nz = [c for c in range(p, n) if work[c][r] != 0]
-        if nz:
-            c0 = nz[0]
-            work[p], work[c0] = work[c0], work[p]
-            unim[p], unim[c0] = unim[c0], unim[p]
-            if work[p][r] < 0:
-                work[p] = [-x for x in work[p]]
-                unim[p] = [-x for x in unim[p]]
-            pivots.append((r, p))
-            p += 1
-    residual = list(b)
-    y = [0] * n
-    for r, c in pivots:
-        if residual[r] % work[c][r] != 0:
-            return None
-        q = residual[r] // work[c][r]
-        y[c] = q
-        if q:
-            for i in range(m):
-                residual[i] -= q * work[c][i]
-    if any(residual):
-        return None
-    x = [0] * n
-    for c in range(n):
-        if y[c]:
-            for i in range(n):
-                x[i] += y[c] * unim[c][i]
-    return x
 
 
 def _galois(a: CycInt, k: int) -> CycInt:

@@ -18,8 +18,10 @@ from .wordlang import Word, evaluate
 def decompose_delta(b: RingMatrix, d: int, g: int) -> Word:
     """A word over {G1, G2, G3} evaluating to [[Id, B], [0, Id]], for B = B*.
 
-    Diagonal entries are real and split over {1} u {zeta^k + zeta^-k} by
-    solve_real_basis; each off-diagonal entry contributes G3(i, j, d - m)
+    Diagonal entries are real; solve_real_basis gives their unique
+    coordinates on the basis {1} u {zeta^k + zeta^-k : 0 < k < phi(d)/2} of
+    the real integers, and coordinate n0 is the exponent of G1(i), n_k that
+    of G2(i, k).  Each off-diagonal entry contributes G3(i, j, d - m)
     with multiplicity equal to its coefficient of zeta^m, since G3(i, j, k)
     places zeta^-k at position (i, j).  Emission order is diagonal first,
     then (i, j) lexicographic, so output is reproducible; the factors commute,

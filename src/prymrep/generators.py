@@ -12,6 +12,10 @@ form_eval, the definition of the form.  The remaining maps are assembled
 column by column from their images of the basis vectors.  With this
 convention the forward twist transvection x -> x + <x, v>v has upper-right
 block -vv* for v in the meridian span, and its inverse has +vv*.
+
+The twist generators G1, G2 and G3 of Delta are single elementary
+transvections T_i and T_ij; their equal products of lifted twists (see
+delta_g2 and delta_g3) are the tests' independent oracle.
 """
 
 from __future__ import annotations
@@ -229,23 +233,31 @@ def gamma_ijk(g: int, d: int, i: int, j: int, k: int) -> BlockMat:
 
 
 def delta_g1(g: int, d: int, i: int) -> BlockMat:
-    """Inverse twist about the i-th meridian; upper-right block E_ii."""
+    """G1(i) = T_i(-1), the inverse twist about the i-th meridian;
+    upper-right block E_ii."""
     if i <= 0:
         raise ValueError("G1 requires a positive index")
-    _check_index(g, i)
-    return twist_transvection(g, d, basis_vector(d, g, i), direction=-1)
+    return elem_Ti(g, d, i, -1)
 
 
 def delta_g2(g: int, d: int, i: int, k: int) -> BlockMat:
-    """Lift of T_gamma(i,k) composed with two inverse twists about E_i;
-    upper-right block (zeta^k + zeta^-k) E_ii."""
-    return gamma_ik(g, d, i, k) * delta_g1(g, d, i) * delta_g1(g, d, i)
+    """G2(i, k) = T_i(-(zeta^k + zeta^-k)); upper-right block
+    (zeta^k + zeta^-k) E_ii.  Equal to gamma_ik * G1(i)^2, the lift of
+    T_gamma(i,k) composed with two inverse twists about E_i."""
+    if i <= 0:
+        raise ValueError("gamma_ik requires a positive index")
+    return elem_Ti(g, d, i, -(zeta_pow(d, k) + zeta_pow(d, -k)))
 
 
 def delta_g3(g: int, d: int, i: int, j: int, k: int) -> BlockMat:
-    """Lift of T_gamma(i,j,k) composed with inverse twists about E_i and E_j;
-    upper-right block zeta^k E_ji + zeta^-k E_ij."""
-    return gamma_ijk(g, d, i, j, k) * delta_g1(g, d, i) * delta_g1(g, d, j)
+    """G3(i, j, k) = T_{i,j}(-zeta^k); upper-right block
+    zeta^k E_ji + zeta^-k E_ij.  Equal to gamma_ijk * G1(i) * G1(j), the
+    lift of T_gamma(i,j,k) composed with inverse twists about E_i and E_j."""
+    if i <= 0 or j <= 0:
+        raise ValueError("gamma_ijk requires positive indices")
+    if i == j:
+        raise ValueError("gamma_ijk requires i != j")
+    return elem_Tij(g, d, i, j, -zeta_pow(d, k))
 
 
 def scalar_zeta(g: int, d: int, k: int) -> BlockMat:

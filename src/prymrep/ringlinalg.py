@@ -166,9 +166,6 @@ class RingMatrix:
             return self.inverse() ** -e
         return _power(self, e, lambda: RingMatrix.identity(self.d, self.rows))
 
-    def transpose(self):
-        return RingMatrix._make(self.d, tuple(zip(*self.entries)))
-
     def adjoint(self):
         """Conjugate transpose: (M*)* = M and (MN)* = N* M*."""
         return RingMatrix._make(self.d, tuple(

@@ -332,8 +332,9 @@ def deck_scalar_sweep(d_values, g_values) -> SweepReport:
 
 
 def real_basis_sweep(d_values, count, seed=0) -> SweepReport:
-    """Random real elements solve over {1} u {zeta^k + zeta^-k} with exact
-    reconstruction."""
+    """Random real elements, some built with redundant indices
+    k >= phi(d)/2, solve to coordinates on the basis
+    {1} u {zeta^k + zeta^-k : 0 < k < phi(d)/2} with exact reconstruction."""
     rng = random.Random(seed)
 
     def cases():

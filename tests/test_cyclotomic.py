@@ -169,6 +169,45 @@ def test_solve_real_basis_rejects_non_real():
         solve_real_basis(zeta_pow(5, 1))
 
 
+def _real_rank(d):
+    return max(euler_phi(d) // 2, 1)
+
+
+def test_solve_real_basis_coordinates_are_canonical():
+    # {1} u {zeta^k + zeta^-k : 0 < k < phi(d)/2} is a Z-basis of the real
+    # integers, so the coordinates of an element built on it come back exactly
+    rng = random.Random(7)
+    for d in range(2, 31):
+        for _ in range(20):
+            n0 = rng.randint(-50, 50)
+            nk = tuple(rng.randint(-50, 50) for _ in range(_real_rank(d) - 1))
+            assert solve_real_basis(eval_real_basis(d, n0, nk)) == (n0, nk), d
+
+
+def test_solve_real_basis_reduces_redundant_indices():
+    # zeta^k + zeta^-k for k >= phi(d)/2 is rewritten on the basis
+    assert solve_real_basis(zeta_pow(5, 2) + zeta_pow(5, 3)) == (-1, (-1,))
+    assert solve_real_basis(zeta_pow(7, 3) + zeta_pow(7, 4)) == (-1, (-1, -1))
+    assert solve_real_basis(zeta_pow(8, 2) + zeta_pow(8, 6)) == (0, (0,))
+    assert solve_real_basis(zeta_pow(12, 6) + zeta_pow(12, 6)) == (-2, (0,))
+    rng = random.Random(8)
+    for d in range(2, 31):
+        for _ in range(10):
+            nk = [rng.randint(-9, 9) for _ in range(2 * d)]
+            r = eval_real_basis(d, rng.randint(-9, 9), nk)
+            n0, got = solve_real_basis(r)
+            assert len(got) == _real_rank(d) - 1
+            assert eval_real_basis(d, n0, got) == r, d
+
+
+def test_solve_real_basis_where_the_real_ring_is_z():
+    # phi(d) <= 2: zeta + zeta^-1 is a rational integer and nk is empty
+    for d, trace in ((2, -2), (3, -1), (4, 0), (6, 1)):
+        assert solve_real_basis(zeta_pow(d, 1) + zeta_pow(d, -1)) == (trace, ())
+        for n in (-7, 0, 1, 12):
+            assert solve_real_basis(CycInt.from_int(d, n)) == (n, ())
+
+
 def test_inverse():
     for d in (3, 5, 7, 12):
         for k in range(d):

@@ -1,6 +1,9 @@
+import hashlib
 import random
 
 import pytest
+
+from prymrep.cli import main
 
 from prymrep.cyclotomic import zeta_pow
 from prymrep.decompose import decompose_delta, reduce_lambda
@@ -117,3 +120,35 @@ def test_reduce_lambda_rejects_non_lambda():
     m = BlockMat(parse_matrix("1, 0 ; 1, 1", d), g)
     with pytest.raises(ValueError):
         reduce_lambda(m, Word(()))
+
+
+# SHA-256 of the rendered decompose_delta words for seeded self-adjoint B,
+# and of one `prymrep decompose-delta` stdout, taken before G2/G3 became
+# single transvections and the real coordinates were read off the basis;
+# the word text must not change.
+WORDS_DIGEST = "1aed5651ff5138b9c6e1a02cb74ac035e9495d6bb295fc73bbe23c2a777fa8b8"
+CLI_DIGEST = "0fc0aede180258f0212a79f86e24d352bd7def2ffece3b199970033bc8fc0f93"
+CLI_ARGV = ["decompose-delta", "--d", "15", "--g", "3", "--B",
+            "4 - 2*z^3 - 2*z^12 + z^7 + z^8, 1 + z^2 - 3*z^9 ; "
+            "1 + z^13 - 3*z^6, 3*z^5 + 3*z^10 - z - z^14 - 1"]
+
+
+def pinned_words():
+    rng = random.Random(36)
+    lines = []
+    for d in (2, 3, 4, 5, 6, 7, 8, 9, 12, 15):
+        for g in (2, 3, 4):
+            for _ in range(3):
+                b = random_self_adjoint(rng, d, g - 1, -9, 9)
+                lines.append(f"d={d} g={g} {decompose_delta(b, d, g).render()}")
+    return "\n".join(lines)
+
+
+def test_decompose_delta_words_are_pinned():
+    assert hashlib.sha256(pinned_words().encode()).hexdigest() == WORDS_DIGEST
+
+
+def test_decompose_delta_cli_output_is_pinned(capsys):
+    assert main(CLI_ARGV) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGEST

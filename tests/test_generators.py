@@ -228,6 +228,40 @@ def test_delta_unipotent_blocks_add():
             assert (a * b).upper_right() == a.upper_right() + b.upper_right()
 
 
+@pytest.mark.parametrize("d,g", [(2, 2), (3, 3), (5, 3), (12, 4)])
+def test_delta_closed_forms_equal_product_forms(d, g):
+    # G2 and G3 are single transvections; the meridian-twist products stay
+    # as their oracle
+    for i in range(1, g):
+        g1 = delta_g1(g, d, i)
+        for k in range(-1, d + 1):
+            assert delta_g2(g, d, i, k) == gamma_ik(g, d, i, k) * g1 * g1, (i, k)
+            for j in range(1, g):
+                if j != i:
+                    assert (delta_g3(g, d, i, j, k)
+                            == gamma_ijk(g, d, i, j, k) * g1 * delta_g1(g, d, j)), (i, j, k)
+
+
+def test_delta_generators_reject_bad_indices():
+    # T_i and T_ij accept negative indices, G1, G2 and G3 do not
+    d, g = 5, 3
+    for i in (0, -1, -2):
+        with pytest.raises(ValueError, match="G1 requires a positive index"):
+            delta_g1(g, d, i)
+        with pytest.raises(ValueError, match="gamma_ik requires a positive index"):
+            delta_g2(g, d, i, 1)
+        for i2, j2 in ((i, 1), (1, i)):
+            with pytest.raises(ValueError, match="gamma_ijk requires positive indices"):
+                delta_g3(g, d, i2, j2, 1)
+    for i in (1, 2):
+        with pytest.raises(ValueError, match="gamma_ijk requires i != j"):
+            delta_g3(g, d, i, i, 1)
+    for call in (lambda: delta_g1(g, d, 3), lambda: delta_g2(g, d, 3, 1),
+                 lambda: delta_g3(g, d, 1, 3, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            call()
+
+
 def test_scalar_zeta():
     m = scalar_zeta(2, 5, 2)
     assert m.to_text() == "z^2, 0 ; 0, z^2"
@@ -374,7 +408,7 @@ def test_rank_update_builders_match_form_eval():
             _assert_images(twist_E(g, d, i), d, g, [(1, ei, ei)])
             _assert_images(delta_g1(g, d, i), d, g, [(-1, ei, ei)])
             for k in range(d):
-                # G2 and G3 are products of commuting meridian transvections
+                # G2 and G3 equal products of commuting meridian transvections
                 v = vec((1 - zeta_pow(d, k), i))
                 _assert_images(delta_g2(g, d, i, k), d, g,
                                [(1, v, v), (-1, ei, ei), (-1, ei, ei)])
