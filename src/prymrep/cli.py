@@ -14,7 +14,7 @@ import sys
 
 from .cyclotomic import ParseError
 from .decompose import decompose_delta, reduce_lambda
-from .foxcover import Endo, check_member, eta_chain, eta_fox, parse_endo_images
+from .foxcover import Endo, check_member, eta, parse_endo_images
 from .predicates import GroupTag, is_member
 from .ringlinalg import BlockMat, parse_matrix
 from .sweeps import run_selftest
@@ -139,13 +139,7 @@ def cmd_fox(args) -> int:
     if not verdict:
         print(f"not a covering-preserving automorphism: {verdict.reason}")
         return 1
-    chain = eta_chain(phi, args.d, args.g)
-    fox = eta_fox(phi, args.d, args.g)
-    if chain != fox:
-        print("internal error: chain-level and Fox-calculus routes disagree",
-              file=sys.stderr)
-        return 2
-    print(chain.to_text())
+    print(eta(phi, args.d, args.g).to_text())
     return 0
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cyclotomic import CycInt, zero, zeta_pow
 from .predicates import Verdict
@@ -29,17 +30,15 @@ from .ringlinalg import RingMatrix
 # A free word is a tuple of nonzero signed letters: +i for x_i, -i for x_i^-1.
 FreeWord = tuple
 
+# Letter budget of a parsed free word and of an inverse-certificate walk.
+MAX_LETTERS = 10**7
+
 
 def free_reduce(letters) -> FreeWord:
-    out = []
-    for s in letters:
-        if s == 0:
-            raise ValueError("letter 0 is not a generator")
-        if out and out[-1] == -s:
-            out.pop()
-        else:
-            out.append(s)
-    return tuple(out)
+    letters = tuple(letters)
+    if 0 in letters:
+        raise ValueError("letter 0 is not a generator")
+    return word_mul(letters)
 
 
 def word_mul(*words) -> FreeWord:
@@ -60,10 +59,7 @@ def word_inv(w) -> FreeWord:
 def word_pow(w, e: int) -> FreeWord:
     if e < 0:
         w, e = word_inv(w), -e
-    out = ()
-    for _ in range(e):
-        out = word_mul(out, w)
-    return out
+    return word_mul(*[w] * e)
 
 
 def exponent_sum(w, i: int) -> int:
@@ -74,7 +70,9 @@ def exponent_sum(w, i: int) -> int:
 class Endo:
     """A free-group endomorphism by generator images, with an inverse
     certificate: composing images with inverse_images must reduce to the
-    identity, which certifies an automorphism (free groups are Hopfian)."""
+    identity, which certifies an automorphism (free groups are Hopfian).
+    Two values derived from the images are cached per instance, outside eq,
+    hash and repr: the inverted images and the certificate's outcome."""
 
     images: tuple
     inverse_images: tuple
@@ -96,47 +94,50 @@ class Endo:
         gens = tuple((i,) for i in range(1, g + 1))
         return Endo(gens, gens)
 
+    @cached_property
+    def _inverted_images(self) -> tuple:
+        return tuple(word_inv(w) for w in self.images)
+
     def apply(self, w) -> FreeWord:
-        out, inverted = [], {}
-        for s in w:
-            if s > 0:
-                seq = self.images[s - 1]
-            elif s in inverted:
-                seq = inverted[s]
-            else:
-                seq = inverted[s] = word_inv(self.images[-s - 1])
-            for t in seq:
-                if out and out[-1] == -t:
-                    out.pop()
-                else:
-                    out.append(t)
-        return tuple(out)
+        images, inverted = self.images, self._inverted_images
+        return word_mul(*(images[s - 1] if s > 0 else inverted[-s - 1] for s in w))
 
     def compose(self, other: "Endo") -> "Endo":
         """self o other: apply other first, then self."""
         if self.g != other.g:
             raise ValueError("rank mismatch")
         images = tuple(self.apply(w) for w in other.images)
-        inv = tuple(
-            Endo(other.inverse_images, other.images).apply(w)
-            for w in self.inverse_images
-        )
+        other_inv = other.inverse()
+        inv = tuple(other_inv.apply(w) for w in self.inverse_images)
         return Endo(images, inv)
 
     def inverse(self) -> "Endo":
         return Endo(self.inverse_images, self.images)
+
+    @cached_property
+    def _certificate_failure(self) -> int:
+        """The first i with phi(psi(x_i)) != x_i, or 0: one walk per Endo."""
+        sizes = [len(w) for w in self.images]
+        walk = sum(sizes[abs(s) - 1] for w in self.inverse_images for s in w)
+        if walk > MAX_LETTERS:
+            raise ValueError(f"inverse certificate walks {walk} letters, "
+                             f"over the budget of {MAX_LETTERS}")
+        for i, w in enumerate(self.inverse_images, start=1):
+            if self.apply(w) != (i,):
+                return i
+        return 0
 
 
 def check_member(phi: Endo, d: int) -> Verdict:
     """Is phi in the group of automorphisms preserving ker(F_g -> Z/d) and
     inducing the identity on the quotient?"""
     g = phi.g
-    for i in range(1, g + 1):
-        if phi.apply(phi.inverse_images[i - 1]) != (i,):
-            return Verdict(
-                False,
-                f"inverse certificate fails: phi(psi(x{i})) does not reduce to x{i}",
-            )
+    i = phi._certificate_failure
+    if i:
+        return Verdict(
+            False,
+            f"inverse certificate fails: phi(psi(x{i})) does not reduce to x{i}",
+        )
     for i in range(1, g):
         e = exponent_sum(phi.images[i - 1], g)
         if e % d != 0:
@@ -259,14 +260,12 @@ def eta_fox(phi: Endo, d: int, g: int) -> RingMatrix:
     return RingMatrix(d, rows)
 
 
-def eta(phi: Endo, d: int, g: int, crosscheck: bool = False) -> RingMatrix:
-    """The representation matrix; with crosscheck=True both routes are run
-    and compared."""
+def eta(phi: Endo, d: int, g: int) -> RingMatrix:
+    """The representation matrix, computed by both routes; raises
+    ArithmeticError if the chain-level and Fox-calculus matrices differ."""
     m = eta_chain(phi, d, g)
-    if crosscheck:
-        m2 = eta_fox(phi, d, g)
-        if m != m2:
-            raise ArithmeticError("chain-level and Fox-calculus routes disagree")
+    if m != eta_fox(phi, d, g):
+        raise ArithmeticError("chain-level and Fox-calculus routes disagree")
     return m
 
 
@@ -336,11 +335,9 @@ _LETTER = re.compile(r"\s*x(\d+)(?:\s*\^\s*(-?\d+))?")
 
 
 def parse_free_word(text: str, g: int) -> FreeWord:
-    pos = 0
+    pos, end = 0, len(text.rstrip())
     letters = []
-    while pos < len(text):
-        if text[pos:].strip() == "":
-            break
+    while pos < end:
         m = _LETTER.match(text, pos)
         if m is None:
             raise ValueError(f"bad free word {text!r} near position {pos}")
@@ -348,6 +345,8 @@ def parse_free_word(text: str, g: int) -> FreeWord:
         if not 1 <= idx <= g:
             raise ValueError(f"generator x{idx} out of range for rank {g}")
         e = int(m.group(2)) if m.group(2) else 1
+        if len(letters) + abs(e) > MAX_LETTERS:
+            raise ValueError(f"free word expands past the budget of {MAX_LETTERS} letters")
         letters.extend(word_pow((idx,), e))
         pos = m.end()
     return free_reduce(letters)

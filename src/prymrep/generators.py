@@ -68,7 +68,7 @@ def _vec_add(u, v):
 
 
 def _vec_scale(c, v):
-    return [c * a for a in v]
+    return [a if a.is_zero() else c * a for a in v]
 
 
 def elem_Ti(g: int, d: int, i: int, rprime: CycInt) -> BlockMat:

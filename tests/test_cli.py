@@ -1,3 +1,7 @@
+from time import perf_counter
+
+import pytest
+
 from prymrep.cli import main
 from prymrep.ringlinalg import parse_matrix
 from prymrep.wordlang import evaluate, parse
@@ -122,6 +126,32 @@ def test_fox_nonmember_exit_1(capsys):
     assert "exponent" in out
 
 
+@pytest.mark.parametrize("rules", [
+    ("x1 -> x1^300000000", "x1 -> x1"),           # power past the parse budget
+    ("x1 -> x1^100000", "x1 -> x1^-100000"),      # certificate walk of 10^10 letters
+])
+def test_fox_over_budget_exit_2(capsys, rules):
+    start = perf_counter()
+    code, out, err = run(capsys, "fox", "--d", "3", "--g", "2",
+                         "--map", rules[0], "--inverse", rules[1])
+    assert perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "budget" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_fox_routes_disagree_exit_2(capsys, monkeypatch):
+    import prymrep.foxcover as fc
+    from prymrep.ringlinalg import RingMatrix
+
+    monkeypatch.setattr(fc, "eta_fox", lambda phi, d, g: RingMatrix.identity(d, g - 1))
+    code, out, err = run(capsys, "fox", "--d", "3", "--g", "2",
+                         "--map", "x1 -> x2 x1 x2^-1 ; x2 -> x2",
+                         "--inverse", "x1 -> x2^-1 x1 x2 ; x2 -> x2")
+    assert code == 2 and out == ""
+    assert err == "error: chain-level and Fox-calculus routes disagree\n"
+
+
 def test_selftest_small(capsys):
     code, out, _ = run(capsys, "selftest", "--max-d", "3", "--max-g", "2",
                        "--seed", "1")
@@ -152,7 +182,6 @@ def test_selftest_injected_failure(capsys, monkeypatch):
 
 
 def test_usage_error_exit_2():
-    import pytest
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--d", "5"])  # missing --g and --word
     assert exc.value.code == 2

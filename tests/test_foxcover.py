@@ -1,9 +1,11 @@
 import random
+from time import perf_counter
 
 import pytest
 
 from prymrep.cyclotomic import unit_exponent, zeta_pow
 from prymrep.foxcover import (
+    MAX_LETTERS,
     Endo,
     adapted_nielsen_moves,
     check_member,
@@ -20,6 +22,7 @@ from prymrep.foxcover import (
     render_free_word,
     word_inv,
     word_mul,
+    word_pow,
 )
 from prymrep.ringlinalg import RingMatrix
 
@@ -33,6 +36,11 @@ def test_free_reduction():
     assert free_reduce((1, 2, -2, -1, 1)) == (1,)
     assert word_mul((1, 2), (-2, 3)) == (1, 3)
     assert word_inv((1, -2, 3)) == (-3, 2, -1)
+    assert word_pow((1, 2, -1), 4) == (1, 2, 2, 2, 2, -1)
+    assert word_pow((1, 2), -2) == (-2, -1, -2, -1)
+    assert word_pow((1, 2), 0) == ()
+    with pytest.raises(ValueError):
+        free_reduce((1, 0, -1))
 
 
 def test_check_member_examples():
@@ -122,8 +130,31 @@ def test_eta_fox_matches_chain_on_examples():
 
 
 def test_eta_crosscheck_entry():
-    m = eta(conj_by_x2(), 7, 2, crosscheck=True)
+    m = eta(conj_by_x2(), 7, 2)
     assert m[0, 0] == zeta_pow(7, 1)
+
+
+def test_eta_raises_when_the_routes_disagree(monkeypatch):
+    import prymrep.foxcover as fc
+
+    monkeypatch.setattr(fc, "eta_fox", lambda phi, d, g: RingMatrix.identity(d, g - 1) * 2)
+    with pytest.raises(ArithmeticError, match="routes disagree"):
+        eta(conj_by_x2(), 7, 2)
+
+
+def test_certificate_is_walked_once(monkeypatch):
+    rng = random.Random(45)
+    for g in (2, 3, 5):
+        phi = random_member(rng, g, 5, 12)
+        calls = []
+        apply = Endo.apply
+        monkeypatch.setattr(Endo, "apply", lambda self, w: calls.append(w) or apply(self, w))
+        assert check_member(phi, 5)
+        eta_chain(phi, 5, g)
+        eta_fox(phi, 5, g)
+        assert check_member(phi, 5)
+        monkeypatch.undo()
+        assert calls == list(phi.inverse_images)
 
 
 def test_eta_rejects_non_members():
@@ -232,5 +263,11 @@ def test_endo_text_round_trip():
     assert render_free_word(()) == "1"
     with pytest.raises(ValueError):
         parse_free_word("x9", 2)
+    assert parse_free_word("x1^100000", 2) == (1,) * 100000  # linear expansion
+    start = perf_counter()
+    assert len(parse_free_word("x1 x2 " * 50000 + " \t", 2)) == 100000  # linear scan
+    assert perf_counter() - start < 2.0
+    with pytest.raises(ValueError, match="budget"):
+        parse_free_word(f"x1 x2^{MAX_LETTERS}", 2)
     with pytest.raises(ValueError):
         parse_endo_images("x1 - x2", 2)
