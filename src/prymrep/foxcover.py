@@ -20,10 +20,11 @@ phi(psi(x)).
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cyclotomic import CycInt, zero, zeta_pow
+from .cyclotomic import CycInt
 from .predicates import Verdict
 from .ringlinalg import RingMatrix
 
@@ -63,7 +64,33 @@ def word_pow(w, e: int) -> FreeWord:
 
 
 def exponent_sum(w, i: int) -> int:
-    return sum(1 if s == i else -1 if s == -i else 0 for s in w)
+    return w.count(i) - w.count(-i)
+
+
+def _append_reduced(out: array, block: array, undo: array) -> None:
+    """Append the reduced word block to the reduced word out, in place.
+
+    undo is block's inverse, or a suffix of it at least len(out) letters
+    long, and all three are array('q').  With out = u c and block = c^-1 v,
+    the cancelled part c is the longest common suffix of out and undo, found
+    by galloping slice compares; deleting it and extending by v leaves u v,
+    which is reduced.
+    """
+    if out and undo and out[-1] == undo[-1]:
+        n = min(len(out), len(undo))
+        lo, hi = 1, 2
+        while hi <= n and out[-hi:] == undo[-hi:]:
+            lo, hi = hi, 2 * hi
+        hi = min(hi, n + 1)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if out[-mid:] == undo[-mid:]:
+                lo = mid
+            else:
+                hi = mid
+        del out[-lo:]
+        block = block[lo:]
+    out += block
 
 
 @dataclass(frozen=True)
@@ -71,8 +98,10 @@ class Endo:
     """A free-group endomorphism by generator images, with an inverse
     certificate: composing images with inverse_images must reduce to the
     identity, which certifies an automorphism (free groups are Hopfian).
-    Two values derived from the images are cached per instance, outside eq,
-    hash and repr: the inverted images and the certificate's outcome."""
+    Every letter of both lists must be one of +-1..+-g.  Two values derived
+    from the images are cached per instance, outside eq, hash and repr: the
+    reduced image of each letter +-i together with that image's inverse
+    (the blocks apply appends), and the certificate's outcome."""
 
     images: tuple
     inverse_images: tuple
@@ -84,6 +113,11 @@ class Endo:
         )
         if len(self.images) != len(self.inverse_images):
             raise ValueError("images and inverse_images must have equal length")
+        g = len(self.images)
+        bad = set().union(*self.images, *self.inverse_images).difference(
+            range(-g, 0), range(1, g + 1))
+        if bad:
+            raise ValueError(f"letter {min(bad)} is not a generator of rank {g}")
 
     @property
     def g(self):
@@ -95,12 +129,29 @@ class Endo:
         return Endo(gens, gens)
 
     @cached_property
-    def _inverted_images(self) -> tuple:
-        return tuple(word_inv(w) for w in self.images)
+    def _blocks(self) -> dict:
+        """{+-i: (reduced image of x_i^+-1, its inverse)}, as array('q')."""
+        blocks = {}
+        for i, w in enumerate(self.images, start=1):
+            img = array("q", word_mul(w))
+            inv = array("q", word_inv(img))
+            blocks[i], blocks[-i] = (img, inv), (inv, img)
+        return blocks
 
     def apply(self, w) -> FreeWord:
-        images, inverted = self.images, self._inverted_images
-        return word_mul(*(images[s - 1] if s > 0 else inverted[-s - 1] for s in w))
+        """phi(w), reduced, in one block step per letter of w: the reduced
+        output u c takes the image block c^-1 v as u v, where c is the
+        common suffix of the output and the block's inverse.  Equal to
+        word_mul of the concatenated images, reduced or not; a letter of w
+        outside +-1..+-g raises ValueError."""
+        blocks = self._blocks
+        out = array("q")
+        for s in w:
+            block = blocks.get(s)
+            if block is None:
+                raise ValueError(f"letter {s} is not a generator of rank {self.g}")
+            _append_reduced(out, *block)
+        return tuple(out)
 
     def compose(self, other: "Endo") -> "Endo":
         """self o other: apply other first, then self."""
@@ -186,17 +237,10 @@ def lift_class(w, d: int, g: int) -> CoverClass:
     return CoverClass(tuple(tuple(r) for r in loops), lam)
 
 
-def _project(cls: CoverClass, d: int, g: int):
+def _project(cls: CoverClass, d: int):
     """Drop lambda and send loop(i, c) to zeta^c e_i (well-defined because
     sum_c zeta^c = 0 for d >= 2)."""
-    out = []
-    for i in range(g - 1):
-        acc = zero(d)
-        for c, coeff in enumerate(cls.loops[i]):
-            if coeff:
-                acc = acc + zeta_pow(d, c) * coeff
-        out.append(acc)
-    return out
+    return [CycInt.from_poly(d, row) for row in cls.loops]
 
 
 def eta_chain(phi: Endo, d: int, g: int) -> RingMatrix:
@@ -206,7 +250,7 @@ def eta_chain(phi: Endo, d: int, g: int) -> RingMatrix:
     v = check_member(phi, d)
     if not v:
         raise ValueError(f"endomorphism is not in the covering-preserving group: {v.reason}")
-    cols = [_project(lift_class(phi.images[j], d, g), d, g) for j in range(g - 1)]
+    cols = [_project(lift_class(phi.images[j], d, g), d) for j in range(g - 1)]
     return RingMatrix.from_columns(d, cols)
 
 
@@ -236,12 +280,13 @@ def fox_derivative(w, i: int) -> dict:
 
 def eps_eval(terms: dict, d: int, g: int) -> CycInt:
     """The ring map sending x_i to 1 (i < g) and x_g to zeta, applied to a
-    formal sum of words."""
-    acc = zero(d)
+    formal sum of words.  Each term adds its coefficient into one
+    coefficient vector at its x_g-exponent mod d, and the vector is reduced
+    once."""
+    poly = [0] * d
     for w, c in terms.items():
-        if c:
-            acc = acc + zeta_pow(d, exponent_sum(w, g)) * c
-    return acc
+        poly[exponent_sum(w, g) % d] += c
+    return CycInt.from_poly(d, poly)
 
 
 def eta_fox(phi: Endo, d: int, g: int) -> RingMatrix:
@@ -335,21 +380,31 @@ _LETTER = re.compile(r"\s*x(\d+)(?:\s*\^\s*(-?\d+))?")
 
 
 def parse_free_word(text: str, g: int) -> FreeWord:
+    """Parse 'x2^-2 x1 x2' to a reduced word, appending each run x_i^e as one
+    block; the budget counts letters before reduction."""
     pos, end = 0, len(text.rstrip())
-    letters = []
+    out, total, units = array("q"), 0, {}
     while pos < end:
         m = _LETTER.match(text, pos)
         if m is None:
             raise ValueError(f"bad free word {text!r} near position {pos}")
-        idx = int(m.group(1))
+        idx, e = m.groups()
+        idx = int(idx)
         if not 1 <= idx <= g:
             raise ValueError(f"generator x{idx} out of range for rank {g}")
-        e = int(m.group(2)) if m.group(2) else 1
-        if len(letters) + abs(e) > MAX_LETTERS:
+        e = int(e or 1)
+        n = abs(e)
+        total += n
+        if total > MAX_LETTERS:
             raise ValueError(f"free word expands past the budget of {MAX_LETTERS} letters")
-        letters.extend(word_pow((idx,), e))
+        s = idx if e > 0 else -idx
+        unit = units.get(s)
+        if unit is None:
+            unit = units[s] = array("q", (s,)), array("q", (-s,))
+        # at most len(out) letters can cancel, so that much of the inverse will do
+        _append_reduced(out, unit[0] * n, unit[1] * min(n, len(out)))
         pos = m.end()
-    return free_reduce(letters)
+    return tuple(out)
 
 
 def parse_endo_images(text: str, g: int):

@@ -1,18 +1,25 @@
+import hashlib
 import random
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prymrep.cyclotomic import unit_exponent, zeta_pow
+from prymrep.cyclotomic import unit_exponent, zero, zeta_pow
 from prymrep.foxcover import (
     MAX_LETTERS,
+    CoverClass,
     Endo,
+    _project,
     adapted_nielsen_moves,
     check_member,
     deck_conjugation,
+    eps_eval,
     eta,
     eta_chain,
     eta_fox,
+    exponent_sum,
     fox_derivative,
     free_reduce,
     lift_class,
@@ -184,6 +191,26 @@ def test_dual_oracle_on_random_composites():
                 assert unit_exponent(mc.det()) is not None
 
 
+def test_oracle_outputs_are_pinned():
+    """SHA-256 of the eta matrices and of the composed words over seeded
+    random members: any change to apply, compose or either route shows."""
+    mats, words = hashlib.sha256(), hashlib.sha256()
+    rng = random.Random(47)
+    for d in (2, 3, 5, 12):
+        for g in (2, 3, 5):
+            for _ in range(4):
+                phi = random_member(rng, g, d, 12)
+                m = eta_chain(phi, d, g)
+                assert m == eta_fox(phi, d, g)
+                mats.update(m.to_text().encode() + b"\n")
+                for w in phi.images + phi.inverse_images:
+                    words.update(render_free_word(w).encode() + b"\n")
+    assert mats.hexdigest() == \
+        "d16d8e62334ebb51dbc4b1252f22ba621544df8a515ce07bbccab92c22cf6986"
+    assert words.hexdigest() == \
+        "bfc1045b5f5a93eb0ea07439da1e6f2e67e30e7ebffcc1ce39162181050e7b71"
+
+
 def test_eta_multiplicative():
     rng = random.Random(42)
     for d in (3, 5):
@@ -271,3 +298,76 @@ def test_endo_text_round_trip():
         parse_free_word(f"x1 x2^{MAX_LETTERS}", 2)
     with pytest.raises(ValueError):
         parse_endo_images("x1 - x2", 2)
+
+
+@pytest.mark.parametrize("letter", [0, 3, -3])
+def test_endo_rejects_letters_outside_the_rank(letter):
+    with pytest.raises(ValueError, match=f"letter {letter} is not a generator of rank 2"):
+        Endo(((1, letter), (2,)), ((1,), (2,)))
+    with pytest.raises(ValueError, match=f"letter {letter} is not a generator of rank 2"):
+        Endo(((1,), (2,)), ((1,), (letter, 2)))
+    with pytest.raises(ValueError, match=f"letter {letter} is not a generator of rank 2"):
+        Endo.identity(2).apply((1, letter))
+
+
+def test_parse_budget_counts_letters_before_reduction():
+    with pytest.raises(ValueError, match="budget"):
+        parse_free_word(f"x1^5 x1^-5 x2^{MAX_LETTERS - 9}", 2)
+
+
+def _words(g, max_size=30):
+    letters = st.integers(1, g).flatmap(lambda i: st.sampled_from((i, -i)))
+    return st.lists(letters, max_size=max_size).map(tuple)
+
+
+@st.composite
+def _endo_and_word(draw):
+    """Unreduced images and an unreduced input word, any g in 1..4."""
+    g = draw(st.integers(1, 4))
+    images = tuple(draw(_words(g, 12)) for _ in range(g))
+    return Endo(images, images), draw(_words(g))
+
+
+@given(_endo_and_word())
+def test_apply_is_word_mul_of_the_images(case):
+    phi, w = case
+    images = [phi.images[s - 1] if s > 0 else word_inv(phi.images[-s - 1]) for s in w]
+    assert phi.apply(w) == word_mul(*images)
+
+
+@given(st.integers(1, 3).flatmap(lambda g: st.tuples(st.just(g), _words(g, 40))))
+def test_parse_free_word_is_free_reduce_of_the_runs(case):
+    g, w = case
+    runs = []
+    for s in w:
+        if runs and runs[-1][0] == abs(s):
+            runs[-1][1] += 1 if s > 0 else -1
+        else:
+            runs.append([abs(s), 1 if s > 0 else -1])
+    text = " ".join(f"x{i}^{e}" for i, e in runs)
+    assert parse_free_word(text, g) == free_reduce(
+        sum((word_pow((i,), e) for i, e in runs), ()))
+
+
+@given(_words(5, 60), st.integers(-6, 6))
+def test_exponent_sum_is_the_signed_count(w, i):
+    assert exponent_sum(w, i) == sum(1 if s == i else -1 if s == -i else 0 for s in w)
+
+
+@given(st.sampled_from((2, 3, 5, 12)), st.integers(2, 5), st.data())
+@settings(max_examples=60)
+def test_coefficient_vector_matches_the_zeta_power_sums(d, g, data):
+    terms = data.draw(st.dictionaries(_words(g, 20), st.integers(-9, 9), max_size=12))
+    want = zero(d)
+    for w, c in terms.items():
+        want = want + zeta_pow(d, sum(1 if s == g else -1 if s == -g else 0 for s in w)) * c
+    assert eps_eval(terms, d, g) == want
+    loops = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=d, max_size=d),
+                               min_size=g - 1, max_size=g - 1))
+    want = []
+    for row in loops:
+        acc = zero(d)
+        for c, coeff in enumerate(row):
+            acc = acc + zeta_pow(d, c) * coeff
+        want.append(acc)
+    assert _project(CoverClass(tuple(map(tuple, loops)), 0), d) == want
