@@ -243,13 +243,20 @@ def _project(cls: CoverClass, d: int):
     return [CycInt.from_poly(d, row) for row in cls.loops]
 
 
-def eta_chain(phi: Endo, d: int, g: int) -> RingMatrix:
-    """Column j is the projected class of the lift of phi(x_j), j < g."""
+def _require_member(phi: Endo, d: int, g: int) -> None:
+    """The shared guard of both eta routes, checked before either walks."""
+    if g < 2:
+        raise ValueError("rank must be >= 2")
     if g != phi.g:
         raise ValueError("rank mismatch")
     v = check_member(phi, d)
     if not v:
         raise ValueError(f"endomorphism is not in the covering-preserving group: {v.reason}")
+
+
+def eta_chain(phi: Endo, d: int, g: int) -> RingMatrix:
+    """Column j is the projected class of the lift of phi(x_j), j < g."""
+    _require_member(phi, d, g)
     cols = [_project(lift_class(phi.images[j], d, g), d) for j in range(g - 1)]
     return RingMatrix.from_columns(d, cols)
 
@@ -291,11 +298,7 @@ def eps_eval(terms: dict, d: int, g: int) -> CycInt:
 
 def eta_fox(phi: Endo, d: int, g: int) -> RingMatrix:
     """Entry (i, j) is eps(d phi(x_j) / d x_i); must agree with eta_chain."""
-    if g != phi.g:
-        raise ValueError("rank mismatch")
-    v = check_member(phi, d)
-    if not v:
-        raise ValueError(f"endomorphism is not in the covering-preserving group: {v.reason}")
+    _require_member(phi, d, g)
     rows = []
     for i in range(1, g):
         row = []

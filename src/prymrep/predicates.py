@@ -3,7 +3,8 @@ the form-preserving group U, its even-determinant subgroup U#, their
 upper-right-block variants, the integer symplectic block group, and the two
 image groups Lambda (handlebody side) and Delta (twist side).
 
-Failures carry the clause that broke, for CLI diagnostics.
+Each group is a fixed tuple of clauses (_CLAUSES), and a negative verdict
+carries the first clause that fails, for CLI diagnostics.
 """
 
 from __future__ import annotations
@@ -67,86 +68,74 @@ def _even_det(m: BlockMat) -> Verdict:
     return _OK
 
 
-def _scalar_unipotent(m: BlockMat):
-    """If M = zeta^k [[Id, B], [0, Id]], return (k, B); else (None, reason)."""
-    v = _lower_left_zero(m)
-    if not v:
-        return None, v.reason
+def _lambda_blocks(m: BlockMat) -> Verdict:
+    """[[(D*)^-1, B], [0, D]], det D = +-zeta^k, D*B = B*D; C = 0 is given."""
+    a, b, _, dd = m.blocks()
+    if unit_exponent(dd.det()) is None:
+        return Verdict(False, "det(D) is not +-zeta^k")
+    if dd.adjoint() * a != RingMatrix.identity(m.d, m.n):
+        return Verdict(False, "upper-left block is not (D*)^-1")
+    if dd.adjoint() * b != b.adjoint() * dd:
+        return Verdict(False, "D*B != B*D")
+    return _OK
+
+
+def _delta_blocks(m: BlockMat) -> Verdict:
+    """M = zeta^k [[Id, B], [0, Id]] with B = B*; C = 0 is given."""
     ul, ur, _, lr = m.blocks()
     ue = unit_exponent(ul[0, 0])
     if ue is None or ue[0] < 0:
-        return None, "upper-left block is not zeta^k Id"
-    k = ue[1]
-    scalar = zeta_pow(m.d, k)
-    ident = RingMatrix.identity(m.d, m.n) * scalar
+        return Verdict(False, "upper-left block is not zeta^k Id")
+    ident = RingMatrix.identity(m.d, m.n) * zeta_pow(m.d, ue[1])
     if ul != ident:
-        return None, "upper-left block is not zeta^k Id"
+        return Verdict(False, "upper-left block is not zeta^k Id")
     if lr != ident:
-        return None, "lower-right block does not match the upper-left scalar"
-    b = ur * zeta_pow(m.d, -k)
-    return (k, b), ""
+        return Verdict(False, "lower-right block does not match the upper-left scalar")
+    b = ur * zeta_pow(m.d, -ue[1])
+    if b != b.adjoint():
+        return Verdict(False, "upper-right block is not self-adjoint")
+    return _OK
+
+
+def _integer(m: BlockMat) -> Verdict:
+    # conjugation is trivial on integer matrices, so U's form clause then reads
+    # M^T Omega M = Omega
+    if not m.is_integer():
+        return Verdict(False, "entries are not rational integers")
+    return _OK
+
+
+def _genus2(m: BlockMat) -> Verdict:
+    if m.g != 2:
+        return Verdict(False, "matrix is not genus 2")
+    return _OK
+
+
+# each group as the clauses that define it, in the order they are tested
+_CLAUSES = {
+    GroupTag.U: (_preserves,),
+    GroupTag.USharp: (_preserves, _even_det),
+    GroupTag.UrU: (_lower_left_zero, _preserves),
+    GroupTag.UrUSharp: (_lower_left_zero, _preserves, _even_det),
+    GroupTag.UrSpZ: (_integer, _lower_left_zero, _preserves),
+    GroupTag.Lambda: (_lower_left_zero, _lambda_blocks),
+    GroupTag.Delta: (_lower_left_zero, _delta_blocks),
+    GroupTag.Genus2Theta: (_genus2, _lower_left_zero, _lambda_blocks),
+}
 
 
 def is_member(m: BlockMat, tag: GroupTag) -> Verdict:
-    """Exact membership in the tagged subgroup, with the failing clause."""
-    if tag is GroupTag.U:
-        return _preserves(m)
-
-    if tag is GroupTag.USharp:
-        v = _preserves(m)
+    """Exact membership in the tagged subgroup: the first clause that fails,
+    or a positive verdict."""
+    try:
+        clauses = _CLAUSES[tag]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown group tag {tag!r}") from None
+    for clause in clauses:
+        v = clause(m)
         if not v:
             return v
-        return _even_det(m)
-
-    if tag is GroupTag.UrU:
-        v = _lower_left_zero(m)
-        if not v:
-            return v
-        return _preserves(m)
-
-    if tag is GroupTag.UrUSharp:
-        v = is_member(m, GroupTag.UrU)
-        if not v:
-            return v
-        return _even_det(m)
-
-    if tag is GroupTag.UrSpZ:
-        if not m.is_integer():
-            return Verdict(False, "entries are not rational integers")
-        v = _lower_left_zero(m)
-        if not v:
-            return v
-        # conjugation is trivial on integer matrices, so this is M^T Omega M = Omega
-        return _preserves(m)
-
-    if tag is GroupTag.Lambda:
-        v = _lower_left_zero(m)
-        if not v:
-            return v
-        a, b, _, dd = m.blocks()
-        if unit_exponent(dd.det()) is None:
-            return Verdict(False, "det(D) is not +-zeta^k")
-        if dd.adjoint() * a != RingMatrix.identity(m.d, m.n):
-            return Verdict(False, "upper-left block is not (D*)^-1")
-        if dd.adjoint() * b != b.adjoint() * dd:
-            return Verdict(False, "D*B != B*D")
-        return _OK
-
-    if tag is GroupTag.Delta:
-        kb, reason = _scalar_unipotent(m)
-        if kb is None:
-            return Verdict(False, reason)
-        _, b = kb
-        if b != b.adjoint():
-            return Verdict(False, "upper-right block is not self-adjoint")
-        return _OK
-
-    if tag is GroupTag.Genus2Theta:
-        if m.g != 2:
-            return Verdict(False, "matrix is not genus 2")
-        return is_member(m, GroupTag.Lambda)
-
-    raise ValueError(f"unknown group tag {tag!r}")
+    return _OK
 
 
 def genus2_theta_project(m: BlockMat):
@@ -163,18 +152,8 @@ def genus2_theta_project(m: BlockMat):
             "theta projection is defined for odd d only (the sign is ambiguous "
             "for even d); use genus2_real_project for the real component"
         )
-    v = is_member(m, GroupTag.Lambda)
-    if not v:
-        raise ValueError(f"matrix is not in Lambda: {v.reason}")
-    ue = unit_exponent(m.mat[1, 1])
-    assert ue is not None  # guaranteed by the Lambda check at genus 2
-    sign, k = ue
-    scaled = m * zeta_pow(m.d, -k)
-    eps = 1 if sign > 0 else -1
-    r = scaled.mat[0, 1]
-    if eps < 0:
-        r = -r
-    return eps, r
+    r = genus2_real_project(m)  # raises unless m is in Lambda
+    return unit_exponent(m.mat[1, 1])[0], r
 
 
 def genus2_real_project(m: BlockMat) -> CycInt:

@@ -371,3 +371,11 @@ def test_coefficient_vector_matches_the_zeta_power_sums(d, g, data):
             acc = acc + zeta_pow(d, c) * coeff
         want.append(acc)
     assert _project(CoverClass(tuple(map(tuple, loops)), 0), d) == want
+
+
+@pytest.mark.parametrize("route", [eta_chain, eta_fox, eta])
+def test_rank_one_rejected_before_any_walk(route):
+    # at rank 1 there is no column to build, so the guard fires before
+    # either route walks, with the message adapted_nielsen_moves uses
+    with pytest.raises(ValueError, match=r"^rank must be >= 2$"):
+        route(Endo.identity(1), 3, 1)

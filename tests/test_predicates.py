@@ -1,10 +1,13 @@
+import hashlib
+import math
 import random
 
 import pytest
 
-from prymrep.cyclotomic import CycInt, one, zeta_pow
+from prymrep.cyclotomic import CycInt, _galois, one, zeta_pow
 from prymrep.generators import delta_g1, elem_Ti, scalar_zeta
 from prymrep.predicates import (
+    _CLAUSES,
     GroupTag,
     genus2_real_project,
     genus2_theta_project,
@@ -168,3 +171,118 @@ def test_ti_negative_index_not_lambda():
 
 def test_delta_generator_is_delta_member():
     assert is_member(delta_g1(3, 7, 2), GroupTag.Delta)
+
+
+def _entrywise(m, f):
+    return BlockMat(RingMatrix.from_rows(m.d, [[f(e) for e in row]
+                                               for row in m.mat.entries]), m.g)
+
+
+def _set_entry(m, i, j, f):
+    rows = [list(row) for row in m.mat.entries]
+    rows[i][j] = f(rows[i][j])
+    return BlockMat(RingMatrix.from_rows(m.d, rows), m.g)
+
+
+def _variants(m):
+    """M, 2M, zeta M, M*, the form inverse, M with a lower-left entry set to
+    1, and M with entry (0, 0) plus 1."""
+    z = zeta_pow(m.d, 1)
+    return (m, m * 2, m * z, m.adjoint(), m.form_inverse(),
+            _set_entry(m, m.n, 0, lambda e: one(m.d)),
+            _set_entry(m, 0, 0, lambda e: e + 1))
+
+
+def _corpus():
+    rng = random.Random(20)
+    for d in (2, 3, 4, 5, 6, 12):
+        for g in (2, 3, 4):
+            for _ in range(3):
+                yield from _variants(evaluate(random_lambda_word(rng, d, g, 4), d, g))
+
+
+def _unit_diag(d, u):
+    # diag(conj(u)^-1, u) lies in UrU with det u / conj(u)
+    return BlockMat(RingMatrix.from_rows(d, [[u.conj().inverse(), 0], [0, u]]), 2)
+
+
+# one matrix for each reason the random corpus does not reach
+_HAND_BUILT = (
+    ("1, z ; 0, 1", 5, 2),  # D*B != B*D; upper-right block not self-adjoint
+    ("z, 0 ; 0, 1", 5, 2),  # lower-right block does not match the scalar
+    ("2, 0 ; 0, 1", 5, 2),  # upper-left block is not (D*)^-1
+    ("-1+2*z+2*z^4, 0 ; 0, 3+2*z+2*z^4", 5, 2),  # det(D) is not +-zeta^k
+)
+
+
+def _hand_built():
+    for text, d, g in _HAND_BUILT:
+        yield block(text, d, g)
+    yield _unit_diag(12, 1 - zeta_pow(12, 1))  # det = zeta^7, k odd with d even
+    yield _unit_diag(15, 1 - zeta_pow(15, 1))  # det = -zeta, d odd
+
+
+def _projection_line(project, m):
+    try:
+        out = project(m)
+    except ValueError as e:
+        return f"{project.__name__}|{type(e).__name__}: {e}"
+    if isinstance(out, tuple):
+        return f"{project.__name__}|{out[0]}|{out[1].literal()}"
+    return f"{project.__name__}|{out.literal()}"
+
+
+def test_pinned_verdict_digest():
+    # SHA-256 of every verdict (tag, truth value, reason) and every genus-2
+    # projection over a seeded corpus; pinned before is_member became a
+    # clause table, so the reasons and their order must not move
+    lines = []
+    for m in (*_corpus(), *_hand_built()):
+        for tag in GroupTag:
+            v = is_member(m, tag)
+            lines.append(f"{tag.value}|{v.ok}|{v.reason}")
+        lines.append(_projection_line(genus2_theta_project, m))
+        lines.append(_projection_line(genus2_real_project, m))
+    reasons = {line.split("|")[2] for line in lines if "|False|" in line}
+    assert len(lines) == 10 * (378 + 6) and len(reasons) == 12
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (
+        "131ba78af4dad5d6c8ca22c62a03aa7f3b56d124ae154c1a91d429971a8193c6")
+
+
+def test_clause_table_covers_every_tag():
+    assert set(_CLAUSES) == set(GroupTag)
+    m = BlockMat.identity(5, 2)
+    with pytest.raises(ValueError) as err:
+        is_member(m, "U")
+    assert str(err.value) == "unknown group tag 'U'"
+
+
+def _truths(m):
+    return tuple(bool(is_member(m, tag)) for tag in GroupTag)
+
+
+def test_galois_conjugation_keeps_every_verdict():
+    # sigma_k is a ring automorphism commuting with conjugation, so it maps
+    # each group onto itself; only the truth values are compared, because the
+    # even-det reasons print the exponent, which sigma_k moves
+    checked = 0
+    for m in (*_corpus(), *_hand_built()):
+        truths = _truths(m)
+        for k in range(2, m.d):
+            if math.gcd(k, m.d) == 1:
+                assert _truths(_entrywise(m, lambda e: _galois(e, k))) == truths
+                checked += 1
+    assert checked > 500
+
+
+def test_u_closed_under_adjoint():
+    for m in (*_corpus(), *_hand_built()):
+        assert bool(is_member(m, GroupTag.U)) == bool(is_member(m.adjoint(), GroupTag.U))
+
+
+def test_lambda_closed_under_form_inverse():
+    members = [m for m in (*_corpus(), *_hand_built()) if is_member(m, GroupTag.Lambda)]
+    assert len(members) > 50
+    for m in members:
+        assert is_member(m.form_inverse(), GroupTag.Lambda)
