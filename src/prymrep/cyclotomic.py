@@ -5,9 +5,15 @@ the d-th cyclotomic polynomial Phi_d, so the representation is canonical and
 ring equality is literal tuple equality.  Coefficients are arbitrary-precision
 Python integers; nothing in this module touches floating point.
 
-The module also owns the ring-literal text grammar shared by the whole
-package: integer polynomials in the symbol ``z`` (for example ``1 - z^3 +
-2*z``), whitespace insignificant, reduced modulo Phi_d on parsing.
+The module also owns the ring-literal grammar shared by the whole package,
+reduced modulo Phi_d on parsing, and the scanner that it and the word grammar
+read text with.  In EBNF, with whitespace allowed between any two tokens:
+
+    literal := [ sign ] term { sign term }        sign := "+" | "-"
+    term    := INT [ [ "*" ] "z" [ "^" INT ] ] | "z" [ "^" INT ]
+
+INT is a run of decimal digits, so ``2z`` and ``-z^2 + 3`` are literals and
+``z^-1`` is not.  An exponent is at most MAX_EXPONENT, a modulus at most MAX_D.
 """
 
 from __future__ import annotations
@@ -15,6 +21,9 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from math import gcd
+
+MAX_D = 1000  # largest modulus; _power_table(997) holds about 2 * 10**6 ints
+MAX_EXPONENT = 10**5  # largest exponent of z in a ring literal
 
 
 class ParseError(ValueError):
@@ -26,8 +35,57 @@ class ParseError(ValueError):
         self.text = text
 
 
+_SPACE = re.compile(r"\s*")
+
+
+class _Scanner:
+    """A cursor over the text of one hand-written grammar.  Whitespace is
+    insignificant: every read skips it first, so an error reports the
+    position of the next token, or the end of the text."""
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def err(self, message):
+        raise ParseError(message, self.text, self.pos)
+
+    def peek(self):
+        """The next character after whitespace, or "" at the end."""
+        if self.text[self.pos:self.pos + 1].isspace():  # isspace and \s agree
+            self.pos = _SPACE.match(self.text, self.pos).end()
+        return self.text[self.pos:self.pos + 1]
+
+    def done(self):
+        return not self.peek()
+
+    def expect(self, ch):
+        if self.peek() != ch:
+            self.err(f"expected {ch!r}")
+        self.pos += 1
+
+    def take(self, regex):
+        """Consume and return the next token if regex matches it, else None."""
+        self.peek()
+        m = regex.match(self.text, self.pos)
+        if m is None:
+            return None
+        self.pos = m.end()
+        return m.group()
+
+    def need(self, regex, what):
+        """Like take, but a missing token is the error "expected <what>"."""
+        token = self.take(regex)
+        if token is None:
+            self.err(f"expected {what}")
+        return token
+
+
 @lru_cache(maxsize=None)
 def euler_phi(d: int) -> int:
+    # every ring operation asks for phi(d) before its O(d) loops and tables
+    if d > MAX_D:
+        raise ValueError(f"modulus d = {d} is over the budget MAX_D = {MAX_D}")
     return sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
 
 
@@ -375,87 +433,51 @@ def divide_exact(a, b: CycInt) -> CycInt:
 # ---------------------------------------------------------------------------
 # Ring-literal grammar: integer polynomials in `z`, e.g. "1 - z^3 + 2*z".
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<z>z)|(?P<sym>[-+*^]))")
+_LEXEMES = re.compile(r"(?:\s*[\dz*^+-])*")
+_SIGN = re.compile(r"[+-]")
+_DIGITS = re.compile(r"\d+")
 
 
 def parse_ring_literal(text: str) -> tuple[int, ...]:
     """Parse to an integer polynomial (constant term first), unreduced."""
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError("unexpected character in ring literal", text, pos)
-        if m.lastgroup == "int":
-            tokens.append(("int", int(m.group("int")), m.start("int")))
-        elif m.lastgroup == "z":
-            tokens.append(("z", "z", m.start("z")))
-        else:
-            tokens.append(("sym", m.group("sym"), m.start("sym")))
-        pos = m.end()
-
+    bad = _LEXEMES.match(text).end()
+    if bad < len(text) and not text[bad:].isspace():
+        raise ParseError("unexpected character in ring literal", text, bad)
+    s = _Scanner(text)
+    if s.done():
+        raise ParseError("empty ring literal", text, 0)
     coeffs = {}
-    i = 0
-    first = True
-
-    def peek():
-        return tokens[i] if i < len(tokens) else None
-
+    sign = s.take(_SIGN)
     while True:
-        tok = peek()
-        if tok is None:
-            if first:
-                raise ParseError("empty ring literal", text, 0)
-            break
-        sign = 1
-        if tok[0] == "sym" and tok[1] in "+-":
-            if tok[1] == "-":
-                sign = -1
-            i += 1
-            tok = peek()
-            if tok is None:
-                raise ParseError("dangling sign in ring literal", text, len(text))
-        elif not first:
-            raise ParseError("expected '+' or '-' between terms", text, tok[2])
-        # term: INT [ '*'? z [^ INT] ]  |  z [^ INT]
-        coeff = 1
-        has_coeff = False
-        if tok[0] == "int":
-            coeff = tok[1]
-            has_coeff = True
-            i += 1
-            tok = peek()
-            if tok is not None and tok[0] == "sym" and tok[1] == "*":
-                i += 1
-                tok = peek()
-                if tok is None or tok[0] != "z":
-                    p = tok[2] if tok else len(text)
-                    raise ParseError("expected 'z' after '*'", text, p)
+        if sign and s.done():
+            s.err("dangling sign in ring literal")
+        coeff = s.take(_DIGITS)
+        if coeff and s.peek() == "*":
+            s.pos += 1
+            if s.peek() != "z":
+                s.err("expected 'z' after '*'")
         exp = 0
-        if tok is not None and tok[0] == "z":
+        if s.peek() == "z":
+            s.pos += 1
             exp = 1
-            i += 1
-            tok = peek()
-            if tok is not None and tok[0] == "sym" and tok[1] == "^":
-                i += 1
-                tok = peek()
-                if tok is None or tok[0] != "int":
-                    p = tok[2] if tok else len(text)
-                    raise ParseError("expected integer exponent after '^'", text, p)
-                exp = tok[1]
-                i += 1
-        elif not has_coeff:
-            raise ParseError("expected integer or 'z'", text, tok[2])
-        coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
-        first = False
-
-    top = max(coeffs) if coeffs else 0
-    out = [0] * (top + 1)
+            if s.peek() == "^":
+                s.pos += 1
+                digits = s.need(_DIGITS, "integer exponent after '^'")
+                exp = int(digits)
+                if exp > MAX_EXPONENT:
+                    s.pos -= len(digits)
+                    s.err(f"exponent {exp} is over the budget MAX_EXPONENT = {MAX_EXPONENT}")
+        elif coeff is None:
+            s.err("expected integer or 'z'")
+        c = int(coeff) if coeff else 1
+        coeffs[exp] = coeffs.get(exp, 0) + (-c if sign == "-" else c)
+        if s.done():
+            break
+        sign = s.need(_SIGN, "'+' or '-' between terms")
+    out = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():
         out[e] = c
-    while out and out[-1] == 0 and len(out) > 1:
+    while len(out) > 1 and not out[-1]:
         out.pop()
     return tuple(out)
 

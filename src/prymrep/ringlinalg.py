@@ -320,13 +320,11 @@ def _sparse_product(d, a_rows, b_rows, cols):
 
 def parse_matrix_poly(text: str):
     """Parse matrix text into a grid of integer polynomials (no modulus yet)."""
-    rows = []
-    for chunk in text.split(";"):
-        row = [parse_ring_literal(part) for part in chunk.split(",")]
-        rows.append(tuple(row))
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
+    rows = tuple(tuple(map(parse_ring_literal, chunk.split(",")))
+                 for chunk in text.split(";"))
+    if any(len(r) != len(rows[0]) for r in rows):
         raise ParseError("ragged matrix literal", text, 0)
-    return tuple(rows)
+    return rows
 
 
 def parse_matrix(text: str, d: int) -> RingMatrix:
@@ -413,8 +411,9 @@ class BlockMat:
 
     def form_inverse(self):
         """M^-1 for M in U, without division: [[D*, -B*], [-C*, A*]], which is
-        -Omega M* Omega for M = [[A, B], [C, D]].  Meaningless for M outside U;
-        inverse() is the route for any invertible matrix."""
+        -Omega M* Omega for M = [[A, B], [C, D]].  For M outside U it is not
+        the inverse (preserves_form tests exactly that); inverse() is the
+        route for any invertible matrix."""
         n, e = self.n, self.mat.entries
         across = [*range(n, 2 * n), *range(n)]  # a position's twin across the split
         rows = []
@@ -490,6 +489,7 @@ def form_eval(u, v, g: int) -> CycInt:
 
 
 def preserves_form(m: BlockMat) -> bool:
-    """True iff M* Omega M = Omega exactly."""
-    om = omega(m.g, m.d)
-    return m.mat.adjoint() * om.mat * m.mat == om.mat
+    """True iff M* Omega M = Omega exactly, tested as form_inverse(M) M = Id
+    with one product and no Omega: form_inverse(M) = -Omega M* Omega and
+    Omega^-1 = -Omega."""
+    return m.form_inverse().mat * m.mat == RingMatrix.identity(m.d, m.mat.rows)

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import re
 
-from .cyclotomic import ParseError, parse_ring_literal, render_poly
+from .cyclotomic import ParseError, _Scanner, parse_ring_literal, render_poly
 from .generators import FAMILIES, GenSpec, matrix_of
 from .ringlinalg import BlockMat, parse_matrix_poly
 
-_WS = re.compile(r"\s*")
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 _INT = re.compile(r"-?\d+")
 
@@ -107,46 +106,7 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
     return BlockMat.identity(d, g) if acc is None else acc
 
 
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def err(self, message):
-        raise ParseError(message, self.text, self.pos)
-
-    def skip_ws(self):
-        self.pos = _WS.match(self.text, self.pos).end()
-
-    def done(self):
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch):
-        if self.peek() != ch:
-            self.err(f"expected {ch!r}")
-        self.pos += 1
-
-    def name(self):
-        self.skip_ws()
-        m = _NAME.match(self.text, self.pos)
-        if m is None:
-            self.err("expected a generator name")
-        self.pos = m.end()
-        return m.group()
-
-    def integer(self):
-        self.skip_ws()
-        m = _INT.match(self.text, self.pos)
-        if m is None:
-            self.err("expected an integer")
-        self.pos = m.end()
-        return int(m.group())
-
+class _Parser(_Scanner):
     def literal(self, parse_text, what):
         """A ring or matrix literal: raw text up to the next ')', which
         neither kind contains."""
@@ -162,7 +122,7 @@ class _Parser:
         return value
 
     def factor(self):
-        nm = self.name()
+        nm = self.need(_NAME, "a generator name")
         fam = FAMILIES.get(nm)
         if fam is None:
             self.pos -= len(nm)
@@ -173,7 +133,7 @@ class _Parser:
             for n in range(len(fam.slots)):
                 if n:
                     self.expect(",")
-                indices.append(self.integer())
+                indices.append(int(self.need(_INT, "an integer")))
             if fam.takes == "matrix":
                 matrix = self.literal(parse_matrix_poly, "matrix")
             elif fam.takes:
@@ -187,16 +147,14 @@ class _Parser:
         exponent = 1
         if self.peek() == "^":
             self.pos += 1
-            exponent = self.integer()
+            exponent = int(self.need(_INT, "an integer"))
         return spec, exponent
 
     def word(self):
         factors = []
-        if self.done():
-            return Word(())
-        factors.append(self.factor())
         while not self.done():
-            self.expect("*")
+            if factors:
+                self.expect("*")
             factors.append(self.factor())
         return Word(tuple(factors))
 

@@ -140,6 +140,23 @@ def test_fox_over_budget_exit_2(capsys, rules):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    # an exponent past cyclotomic.MAX_EXPONENT, in a word and in a matrix
+    ("eval", "--d", "5", "--g", "2", "--word", "Ti(1; z^200000000)"),
+    ("check", "--d", "5", "--g", "2", "--matrix", "z^200000000, 0 ; 0, 1",
+     "--group", "U"),
+    # a modulus past cyclotomic.MAX_D
+    ("eval", "--d", "200003", "--g", "2", "--word", "T"),
+])
+def test_ring_over_budget_exit_2(capsys, argv):
+    start = perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith(("error: ", "parse error: ")) and "budget" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_fox_routes_disagree_exit_2(capsys, monkeypatch):
     import prymrep.foxcover as fc
     from prymrep.ringlinalg import RingMatrix

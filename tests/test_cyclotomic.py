@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prymrep.cyclotomic import (
+    MAX_D,
     CycInt,
     ParseError,
     _galois,
@@ -291,6 +292,17 @@ def test_ring_literals():
 @given(cycints())
 def test_literal_round_trip(a):
     assert CycInt.from_literal(a.d, a.literal()) == a
+
+
+def test_budgets():
+    assert parse_ring_literal("z^100000") == (0,) * 100000 + (1,)
+    with pytest.raises(ParseError, match="budget") as exc:
+        parse_ring_literal("1 + z ^ 100001")
+    assert exc.value.pos == 8
+    assert euler_phi(MAX_D) == 400
+    for build in (euler_phi, lambda d: zeta_pow(d, 1), lambda d: CycInt.from_int(d, 1)):
+        with pytest.raises(ValueError, match="budget MAX_D = 1000"):
+            build(MAX_D + 1)
 
 
 def test_render_poly():

@@ -13,7 +13,7 @@ from prymrep.predicates import (
     genus2_theta_project,
     is_member,
 )
-from prymrep.ringlinalg import BlockMat, RingMatrix, parse_matrix
+from prymrep.ringlinalg import BlockMat, RingMatrix, omega, parse_matrix, preserves_form
 from prymrep.sweeps import random_lambda_word
 from prymrep.wordlang import evaluate
 
@@ -286,3 +286,13 @@ def test_lambda_closed_under_form_inverse():
     assert len(members) > 50
     for m in members:
         assert is_member(m.form_inverse(), GroupTag.Lambda)
+
+
+def test_preserves_form_is_the_literal_form_test():
+    # the one-product test form_inverse(M) M = Id against M* Omega M = Omega
+    truths = []
+    for m in (*_corpus(), *_hand_built()):
+        om = omega(m.g, m.d).mat
+        truths.append(preserves_form(m))
+        assert truths[-1] == (m.mat.adjoint() * om * m.mat == om)
+    assert len(truths) == 384 and 0 < sum(truths) < 384
