@@ -57,12 +57,6 @@ def word_inv(w) -> FreeWord:
     return tuple(-s for s in reversed(w))
 
 
-def word_pow(w, e: int) -> FreeWord:
-    if e < 0:
-        w, e = word_inv(w), -e
-    return word_mul(*[w] * e)
-
-
 def exponent_sum(w, i: int) -> int:
     return w.count(i) - w.count(-i)
 
@@ -169,7 +163,8 @@ class Endo:
     def _certificate_failure(self) -> int:
         """The first i with phi(psi(x_i)) != x_i, or 0: one walk per Endo."""
         sizes = [len(w) for w in self.images]
-        walk = sum(sizes[abs(s) - 1] for w in self.inverse_images for s in w)
+        walk = sum(sizes[i - 1] * (w.count(i) + w.count(-i))
+                   for w in self.inverse_images for i in range(1, self.g + 1))
         if walk > MAX_LETTERS:
             raise ValueError(f"inverse certificate walks {walk} letters, "
                              f"over the budget of {MAX_LETTERS}")

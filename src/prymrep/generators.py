@@ -3,15 +3,24 @@ elementary transvections, the diagonal map T, the conjugators A_H and A_H',
 their conjugates T_H and T_H', lifted-twist transvections, deck scalars, and
 the embedding of integer upper-block symplectic matrices.
 
-The transvection-type maps x -> x + c<x, v>u (T_i, T_ij and the lifted
-twists) are built directly as rank updates Id + sum of c u w^T, where w is
-the form row of v: <x, v> = w . x with w[i] = conj(v[n+i]) and
-w[n+i] = -conj(v[i]), n = g - 1.  That row (_form_row) is the one place the
-sign bookkeeping of the form convention is applied, and it agrees with
-form_eval, the definition of the form.  The remaining maps are assembled
-column by column from their images of the basis vectors.  With this
-convention the forward twist transvection x -> x + <x, v>v has upper-right
-block -vv* for v in the meridian span, and its inverse has +vv*.
+The transvection-type maps x -> x + c<x, v>u are built directly as rank
+updates Id + N, with N given by its entries (p, q, c); the product M(Id + N)
+adds c times column p of M into column q.  Since
+<x, e_i> = -sgn(i) x[pos(-i)], the map x -> x + c<x, e_i>e_j is the single
+entry (pos(j), pos(-i), -sgn(i) c) (_entry).  T_i, T_ij, G1, G2, G3 and the
+lifted twists TwistE, GammaIK and GammaIJK (vectors in the meridian span
+<e_1..e_(g-1)>) have only entries (pos(a), pos(-b)) with a and b from one
+set of indices of distinct absolute values, so the rows and the columns
+that N occupies are disjoint: N^2 = 0, and (Id + N)^e = Id + eN for every
+integer e.  Their Family names these entries (nilpotent), and
+wordlang.evaluate applies them as column operations.  The generic
+transvection of any v takes N = +-v w^T, where w is the form row of v:
+<x, v> = w . x with w[i] = conj(v[n+i]) and w[n+i] = -conj(v[i]),
+n = g - 1 (_form_row, which agrees with form_eval); there N^2 = +-<v, v> N,
+which need not vanish.  The remaining maps are assembled column by column
+from their images of the basis vectors.  With this convention the forward
+twist transvection x -> x + <x, v>v has upper-right block -vv* for v in the
+meridian span, and its inverse has +vv*.
 
 The twist generators G1, G2 and G3 of Delta are single elementary
 transvections T_i and T_ij; their equal products of lifted twists (see
@@ -27,6 +36,7 @@ from .predicates import GroupTag, is_member
 from .ringlinalg import (
     BlockMat,
     RingMatrix,
+    basis_position,
     basis_vector,
     signed_indices,
 )
@@ -49,18 +59,26 @@ def _form_row(g, v):
     return [c.conj() for c in v[n:]] + [-c.conj() for c in v[:n]]
 
 
-def _rank_update(d, g, terms):
-    """Id + sum of u w^T over the (column u, row w) pairs in terms."""
+def _rank_update(d, g, entries):
+    """Id + N, where N has the entry c at (p, q) for each (p, q, c)."""
     size = 2 * (g - 1)
     o, z = one(d), zero(d)
     rows = [[o if r == s else z for s in range(size)] for r in range(size)]
-    for u, w in terms:
-        for r, ur in enumerate(u):
-            if not ur.is_zero():
-                for s, ws in enumerate(w):
-                    if not ws.is_zero():
-                        rows[r][s] = rows[r][s] + ur * ws
+    for p, q, c in entries:
+        rows[p][q] = rows[p][q] + c
     return BlockMat(RingMatrix._make(d, tuple(map(tuple, rows))), g)
+
+
+def _entry(g, c, i, j):
+    """The entry (p, q, c') of x -> x + c <x, e_i> e_j: <x, e_i> is
+    -sgn(i) times the coordinate of x at e_-i."""
+    return (basis_position(g, j), basis_position(g, -i), -c if i > 0 else c)
+
+
+def _twist_entries(g, v):
+    """The entries of x -> x + <x, v>v for v = sum of a e_i over the pairs
+    (i, a) of v, all i > 0: <x, v> = sum of conj(a) <x, e_i>."""
+    return tuple(_entry(g, a * b.conj(), i, j) for i, b in v for j, a in v)
 
 
 def _vec_add(u, v):
@@ -71,30 +89,77 @@ def _vec_scale(c, v):
     return [a if a.is_zero() else c * a for a in v]
 
 
-def elem_Ti(g: int, d: int, i: int, rprime: CycInt) -> BlockMat:
-    """T_i(r'): x -> x + r' <x, e_i> e_i, for real r'."""
+def _ti_entries(g, d, i, rprime):
     _check_index(g, i)
     if not isinstance(rprime, CycInt):
         rprime = CycInt.from_int(d, rprime)
     if not rprime.is_real():
         raise ValueError("Ti requires a real ring element r'")
-    ei = basis_vector(d, g, i)
-    return _rank_update(d, g, [(_vec_scale(rprime, ei), _form_row(g, ei))])
+    return (_entry(g, rprime, i, i),)
 
 
-def elem_Tij(g: int, d: int, i: int, j: int, r: CycInt) -> BlockMat:
-    """T_{i,j}(r): x -> x + r <x, e_i> e_j + conj(r) <x, e_j> e_i."""
+def _tij_entries(g, d, i, j, r):
     _check_index(g, i)
     _check_index(g, j)
     if abs(i) == abs(j):
         raise ValueError("Tij requires |i| != |j|")
     if not isinstance(r, CycInt):
         r = CycInt.from_int(d, r)
-    rbar = r.conj()
-    ei = basis_vector(d, g, i)
-    ej = basis_vector(d, g, j)
-    return _rank_update(d, g, [(_vec_scale(r, ej), _form_row(g, ei)),
-                               (_vec_scale(rbar, ei), _form_row(g, ej))])
+    return (_entry(g, r, i, j), _entry(g, r.conj(), j, i))
+
+
+def _twist_e_entries(g, d, i):
+    if i <= 0:
+        raise ValueError("twist_E requires a positive index")
+    _check_index(g, i)
+    return _twist_entries(g, ((i, one(d)),))
+
+
+def _gamma_ik_entries(g, d, i, k):
+    if i <= 0:
+        raise ValueError("gamma_ik requires a positive index")
+    _check_index(g, i)
+    return _twist_entries(g, ((i, one(d) - zeta_pow(d, k)),))
+
+
+def _gamma_ijk_entries(g, d, i, j, k):
+    if i <= 0 or j <= 0:
+        raise ValueError("gamma_ijk requires positive indices")
+    if i == j:
+        raise ValueError("gamma_ijk requires i != j")
+    _check_index(g, i)
+    _check_index(g, j)
+    return _twist_entries(g, ((i, one(d)), (j, -zeta_pow(d, k))))
+
+
+def _g1_entries(g, d, i):
+    if i <= 0:
+        raise ValueError("G1 requires a positive index")
+    return _ti_entries(g, d, i, -1)
+
+
+def _g2_entries(g, d, i, k):
+    if i <= 0:
+        raise ValueError("gamma_ik requires a positive index")
+    return _ti_entries(g, d, i, -(zeta_pow(d, k) + zeta_pow(d, -k)))
+
+
+def _g3_entries(g, d, i, j, k):
+    if i <= 0 or j <= 0:
+        raise ValueError("gamma_ijk requires positive indices")
+    if i == j:
+        raise ValueError("gamma_ijk requires i != j")
+    return _tij_entries(g, d, i, j, -zeta_pow(d, k))
+
+
+def elem_Ti(g: int, d: int, i: int, rprime: CycInt) -> BlockMat:
+    """T_i(r'): x -> x + r' <x, e_i> e_i, for real r'."""
+    return _rank_update(d, g, _ti_entries(g, d, i, rprime))
+
+
+def elem_Tij(g: int, d: int, i: int, j: int, r: CycInt) -> BlockMat:
+    """T_{i,j}(r): x -> x + r <x, e_i> e_j + conj(r) <x, e_j> e_i."""
+    return _rank_update(d, g, _tij_entries(g, d, i, j, r))
 
 
 def big_T(g: int, d: int) -> BlockMat:
@@ -179,7 +244,9 @@ def transvection(g: int, d: int, v, direction: int = 1) -> BlockMat:
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     u = v if direction > 0 else [-c for c in v]
-    return _rank_update(d, g, [(u, _form_row(g, v))])
+    w = _form_row(g, v)
+    return _rank_update(d, g, [(p, q, a * b) for p, a in enumerate(u) if not a.is_zero()
+                               for q, b in enumerate(w) if not b.is_zero()])
 
 
 def twist_transvection(g: int, d: int, v, direction: int = 1) -> BlockMat:
@@ -202,62 +269,37 @@ def twist_transvection(g: int, d: int, v, direction: int = 1) -> BlockMat:
 
 def twist_E(g: int, d: int, i: int) -> BlockMat:
     """The lifted twist about the i-th meridian: v = e_i."""
-    if i <= 0:
-        raise ValueError("twist_E requires a positive index")
-    _check_index(g, i)
-    return twist_transvection(g, d, basis_vector(d, g, i))
+    return _rank_update(d, g, _twist_e_entries(g, d, i))
 
 
 def gamma_ik(g: int, d: int, i: int, k: int) -> BlockMat:
     """The lifted twist with homology class (1 - zeta^k) e_i."""
-    if i <= 0:
-        raise ValueError("gamma_ik requires a positive index")
-    _check_index(g, i)
-    c = one(d) - zeta_pow(d, k)
-    return twist_transvection(g, d, _vec_scale(c, basis_vector(d, g, i)))
+    return _rank_update(d, g, _gamma_ik_entries(g, d, i, k))
 
 
 def gamma_ijk(g: int, d: int, i: int, j: int, k: int) -> BlockMat:
     """The lifted twist with homology class e_i - zeta^k e_j."""
-    if i <= 0 or j <= 0:
-        raise ValueError("gamma_ijk requires positive indices")
-    if i == j:
-        raise ValueError("gamma_ijk requires i != j")
-    _check_index(g, i)
-    _check_index(g, j)
-    v = _vec_add(
-        basis_vector(d, g, i),
-        _vec_scale(-zeta_pow(d, k), basis_vector(d, g, j)),
-    )
-    return twist_transvection(g, d, v)
+    return _rank_update(d, g, _gamma_ijk_entries(g, d, i, j, k))
 
 
 def delta_g1(g: int, d: int, i: int) -> BlockMat:
     """G1(i) = T_i(-1), the inverse twist about the i-th meridian;
     upper-right block E_ii."""
-    if i <= 0:
-        raise ValueError("G1 requires a positive index")
-    return elem_Ti(g, d, i, -1)
+    return _rank_update(d, g, _g1_entries(g, d, i))
 
 
 def delta_g2(g: int, d: int, i: int, k: int) -> BlockMat:
     """G2(i, k) = T_i(-(zeta^k + zeta^-k)); upper-right block
     (zeta^k + zeta^-k) E_ii.  Equal to gamma_ik * G1(i)^2, the lift of
     T_gamma(i,k) composed with two inverse twists about E_i."""
-    if i <= 0:
-        raise ValueError("gamma_ik requires a positive index")
-    return elem_Ti(g, d, i, -(zeta_pow(d, k) + zeta_pow(d, -k)))
+    return _rank_update(d, g, _g2_entries(g, d, i, k))
 
 
 def delta_g3(g: int, d: int, i: int, j: int, k: int) -> BlockMat:
     """G3(i, j, k) = T_{i,j}(-zeta^k); upper-right block
     zeta^k E_ji + zeta^-k E_ij.  Equal to gamma_ijk * G1(i) * G1(j), the
     lift of T_gamma(i,j,k) composed with inverse twists about E_i and E_j."""
-    if i <= 0 or j <= 0:
-        raise ValueError("gamma_ijk requires positive indices")
-    if i == j:
-        raise ValueError("gamma_ijk requires i != j")
-    return elem_Tij(g, d, i, j, -zeta_pow(d, k))
+    return _rank_update(d, g, _g3_entries(g, d, i, j, k))
 
 
 def scalar_zeta(g: int, d: int, k: int) -> BlockMat:
@@ -302,44 +344,59 @@ class Family:
     group: the image group, Lambda or Delta, that the instances with a
     positive first index lie in (the sweeps check the chain above it).
     build: (g, d, spec) -> BlockMat.
+    nilpotent: None, or (g, d, spec) -> the entries (p, q, c) of N for a
+    family of transvections Id + N with N^2 = 0; build is then the rank
+    update of those entries, and wordlang.evaluate applies them as column
+    operations instead.
     """
 
     slots: str
     takes: str
     group: GroupTag
     build: object
+    nilpotent: object = None
 
 
 # Each builder calls its public constructor through the module globals, so
 # code that rebinds those names (a tracer, a test double) sees every build.
+# A column-op family's constructor is the rank update of the entry function
+# it names as nilpotent, so matrix_of and evaluate read one definition.
 # The order is the order of the random word draws in sweeps.
 FAMILIES = {
     "T": Family("", "", GroupTag.Lambda, lambda g, d, s: big_T(g, d)),
     "Zeta": Family("k", "", GroupTag.Delta,
                    lambda g, d, s: scalar_zeta(g, d, *s.indices)),
     "Ti": Family("s", "real", GroupTag.Lambda,
-                 lambda g, d, s: elem_Ti(g, d, *s.indices, _ring(d, s))),
+                 lambda g, d, s: elem_Ti(g, d, *s.indices, _ring(d, s)),
+                 lambda g, d, s: _ti_entries(g, d, *s.indices, _ring(d, s))),
     "AH": Family("p", "", GroupTag.Lambda,
                  lambda g, d, s: conj_AH(g, d, *s.indices)),
     "TH": Family("p", "", GroupTag.Lambda, lambda g, d, s: TH(g, d, *s.indices)),
     "TwistE": Family("p", "", GroupTag.Lambda,
-                     lambda g, d, s: twist_E(g, d, *s.indices)),
+                     lambda g, d, s: twist_E(g, d, *s.indices),
+                     lambda g, d, s: _twist_e_entries(g, d, *s.indices)),
     "GammaIK": Family("pk", "", GroupTag.Lambda,
-                      lambda g, d, s: gamma_ik(g, d, *s.indices)),
+                      lambda g, d, s: gamma_ik(g, d, *s.indices),
+                      lambda g, d, s: _gamma_ik_entries(g, d, *s.indices)),
     "G1": Family("p", "", GroupTag.Delta,
-                 lambda g, d, s: delta_g1(g, d, *s.indices)),
+                 lambda g, d, s: delta_g1(g, d, *s.indices),
+                 lambda g, d, s: _g1_entries(g, d, *s.indices)),
     "G2": Family("pk", "", GroupTag.Delta,
-                 lambda g, d, s: delta_g2(g, d, *s.indices)),
+                 lambda g, d, s: delta_g2(g, d, *s.indices),
+                 lambda g, d, s: _g2_entries(g, d, *s.indices)),
     "Tij": Family("ss", "ring", GroupTag.Lambda,
-                  lambda g, d, s: elem_Tij(g, d, *s.indices, _ring(d, s))),
+                  lambda g, d, s: elem_Tij(g, d, *s.indices, _ring(d, s)),
+                  lambda g, d, s: _tij_entries(g, d, *s.indices, _ring(d, s))),
     "AHPrime": Family("ps", "", GroupTag.Lambda,
                       lambda g, d, s: conj_AHPrime(g, d, *s.indices)),
     "THPrime": Family("ps", "", GroupTag.Lambda,
                       lambda g, d, s: THPrime(g, d, *s.indices)),
     "GammaIJK": Family("ppk", "", GroupTag.Lambda,
-                       lambda g, d, s: gamma_ijk(g, d, *s.indices)),
+                       lambda g, d, s: gamma_ijk(g, d, *s.indices),
+                       lambda g, d, s: _gamma_ijk_entries(g, d, *s.indices)),
     "G3": Family("ppk", "", GroupTag.Delta,
-                 lambda g, d, s: delta_g3(g, d, *s.indices)),
+                 lambda g, d, s: delta_g3(g, d, *s.indices),
+                 lambda g, d, s: _g3_entries(g, d, *s.indices)),
     "UrSp": Family("", "matrix", GroupTag.Lambda, lambda g, d, s: _ursp_literal(g, d, s)),
 }
 

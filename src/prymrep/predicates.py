@@ -52,10 +52,10 @@ def _lower_left_zero(m: BlockMat) -> Verdict:
 
 
 def _even_det(m: BlockMat) -> Verdict:
-    ue = unit_exponent(m.det())
-    if ue is None:
-        return Verdict(False, "det(M) is not +-zeta^k")
-    s, k = ue
+    # every row that lists _even_det tests _preserves first, and a matrix
+    # preserving the form has |det M| = 1 under every complex embedding, so
+    # det M is a root of unity (Kronecker) and unit_exponent finds it
+    s, k = unit_exponent(m.det())
     d = m.d
     if s < 0:
         # for even d a negative sign never survives unit_exponent; for odd d

@@ -12,8 +12,11 @@ The names, the number and kind of the indices, and what follows them come
 from generators.FAMILIES: a generator with no arguments is written bare (T),
 ring scalars follow the indices after ";" (Ti, Tij), and UrSp takes an inline
 matrix literal.  The empty string denotes the identity.  Evaluation is the
-left-to-right matrix product, with the division-free form inverse for
-negative exponents; no symbolic simplification is performed.
+left-to-right product, kept as rows: a factor of a transvection family
+(Ti, Tij, TwistE, GammaIK, GammaIJK, G1, G2, G3) is a handful of column
+operations whatever its exponent, and any other factor is a matrix, inverted
+for a negative exponent by the division-free form inverse; no symbolic
+simplification is performed.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import re
 
 from .cyclotomic import ParseError, _Scanner, parse_ring_literal, render_poly
 from .generators import FAMILIES, GenSpec, matrix_of
-from .ringlinalg import BlockMat, parse_matrix_poly
+from .ringlinalg import BlockMat, RingMatrix, parse_matrix_poly
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 _INT = re.compile(r"-?\d+")
@@ -88,22 +91,42 @@ class Word:
 
 
 def evaluate(word: Word, d: int, g: int) -> BlockMat:
-    """Left-to-right product of factor matrices raised to their exponents.
+    """The left-to-right product of the factors raised to their exponents.
 
-    The product starts from the first factor, so a word of k factors with
-    exponents +-1 costs k - 1 matrix products.  Every generator matrix lies in
-    U (UrSp literals are checked on entry, the other families by
-    construction), so a negative exponent inverts by the division-free
-    BlockMat.form_inverse, -Omega M* Omega, before powering.
+    The product is kept as mutable rows.  A factor of a column-op family
+    (Family.nilpotent) is Id + N with N^2 = 0, so its power is Id + eN for
+    every integer e; multiplying by it adds e*c times column p into column q
+    for each entry (p, q, c) of N, and it never becomes a matrix.  Any other
+    factor is built by matrix_of, inverted for a negative exponent by the
+    division-free BlockMat.form_inverse, -Omega M* Omega (every generator
+    lies in U: UrSp literals are checked on entry, the other families by
+    construction), raised by binary powering and joined by one product; the
+    first factor of a word is not joined to Id.
     """
-    acc = None
+    rows = None  # None stands for Id
     for spec, e in word.factors:
+        nilpotent = FAMILIES[spec.name].nilpotent
+        if nilpotent is not None:
+            entries = nilpotent(g, d, spec)
+            if rows is None:
+                rows = [list(row) for row in BlockMat.identity(d, g).mat.entries]
+            for p, q, c in entries:
+                c = c * e
+                for row in rows:
+                    x = row[p]
+                    if not x.is_zero():
+                        row[q] = row[q] + x * c
+            continue
         m = matrix_of(spec, d, g)
         if e < 0:
             m, e = m.form_inverse(), -e
-        m = m ** e
-        acc = m if acc is None else acc * m
-    return BlockMat.identity(d, g) if acc is None else acc
+        m = (m ** e).mat
+        if rows is not None:
+            m = RingMatrix._make(d, tuple(map(tuple, rows))) * m
+        rows = [list(row) for row in m.entries]
+    if rows is None:
+        return BlockMat.identity(d, g)
+    return BlockMat(RingMatrix._make(d, tuple(map(tuple, rows))), g)
 
 
 class _Parser(_Scanner):

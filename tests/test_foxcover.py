@@ -29,9 +29,14 @@ from prymrep.foxcover import (
     render_free_word,
     word_inv,
     word_mul,
-    word_pow,
 )
 from prymrep.ringlinalg import RingMatrix
+
+
+def word_pow(w, e: int):
+    if e < 0:
+        w, e = word_inv(w), -e
+    return word_mul(*[w] * e)
 
 
 def conj_by_x2 ():

@@ -324,6 +324,8 @@ def _count_calls(monkeypatch, cls):
 
 
 def test_pow_wastes_no_products(monkeypatch):
+    from prymrep.decompose import decompose_delta
+    from prymrep.sweeps import random_self_adjoint
     from prymrep.wordlang import evaluate, parse
 
     m = rand_unit_det_matrix(random.Random(10), 5, 3)
@@ -340,11 +342,16 @@ def test_pow_wastes_no_products(monkeypatch):
         calls.clear()
         assert m ** e == expected_m[e]
         assert len(calls) == products, e
-    # three factors, each built without a product: AH^2 costs one, and two
-    # more join the factors, starting from the first rather than from Id
+    # TwistE and Ti^-1 are column operations on the rows of the product and
+    # cost no matrix product; AH^2 costs one, and one more joins it
     calls.clear()
     assert evaluate(word, 5, 3).mat == expected_w
-    assert len(calls) == 3
+    assert len(calls) == 2
+    # a decompose_delta word has only column-op factors, so none at all
+    b = random_self_adjoint(random.Random(11), 7, 3)
+    calls.clear()
+    assert evaluate(decompose_delta(b, 7, 4), 7, 4).upper_right() == b
+    assert len(calls) == 0
     calls = _count_calls(monkeypatch, CycInt)
     for e, products in ((0, 0), (1, 0), (2, 1), (3, 2)):
         calls.clear()

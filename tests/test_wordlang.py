@@ -1,11 +1,12 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prymrep.cyclotomic import ParseError
-from prymrep.generators import GenSpec, TH, delta_g3, matrix_of
+from prymrep.generators import FAMILIES, GenSpec, TH, delta_g3, matrix_of
 from prymrep.ringlinalg import BlockMat
 from prymrep.sweeps import random_lambda_word
 from prymrep.wordlang import Word, evaluate, parse
@@ -143,6 +144,81 @@ def test_range_errors_surface_at_evaluate():
     w = parse("Ti(1; z)")  # not real
     with pytest.raises(ValueError):
         evaluate(w, 5, 2)
+    # after column-op factors the bad factor raises the text it raises alone
+    for text, message in (("G1(1) * Ti(1; z)", "Ti requires a real ring element r'"),
+                          ("G1(1) * Tij(1,-2; z) * G3(1,3,1)",
+                           "index 3 out of range for genus 3"),
+                          ("TwistE(1)^7 * Ti(-1; 1) * GammaIK(3,1)",
+                           "index 3 out of range for genus 3")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(parse(text), 5, 3)
+
+
+def _dense_product(word, d, g):
+    """The oracle: the left-to-right product of matrix_of(spec), through
+    form_inverse for a negative exponent, raised to |e|."""
+    acc = BlockMat.identity(d, g)
+    for spec, e in word.factors:
+        m = matrix_of(spec, d, g)
+        if e < 0:
+            m = m.form_inverse()
+        acc = acc * m ** abs(e)
+    return acc
+
+
+@st.composite
+def _words(draw):
+    """(d, g, word) over all the families of FAMILIES whose indices fit g;
+    exponents +-10^6 and +-10^20 only on the column-op families."""
+    d = draw(st.sampled_from((2, 3, 4, 5, 7, 12)))
+    g = draw(st.integers(2, 5))
+    names = [nm for nm, fam in FAMILIES.items() if len(fam.slots.replace("k", "")) < g]
+    n = g - 1
+    factors = []
+    for _ in range(draw(st.integers(0, 5))):
+        name = draw(st.sampled_from(names))
+        fam = FAMILIES[name]
+        free = iter(draw(st.permutations(range(1, g))))
+        indices = []
+        for slot in fam.slots:
+            if slot == "k":
+                indices.append(draw(st.integers(-d, 2 * d)))
+            else:
+                i = next(free)
+                indices.append(-i if slot == "s" and draw(st.booleans()) else i)
+        scalar = matrix = None
+        if fam.takes == "real":  # a + b (z + z^-1)
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            poly = [0] * d
+            poly[0] += a
+            poly[1] += b
+            poly[d - 1] += b
+            scalar = tuple(poly)
+        elif fam.takes == "ring":
+            scalar = tuple(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=d)))
+        elif fam.takes == "matrix":  # [[Id, S], [0, Id]] with S = S^T integral
+            rows = [[int(r == c) for c in range(2 * n)] for r in range(2 * n)]
+            for r in range(n):
+                for c in range(r, n):
+                    rows[r][n + c] = rows[c][n + r] = draw(st.integers(-2, 2))
+            matrix = tuple(tuple((x,) for x in row) for row in rows)
+        sizes = (1, 2, 7) + ((10**6, 10**20) if fam.nilpotent else ())
+        e = draw(st.sampled_from(sizes)) * draw(st.sampled_from((1, -1)))
+        factors.append((GenSpec(name, tuple(indices), scalar, matrix), e))
+    return d, g, Word(tuple(factors))
+
+
+@given(_words())
+@settings(max_examples=120, deadline=None)
+def test_column_ops_equal_the_dense_product(case):
+    d, g, word = case
+    assert evaluate(word, d, g) == _dense_product(word, d, g), (d, g, word)
+    for spec, _ in word.factors:
+        nilpotent = FAMILIES[spec.name].nilpotent
+        if nilpotent is not None:
+            # rows and columns of N disjoint: N^2 = 0, so (Id + N)^e = Id + eN
+            entries = nilpotent(g, d, spec)
+            assert not {p for p, _, _ in entries} & {q for _, q, _ in entries}, spec
 
 
 def test_matrix_of_matches_evaluate():
