@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
-from .cyclotomic import ParseError
+from .cyclotomic import MAX_D, ParseError
 from .decompose import decompose_delta, reduce_lambda
 from .foxcover import Endo, check_member, eta, parse_endo_images
 from .predicates import GroupTag, is_member
@@ -21,12 +22,17 @@ from .sweeps import run_selftest
 from .wordlang import evaluate, parse as parse_word
 
 
+MAX_G = 200  # largest genus; eval --d 3 --g 200 --word T prints 396^2 entries
+
+
 def _add_dg(p):
     p.add_argument("--d", type=int, required=True, help="covering degree, d >= 2")
     p.add_argument("--g", type=int, required=True, help="genus, g >= 2")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
     p = argparse.ArgumentParser(
         prog="prymrep",
         description="Exact Prym representation matrices for handlebody and "
@@ -37,21 +43,18 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eval", help="evaluate a generator word to a matrix")
     _add_dg(pe)
     pe.add_argument("--word", required=True, help="word in the generator grammar")
-    pe.set_defaults(func=cmd_eval)
 
     pc = sub.add_parser("check", help="decide membership of a matrix in a group")
     _add_dg(pc)
     pc.add_argument("--matrix", required=True, help="matrix in text format")
     pc.add_argument("--group", required=True,
                     choices=[t.value for t in GroupTag], help="group tag")
-    pc.set_defaults(func=cmd_check)
 
     pd = sub.add_parser("decompose-delta",
                         help="write [[Id,B],[0,Id]] as a twist-generator word")
     _add_dg(pd)
     pd.add_argument("--B", required=True, dest="b",
                     help="self-adjoint (g-1)-square matrix in text format")
-    pd.set_defaults(func=cmd_decompose_delta)
 
     pr = sub.add_parser("reduce-lambda",
                         help="extend a witness word for D to a word for M")
@@ -59,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--matrix", required=True, help="the Lambda element M")
     pr.add_argument("--word", required=True,
                     help="witness word with the same lower-right block as M")
-    pr.set_defaults(func=cmd_reduce_lambda)
 
     pf = sub.add_parser("fox", help="eta matrix of a free-group automorphism")
     _add_dg(pf)
@@ -67,13 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="images, e.g. 'x1 -> x2 x1 x2^-1 ; x2 -> x2'")
     pf.add_argument("--inverse", required=True, dest="inverse_text",
                     help="inverse images (the automorphism certificate)")
-    pf.set_defaults(func=cmd_fox)
 
     ps = sub.add_parser("selftest", help="run the identity and round-trip sweeps")
     ps.add_argument("--max-d", type=int, default=6)
     ps.add_argument("--max-g", type=int, default=3)
     ps.add_argument("--seed", type=int, default=0)
-    ps.set_defaults(func=cmd_selftest)
 
     return p
 
@@ -83,6 +83,8 @@ def _require_dg(args):
         raise ValueError("d must be >= 2")
     if args.g < 2:
         raise ValueError("g must be >= 2")
+    if args.g > MAX_G:
+        raise ValueError(f"genus g = {args.g} is over the budget MAX_G = {MAX_G}")
 
 
 def _read_block_matrix(text, d, g) -> BlockMat:
@@ -146,6 +148,10 @@ def cmd_fox(args) -> int:
 def cmd_selftest(args) -> int:
     if args.max_d < 2 or args.max_g < 2:
         raise ValueError("--max-d and --max-g must be >= 2")
+    if args.max_d > MAX_D:
+        raise ValueError(f"--max-d {args.max_d} is over the budget MAX_D = {MAX_D}")
+    if args.max_g > MAX_G:
+        raise ValueError(f"--max-g {args.max_g} is over the budget MAX_G = {MAX_G}")
     reports = run_selftest(args.max_d, args.max_g, seed=args.seed)
     ok = True
     for rep in reports:
@@ -156,10 +162,11 @@ def cmd_selftest(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at each call, so a rebound cmd_* (a tracer, a test double) is seen
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

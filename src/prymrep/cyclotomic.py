@@ -13,7 +13,8 @@ read text with.  In EBNF, with whitespace allowed between any two tokens:
     term    := INT [ [ "*" ] "z" [ "^" INT ] ] | "z" [ "^" INT ]
 
 INT is a run of decimal digits, so ``2z`` and ``-z^2 + 3`` are literals and
-``z^-1`` is not.  An exponent is at most MAX_EXPONENT, a modulus at most MAX_D.
+``z^-1`` is not.  An exponent is at most MAX_EXPONENT, a modulus at most MAX_D,
+and an INT of either grammar has at most MAX_DIGITS digits.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from math import gcd
 
 MAX_D = 1000  # largest modulus; _power_table(997) holds about 2 * 10**6 ints
 MAX_EXPONENT = 10**5  # largest exponent of z in a ring literal
+MAX_DIGITS = 4000  # longest integer in text; below int()'s own limit of 4300
 
 
 class ParseError(ValueError):
@@ -79,6 +81,23 @@ class _Scanner:
         if token is None:
             self.err(f"expected {what}")
         return token
+
+    def integer(self, token):
+        """_int of the token just read; an error points at its start."""
+        try:
+            return _int(token)
+        except ValueError as exc:
+            self.pos -= len(token)
+            self.err(exc.args[0])
+
+
+def _int(token):
+    """int(token) for an optional "-" and decimal digits; more than
+    MAX_DIGITS digits are refused before int() runs."""
+    digits = len(token.lstrip("-"))
+    if digits > MAX_DIGITS:
+        raise ValueError(f"integer of {digits} digits is over the budget MAX_DIGITS = {MAX_DIGITS}")
+    return int(token)
 
 
 @lru_cache(maxsize=None)
@@ -200,10 +219,17 @@ class CycInt:
 
     @classmethod
     def from_poly(cls, d, coeffs):
-        """Build from an integer polynomial in zeta of any degree."""
+        """Build from an integer polynomial in zeta of any degree.
+
+        One longer than d is first folded mod x^d - 1, which Phi_d divides:
+        the coefficients of the powers m = r mod d are summed for each r < d.
+        """
         if d < 2:
             raise ValueError("modulus d must be >= 2")
-        return _new(d, _reduce_poly(d, tuple(coeffs)))
+        coeffs = tuple(coeffs)
+        if len(coeffs) > d:
+            coeffs = tuple(sum(coeffs[r::d]) for r in range(d))
+        return _new(d, _reduce_poly(d, coeffs))
 
     @classmethod
     def from_int(cls, d, n):
@@ -452,6 +478,7 @@ def parse_ring_literal(text: str) -> tuple[int, ...]:
         if sign and s.done():
             s.err("dangling sign in ring literal")
         coeff = s.take(_DIGITS)
+        c = 1 if coeff is None else s.integer(coeff)
         if coeff and s.peek() == "*":
             s.pos += 1
             if s.peek() != "z":
@@ -463,13 +490,12 @@ def parse_ring_literal(text: str) -> tuple[int, ...]:
             if s.peek() == "^":
                 s.pos += 1
                 digits = s.need(_DIGITS, "integer exponent after '^'")
-                exp = int(digits)
+                exp = s.integer(digits)
                 if exp > MAX_EXPONENT:
                     s.pos -= len(digits)
                     s.err(f"exponent {exp} is over the budget MAX_EXPONENT = {MAX_EXPONENT}")
         elif coeff is None:
             s.err("expected integer or 'z'")
-        c = int(coeff) if coeff else 1
         coeffs[exp] = coeffs.get(exp, 0) + (-c if sign == "-" else c)
         if s.done():
             break

@@ -24,7 +24,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, _int
 from .predicates import Verdict
 from .ringlinalg import RingMatrix
 
@@ -387,10 +387,10 @@ def parse_free_word(text: str, g: int) -> FreeWord:
         if m is None:
             raise ValueError(f"bad free word {text!r} near position {pos}")
         idx, e = m.groups()
-        idx = int(idx)
+        idx = _int(idx)
         if not 1 <= idx <= g:
             raise ValueError(f"generator x{idx} out of range for rank {g}")
-        e = int(e or 1)
+        e = _int(e) if e else 1
         n = abs(e)
         total += n
         if total > MAX_LETTERS:
@@ -417,7 +417,7 @@ def parse_endo_images(text: str, g: int):
         m = re.fullmatch(r"\s*x(\d+)\s*", lhs)
         if m is None:
             raise ValueError(f"left side of rule must be a single generator: {lhs.strip()!r}")
-        idx = int(m.group(1))
+        idx = _int(m.group(1))
         if not 1 <= idx <= g:
             raise ValueError(f"generator x{idx} out of range for rank {g}")
         images[idx] = parse_free_word(rhs, g)

@@ -17,8 +17,11 @@ wordlang.evaluate applies them as column operations.  The generic
 transvection of any v takes N = +-v w^T, where w is the form row of v:
 <x, v> = w . x with w[i] = conj(v[n+i]) and w[n+i] = -conj(v[i]),
 n = g - 1 (_form_row, which agrees with form_eval); there N^2 = +-<v, v> N,
-which need not vanish.  The remaining maps are assembled column by column
-from their images of the basis vectors.  With this convention the forward
+which need not vanish.  T, T_H and T_H' multiply a hyperbolic plane
+H = <f1, f2> by zeta and fix its form complement, so they are the rank
+updates Id + (zeta - 1)P of the form projection P onto H (_zeta_on_plane).
+The remaining maps are assembled column by column from their images of the
+basis vectors.  With this convention the forward
 twist transvection x -> x + <x, v>v has upper-right block -vv* for v in the
 meridian span, and its inverse has +vv*.
 
@@ -162,16 +165,25 @@ def elem_Tij(g: int, d: int, i: int, j: int, r: CycInt) -> BlockMat:
     return _rank_update(d, g, _tij_entries(g, d, i, j, r))
 
 
+def _zeta_on_plane(g, d, i, j=None):
+    """Multiplication by zeta on the plane H = <f1, f2>, f1 = e_i and
+    f2 = e_-i (+ e_j), identity on its form complement: Id + (zeta - 1)P.
+
+    <f1, f2> = 1 and f1, f2 are isotropic (|i| != |j|), so the form
+    projection onto H is P(x) = <x, f2> f1 - <x, f1> f2.
+    """
+    c = zeta_pow(d, 1) - one(d)
+    entries = [_entry(g, c, -i, i), _entry(g, -c, i, -i)]
+    if j is not None:
+        entries += [_entry(g, c, j, i), _entry(g, -c, i, j)]
+    return _rank_update(d, g, entries)
+
+
 def big_T(g: int, d: int) -> BlockMat:
     """Multiplication by zeta on <e_1, e_-1>, identity elsewhere."""
     if g < 2:
         raise ValueError("genus must be >= 2")
-    z = zeta_pow(d, 1)
-    images = {}
-    for i in signed_indices(g):
-        e = basis_vector(d, g, i)
-        images[i] = _vec_scale(z, e) if abs(i) == 1 else e
-    return _from_images(d, g, images)
+    return _zeta_on_plane(g, d, 1)
 
 
 def conj_AH(g: int, d: int, i: int) -> BlockMat:
@@ -226,14 +238,22 @@ def conj_AHPrime(g: int, d: int, i: int, j: int) -> BlockMat:
 
 def TH(g: int, d: int, i: int) -> BlockMat:
     """T_H = A_H^-1 T A_H: multiplication by zeta on <e_i, e_-i>."""
-    ah = conj_AH(g, d, i)  # integer symplectic, so in U
-    return ah.form_inverse() * big_T(g, d) * ah
+    if i <= 0:
+        raise ValueError("TH requires a positive index")
+    _check_index(g, i)
+    return _zeta_on_plane(g, d, i)
 
 
 def THPrime(g: int, d: int, i: int, j: int) -> BlockMat:
-    """T_H' = A_H'^-1 T A_H': multiplication by zeta on <e_i, e_-i + e_j>."""
-    ahp = conj_AHPrime(g, d, i, j)  # integer symplectic, so in U
-    return ahp.form_inverse() * big_T(g, d) * ahp
+    """T_H' = A_H'^-1 T A_H': multiplication by zeta on <e_i, e_-i + e_j>
+    (A_H' is symplectic and carries this plane to <e_1, e_-1>)."""
+    if i <= 0:
+        raise ValueError("THPrime requires a positive index i")
+    _check_index(g, i)
+    _check_index(g, j)
+    if abs(j) == abs(i):
+        raise ValueError("THPrime requires |j| != |i|")
+    return _zeta_on_plane(g, d, i, j)
 
 
 def transvection(g: int, d: int, v, direction: int = 1) -> BlockMat:
@@ -402,10 +422,11 @@ FAMILIES = {
 
 
 def _canon(poly):
-    poly = [int(c) for c in poly]
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    return tuple(poly) if poly else (0,)
+    poly = tuple(map(int, poly))
+    n = len(poly)
+    while n > 1 and poly[n - 1] == 0:
+        n -= 1
+    return poly[:n] if poly else (0,)
 
 
 @dataclass(frozen=True)

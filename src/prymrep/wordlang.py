@@ -27,6 +27,10 @@ from .cyclotomic import ParseError, _Scanner, parse_ring_literal, render_poly
 from .generators import FAMILIES, GenSpec, matrix_of
 from .ringlinalg import BlockMat, RingMatrix, parse_matrix_poly
 
+# Largest |e| of a factor raised by binary powering: the entries of a
+# hyperbolic UrSp grow by a constant number of digits per unit of e.
+MAX_POWER = 10**4
+
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 _INT = re.compile(r"-?\d+")
 
@@ -101,7 +105,8 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
     division-free BlockMat.form_inverse, -Omega M* Omega (every generator
     lies in U: UrSp literals are checked on entry, the other families by
     construction), raised by binary powering and joined by one product; the
-    first factor of a word is not joined to Id.
+    first factor of a word is not joined to Id.  Such a factor's |e| is at
+    most MAX_POWER; a column-op factor's exponent is unbounded.
     """
     rows = None  # None stands for Id
     for spec, e in word.factors:
@@ -117,6 +122,9 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
                     if not x.is_zero():
                         row[q] = row[q] + x * c
             continue
+        if abs(e) > MAX_POWER:
+            raise ValueError(f"exponent {e} of {spec.name} is over the budget "
+                             f"MAX_POWER = {MAX_POWER}")
         m = matrix_of(spec, d, g)
         if e < 0:
             m, e = m.form_inverse(), -e
@@ -156,7 +164,7 @@ class _Parser(_Scanner):
             for n in range(len(fam.slots)):
                 if n:
                     self.expect(",")
-                indices.append(int(self.need(_INT, "an integer")))
+                indices.append(self.integer(self.need(_INT, "an integer")))
             if fam.takes == "matrix":
                 matrix = self.literal(parse_matrix_poly, "matrix")
             elif fam.takes:
@@ -170,7 +178,7 @@ class _Parser(_Scanner):
         exponent = 1
         if self.peek() == "^":
             self.pos += 1
-            exponent = int(self.need(_INT, "an integer"))
+            exponent = self.integer(self.need(_INT, "an integer"))
         return spec, exponent
 
     def word(self):

@@ -1,10 +1,17 @@
+import argparse
+import contextlib
+import io
 from time import perf_counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from prymrep.cli import main
+from prymrep.cli import MAX_G, main
+from prymrep.cyclotomic import MAX_D, MAX_DIGITS
+from prymrep.predicates import GroupTag
 from prymrep.ringlinalg import parse_matrix
-from prymrep.wordlang import evaluate, parse
+from prymrep.wordlang import MAX_POWER, evaluate, parse
 
 
 def run(capsys, *argv):
@@ -221,3 +228,147 @@ def test_selftest_deterministic(capsys):
     code2, out2, _ = run(capsys, "selftest", "--max-d", "3", "--max-g", "3",
                          "--seed", "7")
     assert (code1, out1) == (code2, out2)
+
+
+def test_parser_is_built_once(monkeypatch):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    counts = []
+    for _ in range(2):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["eval", "--d", "5", "--g", "2", "--word", "T"]) == 0
+        counts.append(len(built))
+        built.clear()
+    # the parser and its six subcommands, unless an earlier call built them
+    assert counts[0] in (0, 7) and counts[1] == 0
+
+
+def test_usage_errors_repeat_exactly(capsys):
+    for argv in (["eval", "--d", "5"],
+                 ["check", "--d", "5", "--g", "2", "--matrix", "1, 0 ; 0, 1",
+                  "--group", "NoSuchGroup"]):
+        errs = []
+        for _ in range(10):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0].startswith(f"usage: prymrep {argv[0]} ")
+        assert errs[9] == errs[0]
+
+
+_BIG = "9" * (MAX_DIGITS + 1000)
+_URSP = "UrSp(2,1,0,0 ; 1,1,0,0 ; 0,0,1,-1 ; 0,0,-1,2)"
+# each input past a budget, and the budget its message names
+OVER_BUDGET = [
+    (("eval", "--d", "3", "--g", "100000", "--word", "T"), "MAX_G"),
+    (("selftest", "--max-d", "100000", "--max-g", "3"), "MAX_D"),
+    (("selftest", "--max-d", "3", "--max-g", "100000"), "MAX_G"),
+    (("eval", "--d", "3", "--g", "2", "--word", f"Ti(1; {_BIG})"), "MAX_DIGITS"),
+    (("eval", "--d", "3", "--g", "2", "--word", f"G1(1)^{_BIG}"), "MAX_DIGITS"),
+    (("check", "--d", "3", "--g", "2", "--matrix", f"{_BIG}, 0 ; 0, 1", "--group", "U"),
+     "MAX_DIGITS"),
+    (("fox", "--d", "3", "--g", "2", "--map", f"x1 -> x1^{_BIG}", "--inverse", "x1 -> x1"),
+     "MAX_DIGITS"),
+    (("eval", "--d", "3", "--g", "3", "--word", f"{_URSP}^100000000"), "MAX_POWER"),
+]
+
+
+@pytest.mark.parametrize("argv,budget", OVER_BUDGET,
+                         ids=[f"{a[0]}-{b}-{n}" for n, (a, b) in enumerate(OVER_BUDGET)])
+def test_over_budget_exit_2(capsys, argv, budget):
+    start = perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith(("error: ", "parse error: ")) and f"budget {budget} = " in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_inside_the_budgets_answers_at_once(capsys):
+    start = perf_counter()
+    code, out, err = run(capsys, "eval", "--d", "3", "--g", str(MAX_G), "--word", "T")
+    assert perf_counter() - start < 1.0
+    assert code == 0 and err == "" and out.count(";") == 2 * (MAX_G - 1) - 1
+    start = perf_counter()
+    code, out, err = run(capsys, "eval", "--d", "3", "--g", "3",
+                         "--word", f"G1(1)^{10**20} * {_URSP}^-{MAX_POWER}")
+    assert perf_counter() - start < 1.0
+    assert code == 0 and err == "" and out.count(";") == 3
+
+
+def _pieces(*fragments, size=6):
+    return st.lists(st.sampled_from(fragments), max_size=size).map("".join)
+
+
+_WORDS = _pieces("T", "G1(1)", "Ti(1; 2 + z + z^2)", "Tij(1,-2; 3*z^7)", "TH(2)",
+                 "THPrime(1,-2)", "AHPrime(2,1)", "Zeta(1)", "GammaIJK(1,2,3)", _URSP,
+                 "Foo", "(", ")", " * ", "^", "^-1", "^7", f"^{10**20}", f"^{MAX_POWER + 1}",
+                 "; ", ",", "1", "-3", "z^", _BIG)
+_MATRICES = _pieces("1", "0", "z", "-z^4", "2*z", "z^200000", ", ", " ; ", "x", _BIG)
+_MAPS = _pieces("x1", "x2", "x3", " -> ", " ; ", "^-1", "^2", f"^{10**8}", " ", "x0", "y",
+                _BIG, size=8)
+
+
+@st.composite
+def _argvs(draw):
+    """argv for every subcommand, with arguments drawn in and out of range,
+    in and out of the grammars, and past each budget."""
+    kind = draw(st.sampled_from(("eval", "check", "decompose-delta", "reduce-lambda",
+                                 "fox", "selftest", "raw")))
+    if kind == "raw":
+        return draw(st.lists(st.sampled_from(("eval", "fox", "selftest", "--d", "--g", "3",
+                                              "--word", "T", "-h", "--bogus", "x")),
+                             max_size=8))
+    if kind == "selftest":
+        return ["selftest", "--max-d", str(draw(st.sampled_from((1, 2, 3, MAX_D + 1)))),
+                "--max-g", str(draw(st.sampled_from((1, 2, MAX_G + 1))))]
+    argv = [kind, "--d", str(draw(st.sampled_from((-1, 1, 2, 3, 5, 12, MAX_D + 1)))),
+            "--g", str(draw(st.sampled_from((0, 1, 2, 3, 4, MAX_G + 1))))]
+    if kind in ("eval", "reduce-lambda"):
+        argv.append("--word=" + draw(_WORDS))
+    if kind in ("check", "reduce-lambda"):
+        argv.append("--matrix=" + draw(_MATRICES))
+    if kind == "check":
+        argv += ["--group", draw(st.sampled_from([t.value for t in GroupTag]))]
+    if kind == "decompose-delta":
+        argv.append("--B=" + draw(_MATRICES))
+    if kind == "fox":
+        argv += ["--map=" + draw(_MAPS), "--inverse=" + draw(_MAPS)]
+    return argv
+
+
+def _fuzz_examples(test):
+    for argv, _ in OVER_BUDGET:
+        test = example(list(argv))(test)
+    return test
+
+
+@given(_argvs())
+@_fuzz_examples
+@settings(max_examples=300, deadline=None)
+def test_main_never_crashes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+            usage = False
+        except SystemExit as exc:  # argparse: a usage error, or --help
+            code, usage = exc.code, True
+    assert perf_counter() - start < 2.0, argv[:3]
+    err = err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if usage:
+        assert err.startswith("usage: ") if code else not err
+    elif code == 2:
+        assert out.getvalue() == "" and err.count("\n") == 1
+        assert err.startswith(("error: ", "parse error: "))
+    else:
+        assert err == ""

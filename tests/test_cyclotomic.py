@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from prymrep.cyclotomic import (
     MAX_D,
+    MAX_DIGITS,
+    MAX_EXPONENT,
     CycInt,
     ParseError,
     _galois,
+    _reduce_poly,
     conj,
     cyclotomic_poly,
     divide_exact,
@@ -303,6 +306,34 @@ def test_budgets():
     for build in (euler_phi, lambda d: zeta_pow(d, 1), lambda d: CycInt.from_int(d, 1)):
         with pytest.raises(ValueError, match="budget MAX_D = 1000"):
             build(MAX_D + 1)
+
+
+def test_digit_budget():
+    big = "9" * MAX_DIGITS
+    assert parse_ring_literal(f"{big}*z^{'0' * (MAX_DIGITS - 1)}1") == (0, int(big))
+    for text, pos in ((f"1 + {big}9*z", 4), (f"z^{big}9", 2)):
+        with pytest.raises(ParseError, match=f"budget MAX_DIGITS = {MAX_DIGITS}") as exc:
+            parse_ring_literal(text)
+        assert exc.value.pos == pos
+
+
+@st.composite
+def sparse_polys(draw):
+    """(d, a dense tuple with a few nonzero terms of degree <= MAX_EXPONENT)."""
+    d = draw(st.sampled_from((2, 3, 5, 7, 12, 997)))
+    terms = draw(st.dictionaries(st.integers(0, MAX_EXPONENT), st.integers(-10**6, 10**6),
+                                 max_size=6))
+    poly = [0] * (max(terms, default=0) + 1)
+    for m, c in terms.items():
+        poly[m] = c
+    return d, tuple(poly)
+
+
+@given(sparse_polys())
+@settings(max_examples=120, deadline=None)
+def test_from_poly_folds_like_the_reduction(case):
+    d, poly = case
+    assert CycInt.from_poly(d, poly).coeffs == _reduce_poly(d, poly)
 
 
 def test_render_poly():

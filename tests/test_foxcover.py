@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prymrep.cyclotomic import unit_exponent, zero, zeta_pow
+from prymrep.cyclotomic import MAX_DIGITS, unit_exponent, zero, zeta_pow
 from prymrep.foxcover import (
     MAX_LETTERS,
     CoverClass,
@@ -318,6 +318,15 @@ def test_endo_rejects_letters_outside_the_rank(letter):
 def test_parse_budget_counts_letters_before_reduction():
     with pytest.raises(ValueError, match="budget"):
         parse_free_word(f"x1^5 x1^-5 x2^{MAX_LETTERS - 9}", 2)
+
+
+def test_parse_refuses_long_integers_before_int():
+    big = "9" * (MAX_DIGITS + 1)
+    for text in (f"x1^{big}", f"x1^-{big}", f"x{big}"):
+        with pytest.raises(ValueError, match=f"budget MAX_DIGITS = {MAX_DIGITS}$"):
+            parse_free_word(text, 2)
+    with pytest.raises(ValueError, match=f"budget MAX_DIGITS = {MAX_DIGITS}$"):
+        parse_endo_images(f"x{big} -> x1", 2)
 
 
 def _words(g, max_size=30):

@@ -162,6 +162,28 @@ def test_THPrime_eigenvector():
             assert m.mat.apply(e(i)) == [z * c for c in e(i)]
 
 
+@pytest.mark.parametrize("d,g", [(2, 2), (3, 3), (5, 3), (12, 4)])
+def test_TH_and_THPrime_equal_their_conjugates(d, g):
+    # the oracle is the definition: A^-1 T A from the dense conjugators
+    for i in range(1, g):
+        ah = conj_AH(g, d, i)
+        assert TH(g, d, i) == ah.form_inverse() * big_T(g, d) * ah, i
+        for j in range(-(g - 1), g):
+            if j and abs(j) != i:
+                ahp = conj_AHPrime(g, d, i, j)
+                assert THPrime(g, d, i, j) == ahp.form_inverse() * big_T(g, d) * ahp, (i, j)
+
+
+def test_TH_and_THPrime_reject_bad_indices():
+    for build, message in ((lambda: TH(3, 5, 0), "TH requires a positive index"),
+                           (lambda: TH(3, 5, 3), "index 3 out of range for genus 3"),
+                           (lambda: THPrime(3, 5, -1, 2), "THPrime requires a positive index i"),
+                           (lambda: THPrime(3, 5, 1, 3), "index 3 out of range for genus 3"),
+                           (lambda: THPrime(3, 5, 1, -1), "THPrime requires |j| != |i|")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+
 def test_twist_transvection_blocks():
     d, g = 5, 3
     z = zeta_pow(d, 1)

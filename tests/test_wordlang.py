@@ -1,15 +1,16 @@
 import random
 import re
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prymrep.cyclotomic import ParseError
+from prymrep.cyclotomic import MAX_DIGITS, CycInt, ParseError
 from prymrep.generators import FAMILIES, GenSpec, TH, delta_g3, matrix_of
 from prymrep.ringlinalg import BlockMat
 from prymrep.sweeps import random_lambda_word
-from prymrep.wordlang import Word, evaluate, parse
+from prymrep.wordlang import MAX_POWER, Word, evaluate, parse
 
 
 def test_empty_word_is_identity():
@@ -126,6 +127,30 @@ def test_parse_errors_carry_position():
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert str(exc.value).startswith(text.split("(")[0] + " "), (text, exc.value)
+
+
+def test_word_integers_have_a_digit_budget():
+    big = "9" * (MAX_DIGITS + 1)
+    for text, pos in ((f"G1(1)^{big}", 6), (f"G1(1)^-{big}", 6), (f"Ti({big}; 1)", 3),
+                      (f"Ti(1; {big})", 5)):
+        with pytest.raises(ParseError, match=f"budget MAX_DIGITS = {MAX_DIGITS}") as exc:
+            parse(text)
+        assert exc.value.pos == pos, text[:8]
+    assert parse("G1(1)^" + "9" * MAX_DIGITS).factors[0][1] == int("9" * MAX_DIGITS)
+
+
+def test_power_budget_binds_dense_factors_only():
+    ursp = "UrSp(2,1,0,0 ; 1,1,0,0 ; 0,0,1,-1 ; 0,0,-1,2)"
+    for e in (MAX_POWER + 1, -MAX_POWER - 1, 10**8):
+        for name in (ursp, "T", "AHPrime(1,2)"):
+            with pytest.raises(ValueError, match=f"budget MAX_POWER = {MAX_POWER}$"):
+                evaluate(parse(f"G1(1) * {name}^{e}"), 3, 3)
+    assert evaluate(parse(f"T^{MAX_POWER}"), 3, 3) == evaluate(parse(f"T^{MAX_POWER % 3}"), 3, 3)
+    # column-op factors take any exponent, in no time
+    start = perf_counter()
+    m = evaluate(parse(f"G1(1)^{10**20} * Tij(1,-2; z)^-{10**30}"), 3, 3)
+    assert perf_counter() - start < 0.25
+    assert m.upper_right()[0, 0] == CycInt.from_int(3, 10**20)
 
 
 def test_arity_mismatch():
