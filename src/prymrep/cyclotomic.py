@@ -26,6 +26,8 @@ from math import gcd
 MAX_D = 1000  # largest modulus; _power_table(997) holds about 2 * 10**6 ints
 MAX_EXPONENT = 10**5  # largest exponent of z in a ring literal
 MAX_DIGITS = 4000  # longest integer in text; below int()'s own limit of 4300
+MAX_PRINT_DIGITS = 4300  # longest integer rendered as text; int()'s own limit
+_PRINT_BOUND = 10**MAX_PRINT_DIGITS
 
 
 class ParseError(ValueError):
@@ -510,12 +512,16 @@ def parse_ring_literal(text: str) -> tuple[int, ...]:
 
 def render_poly(coeffs) -> str:
     """Render an integer polynomial in z; inverse of parse_ring_literal on
-    canonical forms."""
+    canonical forms.  A coefficient of more than MAX_PRINT_DIGITS digits is
+    refused before str() runs."""
     parts = []
     for m, c in enumerate(coeffs):
         if not c:
             continue
         mag = abs(c)
+        if mag >= _PRINT_BOUND:
+            raise ValueError(f"a coefficient of more than {MAX_PRINT_DIGITS} digits is over "
+                             f"the budget MAX_PRINT_DIGITS = {MAX_PRINT_DIGITS} for printing")
         if m == 0:
             body = str(mag)
         elif m == 1:

@@ -104,65 +104,55 @@ def _ti_entries(g, d, i, rprime):
 def _tij_entries(g, d, i, j, r):
     _check_index(g, i)
     _check_index(g, j)
-    if abs(i) == abs(j):
-        raise ValueError("Tij requires |i| != |j|")
     if not isinstance(r, CycInt):
         r = CycInt.from_int(d, r)
     return (_entry(g, r, i, j), _entry(g, r.conj(), j, i))
 
 
 def _twist_e_entries(g, d, i):
-    if i <= 0:
-        raise ValueError("twist_E requires a positive index")
     _check_index(g, i)
     return _twist_entries(g, ((i, one(d)),))
 
 
 def _gamma_ik_entries(g, d, i, k):
-    if i <= 0:
-        raise ValueError("gamma_ik requires a positive index")
     _check_index(g, i)
     return _twist_entries(g, ((i, one(d) - zeta_pow(d, k)),))
 
 
 def _gamma_ijk_entries(g, d, i, j, k):
-    if i <= 0 or j <= 0:
-        raise ValueError("gamma_ijk requires positive indices")
-    if i == j:
-        raise ValueError("gamma_ijk requires i != j")
     _check_index(g, i)
     _check_index(g, j)
     return _twist_entries(g, ((i, one(d)), (j, -zeta_pow(d, k))))
 
 
 def _g1_entries(g, d, i):
-    if i <= 0:
-        raise ValueError("G1 requires a positive index")
     return _ti_entries(g, d, i, -1)
 
 
 def _g2_entries(g, d, i, k):
-    if i <= 0:
-        raise ValueError("gamma_ik requires a positive index")
     return _ti_entries(g, d, i, -(zeta_pow(d, k) + zeta_pow(d, -k)))
 
 
 def _g3_entries(g, d, i, j, k):
-    if i <= 0 or j <= 0:
-        raise ValueError("gamma_ijk requires positive indices")
-    if i == j:
-        raise ValueError("gamma_ijk requires i != j")
     return _tij_entries(g, d, i, j, -zeta_pow(d, k))
+
+
+def _column_op(name, g, d, *args):
+    """The matrix Id + N of a column-op family, N given by the entry function
+    of its row, after the family's index rules."""
+    fam = FAMILIES[name]
+    _check_slots(name, args[:len(fam.slots)])
+    return _rank_update(d, g, fam.nilpotent(g, d, *args))
 
 
 def elem_Ti(g: int, d: int, i: int, rprime: CycInt) -> BlockMat:
     """T_i(r'): x -> x + r' <x, e_i> e_i, for real r'."""
-    return _rank_update(d, g, _ti_entries(g, d, i, rprime))
+    return _column_op("Ti", g, d, i, rprime)
 
 
 def elem_Tij(g: int, d: int, i: int, j: int, r: CycInt) -> BlockMat:
     """T_{i,j}(r): x -> x + r <x, e_i> e_j + conj(r) <x, e_j> e_i."""
-    return _rank_update(d, g, _tij_entries(g, d, i, j, r))
+    return _column_op("Tij", g, d, i, j, r)
 
 
 def _zeta_on_plane(g, d, i, j=None):
@@ -188,8 +178,7 @@ def big_T(g: int, d: int) -> BlockMat:
 
 def conj_AH(g: int, d: int, i: int) -> BlockMat:
     """The swap of <e_i, e_-i> with <e_1, e_-1>; integer symplectic."""
-    if i <= 0:
-        raise ValueError("AH requires a positive index")
+    _check_slots("AH", (i,))
     _check_index(g, i)
     images = {}
     for k in signed_indices(g):
@@ -212,12 +201,9 @@ def conj_AHPrime(g: int, d: int, i: int, j: int) -> BlockMat:
     classical case formulas; for negative j the sign flip is what keeps the
     map symplectic.
     """
-    if i <= 0:
-        raise ValueError("AHPrime requires a positive index i")
+    _check_slots("AHPrime", (i, j))
     _check_index(g, i)
     _check_index(g, j)
-    if abs(j) == abs(i):
-        raise ValueError("AHPrime requires |j| != |i|")
 
     def swap(k):
         if abs(k) == 1:
@@ -238,8 +224,7 @@ def conj_AHPrime(g: int, d: int, i: int, j: int) -> BlockMat:
 
 def TH(g: int, d: int, i: int) -> BlockMat:
     """T_H = A_H^-1 T A_H: multiplication by zeta on <e_i, e_-i>."""
-    if i <= 0:
-        raise ValueError("TH requires a positive index")
+    _check_slots("TH", (i,))
     _check_index(g, i)
     return _zeta_on_plane(g, d, i)
 
@@ -247,12 +232,9 @@ def TH(g: int, d: int, i: int) -> BlockMat:
 def THPrime(g: int, d: int, i: int, j: int) -> BlockMat:
     """T_H' = A_H'^-1 T A_H': multiplication by zeta on <e_i, e_-i + e_j>
     (A_H' is symplectic and carries this plane to <e_1, e_-1>)."""
-    if i <= 0:
-        raise ValueError("THPrime requires a positive index i")
+    _check_slots("THPrime", (i, j))
     _check_index(g, i)
     _check_index(g, j)
-    if abs(j) == abs(i):
-        raise ValueError("THPrime requires |j| != |i|")
     return _zeta_on_plane(g, d, i, j)
 
 
@@ -289,37 +271,37 @@ def twist_transvection(g: int, d: int, v, direction: int = 1) -> BlockMat:
 
 def twist_E(g: int, d: int, i: int) -> BlockMat:
     """The lifted twist about the i-th meridian: v = e_i."""
-    return _rank_update(d, g, _twist_e_entries(g, d, i))
+    return _column_op("TwistE", g, d, i)
 
 
 def gamma_ik(g: int, d: int, i: int, k: int) -> BlockMat:
     """The lifted twist with homology class (1 - zeta^k) e_i."""
-    return _rank_update(d, g, _gamma_ik_entries(g, d, i, k))
+    return _column_op("GammaIK", g, d, i, k)
 
 
 def gamma_ijk(g: int, d: int, i: int, j: int, k: int) -> BlockMat:
     """The lifted twist with homology class e_i - zeta^k e_j."""
-    return _rank_update(d, g, _gamma_ijk_entries(g, d, i, j, k))
+    return _column_op("GammaIJK", g, d, i, j, k)
 
 
 def delta_g1(g: int, d: int, i: int) -> BlockMat:
     """G1(i) = T_i(-1), the inverse twist about the i-th meridian;
     upper-right block E_ii."""
-    return _rank_update(d, g, _g1_entries(g, d, i))
+    return _column_op("G1", g, d, i)
 
 
 def delta_g2(g: int, d: int, i: int, k: int) -> BlockMat:
     """G2(i, k) = T_i(-(zeta^k + zeta^-k)); upper-right block
     (zeta^k + zeta^-k) E_ii.  Equal to gamma_ik * G1(i)^2, the lift of
     T_gamma(i,k) composed with two inverse twists about E_i."""
-    return _rank_update(d, g, _g2_entries(g, d, i, k))
+    return _column_op("G2", g, d, i, k)
 
 
 def delta_g3(g: int, d: int, i: int, j: int, k: int) -> BlockMat:
     """G3(i, j, k) = T_{i,j}(-zeta^k); upper-right block
     zeta^k E_ji + zeta^-k E_ij.  Equal to gamma_ijk * G1(i) * G1(j), the
     lift of T_gamma(i,j,k) composed with inverse twists about E_i and E_j."""
-    return _rank_update(d, g, _g3_entries(g, d, i, j, k))
+    return _column_op("G3", g, d, i, j, k)
 
 
 def scalar_zeta(g: int, d: int, k: int) -> BlockMat:
@@ -335,15 +317,12 @@ def embed_ursp(m: BlockMat) -> BlockMat:
     return m
 
 
-def _ring(d, spec):
-    return CycInt.from_poly(d, spec.scalar)
-
-
-def _ursp_literal(g, d, spec):
+def _ursp_literal(g, d, polys):
+    """The UrSp matrix of a grid of integer polynomials, checked by embed_ursp."""
     n = 2 * (g - 1)
-    if len(spec.matrix) != n or any(len(r) != n for r in spec.matrix):
+    if len(polys) != n or any(len(r) != n for r in polys):
         raise ValueError(f"UrSp literal must be {n}x{n} for genus {g}")
-    mat = RingMatrix(d, [[CycInt.from_poly(d, p) for p in row] for row in spec.matrix])
+    mat = RingMatrix(d, [[CycInt.from_poly(d, p) for p in row] for row in polys])
     return embed_ursp(BlockMat(mat, g))
 
 
@@ -358,67 +337,97 @@ class Family:
 
     slots: one letter per integer argument, s a nonzero index, p a positive
     index, k a zeta exponent (k slots come last); any two s/p indices differ
-    in absolute value.
+    in absolute value.  _check_slots is the one statement of these rules,
+    and _instances enumerates what they admit.
     takes: what follows the indices, "" nothing, "real" a real ring scalar,
     "ring" any ring scalar, "matrix" an UrSp matrix literal.
     group: the image group, Lambda or Delta, that the instances with a
     positive first index lie in (the sweeps check the chain above it).
-    build: (g, d, spec) -> BlockMat.
-    nilpotent: None, or (g, d, spec) -> the entries (p, q, c) of N for a
-    family of transvections Id + N with N^2 = 0; build is then the rank
-    update of those entries, and wordlang.evaluate applies them as column
-    operations instead.
+    build: the name of the family's constructor in this module.
+    nilpotent: None, or the entry function of a family of transvections
+    Id + N with N^2 = 0, which returns the entries (p, q, c) of N; the
+    constructor is then the rank update of those entries, and
+    wordlang.evaluate applies them as column operations instead.
+
+    The constructor and the entry function take (g, d, *indices), then the
+    ring scalar as a CycInt or the matrix literal as a grid of integer
+    polynomials (GenSpec._args).  Both check |i| <= g - 1 and the rules that
+    need (d, g); the constructor also checks the slots.
     """
 
     slots: str
     takes: str
     group: GroupTag
-    build: object
+    build: str
     nilpotent: object = None
 
 
-# Each builder calls its public constructor through the module globals, so
+# matrix_of looks the constructor up in the module globals at each call, so
 # code that rebinds those names (a tracer, a test double) sees every build.
-# A column-op family's constructor is the rank update of the entry function
-# it names as nilpotent, so matrix_of and evaluate read one definition.
 # The order is the order of the random word draws in sweeps.
 FAMILIES = {
-    "T": Family("", "", GroupTag.Lambda, lambda g, d, s: big_T(g, d)),
-    "Zeta": Family("k", "", GroupTag.Delta,
-                   lambda g, d, s: scalar_zeta(g, d, *s.indices)),
-    "Ti": Family("s", "real", GroupTag.Lambda,
-                 lambda g, d, s: elem_Ti(g, d, *s.indices, _ring(d, s)),
-                 lambda g, d, s: _ti_entries(g, d, *s.indices, _ring(d, s))),
-    "AH": Family("p", "", GroupTag.Lambda,
-                 lambda g, d, s: conj_AH(g, d, *s.indices)),
-    "TH": Family("p", "", GroupTag.Lambda, lambda g, d, s: TH(g, d, *s.indices)),
-    "TwistE": Family("p", "", GroupTag.Lambda,
-                     lambda g, d, s: twist_E(g, d, *s.indices),
-                     lambda g, d, s: _twist_e_entries(g, d, *s.indices)),
-    "GammaIK": Family("pk", "", GroupTag.Lambda,
-                      lambda g, d, s: gamma_ik(g, d, *s.indices),
-                      lambda g, d, s: _gamma_ik_entries(g, d, *s.indices)),
-    "G1": Family("p", "", GroupTag.Delta,
-                 lambda g, d, s: delta_g1(g, d, *s.indices),
-                 lambda g, d, s: _g1_entries(g, d, *s.indices)),
-    "G2": Family("pk", "", GroupTag.Delta,
-                 lambda g, d, s: delta_g2(g, d, *s.indices),
-                 lambda g, d, s: _g2_entries(g, d, *s.indices)),
-    "Tij": Family("ss", "ring", GroupTag.Lambda,
-                  lambda g, d, s: elem_Tij(g, d, *s.indices, _ring(d, s)),
-                  lambda g, d, s: _tij_entries(g, d, *s.indices, _ring(d, s))),
-    "AHPrime": Family("ps", "", GroupTag.Lambda,
-                      lambda g, d, s: conj_AHPrime(g, d, *s.indices)),
-    "THPrime": Family("ps", "", GroupTag.Lambda,
-                      lambda g, d, s: THPrime(g, d, *s.indices)),
-    "GammaIJK": Family("ppk", "", GroupTag.Lambda,
-                       lambda g, d, s: gamma_ijk(g, d, *s.indices),
-                       lambda g, d, s: _gamma_ijk_entries(g, d, *s.indices)),
-    "G3": Family("ppk", "", GroupTag.Delta,
-                 lambda g, d, s: delta_g3(g, d, *s.indices),
-                 lambda g, d, s: _g3_entries(g, d, *s.indices)),
-    "UrSp": Family("", "matrix", GroupTag.Lambda, lambda g, d, s: _ursp_literal(g, d, s)),
+    "T": Family("", "", GroupTag.Lambda, "big_T"),
+    "Zeta": Family("k", "", GroupTag.Delta, "scalar_zeta"),
+    "Ti": Family("s", "real", GroupTag.Lambda, "elem_Ti", _ti_entries),
+    "AH": Family("p", "", GroupTag.Lambda, "conj_AH"),
+    "TH": Family("p", "", GroupTag.Lambda, "TH"),
+    "TwistE": Family("p", "", GroupTag.Lambda, "twist_E", _twist_e_entries),
+    "GammaIK": Family("pk", "", GroupTag.Lambda, "gamma_ik", _gamma_ik_entries),
+    "G1": Family("p", "", GroupTag.Delta, "delta_g1", _g1_entries),
+    "G2": Family("pk", "", GroupTag.Delta, "delta_g2", _g2_entries),
+    "Tij": Family("ss", "ring", GroupTag.Lambda, "elem_Tij", _tij_entries),
+    "AHPrime": Family("ps", "", GroupTag.Lambda, "conj_AHPrime"),
+    "THPrime": Family("ps", "", GroupTag.Lambda, "THPrime"),
+    "GammaIJK": Family("ppk", "", GroupTag.Lambda, "gamma_ijk", _gamma_ijk_entries),
+    "G3": Family("ppk", "", GroupTag.Delta, "delta_g3", _g3_entries),
+    "UrSp": Family("", "matrix", GroupTag.Lambda, "_ursp_literal"),
 }
+
+
+def _check_slots(name, indices):
+    """The index rules of family `name` that need no (d, g), with one message
+    each whether the indices come from a word or a direct call."""
+    slots = FAMILIES[name].slots
+    for slot, i in zip(slots, indices):
+        if slot == "s" and i == 0:
+            raise ValueError(f"{name} index must be nonzero")
+        if slot == "p" and i <= 0:
+            raise ValueError(f"{name} requires a positive index")
+    free = [abs(i) for slot, i in zip(slots, indices) if slot != "k"]
+    if len(set(free)) < len(free):
+        raise ValueError(f"{name} requires |i| != |j|")
+
+
+def _slot_values(slot, d, g, i=None):
+    """The values of an index slot in a positive-index instance: a zeta
+    exponent in 0..d-1, a first index in 1..g-1, and a later index of the
+    slot's kind (signed for s, positive for p) of another |value| than i."""
+    if slot == "k":
+        return range(d)
+    if i is None:
+        return range(1, g)
+    signs = (1, -1) if slot == "s" else (1,)
+    return [s * m for m in range(1, g) for s in signs if m != i]
+
+
+def _instances(slots, d, g):
+    """Every index tuple of the positive-index instances of a family."""
+    out = [()]
+    for slot in slots:
+        out = [ix + (v,) for ix in out
+               for v in _slot_values(slot, d, g, ix[0] if ix else None)]
+    return out
+
+
+def _random_instance(rng, slots, d, g):
+    """A random positive-index instance, drawn as i, k, then each later s/p
+    index from _slot_values.  i and k are drawn for every family: this order
+    fixes the words that a seed of sweeps.random_lambda_word gives."""
+    i = rng.randint(1, g - 1)
+    k = rng.randrange(d)
+    free = slots.replace("k", "")
+    ij = iter([i] + [rng.choice(_slot_values(s, d, g, i)) for s in free[1:]])
+    return tuple(k if s == "k" else next(ij) for s in slots)
 
 
 def _canon(poly):
@@ -465,16 +474,18 @@ class GenSpec:
             object.__setattr__(
                 self, "matrix", tuple(tuple(map(_canon, row)) for row in self.matrix)
             )
-        for slot, i in zip(fam.slots, idx):
-            if slot == "s" and i == 0:
-                raise ValueError(f"{name} index must be nonzero")
-            if slot == "p" and i <= 0:
-                raise ValueError(f"{name} requires a positive index")
-        free = [abs(i) for slot, i in zip(fam.slots, idx) if slot != "k"]
-        if len(set(free)) < len(free):
-            raise ValueError(f"{name} requires |i| != |j|")
+        _check_slots(name, idx)
+
+    def _args(self, d):
+        """The arguments after (g, d) of the family's constructor and entry
+        function at modulus d."""
+        if self.scalar is not None:
+            return self.indices + (CycInt.from_poly(d, self.scalar),)
+        if self.matrix is not None:
+            return (self.matrix,)
+        return self.indices
 
 
 def matrix_of(spec: GenSpec, d: int, g: int) -> BlockMat:
     """Evaluate a generator spec to its matrix for the ambient (d, g)."""
-    return FAMILIES[spec.name].build(g, d, spec)
+    return globals()[FAMILIES[spec.name].build](g, d, *spec._args(d))

@@ -31,7 +31,8 @@ from .cyclotomic import (
 from .decompose import decompose_delta, reduce_lambda
 from .foxcover import deck_conjugation, eta_chain, eta_fox, random_member
 from .generators import (
-    FAMILIES, TH, GenSpec, THPrime, elem_Ti, elem_Tij, gamma_ik, matrix_of,
+    FAMILIES, TH, GenSpec, THPrime, _instances, _random_instance, elem_Ti, elem_Tij,
+    gamma_ik, matrix_of,
 )
 from .predicates import GroupTag, genus2_real_project, genus2_theta_project, is_member
 from .ringlinalg import BlockMat, RingMatrix, preserves_form
@@ -59,27 +60,6 @@ def _run(name, cases) -> SweepReport:
         if problem is not None:
             return SweepReport(name, False, checked, f"{problem} at {where}")
     return SweepReport(name, True, checked)
-
-
-def _slot_values(slot, d, g, i=None):
-    """The values of an index slot in a positive-index instance: a zeta
-    exponent in 0..d-1, a first index in 1..g-1, and a later index of the
-    slot's kind (signed for s, positive for p) of another |value| than i."""
-    if slot == "k":
-        return range(d)
-    if i is None:
-        return range(1, g)
-    signs = (1, -1) if slot == "s" else (1,)
-    return [s * m for m in range(1, g) for s in signs if m != i]
-
-
-def _instances(slots, d, g):
-    """Every index tuple of the positive-index instances of a family."""
-    out = [()]
-    for slot in slots:
-        out = [ix + (v,) for ix in out
-               for v in _slot_values(slot, d, g, ix[0] if ix else None)]
-    return out
 
 
 def identity_sweep(d_values, g_values) -> SweepReport:
@@ -242,16 +222,12 @@ def random_lambda_word(rng, d, g, max_len) -> Word:
     k, then j if the family has a second index and a scalar if it takes one,
     and its exponent from +-1, +-2."""
     names = [nm for nm, fam in FAMILIES.items()
-             if fam.takes != "matrix" and len(fam.slots.replace("k", "")) < g]
+             if fam.takes != "matrix" and _instances(fam.slots, d, g)]
     factors = []
     for _ in range(rng.randint(0, max_len)):
         name = rng.choice(names)
         fam = FAMILIES[name]
-        i = rng.randint(1, g - 1)
-        k = rng.randrange(d)
-        free = fam.slots.replace("k", "")
-        ij = iter([i] + [rng.choice(_slot_values(s, d, g, i)) for s in free[1:]])
-        ix = tuple(k if s == "k" else next(ij) for s in fam.slots)
+        ix = _random_instance(rng, fam.slots, d, g)
         scalar = rng.choice(_sample_scalars(rng, d, fam.takes)) if fam.takes else None
         factors.append((GenSpec(name, ix, scalar), rng.choice((-2, -1, 1, 2))))
     return Word(tuple(factors))

@@ -97,11 +97,14 @@ class Word:
 def evaluate(word: Word, d: int, g: int) -> BlockMat:
     """The left-to-right product of the factors raised to their exponents.
 
-    The product is kept as mutable rows.  A factor of a column-op family
-    (Family.nilpotent) is Id + N with N^2 = 0, so its power is Id + eN for
-    every integer e; multiplying by it adds e*c times column p into column q
-    for each entry (p, q, c) of N, and it never becomes a matrix.  Any other
-    factor is built by matrix_of, inverted for a negative exponent by the
+    The product is kept as mutable rows.  A factor of a column-op family is
+    Id + N with N^2 = 0, so its power is Id + eN for every integer e; the
+    family's entry function (Family.nilpotent), called with the arguments of
+    its constructor, gives the entries (p, q, c) of N, multiplying by the
+    factor adds e*c times column p into column q for each of them, and it
+    never becomes a matrix.  The spec's index rules were checked when it was
+    made, and the entry function checks the rest.  Any other factor is built
+    by matrix_of, inverted for a negative exponent by the
     division-free BlockMat.form_inverse, -Omega M* Omega (every generator
     lies in U: UrSp literals are checked on entry, the other families by
     construction), raised by binary powering and joined by one product; the
@@ -112,7 +115,7 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
     for spec, e in word.factors:
         nilpotent = FAMILIES[spec.name].nilpotent
         if nilpotent is not None:
-            entries = nilpotent(g, d, spec)
+            entries = nilpotent(g, d, *spec._args(d))
             if rows is None:
                 rows = [list(row) for row in BlockMat.identity(d, g).mat.entries]
             for p, q, c in entries:

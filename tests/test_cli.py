@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import re
 from time import perf_counter
 
 import pytest
@@ -277,6 +278,9 @@ OVER_BUDGET = [
     (("fox", "--d", "3", "--g", "2", "--map", f"x1 -> x1^{_BIG}", "--inverse", "x1 -> x1"),
      "MAX_DIGITS"),
     (("eval", "--d", "3", "--g", "3", "--word", f"{_URSP}^100000000"), "MAX_POWER"),
+    # every input is inside its budget, but the result has 8360-digit entries
+    (("eval", "--d", "3", "--g", "3", "--word", f"{_URSP}^10000 * {_URSP}^10000"),
+     "MAX_PRINT_DIGITS"),
 ]
 
 
@@ -301,6 +305,12 @@ def test_inside_the_budgets_answers_at_once(capsys):
                          "--word", f"G1(1)^{10**20} * {_URSP}^-{MAX_POWER}")
     assert perf_counter() - start < 1.0
     assert code == 0 and err == "" and out.count(";") == 3
+    # entries of 4180 digits, under MAX_PRINT_DIGITS, still print
+    start = perf_counter()
+    code, out, err = run(capsys, "eval", "--d", "3", "--g", "3", "--word", f"{_URSP}^10000")
+    assert perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    assert max(map(len, re.findall(r"\d+", out))) == 4180
 
 
 def _pieces(*fragments, size=6):

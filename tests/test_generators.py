@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -177,9 +178,9 @@ def test_TH_and_THPrime_equal_their_conjugates(d, g):
 def test_TH_and_THPrime_reject_bad_indices():
     for build, message in ((lambda: TH(3, 5, 0), "TH requires a positive index"),
                            (lambda: TH(3, 5, 3), "index 3 out of range for genus 3"),
-                           (lambda: THPrime(3, 5, -1, 2), "THPrime requires a positive index i"),
+                           (lambda: THPrime(3, 5, -1, 2), "THPrime requires a positive index"),
                            (lambda: THPrime(3, 5, 1, 3), "index 3 out of range for genus 3"),
-                           (lambda: THPrime(3, 5, 1, -1), "THPrime requires |j| != |i|")):
+                           (lambda: THPrime(3, 5, 1, -1), "THPrime requires |i| != |j|")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
 
@@ -270,13 +271,13 @@ def test_delta_generators_reject_bad_indices():
     for i in (0, -1, -2):
         with pytest.raises(ValueError, match="G1 requires a positive index"):
             delta_g1(g, d, i)
-        with pytest.raises(ValueError, match="gamma_ik requires a positive index"):
+        with pytest.raises(ValueError, match="G2 requires a positive index"):
             delta_g2(g, d, i, 1)
         for i2, j2 in ((i, 1), (1, i)):
-            with pytest.raises(ValueError, match="gamma_ijk requires positive indices"):
+            with pytest.raises(ValueError, match="G3 requires a positive index"):
                 delta_g3(g, d, i2, j2, 1)
     for i in (1, 2):
-        with pytest.raises(ValueError, match="gamma_ijk requires i != j"):
+        with pytest.raises(ValueError, match=re.escape("G3 requires |i| != |j|")):
             delta_g3(g, d, i, i, 1)
     for call in (lambda: delta_g1(g, d, 3), lambda: delta_g2(g, d, 3, 1),
                  lambda: delta_g3(g, d, 1, 3, 1)):
@@ -496,6 +497,37 @@ def test_registry_builders_call_through_module_globals(monkeypatch):
     assert matrix_of(GenSpec("T"), 5, 3) == big_T(3, 5)
 
 
+# the public constructor of every family that takes indices
+_DIRECT = {
+    "Zeta": scalar_zeta, "Ti": elem_Ti, "AH": conj_AH, "TH": TH, "TwistE": twist_E,
+    "GammaIK": gamma_ik, "G1": delta_g1, "G2": delta_g2, "Tij": elem_Tij,
+    "AHPrime": conj_AHPrime, "THPrime": THPrime, "GammaIJK": gamma_ijk, "G3": delta_g3,
+}
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_constructors_and_words_share_one_index_rule(g):
+    # each index tuple over -g..g, zeros and repeats included, gives the same
+    # matrix or the same message from a word's spec and from the direct call
+    d = 5
+    scalars = {"real": zeta_pow(d, 1) + zeta_pow(d, -1), "ring": 1 - 2 * zeta_pow(d, 1)}
+    assert sorted(_DIRECT) == sorted(nm for nm, fam in FAMILIES.items() if fam.slots)
+    for name, direct in _DIRECT.items():
+        fam = FAMILIES[name]
+        extra = (scalars[fam.takes],) if fam.takes else ()
+        scalar = extra[0].coeffs if extra else None
+        for ix in product(range(-g, g + 1), repeat=len(fam.slots)):
+            via_word = _outcome(lambda: matrix_of(GenSpec(name, ix, scalar), d, g))
+            assert via_word == _outcome(lambda: direct(g, d, *ix, *extra)), (name, ix)
+
+
 def test_random_lambda_word_draws_are_pinned():
     # the registry order and the draw order (name, i, k, [j], [scalar],
     # exponent) fix the words a seed gives; the digest was taken before the
@@ -514,3 +546,16 @@ def test_readme_lists_the_registry():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     names = re.findall(r"^\| `([A-Za-z][A-Za-z0-9]*)", readme, re.M)
     assert sorted(names) == sorted(FAMILIES)
+
+
+def test_readme_lists_the_budgets():
+    # every module-level MAX_* constant, as `module.NAME = value`
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    budgets = readme.split("\nInput budgets.", 1)[1].split("\n## ", 1)[0]
+    names = []
+    for src in sorted((root / "src" / "prymrep").glob("*.py")):
+        for name, value in re.findall(r"^(MAX_\w+) = (\S+)", src.read_text(), re.M):
+            names.append(name)
+            assert f"`{src.stem}.{name} = {value}`" in budgets, (src.stem, name, value)
+    assert "MAX_POWER" in names

@@ -242,7 +242,7 @@ def test_column_ops_equal_the_dense_product(case):
         nilpotent = FAMILIES[spec.name].nilpotent
         if nilpotent is not None:
             # rows and columns of N disjoint: N^2 = 0, so (Id + N)^e = Id + eN
-            entries = nilpotent(g, d, spec)
+            entries = nilpotent(g, d, *spec._args(d))
             assert not {p for p, _, _ in entries} & {q for _, q, _ in entries}, spec
 
 
