@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import re
 
-from .cyclotomic import ParseError, _Scanner, parse_ring_literal, render_poly
+from .cyclotomic import (_PRINT_BOUND, MAX_PRINT_DIGITS, ParseError, _Scanner,
+                         parse_ring_literal, render_poly)
 from .generators import FAMILIES, GenSpec, matrix_of
 from .ringlinalg import BlockMat, RingMatrix, parse_matrix_poly
 
@@ -109,7 +110,8 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
     lies in U: UrSp literals are checked on entry, the other families by
     construction), raised by binary powering and joined by one product; the
     first factor of a word is not joined to Id.  Such a factor's |e| is at
-    most MAX_POWER; a column-op factor's exponent is unbounded.
+    most MAX_POWER, and its powering stops at the first step past
+    MAX_PRINT_DIGITS; a column-op factor's exponent is unbounded.
     """
     rows = None  # None stands for Id
     for spec, e in word.factors:
@@ -131,7 +133,12 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
         m = matrix_of(spec, d, g)
         if e < 0:
             m, e = m.form_inverse(), -e
-        m = (m ** e).mat
+        base = m = m.mat
+        for bit in bin(e)[3:]:  # binary powering from the top bit, each step checked
+            m = m * m if bit == "0" else m * m * base
+            if any(abs(c) >= _PRINT_BOUND for row in m.entries for x in row for c in x.coeffs):
+                raise ValueError(f"a power of {spec.name} passes the budget "
+                                 f"MAX_PRINT_DIGITS = {MAX_PRINT_DIGITS} digits")
         if rows is not None:
             m = RingMatrix._make(d, tuple(map(tuple, rows))) * m
         rows = [list(row) for row in m.entries]

@@ -134,6 +134,19 @@ def test_fox_nonmember_exit_1(capsys):
     assert "exponent" in out
 
 
+def test_fox_is_linear_in_the_image_length(capsys):
+    # a 24,001-letter image written out letter by letter: the Fox route walks
+    # it once, where a walk that copies every prefix is quadratic
+    image = " ".join(["x1 x2"] * 12000) + " x1"
+    start = perf_counter()
+    code, out, err = run(capsys, "fox", "--d", "3", "--g", "2",
+                         "--map", f"x1 -> {image} ; x2 -> x1 x2",
+                         "--inverse", "x1 -> x2^-12000 x1 ; x2 -> x1^-1 x2^12001")
+    assert perf_counter() - start < 1.0
+    # sum of zeta^e over e = 0..12000, the x2-exponents before each x1
+    assert code == 0 and out == "1\n" and err == ""
+
+
 @pytest.mark.parametrize("rules", [
     ("x1 -> x1^300000000", "x1 -> x1"),           # power past the parse budget
     ("x1 -> x1^100000", "x1 -> x1^-100000"),      # certificate walk of 10^10 letters
@@ -266,6 +279,8 @@ def test_usage_errors_repeat_exactly(capsys):
 
 _BIG = "9" * (MAX_DIGITS + 1000)
 _URSP = "UrSp(2,1,0,0 ; 1,1,0,0 ; 0,0,1,-1 ; 0,0,-1,2)"
+_NINES = "9" * 300
+_NINES_1 = str(int(_NINES) - 1)
 # each input past a budget, and the budget its message names
 OVER_BUDGET = [
     (("eval", "--d", "3", "--g", "100000", "--word", "T"), "MAX_G"),
@@ -280,6 +295,11 @@ OVER_BUDGET = [
     (("eval", "--d", "3", "--g", "3", "--word", f"{_URSP}^100000000"), "MAX_POWER"),
     # every input is inside its budget, but the result has 8360-digit entries
     (("eval", "--d", "3", "--g", "3", "--word", f"{_URSP}^10000 * {_URSP}^10000"),
+     "MAX_PRINT_DIGITS"),
+    # the exponent is inside MAX_POWER, but the entries of the powers grow by
+    # 300 digits per unit of it
+    (("eval", "--d", "3", "--g", "3", "--word",
+      f"UrSp({_NINES},{_NINES_1},0,0 ; 1,1,0,0 ; 0,0,1,-1 ; 0,0,-{_NINES_1},{_NINES})^10000"),
      "MAX_PRINT_DIGITS"),
 ]
 

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prymrep.cyclotomic import MAX_DIGITS, unit_exponent, zero, zeta_pow
+from prymrep.cyclotomic import MAX_DIGITS, CycInt, unit_exponent, zero, zeta_pow
 from prymrep.foxcover import (
     MAX_LETTERS,
     CoverClass,
     Endo,
+    _fox_column,
     _project,
     adapted_nielsen_moves,
     check_member,
     deck_conjugation,
-    eps_eval,
     eta,
     eta_chain,
     eta_fox,
@@ -37,6 +37,15 @@ def word_pow(w, e: int):
     if e < 0:
         w, e = word_inv(w), -e
     return word_mul(*[w] * e)
+
+
+def eps_eval(terms: dict, d: int, g: int) -> CycInt:
+    """The ring map sending x_i to 1 (i < g) and x_g to zeta, applied to a
+    formal sum of words: with fox_derivative, the oracle of eta_fox."""
+    poly = [0] * d
+    for w, c in terms.items():
+        poly[exponent_sum(w, g) % d] += c
+    return CycInt.from_poly(d, poly)
 
 
 def conj_by_x2 ():
@@ -385,6 +394,27 @@ def test_coefficient_vector_matches_the_zeta_power_sums(d, g, data):
             acc = acc + zeta_pow(d, c) * coeff
         want.append(acc)
     assert _project(CoverClass(tuple(map(tuple, loops)), 0), d) == want
+
+
+@given(st.sampled_from((2, 3, 4, 5, 12)), st.integers(2, 5), st.data())
+@settings(max_examples=200)
+def test_fox_column_is_eps_of_the_fox_derivatives(d, g, data):
+    # unreduced words, with any x_g-exponent: the walk needs no closed path
+    w = data.draw(_words(g, 60))
+    assert _fox_column(w, d, g) == [eps_eval(fox_derivative(w, i), d, g)
+                                    for i in range(1, g)]
+
+
+def test_eta_fox_forms_no_derivative(monkeypatch):
+    import prymrep.foxcover as fc
+
+    def forbidden(w, i):
+        raise AssertionError("eta_fox formed a Fox derivative")
+
+    phi = random_member(random.Random(5), 3, 4, 8)
+    want = eta_fox(phi, 4, 3)
+    monkeypatch.setattr(fc, "fox_derivative", forbidden)
+    assert eta_fox(phi, 4, 3) == want == eta(phi, 4, 3)
 
 
 @pytest.mark.parametrize("route", [eta_chain, eta_fox, eta])
