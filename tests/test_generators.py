@@ -528,6 +528,57 @@ def test_constructors_and_words_share_one_index_rule(g):
             assert via_word == _outcome(lambda: direct(g, d, *ix, *extra)), (name, ix)
 
 
+_PIN_CELLS = [(2, 2), (3, 3), (5, 3), (12, 4)]
+
+
+def _pinned_specs(d, g):
+    """Every positive-index instance of every family, the negative-index Ti,
+    and one UrSp literal [[Id, S], [0, Id]] with S[r][c] = r + c + 1."""
+    scalars = {"real": (zeta_pow(d, 1) + zeta_pow(d, -1)).coeffs,
+               "ring": (1 - 2 * zeta_pow(d, 1)).coeffs}
+    n = g - 1
+    for name, fam in FAMILIES.items():
+        if fam.takes == "matrix":
+            rows = [[int(r == c) for c in range(2 * n)] for r in range(2 * n)]
+            for r in range(n):
+                for c in range(n):
+                    rows[r][n + c] = r + c + 1
+            yield GenSpec(name, matrix=tuple(tuple((x,) for x in row) for row in rows))
+            continue
+        for ix in generators._instances(fam.slots, d, g):
+            yield GenSpec(name, ix, scalars.get(fam.takes))
+    for i in range(1, g):
+        yield GenSpec("Ti", (-i,), scalars["real"])
+
+
+def test_catalogue_matrices_are_pinned():
+    # the digest was taken before every family became the entries of Id + N
+    texts = [matrix_of(spec, d, g).to_text()
+             for d, g in _PIN_CELLS for spec in _pinned_specs(d, g)]
+    assert len(texts) == 422
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "daeadb40f4377b31e457e9b9e36d88e5e2c8a94bcd0d26b2917561fb7301df67"
+
+
+def test_bad_index_messages_are_pinned():
+    # the corpus of test_constructors_and_words_share_one_index_rule: both
+    # routes share one checked entry point, so the texts are pinned here
+    d = 5
+    scalars = {"real": zeta_pow(d, 1) + zeta_pow(d, -1), "ring": 1 - 2 * zeta_pow(d, 1)}
+    lines = []
+    for g in (2, 3, 4):
+        for name, direct in _DIRECT.items():
+            fam = FAMILIES[name]
+            extra = (scalars[fam.takes],) if fam.takes else ()
+            for ix in product(range(-g, g + 1), repeat=len(fam.slots)):
+                out = _outcome(lambda: direct(g, d, *ix, *extra))
+                if isinstance(out, str):
+                    lines.append(f"{g} {name}{ix}: {out}")
+    assert len(lines) == 2946
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "94037b9e9f9be4808995ed6fdaa9a68d37e8eceefd2d9f6d4733b3cbf979a8d4"
+
+
 def test_random_lambda_word_draws_are_pinned():
     # the registry order and the draw order (name, i, k, [j], [scalar],
     # exponent) fix the words a seed gives; the digest was taken before the
