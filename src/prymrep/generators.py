@@ -3,27 +3,30 @@ elementary transvections, the diagonal map T, the conjugators A_H and A_H',
 their conjugates T_H and T_H', lifted-twist transvections, deck scalars, and
 the embedding of integer upper-block symplectic matrices.
 
-The transvection-type maps x -> x + c<x, v>u are built directly as rank
-updates Id + N, with N given by its entries (p, q, c); the product M(Id + N)
-adds c times column p of M into column q.  Since
-<x, e_i> = -sgn(i) x[pos(-i)], the map x -> x + c<x, e_i>e_j is the single
-entry (pos(j), pos(-i), -sgn(i) c) (_entry).  T_i, T_ij, G1, G2, G3 and the
-lifted twists TwistE, GammaIK and GammaIJK (vectors in the meridian span
-<e_1..e_(g-1)>) have only entries (pos(a), pos(-b)) with a and b from one
-set of indices of distinct absolute values, so the rows and the columns
+Every family is the function that gives the entries (p, q, c) of N in its
+matrix Id + N (Family.entries).  _entries checks the family's index rules
+and calls it, and _rank_update builds Id + N, whose product M(Id + N) adds
+c times column p of M into column q: matrix_of, the public constructors and
+wordlang.evaluate all take this one route.
+
+Since <x, e_i> = -sgn(i) x[pos(-i)], the map x -> x + c<x, e_i>e_j is the
+single entry (pos(j), pos(-i), -sgn(i) c) (_entry).  T_i, T_ij, G1, G2, G3
+and the lifted twists TwistE, GammaIK and GammaIJK (vectors in the meridian
+span <e_1..e_(g-1)>) have only entries (pos(a), pos(-b)) with a and b from
+one set of indices of distinct absolute values, so the rows and the columns
 that N occupies are disjoint: N^2 = 0, and (Id + N)^e = Id + eN for every
-integer e.  Their Family names these entries (nilpotent), and
-wordlang.evaluate applies them as column operations.  The generic
-transvection of any v takes N = +-v w^T, where w is the form row of v:
-<x, v> = w . x with w[i] = conj(v[n+i]) and w[n+i] = -conj(v[i]),
-n = g - 1 (_form_row, which agrees with form_eval); there N^2 = +-<v, v> N,
-which need not vanish.  T, T_H and T_H' multiply a hyperbolic plane
-H = <f1, f2> by zeta and fix its form complement, so they are the rank
-updates Id + (zeta - 1)P of the form projection P onto H (_zeta_on_plane).
-The remaining maps are assembled column by column from their images of the
-basis vectors.  With this convention the forward
-twist transvection x -> x + <x, v>v has upper-right block -vv* for v in the
-meridian span, and its inverse has +vv*.
+integer e.  Their Family is marked nilpotent, and wordlang.evaluate applies
+their entries as column operations.  The generic transvection of any v takes
+N = +-v w^T, where w is the form row of v: <x, v> = w . x with
+w[i] = conj(v[n+i]) and w[n+i] = -conj(v[i]), n = g - 1 (_form_row, which
+agrees with form_eval); there N^2 = +-<v, v> N, which need not vanish.
+T, T_H and T_H' multiply a hyperbolic plane H = <f1, f2> by zeta and fix
+its form complement, so N = (zeta - 1)P for the form projection P onto H
+(_zeta_on_plane).  Column k of N is the image of e_k less e_k under A_H
+and A_H' (_image_entries), the diagonal of the deck scalar zeta^k Id is
+zeta^k - 1, and an UrSp literal admitted by embed_ursp is itself less Id.
+With this convention the forward twist transvection x -> x + <x, v>v has
+upper-right block -vv* for v in the meridian span, and its inverse has +vv*.
 
 The twist generators G1, G2 and G3 of Delta are single elementary
 transvections T_i and T_ij; their equal products of lifted twists (see
@@ -32,28 +35,12 @@ delta_g2 and delta_g3) are the tests' independent oracle.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .cyclotomic import CycInt, one, zero, zeta_pow
 from .predicates import GroupTag, is_member
-from .ringlinalg import (
-    BlockMat,
-    RingMatrix,
-    basis_position,
-    basis_vector,
-    signed_indices,
-)
-
-
-def _check_index(g, i):
-    if i == 0 or abs(i) > g - 1:
-        raise ValueError(f"index {i} out of range for genus {g}")
-
-
-def _from_images(d, g, images):
-    """BlockMat whose column for basis vector e_i is images[i]."""
-    cols = [images[i] for i in signed_indices(g)]
-    return BlockMat(RingMatrix.from_columns(d, cols), g)
+from .ringlinalg import BlockMat, RingMatrix, basis_position
 
 
 def _form_row(g, v):
@@ -84,16 +71,7 @@ def _twist_entries(g, v):
     return tuple(_entry(g, a * b.conj(), i, j) for i, b in v for j, a in v)
 
 
-def _vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def _vec_scale(c, v):
-    return [a if a.is_zero() else c * a for a in v]
-
-
 def _ti_entries(g, d, i, rprime):
-    _check_index(g, i)
     if not isinstance(rprime, CycInt):
         rprime = CycInt.from_int(d, rprime)
     if not rprime.is_real():
@@ -102,26 +80,20 @@ def _ti_entries(g, d, i, rprime):
 
 
 def _tij_entries(g, d, i, j, r):
-    _check_index(g, i)
-    _check_index(g, j)
     if not isinstance(r, CycInt):
         r = CycInt.from_int(d, r)
     return (_entry(g, r, i, j), _entry(g, r.conj(), j, i))
 
 
 def _twist_e_entries(g, d, i):
-    _check_index(g, i)
     return _twist_entries(g, ((i, one(d)),))
 
 
 def _gamma_ik_entries(g, d, i, k):
-    _check_index(g, i)
     return _twist_entries(g, ((i, one(d) - zeta_pow(d, k)),))
 
 
 def _gamma_ijk_entries(g, d, i, j, k):
-    _check_index(g, i)
-    _check_index(g, j)
     return _twist_entries(g, ((i, one(d)), (j, -zeta_pow(d, k))))
 
 
@@ -137,27 +109,9 @@ def _g3_entries(g, d, i, j, k):
     return _tij_entries(g, d, i, j, -zeta_pow(d, k))
 
 
-def _column_op(name, g, d, *args):
-    """The matrix Id + N of a column-op family, N given by the entry function
-    of its row, after the family's index rules."""
-    fam = FAMILIES[name]
-    _check_slots(name, args[:len(fam.slots)])
-    return _rank_update(d, g, fam.nilpotent(g, d, *args))
-
-
-def elem_Ti(g: int, d: int, i: int, rprime: CycInt) -> BlockMat:
-    """T_i(r'): x -> x + r' <x, e_i> e_i, for real r'."""
-    return _column_op("Ti", g, d, i, rprime)
-
-
-def elem_Tij(g: int, d: int, i: int, j: int, r: CycInt) -> BlockMat:
-    """T_{i,j}(r): x -> x + r <x, e_i> e_j + conj(r) <x, e_j> e_i."""
-    return _column_op("Tij", g, d, i, j, r)
-
-
 def _zeta_on_plane(g, d, i, j=None):
     """Multiplication by zeta on the plane H = <f1, f2>, f1 = e_i and
-    f2 = e_-i (+ e_j), identity on its form complement: Id + (zeta - 1)P.
+    f2 = e_-i (+ e_j), identity on its form complement: N = (zeta - 1)P.
 
     <f1, f2> = 1 and f1, f2 are isotropic (|i| != |j|), so the form
     projection onto H is P(x) = <x, f2> f1 - <x, f1> f2.
@@ -166,29 +120,80 @@ def _zeta_on_plane(g, d, i, j=None):
     entries = [_entry(g, c, -i, i), _entry(g, -c, i, -i)]
     if j is not None:
         entries += [_entry(g, c, j, i), _entry(g, -c, i, j)]
-    return _rank_update(d, g, entries)
+    return entries
 
 
-def big_T(g: int, d: int) -> BlockMat:
-    """Multiplication by zeta on <e_1, e_-1>, identity elsewhere."""
+def _t_entries(g, d):
     if g < 2:
         raise ValueError("genus must be >= 2")
     return _zeta_on_plane(g, d, 1)
 
 
+def _swap(i):
+    """The swap S of <e_1, e_-1> with <e_i, e_-i>, as {k: l} with
+    S(e_k) = e_l over the basis vectors that S moves."""
+    return {1: i, -1: -i, i: 1, -i: -1} if i != 1 else {}
+
+
+def _image_entries(g, d, images):
+    """The entries of M - Id for the M that sends e_k to the sum of c e_l
+    over the pairs (c, l) of images[k] and fixes the other basis vectors."""
+    entries = []
+    for k, image in images.items():
+        q = basis_position(g, k)
+        entries.append((q, q, -one(d)))
+        entries += [(basis_position(g, l), q, CycInt.from_int(d, c)) for c, l in image]
+    return entries
+
+
+def _ah_entries(g, d, i):
+    return _image_entries(g, d, {k: ((1, l),) for k, l in _swap(i).items()})
+
+
+def _ahprime_entries(g, d, i, j):
+    s = _swap(i)
+    images = {k: ((1, l),) for k, l in s.items()}
+    images[-i] = ((1, -1), (-1, s.get(j, j)))
+    images[-j] = ((1, s.get(-j, -j)), (-1 if j > 0 else 1, 1))
+    return _image_entries(g, d, images)
+
+
+def _zeta_entries(g, d, k):
+    c = zeta_pow(d, k) - one(d)
+    return [(p, p, c) for p in range(2 * (g - 1))]
+
+
+def _ursp_entries(g, d, polys):
+    """The UrSp literal of a grid of integer polynomials, checked by
+    embed_ursp, less Id."""
+    n = 2 * (g - 1)
+    if len(polys) != n or any(len(r) != n for r in polys):
+        raise ValueError(f"UrSp literal must be {n}x{n} for genus {g}")
+    mat = RingMatrix(d, [[CycInt.from_poly(d, p) for p in row] for row in polys])
+    o = one(d)
+    return [(p, q, c - o if p == q else c)
+            for p, row in enumerate(embed_ursp(BlockMat(mat, g)).mat.entries)
+            for q, c in enumerate(row)]
+
+
+def elem_Ti(g: int, d: int, i: int, rprime: CycInt) -> BlockMat:
+    """T_i(r'): x -> x + r' <x, e_i> e_i, for real r'."""
+    return _build("Ti", g, d, i, rprime)
+
+
+def elem_Tij(g: int, d: int, i: int, j: int, r: CycInt) -> BlockMat:
+    """T_{i,j}(r): x -> x + r <x, e_i> e_j + conj(r) <x, e_j> e_i."""
+    return _build("Tij", g, d, i, j, r)
+
+
+def big_T(g: int, d: int) -> BlockMat:
+    """Multiplication by zeta on <e_1, e_-1>, identity elsewhere."""
+    return _build("T", g, d)
+
+
 def conj_AH(g: int, d: int, i: int) -> BlockMat:
     """The swap of <e_i, e_-i> with <e_1, e_-1>; integer symplectic."""
-    _check_slots("AH", (i,))
-    _check_index(g, i)
-    images = {}
-    for k in signed_indices(g):
-        if abs(k) == i:
-            images[k] = basis_vector(d, g, (1 if k > 0 else -1))
-        elif abs(k) == 1:
-            images[k] = basis_vector(d, g, (i if k > 0 else -i))
-        else:
-            images[k] = basis_vector(d, g, k)
-    return _from_images(d, g, images)
+    return _build("AH", g, d, i)
 
 
 def conj_AHPrime(g: int, d: int, i: int, j: int) -> BlockMat:
@@ -201,41 +206,18 @@ def conj_AHPrime(g: int, d: int, i: int, j: int) -> BlockMat:
     classical case formulas; for negative j the sign flip is what keeps the
     map symplectic.
     """
-    _check_slots("AHPrime", (i, j))
-    _check_index(g, i)
-    _check_index(g, j)
-
-    def swap(k):
-        if abs(k) == 1:
-            return i if k > 0 else -i
-        if abs(k) == i:
-            return 1 if k > 0 else -1
-        return k
-
-    def e(k):
-        return basis_vector(d, g, k)
-
-    images = {k: e(swap(k)) for k in signed_indices(g)}
-    images[-i] = _vec_add(e(-1), _vec_scale(-one(d), e(swap(j))))
-    sgn = one(d) if j > 0 else -one(d)
-    images[-j] = _vec_add(e(swap(-j)), _vec_scale(-sgn, e(1)))
-    return _from_images(d, g, images)
+    return _build("AHPrime", g, d, i, j)
 
 
 def TH(g: int, d: int, i: int) -> BlockMat:
     """T_H = A_H^-1 T A_H: multiplication by zeta on <e_i, e_-i>."""
-    _check_slots("TH", (i,))
-    _check_index(g, i)
-    return _zeta_on_plane(g, d, i)
+    return _build("TH", g, d, i)
 
 
 def THPrime(g: int, d: int, i: int, j: int) -> BlockMat:
     """T_H' = A_H'^-1 T A_H': multiplication by zeta on <e_i, e_-i + e_j>
     (A_H' is symplectic and carries this plane to <e_1, e_-1>)."""
-    _check_slots("THPrime", (i, j))
-    _check_index(g, i)
-    _check_index(g, j)
-    return _zeta_on_plane(g, d, i, j)
+    return _build("THPrime", g, d, i, j)
 
 
 def transvection(g: int, d: int, v, direction: int = 1) -> BlockMat:
@@ -271,42 +253,42 @@ def twist_transvection(g: int, d: int, v, direction: int = 1) -> BlockMat:
 
 def twist_E(g: int, d: int, i: int) -> BlockMat:
     """The lifted twist about the i-th meridian: v = e_i."""
-    return _column_op("TwistE", g, d, i)
+    return _build("TwistE", g, d, i)
 
 
 def gamma_ik(g: int, d: int, i: int, k: int) -> BlockMat:
     """The lifted twist with homology class (1 - zeta^k) e_i."""
-    return _column_op("GammaIK", g, d, i, k)
+    return _build("GammaIK", g, d, i, k)
 
 
 def gamma_ijk(g: int, d: int, i: int, j: int, k: int) -> BlockMat:
     """The lifted twist with homology class e_i - zeta^k e_j."""
-    return _column_op("GammaIJK", g, d, i, j, k)
+    return _build("GammaIJK", g, d, i, j, k)
 
 
 def delta_g1(g: int, d: int, i: int) -> BlockMat:
     """G1(i) = T_i(-1), the inverse twist about the i-th meridian;
     upper-right block E_ii."""
-    return _column_op("G1", g, d, i)
+    return _build("G1", g, d, i)
 
 
 def delta_g2(g: int, d: int, i: int, k: int) -> BlockMat:
     """G2(i, k) = T_i(-(zeta^k + zeta^-k)); upper-right block
     (zeta^k + zeta^-k) E_ii.  Equal to gamma_ik * G1(i)^2, the lift of
     T_gamma(i,k) composed with two inverse twists about E_i."""
-    return _column_op("G2", g, d, i, k)
+    return _build("G2", g, d, i, k)
 
 
 def delta_g3(g: int, d: int, i: int, j: int, k: int) -> BlockMat:
     """G3(i, j, k) = T_{i,j}(-zeta^k); upper-right block
     zeta^k E_ji + zeta^-k E_ij.  Equal to gamma_ijk * G1(i) * G1(j), the
     lift of T_gamma(i,j,k) composed with inverse twists about E_i and E_j."""
-    return _column_op("G3", g, d, i, j, k)
+    return _build("G3", g, d, i, j, k)
 
 
 def scalar_zeta(g: int, d: int, k: int) -> BlockMat:
     """The deck scalar zeta^k Id."""
-    return BlockMat(RingMatrix.identity(d, 2 * (g - 1)) * zeta_pow(d, k), g)
+    return _build("Zeta", g, d, k)
 
 
 def embed_ursp(m: BlockMat) -> BlockMat:
@@ -315,15 +297,6 @@ def embed_ursp(m: BlockMat) -> BlockMat:
     if not v:
         raise ValueError(f"matrix is not in urSp_2(g-1)(Z): {v.reason}")
     return m
-
-
-def _ursp_literal(g, d, polys):
-    """The UrSp matrix of a grid of integer polynomials, checked by embed_ursp."""
-    n = 2 * (g - 1)
-    if len(polys) != n or any(len(r) != n for r in polys):
-        raise ValueError(f"UrSp literal must be {n}x{n} for genus {g}")
-    mat = RingMatrix(d, [[CycInt.from_poly(d, p) for p in row] for row in polys])
-    return embed_ursp(BlockMat(mat, g))
 
 
 # ---------------------------------------------------------------------------
@@ -343,44 +316,42 @@ class Family:
     "ring" any ring scalar, "matrix" an UrSp matrix literal.
     group: the image group, Lambda or Delta, that the instances with a
     positive first index lie in (the sweeps check the chain above it).
-    build: the name of the family's constructor in this module.
-    nilpotent: None, or the entry function of a family of transvections
-    Id + N with N^2 = 0, which returns the entries (p, q, c) of N; the
-    constructor is then the rank update of those entries, and
-    wordlang.evaluate applies them as column operations instead.
-
-    The constructor and the entry function take (g, d, *indices), then the
+    entries: the family's entry function, which returns the entries
+    (p, q, c) of N in its matrix Id + N; it takes (g, d, *indices), then the
     ring scalar as a CycInt or the matrix literal as a grid of integer
-    polynomials (GenSpec._args).  Both check |i| <= g - 1 and the rules that
-    need (d, g); the constructor also checks the slots.
+    polynomials (GenSpec._args), and is called only through _entries.
+    nilpotent: set for the eight transvection families whose N has disjoint
+    row and column sets on every instance, so that N^2 = 0 and
+    (Id + N)^e = Id + eN; wordlang.evaluate applies their entries as column
+    operations, whatever the exponent.  It is stated, not read off the
+    entries: AH(1) has none and Zeta(0) only zeros, yet neither family is a
+    column operation on every instance.
     """
 
     slots: str
     takes: str
     group: GroupTag
-    build: str
-    nilpotent: object = None
+    entries: object
+    nilpotent: bool = False
 
 
-# matrix_of looks the constructor up in the module globals at each call, so
-# code that rebinds those names (a tracer, a test double) sees every build.
 # The order is the order of the random word draws in sweeps.
 FAMILIES = {
-    "T": Family("", "", GroupTag.Lambda, "big_T"),
-    "Zeta": Family("k", "", GroupTag.Delta, "scalar_zeta"),
-    "Ti": Family("s", "real", GroupTag.Lambda, "elem_Ti", _ti_entries),
-    "AH": Family("p", "", GroupTag.Lambda, "conj_AH"),
-    "TH": Family("p", "", GroupTag.Lambda, "TH"),
-    "TwistE": Family("p", "", GroupTag.Lambda, "twist_E", _twist_e_entries),
-    "GammaIK": Family("pk", "", GroupTag.Lambda, "gamma_ik", _gamma_ik_entries),
-    "G1": Family("p", "", GroupTag.Delta, "delta_g1", _g1_entries),
-    "G2": Family("pk", "", GroupTag.Delta, "delta_g2", _g2_entries),
-    "Tij": Family("ss", "ring", GroupTag.Lambda, "elem_Tij", _tij_entries),
-    "AHPrime": Family("ps", "", GroupTag.Lambda, "conj_AHPrime"),
-    "THPrime": Family("ps", "", GroupTag.Lambda, "THPrime"),
-    "GammaIJK": Family("ppk", "", GroupTag.Lambda, "gamma_ijk", _gamma_ijk_entries),
-    "G3": Family("ppk", "", GroupTag.Delta, "delta_g3", _g3_entries),
-    "UrSp": Family("", "matrix", GroupTag.Lambda, "_ursp_literal"),
+    "T": Family("", "", GroupTag.Lambda, _t_entries),
+    "Zeta": Family("k", "", GroupTag.Delta, _zeta_entries),
+    "Ti": Family("s", "real", GroupTag.Lambda, _ti_entries, True),
+    "AH": Family("p", "", GroupTag.Lambda, _ah_entries),
+    "TH": Family("p", "", GroupTag.Lambda, _zeta_on_plane),
+    "TwistE": Family("p", "", GroupTag.Lambda, _twist_e_entries, True),
+    "GammaIK": Family("pk", "", GroupTag.Lambda, _gamma_ik_entries, True),
+    "G1": Family("p", "", GroupTag.Delta, _g1_entries, True),
+    "G2": Family("pk", "", GroupTag.Delta, _g2_entries, True),
+    "Tij": Family("ss", "ring", GroupTag.Lambda, _tij_entries, True),
+    "AHPrime": Family("ps", "", GroupTag.Lambda, _ahprime_entries),
+    "THPrime": Family("ps", "", GroupTag.Lambda, _zeta_on_plane),
+    "GammaIJK": Family("ppk", "", GroupTag.Lambda, _gamma_ijk_entries, True),
+    "G3": Family("ppk", "", GroupTag.Delta, _g3_entries, True),
+    "UrSp": Family("", "matrix", GroupTag.Lambda, _ursp_entries),
 }
 
 
@@ -396,6 +367,23 @@ def _check_slots(name, indices):
     free = [abs(i) for slot, i in zip(slots, indices) if slot != "k"]
     if len(set(free)) < len(free):
         raise ValueError(f"{name} requires |i| != |j|")
+
+
+def _entries(name, g, d, *args):
+    """The entries of N in the matrix Id + N of family `name`, args as for
+    its entry function: the slot rule, then the range rule |i| <= g - 1 for
+    every index but a zeta exponent, then the entry function."""
+    fam = FAMILIES[name]
+    _check_slots(name, args[:len(fam.slots)])
+    for slot, i in zip(fam.slots, args):
+        if slot != "k" and abs(i) > g - 1:
+            raise ValueError(f"index {i} out of range for genus {g}")
+    return fam.entries(g, d, *args)
+
+
+def _build(name, g, d, *args):
+    """The matrix Id + N of family `name`: the rank update of _entries."""
+    return _rank_update(d, g, _entries(name, g, d, *args))
 
 
 def _slot_values(slot, d, g, i=None):
@@ -430,8 +418,16 @@ def _random_instance(rng, slots, d, g):
     return tuple(k if s == "k" else next(ij) for s in slots)
 
 
+def _ints(values, what):
+    """values as a tuple of ints; anything else is refused, not truncated."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers") from None
+
+
 def _canon(poly):
-    poly = tuple(map(int, poly))
+    poly = _ints(poly, "polynomial coefficients")
     n = len(poly)
     while n > 1 and poly[n - 1] == 0:
         n -= 1
@@ -456,7 +452,7 @@ class GenSpec:
         fam = FAMILIES.get(self.name)
         if fam is None:
             raise ValueError(f"unknown generator name {self.name!r}")
-        name, idx = self.name, tuple(int(i) for i in self.indices)
+        name, idx = self.name, _ints(self.indices, f"{self.name} indices")
         object.__setattr__(self, "indices", idx)
         if len(idx) != len(fam.slots):
             raise ValueError(
@@ -477,8 +473,8 @@ class GenSpec:
         _check_slots(name, idx)
 
     def _args(self, d):
-        """The arguments after (g, d) of the family's constructor and entry
-        function at modulus d."""
+        """The arguments after (g, d) of the family's entry function at
+        modulus d."""
         if self.scalar is not None:
             return self.indices + (CycInt.from_poly(d, self.scalar),)
         if self.matrix is not None:
@@ -488,4 +484,4 @@ class GenSpec:
 
 def matrix_of(spec: GenSpec, d: int, g: int) -> BlockMat:
     """Evaluate a generator spec to its matrix for the ambient (d, g)."""
-    return globals()[FAMILIES[spec.name].build](g, d, *spec._args(d))
+    return _build(spec.name, g, d, *spec._args(d))

@@ -21,11 +21,12 @@ simplification is performed.
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .cyclotomic import (_PRINT_BOUND, MAX_PRINT_DIGITS, ParseError, _Scanner,
                          parse_ring_literal, render_poly)
-from .generators import FAMILIES, GenSpec, matrix_of
+from .generators import FAMILIES, GenSpec, _entries, matrix_of
 from .ringlinalg import BlockMat, RingMatrix, parse_matrix_poly
 
 # Largest |e| of a factor raised by binary powering: the entries of a
@@ -46,7 +47,10 @@ class Word:
         for spec, e in factors:
             if not isinstance(spec, GenSpec):
                 raise ValueError("word factors must be (GenSpec, int) pairs")
-            e = int(e)
+            try:
+                e = operator.index(e)
+            except TypeError:
+                raise ValueError("word factors must be (GenSpec, int) pairs") from None
             if e != 0:
                 cleaned.append((spec, e))
         self.factors = tuple(cleaned)
@@ -98,14 +102,13 @@ class Word:
 def evaluate(word: Word, d: int, g: int) -> BlockMat:
     """The left-to-right product of the factors raised to their exponents.
 
-    The product is kept as mutable rows.  A factor of a column-op family is
-    Id + N with N^2 = 0, so its power is Id + eN for every integer e; the
-    family's entry function (Family.nilpotent), called with the arguments of
-    its constructor, gives the entries (p, q, c) of N, multiplying by the
-    factor adds e*c times column p into column q for each of them, and it
-    never becomes a matrix.  The spec's index rules were checked when it was
-    made, and the entry function checks the rest.  Any other factor is built
-    by matrix_of, inverted for a negative exponent by the
+    Every factor is Id + N for the entries (p, q, c) of N that the family
+    gives through generators._entries, the one checked entry point that
+    matrix_of also builds from.  The product is kept as mutable rows.  A
+    factor of a family marked nilpotent has N^2 = 0, so its power is
+    Id + eN for every integer e: multiplying by it adds e*c times column p
+    into column q for each entry, and it never becomes a matrix.  Any other
+    factor is built by matrix_of, inverted for a negative exponent by the
     division-free BlockMat.form_inverse, -Omega M* Omega (every generator
     lies in U: UrSp literals are checked on entry, the other families by
     construction), raised by binary powering and joined by one product; the
@@ -115,9 +118,8 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
     """
     rows = None  # None stands for Id
     for spec, e in word.factors:
-        nilpotent = FAMILIES[spec.name].nilpotent
-        if nilpotent is not None:
-            entries = nilpotent(g, d, *spec._args(d))
+        if FAMILIES[spec.name].nilpotent:
+            entries = _entries(spec.name, g, d, *spec._args(d))
             if rows is None:
                 rows = [list(row) for row in BlockMat.identity(d, g).mat.entries]
             for p, q, c in entries:

@@ -445,39 +445,35 @@ def test_rank_update_builders_match_form_eval():
 
 def _registry_cases(d, g):
     """One instance of every family, in table order, at a genus g >= 3:
-    (spec, the public constructor its builder calls, the direct call)."""
+    (spec, the direct call of its public constructor)."""
     r = zeta_pow(d, 1) + zeta_pow(d, -1)
     c = 1 - 2 * zeta_pow(d, 1)
     lit = parse_matrix("1, 0, 2, 1 ; 0, 1, 1, 0 ; 0, 0, 1, 0 ; 0, 0, 0, 1", d)
     polys = tuple(tuple(e.coeffs for e in row) for row in lit.entries)
     return [
-        (GenSpec("T"), "big_T", lambda: big_T(g, d)),
-        (GenSpec("Zeta", (3,)), "scalar_zeta", lambda: scalar_zeta(g, d, 3)),
-        (GenSpec("Ti", (1,), r.coeffs), "elem_Ti", lambda: elem_Ti(g, d, 1, r)),
-        (GenSpec("AH", (2,)), "conj_AH", lambda: conj_AH(g, d, 2)),
-        (GenSpec("TH", (2,)), "TH", lambda: TH(g, d, 2)),
-        (GenSpec("TwistE", (1,)), "twist_E", lambda: twist_E(g, d, 1)),
-        (GenSpec("GammaIK", (2, 3)), "gamma_ik", lambda: gamma_ik(g, d, 2, 3)),
-        (GenSpec("G1", (2,)), "delta_g1", lambda: delta_g1(g, d, 2)),
-        (GenSpec("G2", (1, 4)), "delta_g2", lambda: delta_g2(g, d, 1, 4)),
-        (GenSpec("Tij", (1, -2), c.coeffs), "elem_Tij",
-         lambda: elem_Tij(g, d, 1, -2, c)),
-        (GenSpec("AHPrime", (2, -1)), "conj_AHPrime",
-         lambda: conj_AHPrime(g, d, 2, -1)),
-        (GenSpec("THPrime", (1, 2)), "THPrime", lambda: THPrime(g, d, 1, 2)),
-        (GenSpec("GammaIJK", (1, 2, 3)), "gamma_ijk",
-         lambda: gamma_ijk(g, d, 1, 2, 3)),
-        (GenSpec("G3", (2, 1, 4)), "delta_g3", lambda: delta_g3(g, d, 2, 1, 4)),
-        (GenSpec("UrSp", matrix=polys), "embed_ursp",
-         lambda: embed_ursp(BlockMat(lit, g))),
+        (GenSpec("T"), lambda: big_T(g, d)),
+        (GenSpec("Zeta", (3,)), lambda: scalar_zeta(g, d, 3)),
+        (GenSpec("Ti", (1,), r.coeffs), lambda: elem_Ti(g, d, 1, r)),
+        (GenSpec("AH", (2,)), lambda: conj_AH(g, d, 2)),
+        (GenSpec("TH", (2,)), lambda: TH(g, d, 2)),
+        (GenSpec("TwistE", (1,)), lambda: twist_E(g, d, 1)),
+        (GenSpec("GammaIK", (2, 3)), lambda: gamma_ik(g, d, 2, 3)),
+        (GenSpec("G1", (2,)), lambda: delta_g1(g, d, 2)),
+        (GenSpec("G2", (1, 4)), lambda: delta_g2(g, d, 1, 4)),
+        (GenSpec("Tij", (1, -2), c.coeffs), lambda: elem_Tij(g, d, 1, -2, c)),
+        (GenSpec("AHPrime", (2, -1)), lambda: conj_AHPrime(g, d, 2, -1)),
+        (GenSpec("THPrime", (1, 2)), lambda: THPrime(g, d, 1, 2)),
+        (GenSpec("GammaIJK", (1, 2, 3)), lambda: gamma_ijk(g, d, 1, 2, 3)),
+        (GenSpec("G3", (2, 1, 4)), lambda: delta_g3(g, d, 2, 1, 4)),
+        (GenSpec("UrSp", matrix=polys), lambda: embed_ursp(BlockMat(lit, g))),
     ]
 
 
 def test_registry_drives_parse_render_and_build():
     d, g = 5, 3
     cases = _registry_cases(d, g)
-    assert [spec.name for spec, _, _ in cases] == list(FAMILIES)
-    for spec, _, direct in cases:
+    assert [spec.name for spec, _ in cases] == list(FAMILIES)
+    for spec, direct in cases:
         word = Word(((spec, 1),))
         assert parse(word.render()) == word, spec
         m = matrix_of(spec, d, g)
@@ -486,15 +482,22 @@ def test_registry_drives_parse_render_and_build():
     assert Word(((GenSpec("T"), 2),)).render() == "T^2"
 
 
-def test_registry_builders_call_through_module_globals(monkeypatch):
-    # a builder must look its constructor up in the module at call time, so
-    # that rebinding the public name (a tracer, a test double) sees the build
-    for spec, ctor, _ in _registry_cases(5, 3):
-        marker = object()
-        monkeypatch.setattr(generators, ctor, lambda *args, marker=marker: marker)
-        assert matrix_of(spec, 5, 3) is marker, (spec, ctor)
-        monkeypatch.undo()
-    assert matrix_of(GenSpec("T"), 5, 3) == big_T(3, 5)
+_NILPOTENT = {"Ti", "Tij", "TwistE", "GammaIK", "GammaIJK", "G1", "G2", "G3"}
+
+
+def test_nilpotent_marks_the_families_with_disjoint_support():
+    # the marker is stated, not derived: N has disjoint row and column sets
+    # (so N^2 = 0) on every instance of a marked family, and every other
+    # family but UrSp has an instance where they overlap
+    assert {nm for nm, fam in FAMILIES.items() if fam.nilpotent} == _NILPOTENT
+    overlap = set()
+    for d, g in _PIN_CELLS:
+        for spec in _pinned_specs(d, g):
+            entries = generators._entries(spec.name, g, d, *spec._args(d))
+            if {p for p, _, _ in entries} & {q for _, q, _ in entries}:
+                assert spec.name not in _NILPOTENT, (d, g, spec)
+                overlap.add(spec.name)
+    assert overlap - {"UrSp"} == set(FAMILIES) - _NILPOTENT - {"UrSp"}
 
 
 # the public constructor of every family that takes indices

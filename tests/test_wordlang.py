@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prymrep.cyclotomic import MAX_DIGITS, CycInt, ParseError
-from prymrep.generators import FAMILIES, GenSpec, TH, delta_g3, matrix_of
+from prymrep.generators import FAMILIES, GenSpec, TH, _entries, delta_g3, matrix_of
 from prymrep.ringlinalg import BlockMat
 from prymrep.sweeps import random_lambda_word
 from prymrep.wordlang import MAX_POWER, Word, evaluate, parse
@@ -239,11 +239,24 @@ def test_column_ops_equal_the_dense_product(case):
     d, g, word = case
     assert evaluate(word, d, g) == _dense_product(word, d, g), (d, g, word)
     for spec, _ in word.factors:
-        nilpotent = FAMILIES[spec.name].nilpotent
-        if nilpotent is not None:
+        if FAMILIES[spec.name].nilpotent:
             # rows and columns of N disjoint: N^2 = 0, so (Id + N)^e = Id + eN
-            entries = nilpotent(g, d, *spec._args(d))
+            entries = _entries(spec.name, g, d, *spec._args(d))
             assert not {p for p, _, _ in entries} & {q for _, q, _ in entries}, spec
+
+
+@pytest.mark.parametrize("bad", [1.9, 0.4, 1.0, "1", None])
+def test_non_integral_arguments_are_refused(bad):
+    # refused with a message, never truncated by int(): G1(1.9) is not G1(1)
+    # and an exponent 0.4 does not drop its factor
+    with pytest.raises(ValueError, match="^G1 indices must be integers$"):
+        GenSpec("G1", (bad,))
+    with pytest.raises(ValueError, match="^polynomial coefficients must be integers$"):
+        GenSpec("Ti", (1,), (2, bad))
+    with pytest.raises(ValueError, match="^polynomial coefficients must be integers$"):
+        GenSpec("UrSp", matrix=(((1,), (bad,)), ((0,), (1,))))
+    with pytest.raises(ValueError, match=r"^word factors must be \(GenSpec, int\) pairs$"):
+        Word(((GenSpec("G1", (1,)), bad),))
 
 
 def test_matrix_of_matches_evaluate():
