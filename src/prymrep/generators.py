@@ -358,13 +358,14 @@ FAMILIES = {
 def _check_slots(name, indices):
     """The index rules of family `name` that need no (d, g), with one message
     each whether the indices come from a word or a direct call."""
-    slots = FAMILIES[name].slots
-    for slot, i in zip(slots, indices):
+    free = []
+    for slot, i in zip(FAMILIES[name].slots, indices):
         if slot == "s" and i == 0:
             raise ValueError(f"{name} index must be nonzero")
         if slot == "p" and i <= 0:
             raise ValueError(f"{name} requires a positive index")
-    free = [abs(i) for slot, i in zip(slots, indices) if slot != "k"]
+        if slot != "k":
+            free.append(abs(i))
     if len(set(free)) < len(free):
         raise ValueError(f"{name} requires |i| != |j|")
 
