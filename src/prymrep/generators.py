@@ -129,10 +129,10 @@ def _t_entries(g, d):
     return _zeta_on_plane(g, d, 1)
 
 
-def _swap(i):
-    """The swap S of <e_1, e_-1> with <e_i, e_-i>, as {k: l} with
-    S(e_k) = e_l over the basis vectors that S moves."""
-    return {1: i, -1: -i, i: 1, -i: -1} if i != 1 else {}
+def _swap_images(i):
+    """The images of the basis vectors that the swap S of <e_1, e_-1> with
+    <e_i, e_-i> moves, as _image_entries takes them."""
+    return {1: ((1, i),), -1: ((1, -i),), i: ((1, 1),), -i: ((1, -1),)} if i != 1 else {}
 
 
 def _image_entries(g, d, images):
@@ -147,14 +147,14 @@ def _image_entries(g, d, images):
 
 
 def _ah_entries(g, d, i):
-    return _image_entries(g, d, {k: ((1, l),) for k, l in _swap(i).items()})
+    return _image_entries(g, d, _swap_images(i))
 
 
 def _ahprime_entries(g, d, i, j):
-    s = _swap(i)
-    images = {k: ((1, l),) for k, l in s.items()}
-    images[-i] = ((1, -1), (-1, s.get(j, j)))
-    images[-j] = ((1, s.get(-j, -j)), (-1 if j > 0 else 1, 1))
+    sj = i * j if abs(j) == 1 else j  # S(e_j) = e_sj and S(e_-j) = e_-sj
+    images = _swap_images(i)
+    images[-i] = ((1, -1), (-1, sj))
+    images[-j] = ((1, -sj), (-1 if j > 0 else 1, 1))
     return _image_entries(g, d, images)
 
 

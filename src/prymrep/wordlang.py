@@ -21,12 +21,11 @@ simplification is performed.
 
 from __future__ import annotations
 
-import operator
 import re
 
 from .cyclotomic import (_PRINT_BOUND, MAX_PRINT_DIGITS, ParseError, _Scanner,
                          parse_ring_literal, render_poly)
-from .generators import FAMILIES, GenSpec, _entries, matrix_of
+from .generators import FAMILIES, GenSpec, _entries, _ints, matrix_of
 from .ringlinalg import BlockMat, RingMatrix, parse_matrix_poly
 
 # Largest |e| of a factor raised by binary powering: the entries of a
@@ -47,10 +46,7 @@ class Word:
         for spec, e in factors:
             if not isinstance(spec, GenSpec):
                 raise ValueError("word factors must be (GenSpec, int) pairs")
-            try:
-                e = operator.index(e)
-            except TypeError:
-                raise ValueError("word factors must be (GenSpec, int) pairs") from None
+            e = _ints((e,), "word exponents")[0]
             if e != 0:
                 cleaned.append((spec, e))
         self.factors = tuple(cleaned)

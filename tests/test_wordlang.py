@@ -255,7 +255,7 @@ def test_non_integral_arguments_are_refused(bad):
         GenSpec("Ti", (1,), (2, bad))
     with pytest.raises(ValueError, match="^polynomial coefficients must be integers$"):
         GenSpec("UrSp", matrix=(((1,), (bad,)), ((0,), (1,))))
-    with pytest.raises(ValueError, match=r"^word factors must be \(GenSpec, int\) pairs$"):
+    with pytest.raises(ValueError, match="^word exponents must be integers$"):
         Word(((GenSpec("G1", (1,)), bad),))
 
 
