@@ -274,6 +274,60 @@ def test_norm_matches_resultant():
             assert divide_exact(norm, b) * b == norm
 
 
+ORACLE_DS = (2, 3, 4, 5, 7, 8, 9, 12, 15)
+
+
+@st.composite
+def oracle_cases(draw):
+    """(d, a, b, (s, k)): two coefficient lists of length phi(d), b nonzero,
+    and a sign and exponent for a unit s*zeta^k."""
+    d = draw(st.sampled_from(ORACLE_DS))
+    phi = euler_phi(d)
+    a = draw(st.lists(coeff_lists, min_size=phi, max_size=phi))
+    b = draw(st.lists(coeff_lists, min_size=phi, max_size=phi).filter(any))
+    return d, a, b, (draw(st.sampled_from((1, -1))), draw(st.integers(0, d - 1)))
+
+
+@given(oracle_cases())
+@settings(max_examples=150, deadline=None)
+def test_ring_layer_agrees_with_sympy(case):
+    """mul, add, conj, unit_exponent and divide_exact against polynomial
+    remainders mod Phi_d computed by sympy, which shares no code with the
+    ring layer."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    d, a, b, (s, k) = case
+    phi_d = sympy.Poly(sympy.cyclotomic_poly(d, x), x)
+
+    def poly(coeffs):
+        return sympy.Poly(list(reversed(coeffs)), x)
+
+    def reduced(p):
+        """The reduced coefficient tuple of p mod Phi_d, by sympy."""
+        coeffs = [int(c) for c in reversed(sympy.rem(p, phi_d).all_coeffs())]
+        return tuple(coeffs + [0] * (euler_phi(d) - len(coeffs)))
+
+    ca, cb = CycInt(d, a), CycInt(d, b)
+    pa, pb, pu = poly(a), poly(b), sympy.Poly(s * x ** k, x)
+    assert (ca * cb).coeffs == reduced(pa * pb)
+    assert (ca + cb).coeffs == reduced(pa + pb)
+    assert conj(ca).coeffs == reduced(pa.compose(sympy.Poly(x ** (d - 1), x)))
+    # divide_exact on a product, by a nonzero b and by a unit
+    unit = CycInt(d, reduced(pu))
+    assert divide_exact(CycInt(d, reduced(pa * pb)), cb) == ca
+    assert divide_exact(CycInt(d, reduced(pa * pu)), unit) == ca
+    # unit_exponent: the candidates (t, m) with t*x^m = a mod Phi_d; for even
+    # d it prefers the sign +1
+    powers = [reduced(sympy.Poly(x ** m, x)) for m in range(d)]
+    for elem, p in ((ca, pa), (cb, pb), (unit, pu)):
+        r = reduced(p)
+        found = {(t, m) for t in (1, -1) for m in range(d)
+                 if r == tuple(t * c for c in powers[m])}
+        ue = unit_exponent(elem)
+        assert (ue is None) == (not found), (d, elem)
+        assert ue is None or (ue in found and (ue[0] == 1 or (1, (ue[1] + d // 2) % d) not in found))
+
+
 def test_pow():
     z = zeta_pow(7, 1)
     assert z ** 7 == 1
