@@ -51,7 +51,6 @@ from .generators import (
     scalar_zeta,
     transvection,
     twist_E,
-    twist_transvection,
 )
 from .predicates import (
     GroupTag,
@@ -63,9 +62,6 @@ from .predicates import (
 from .ringlinalg import (
     BlockMat,
     RingMatrix,
-    basis_vector,
-    form_eval,
-    omega,
     parse_matrix,
     preserves_form,
 )

@@ -23,7 +23,7 @@ import re
 from functools import lru_cache
 from math import gcd
 
-MAX_D = 1000  # largest modulus; _power_table(997) holds about 2 * 10**6 ints
+MAX_D = 1000  # largest modulus; _power_table(997) and _units(997) hold about 3 * 10**6 ints
 MAX_EXPONENT = 10**5  # largest exponent of z in a ring literal
 MAX_DIGITS = 4000  # longest integer in text; below int()'s own limit of 4300
 MAX_PRINT_DIGITS = 4300  # longest integer rendered as text; int()'s own limit
@@ -161,6 +161,13 @@ def _power_table(d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _sparse_powers(d: int):
+    """zeta^m for m = 0 .. d-1 as its nonzero (index, coefficient) pairs."""
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c)
+                 for row in _power_table(d)[:d])
+
+
 def _reduce_poly(d, coeffs):
     """Reduce an integer polynomial (constant first, any degree) mod Phi_d."""
     phi = euler_phi(d)
@@ -169,23 +176,54 @@ def _reduce_poly(d, coeffs):
     for m in range(phi, len(coeffs)):
         c = coeffs[m]
         if c:
-            table = _power_table(d)
             # Phi_d divides x^d - 1, so x^m = x^(m mod d) in the quotient.
-            row = table[m] if m < len(table) else table[m % d]
-            for j in range(phi):
-                out[j] += c * row[j]
+            for j, y in _sparse_powers(d)[m % d]:
+                out[j] += c * y
     return tuple(out)
 
 
-def _mul_reduce(d, a, b):
-    """The product of two reduced coefficient tuples, reduced mod Phi_d."""
+def _mul_reduce(d, a, b, c=(), e=()):
+    """a*b - c*e for reduced coefficient tuples: one convolution, reduced
+    mod Phi_d once."""
     conv = [0] * (2 * len(a) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
                     conv[i + j] += x * y
+    for i, x in enumerate(c):
+        if x:
+            for j, y in enumerate(e):
+                if y:
+                    conv[i + j] -= x * y
     return _reduce_poly(d, conv)
+
+
+def _monomial_map(d, coeffs, k, j=0):
+    """The coefficients of the sum of c_m zeta^(k*m + j): the Galois map
+    sigma_k, zeta -> zeta^k (k coprime to d), then the rotation by zeta^j."""
+    rows = _sparse_powers(d)
+    out = [0] * len(coeffs)
+    for m, c in enumerate(coeffs):
+        if c:
+            for t, y in rows[(k * m + j) % d]:
+                out[t] += c * y
+    return tuple(out)
+
+
+def _conj(d, coeffs):
+    """Complex conjugation, zeta -> zeta^(d-1), on a coefficient tuple."""
+    return _monomial_map(d, coeffs, -1) if any(coeffs[1:]) else coeffs
+
+
+@lru_cache(maxsize=None)
+def _units(d: int):
+    """(sign, k) by the coefficient tuple of each sign * zeta^k; for even d,
+    where -zeta^k = zeta^(k + d/2), the sign +1."""
+    table = _power_table(d)
+    units = {tuple(-c for c in table[k]): (-1, k) for k in range(d)}
+    units.update((table[k], (1, k)) for k in range(d))
+    return units
 
 
 def _power(base, e, unit):
@@ -311,7 +349,7 @@ class CycInt:
 
     def conj(self) -> "CycInt":
         """Complex conjugation, the involution zeta -> zeta^(d-1)."""
-        return _galois(self, -1)
+        return _new(self.d, _conj(self.d, self.coeffs))
 
     def is_real(self) -> bool:
         return self.conj() == self
@@ -368,17 +406,10 @@ def is_real(a: CycInt) -> bool:
 def unit_exponent(a: CycInt):
     """Return (sign, k) with a = sign * zeta^k, or None.
 
-    Decided by comparison against all 2d candidates; for even d the +1
+    Decided by lookup among all 2d candidates; for even d the +1
     representation is preferred (so -zeta^k reports as +zeta^(k + d/2)).
     """
-    table = _power_table(a.d)
-    for k in range(a.d):
-        if a.coeffs == table[k]:
-            return (1, k)
-    for k in range(a.d):
-        if all(x == -y for x, y in zip(a.coeffs, table[k])):
-            return (-1, k)
-    return None
+    return _units(a.d).get(a.coeffs)
 
 
 def solve_real_basis(r: CycInt):
@@ -416,17 +447,7 @@ def eval_real_basis(d: int, n0: int, nk) -> CycInt:
 
 def _galois(a: CycInt, k: int) -> CycInt:
     """The Galois automorphism sigma_k: zeta -> zeta^k (k coprime to d)."""
-    if not any(a.coeffs[1:]):
-        return a  # sigma_k fixes the rational integers
-    table = _power_table(a.d)
-    phi = len(a.coeffs)
-    out = [0] * phi
-    for m, c in enumerate(a.coeffs):
-        if c:
-            row = table[k * m % a.d]
-            for j in range(phi):
-                out[j] += c * row[j]
-    return _new(a.d, tuple(out))
+    return _new(a.d, _monomial_map(a.d, a.coeffs, k))
 
 
 def divide_exact(a, b: CycInt) -> CycInt:
@@ -442,9 +463,7 @@ def divide_exact(a, b: CycInt) -> CycInt:
     d = b.d
     ue = unit_exponent(b)
     if ue is not None:
-        s, k = ue
-        q = a * zeta_pow(d, -k) if k else a
-        return -q if s < 0 else q
+        return _new(d, _unit_quotient(d, a.coeffs, ue))
     if b.is_zero():
         raise ZeroDivisionError(f"division by zero in Z[zeta_{d}]")
     b_prime = one(d)
@@ -456,6 +475,13 @@ def divide_exact(a, b: CycInt) -> CycInt:
     if any(c % norm for c in num):
         raise ArithmeticError(f"{a!r} / {b!r} is not in Z[zeta_{d}]")
     return _new(d, tuple(c // norm for c in num))
+
+
+def _unit_quotient(d, coeffs, unit):
+    """coeffs / (s * zeta^k) for unit = (s, k), by rotation."""
+    s, k = unit
+    q = _monomial_map(d, coeffs, 1, -k) if k else coeffs
+    return q if s > 0 else tuple(-c for c in q)
 
 
 # ---------------------------------------------------------------------------

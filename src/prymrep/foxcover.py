@@ -162,12 +162,17 @@ class Endo:
     def inverse(self) -> "Endo":
         return Endo(self.inverse_images, self.images)
 
+    def _certificate_walk(self) -> int:
+        """The letters the certificate walks: an inverse-image letter +-i
+        costs the length of phi(x_i)."""
+        sizes = [len(w) for w in self.images]
+        return sum(sizes[i - 1] * (w.count(i) + w.count(-i))
+                   for w in self.inverse_images for i in range(1, self.g + 1))
+
     @cached_property
     def _certificate_failure(self) -> int:
         """The first i with phi(psi(x_i)) != x_i, or 0: one walk per Endo."""
-        sizes = [len(w) for w in self.images]
-        walk = sum(sizes[i - 1] * (w.count(i) + w.count(-i))
-                   for w in self.inverse_images for i in range(1, self.g + 1))
+        walk = self._certificate_walk()
         if walk > MAX_LETTERS:
             raise ValueError(f"inverse certificate walks {walk} letters, "
                              f"over the budget of {MAX_LETTERS}")
@@ -353,14 +358,20 @@ def deck_conjugation(g: int) -> Endo:
 
 
 def random_member(rng, g: int, d: int, max_moves: int = 8) -> Endo:
-    """A random composite of at most max_moves adapted Nielsen moves."""
+    """A random composite of at most max_moves adapted Nielsen moves.
+
+    A move is kept only while the composite's inverse certificate walks at
+    most MAX_LETTERS letters, so every draw can be checked; the check draws
+    nothing from rng."""
     moves = adapted_nielsen_moves(g, d)
     phi = Endo.identity(g)
     for _ in range(rng.randint(1, max_moves)):
         step = moves[rng.randrange(len(moves))]
         if rng.random() < 0.5:
             step = step.inverse()
-        phi = phi.compose(step)
+        cand = phi.compose(step)
+        if cand._certificate_walk() <= MAX_LETTERS:
+            phi = cand
     return phi
 
 
@@ -415,12 +426,3 @@ def parse_endo_images(text: str, g: int):
             raise ValueError(f"generator x{idx} out of range for rank {g}")
         images[idx] = parse_free_word(rhs, g)
     return tuple(images[i] for i in range(1, g + 1))
-
-
-def render_free_word(w) -> str:
-    if not w:
-        return "1"
-    parts = []
-    for s in w:
-        parts.append(f"x{s}" if s > 0 else f"x{-s}^-1")
-    return " ".join(parts)

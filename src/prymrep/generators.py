@@ -38,7 +38,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .cyclotomic import CycInt, one, zero, zeta_pow
+from .cyclotomic import CycInt, one, zeta_pow
 from .predicates import GroupTag, is_member
 from .ringlinalg import BlockMat, RingMatrix, basis_position
 
@@ -51,11 +51,9 @@ def _form_row(g, v):
 
 def _rank_update(d, g, entries):
     """Id + N, where N has the entry c at (p, q) for each (p, q, c)."""
-    size = 2 * (g - 1)
-    o, z = one(d), zero(d)
-    rows = [[o if r == s else z for s in range(size)] for r in range(size)]
+    rows = [list(row) for row in RingMatrix.identity(d, 2 * (g - 1)).coeffs]
     for p, q, c in entries:
-        rows[p][q] = rows[p][q] + c
+        rows[p][q] = tuple(map(operator.add, rows[p][q], c.coeffs))
     return BlockMat(RingMatrix._make(d, tuple(map(tuple, rows))), g)
 
 
@@ -233,24 +231,6 @@ def transvection(g: int, d: int, v, direction: int = 1) -> BlockMat:
                                for q, b in enumerate(w) if not b.is_zero()])
 
 
-def twist_transvection(g: int, d: int, v, direction: int = 1) -> BlockMat:
-    """The lifted-twist transvection for v in the meridian span <e_1..e_(g-1)>.
-
-    Accepts v of length g-1 (coordinates on e_1..e_(g-1)) or of full length
-    2(g-1) with vanishing e_- part.  The forward map has upper-right block
-    -vv*; direction=-1 gives the inverse twist with block +vv*.
-    """
-    n = g - 1
-    v = list(v)
-    if len(v) == n:
-        v = v + [zero(d)] * n
-    if len(v) != 2 * n:
-        raise ValueError("vector length must be g-1 or 2(g-1)")
-    if any(not c.is_zero() for c in v[n:]):
-        raise ValueError("twist vector must be supported on e_1..e_(g-1)")
-    return transvection(g, d, v, direction)
-
-
 def twist_E(g: int, d: int, i: int) -> BlockMat:
     """The lifted twist about the i-th meridian: v = e_i."""
     return _build("TwistE", g, d, i)
@@ -373,9 +353,12 @@ def _check_slots(name, indices):
 def _entries(name, g, d, *args):
     """The entries of N in the matrix Id + N of family `name`, args as for
     its entry function: the slot rule, then the range rule |i| <= g - 1 for
-    every index but a zeta exponent, then the entry function."""
+    every index but a zeta exponent, then the entry function.  The indices
+    must be integers (_ints), as in a GenSpec."""
     fam = FAMILIES[name]
-    _check_slots(name, args[:len(fam.slots)])
+    n = len(fam.slots)
+    args = _ints(args[:n], f"{name} indices") + args[n:]
+    _check_slots(name, args[:n])
     for slot, i in zip(fam.slots, args):
         if slot != "k" and abs(i) > g - 1:
             raise ValueError(f"index {i} out of range for genus {g}")
@@ -420,11 +403,15 @@ def _random_instance(rng, slots, d, g):
 
 
 def _ints(values, what):
-    """values as a tuple of ints; anything else is refused, not truncated."""
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        raise ValueError(f"{what} must be integers") from None
+    """values as a tuple of ints; anything else is refused, not truncated,
+    and so is a bool, which is not read as 0 or 1."""
+    values = tuple(values)
+    if bool not in map(type, values):
+        try:
+            return tuple(map(operator.index, values))
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be integers")
 
 
 def _canon(poly):

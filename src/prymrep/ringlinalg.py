@@ -11,26 +11,58 @@ form preservation literally M* Omega M = Omega.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 from .cyclotomic import (
     CycInt,
     ParseError,
+    _conj,
+    _mul_reduce,
     _new,
     _power,
+    _power_table,
     _reduce_poly,
+    _sparse_powers,
+    _unit_quotient,
+    _units,
     divide_exact,
     euler_phi,
-    one,
     parse_ring_literal,
     render_poly,
-    zero,
 )
 
 
-class RingMatrix:
-    """Dense matrix over Z[zeta_d]; immutable after construction."""
+def _one_zero(d):
+    """The coefficient tuples of 1 and 0 in Z[zeta_d]."""
+    if d < 2:
+        raise ValueError("modulus d must be >= 2")
+    o = _power_table(d)[0]
+    return o, (0,) * len(o)
 
-    __slots__ = ("d", "rows", "cols", "entries")
+
+def _neg(x):
+    return tuple(-c for c in x)
+
+
+def _divider(d, b):
+    """x -> x / b on coefficient tuples, for b nonzero and x / b integral:
+    a rotation for b = +-zeta^k, divide_exact for any other b."""
+    unit = _units(d).get(b)
+    if unit is not None:
+        return lambda x: _unit_quotient(d, x, unit)
+    b = _new(d, b)
+    return lambda x: divide_exact(_new(d, x), b).coeffs
+
+
+class RingMatrix:
+    """Dense matrix over Z[zeta_d]; immutable after construction.
+
+    Entry (i, j) is stored as coeffs[i][j], its reduced coefficient tuple
+    (CycInt.coeffs), and every operation works on those tuples.  A CycInt is
+    made only where an entry is handed out: m[i, j], entries and det().
+    """
+
+    __slots__ = ("d", "rows", "cols", "coeffs")
 
     def __init__(self, d, entries):
         entries = tuple(tuple(e for e in row) for row in entries)
@@ -42,45 +74,42 @@ class RingMatrix:
             for e in row:
                 if not isinstance(e, CycInt) or e.d != d:
                     raise ValueError("all entries must be CycInt with matching d")
-        self.d = d
-        self.rows = len(entries)
-        self.cols = len(entries[0])
-        self.entries = entries
+        self.d, self.rows, self.cols = d, len(entries), len(entries[0])
+        self.coeffs = tuple(tuple(e.coeffs for e in row) for row in entries)
 
     @classmethod
-    def _make(cls, d, entries):
-        """Trusted constructor: entries is already a rectangular tuple of row
-        tuples of CycInt at modulus d.  For results that are correct by
-        construction; RingMatrix(d, entries) validates the entries, this only
-        the dimensions."""
-        if not entries or not entries[0]:
+    def _make(cls, d, coeffs):
+        """Trusted constructor: coeffs is already a rectangular tuple of row
+        tuples of reduced coefficient tuples at modulus d.  For results that
+        are correct by construction; RingMatrix(d, entries) validates the
+        entries, this only the dimensions."""
+        if not coeffs or not coeffs[0]:
             raise ValueError("matrix dimensions must be positive")
         m = object.__new__(cls)
-        m.d = d
-        m.rows = len(entries)
-        m.cols = len(entries[0])
-        m.entries = entries
+        m.d, m.rows, m.cols, m.coeffs = d, len(coeffs), len(coeffs[0]), coeffs
         return m
+
+    @property
+    def entries(self):
+        """The entries as rows of CycInt, made on each read."""
+        d = self.d
+        return tuple(tuple(_new(d, e) for e in row) for row in self.coeffs)
 
     @classmethod
     def from_rows(cls, d, rows):
-        conv = []
-        for row in rows:
-            conv.append(
-                [e if isinstance(e, CycInt) else CycInt.from_int(d, e) for e in row]
-            )
-        return cls(d, conv)
+        return cls(d, [[e if isinstance(e, CycInt) else CycInt.from_int(d, e) for e in row]
+                       for row in rows])
 
     @classmethod
     def identity(cls, d, n):
-        o = CycInt.from_int(d, 1)
-        z = CycInt.from_int(d, 0)
-        return cls(d, [[o if i == j else z for j in range(n)] for i in range(n)])
+        o, z = _one_zero(d)
+        return cls._make(d, tuple(tuple(o if i == j else z for j in range(n))
+                                  for i in range(n)))
 
     @classmethod
     def zeros(cls, d, rows, cols):
-        z = CycInt.from_int(d, 0)
-        return cls(d, [[z] * cols for _ in range(rows)])
+        z = _one_zero(d)[1]
+        return cls._make(d, ((z,) * cols,) * rows)
 
     @classmethod
     def from_columns(cls, d, columns):
@@ -90,45 +119,41 @@ class RingMatrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
-
-    def column(self, j):
-        return [self.entries[i][j] for i in range(self.rows)]
+        return _new(self.d, self.coeffs[i][j])
 
     def is_square(self):
         return self.rows == self.cols
 
     def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(any(e) for row in self.coeffs for e in row)
 
     def is_integer(self):
-        return all(e.is_integer() for row in self.entries for e in row)
+        return not any(any(e[1:]) for row in self.coeffs for e in row)
 
     def __eq__(self, other):
         if not isinstance(other, RingMatrix):
             return NotImplemented
-        return (self.d, self.entries) == (other.d, other.entries)
+        return (self.d, self.coeffs) == (other.d, other.coeffs)
 
     def __hash__(self):
-        return hash((self.d, self.entries))
+        return hash((self.d, self.coeffs))
+
+    def _entrywise(self, op, other):
+        self._check_same_shape(other)
+        return RingMatrix._make(self.d, tuple(
+            tuple(tuple(map(op, a, b)) for a, b in zip(ra, rb))
+            for ra, rb in zip(self.coeffs, other.coeffs)
+        ))
 
     def __add__(self, other):
-        self._check_same_shape(other)
-        return RingMatrix._make(self.d, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        ))
+        return self._entrywise(add, other)
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        return RingMatrix._make(self.d, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        ))
+        return self._entrywise(sub, other)
 
     def __neg__(self):
         return RingMatrix._make(self.d, tuple(
-            tuple(-a for a in row) for row in self.entries))
+            tuple(_neg(a) for a in row) for row in self.coeffs))
 
     def _check_same_shape(self, other):
         if not isinstance(other, RingMatrix) or other.d != self.d:
@@ -137,10 +162,13 @@ class RingMatrix:
             raise ValueError("shape mismatch")
 
     def scale(self, c):
+        d = self.d
         if isinstance(c, int):
-            c = CycInt.from_int(self.d, c)
-        return RingMatrix._make(self.d, tuple(
-            tuple(c * a for a in row) for row in self.entries))
+            c = CycInt.from_int(d, c)
+        elif c.d != d:
+            raise ValueError(f"modulus mismatch: d={d} vs d={c.d}")
+        return RingMatrix._make(d, tuple(
+            tuple(_mul_reduce(d, c.coeffs, a) for a in row) for row in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, (int, CycInt)):
@@ -151,8 +179,8 @@ class RingMatrix:
             raise ValueError("modulus mismatch")
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        return RingMatrix._make(self.d, _sparse_product(self.d, self.entries,
-                                                        other.entries, other.cols))
+        return RingMatrix._make(self.d, _sparse_product(self.d, self.coeffs,
+                                                        other.coeffs, other.cols))
 
     def __rmul__(self, other):
         if isinstance(other, (int, CycInt)):
@@ -168,77 +196,48 @@ class RingMatrix:
 
     def adjoint(self):
         """Conjugate transpose: (M*)* = M and (MN)* = N* M*."""
-        return RingMatrix._make(self.d, tuple(
-            tuple(a.conj() for a in col) for col in zip(*self.entries)))
-
-    def apply(self, vec):
-        """Matrix times column vector."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = zero(self.d)
-            for j, v in enumerate(vec):
-                if not v.is_zero():
-                    acc = acc + self.entries[i][j] * v
-            out.append(acc)
-        return out
+        d = self.d
+        return RingMatrix._make(d, tuple(
+            tuple(_conj(d, a) for a in col) for col in zip(*self.coeffs)))
 
     def submatrix(self, row_range, col_range):
         return RingMatrix._make(self.d, tuple(
-            tuple(self.entries[i][j] for j in col_range) for i in row_range
+            tuple(self.coeffs[i][j] for j in col_range) for i in row_range
         ))
 
     def det(self) -> CycInt:
         """Exact determinant by fraction-free (Bareiss) elimination.
 
-        Each step divides by the previous pivot with divide_exact, exact by
+        Each step divides by the previous pivot (_divider), exact by
         Sylvester's identity; an ArithmeticError signals a bug, not bad input.
         """
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = CycInt.from_int(self.d, 1)
+        d, n = self.d, self.rows
+        prev, z = _one_zero(d)
+        m = [list(row) for row in self.coeffs]
+        sign, div = 1, None  # None divides by prev = 1
         for k in range(n - 1):
-            if m[k][k].is_zero():
+            if not any(m[k][k]):
                 for i in range(k + 1, n):
-                    if not m[i][k].is_zero():
+                    if any(m[i][k]):
                         m[k], m[i] = m[i], m[k]
                         sign = -sign
                         break
                 else:
-                    return zero(self.d)
-            p = m[k][k]
+                    return _new(d, z)
+            p, pivot_row = m[k][k], m[k]
             unchanged = p == prev  # then rows with m[i][k] = 0 stay as they are
             for i in range(k + 1, n):
-                if unchanged and m[i][k].is_zero():
+                f = m[i][k]
+                if unchanged and not any(f):
                     continue
-                for j in range(k + 1, n):
-                    m[i][j] = divide_exact(p * m[i][j] - m[i][k] * m[k][j], prev)
-                m[i][k] = zero(self.d)
-            prev = p
+                row = [_mul_reduce(d, p, x, f, y) for x, y in zip(m[i][k + 1:], pivot_row[k + 1:])]
+                m[i][k + 1:] = row if div is None else map(div, row)
+                m[i][k] = z
+            prev, div = p, _divider(d, p)
         result = m[n - 1][n - 1]
-        return -result if sign < 0 else result
-
-    def det_cofactor(self) -> CycInt:
-        """Cofactor-expansion determinant; the oracle route for small sizes."""
-        if not self.is_square():
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 1:
-            return self.entries[0][0]
-        acc = zero(self.d)
-        cols = list(range(n))
-        for j in range(n):
-            a = self.entries[0][j]
-            if a.is_zero():
-                continue
-            minor = self.submatrix(range(1, n), [c for c in cols if c != j])
-            term = a * minor.det_cofactor()
-            acc = acc + (term if j % 2 == 0 else -term)
-        return acc
+        return _new(d, result if sign > 0 else _neg(result))
 
     def inverse(self) -> "RingMatrix":
         """Exact inverse with entries in Z[zeta_d].
@@ -252,12 +251,12 @@ class RingMatrix:
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         d, n = self.d, self.rows
-        o, z = one(d), zero(d)
+        o, z = _one_zero(d)
         aug = [list(row) + [o if i == j else z for j in range(n)]
-               for i, row in enumerate(self.entries)]
-        prev = o
+               for i, row in enumerate(self.coeffs)]
+        prev, div = o, None  # None divides by prev = 1
         for k in range(n):
-            piv = next((i for i in range(k, n) if not aug[i][k].is_zero()), None)
+            piv = next((i for i in range(k, n) if any(aug[i][k])), None)
             if piv is None:
                 raise ZeroDivisionError("matrix is not invertible")
             aug[k], aug[piv] = aug[piv], aug[k]
@@ -265,32 +264,30 @@ class RingMatrix:
             for i in range(n):
                 f = aug[i][k]
                 # with f = 0 and p = prev the update would leave row i as it is
-                if i != k and not (f.is_zero() and p == prev):
-                    aug[i] = [divide_exact(p * x - f * y, prev)
-                              for x, y in zip(aug[i], pivot_row)]
-            prev = p
-        return RingMatrix(d, [[divide_exact(x, prev) for x in row[n:]]
-                              for row in aug])
+                if i != k and (any(f) or p != prev):
+                    row = [_mul_reduce(d, p, x, f, y) for x, y in zip(aug[i], pivot_row)]
+                    aug[i] = row if div is None else list(map(div, row))
+            prev, div = p, _divider(d, p)
+        return RingMatrix._make(d, tuple(tuple(map(div, row[n:])) for row in aug))
 
     def to_text(self) -> str:
         return " ; ".join(
-            ", ".join(render_poly(e.coeffs) for e in row) for row in self.entries
+            ", ".join(render_poly(e) for e in row) for row in self.coeffs
         )
 
     def __repr__(self):
         return f"RingMatrix({self.d}, '{self.to_text()}')"
 
 
-def _sparse_rows(entries):
+def _sparse_rows(rows):
     """Each row as its nonzero entries: (column, nonzero (power, coefficient)
     pairs)."""
-    return [[(j, [(t, c) for t, c in enumerate(e.coeffs) if c])
-             for j, e in enumerate(row) if any(e.coeffs)] for row in entries]
+    return [[(j, [(t, c) for t, c in enumerate(e) if c])
+             for j, e in enumerate(row) if any(e)] for row in rows]
 
 
 def _sparse_product(d, a_rows, b_rows, cols):
-    """The entries of A * B, by a row-sparse (Gustavson) kernel over raw
-    coefficient tuples.
+    """The coefficient rows of A * B, by a row-sparse (Gustavson) kernel.
 
     Row i of the product sums a_ik * b_kj over the nonzero a_ik and the
     nonzero b_kj of row k, into one unreduced convolution of length
@@ -298,7 +295,7 @@ def _sparse_product(d, a_rows, b_rows, cols):
     contribution share one zero.
     """
     width = 2 * euler_phi(d) - 1
-    z = zero(d)
+    z = (0,) * euler_phi(d)
     sparse_b = _sparse_rows(b_rows)
     out = []
     for row in _sparse_rows(a_rows):
@@ -313,7 +310,7 @@ def _sparse_product(d, a_rows, b_rows, cols):
                         conv[s + t] += x * y
         new_row = [z] * cols
         for j, conv in acc.items():
-            new_row[j] = _new(d, _reduce_poly(d, conv))
+            new_row[j] = _reduce_poly(d, conv) if any(conv[len(z):]) else tuple(conv[:len(z)])
         out.append(tuple(new_row))
     return tuple(out)
 
@@ -364,8 +361,8 @@ class BlockMat:
 
     @classmethod
     def from_blocks(cls, g, upper_left, upper_right, lower_left, lower_right):
-        rows = tuple(a + b for a, b in zip(upper_left.entries, upper_right.entries))
-        rows += tuple(a + b for a, b in zip(lower_left.entries, lower_right.entries))
+        rows = tuple(a + b for a, b in zip(upper_left.coeffs, upper_right.coeffs))
+        rows += tuple(a + b for a, b in zip(lower_left.coeffs, lower_right.coeffs))
         return cls(RingMatrix._make(upper_left.d, rows), g)
 
     def blocks(self):
@@ -414,14 +411,14 @@ class BlockMat:
         -Omega M* Omega for M = [[A, B], [C, D]].  For M outside U it is not
         the inverse (preserves_form tests exactly that); inverse() is the
         route for any invertible matrix."""
-        n, e = self.n, self.mat.entries
+        n, e, d = self.n, self.mat.coeffs, self.d
         across = [*range(n, 2 * n), *range(n)]  # a position's twin across the split
         rows = []
         for p in range(2 * n):
             row = []
             for q in range(2 * n):
-                x = e[across[q]][across[p]].conj()
-                row.append(x if (p < n) == (q < n) or x.is_zero() else -x)
+                x = _conj(d, e[across[q]][across[p]])
+                row.append(x if (p < n) == (q < n) or not any(x) else _neg(x))
             rows.append(tuple(row))
         return BlockMat(RingMatrix._make(self.d, tuple(rows)), self.g)
 
@@ -441,55 +438,45 @@ class BlockMat:
         return f"BlockMat(g={self.g}, d={self.d}, '{self.to_text()}')"
 
 
-def omega(g: int, d: int) -> BlockMat:
-    """The form matrix [[0, Id], [-Id, 0]] with (g-1)-square blocks."""
-    if g < 2:
-        raise ValueError("genus must be >= 2")
-    n = g - 1
-    o = CycInt.from_int(d, 1)
-    z = CycInt.from_int(d, 0)
-    rows = []
-    for i in range(n):
-        rows.append([z] * n + [o if j == i else z for j in range(n)])
-    for i in range(n):
-        rows.append([-o if j == i else z for j in range(n)] + [z] * n)
-    return BlockMat(RingMatrix(d, rows), g)
-
-
-def signed_indices(g: int):
-    """Basis order: e_1, ..., e_(g-1), e_(-1), ..., e_(-(g-1))."""
-    return list(range(1, g)) + [-i for i in range(1, g)]
-
-
 def basis_position(g: int, i: int) -> int:
     if i == 0 or abs(i) > g - 1:
         raise ValueError(f"index {i} out of range for genus {g}")
     return i - 1 if i > 0 else (g - 1) + (-i) - 1
 
 
-def basis_vector(d: int, g: int, i: int):
-    vec = [zero(d)] * (2 * (g - 1))
-    vec[basis_position(g, i)] = CycInt.from_int(d, 1)
-    return vec
-
-
-def form_eval(u, v, g: int) -> CycInt:
-    """The intersection form <u, v> = u^T Omega conj(v); <e_i, e_-i> = 1."""
-    n = g - 1
-    if len(u) != 2 * n or len(v) != 2 * n:
-        raise ValueError("vector length must be 2(g-1)")
-    d = u[0].d
-    acc = zero(d)
-    for i in range(n):
-        if not u[i].is_zero() and not v[n + i].is_zero():
-            acc = acc + u[i] * v[n + i].conj()
-        if not u[n + i].is_zero() and not v[i].is_zero():
-            acc = acc - u[n + i] * v[i].conj()
-    return acc
-
-
 def preserves_form(m: BlockMat) -> bool:
-    """True iff M* Omega M = Omega exactly, tested as form_inverse(M) M = Id
-    with one product and no Omega: form_inverse(M) = -Omega M* Omega and
-    Omega^-1 = -Omega."""
-    return m.form_inverse().mat * m.mat == RingMatrix.identity(m.d, m.mat.rows)
+    """True iff M* Omega M = Omega exactly.
+
+    Entry (p, q) of M* Omega M sums +-conj(M[r][p]) M[r'][q] over the rows r
+    of column p, with r' = r -+ (g-1) the twin of r across the split and the
+    sign - for r >= g-1.  A term x zeta^-t times y zeta^s adds x*y times the
+    reduced row of zeta^(s-t).  No matrix is built, and the first row that
+    differs from Omega's ends the test.
+    """
+    d, n = m.d, m.n
+    o, z = _one_zero(d)
+    powers = _sparse_powers(d)
+    sparse = _sparse_rows(m.mat.coeffs)
+    cols = [[] for _ in sparse]
+    for r, row in enumerate(sparse):
+        for q, terms in row:
+            cols[q].append((r, terms))
+    for p, col in enumerate(cols):
+        partner, want = (p + n, o) if p < n else (p - n, _neg(o))
+        acc = {partner: [0] * len(z)}
+        for r, terms_a in col:
+            twin, sign = (r + n, 1) if r < n else (r - n, -1)
+            for q, terms_b in sparse[twin]:
+                out = acc.get(q)
+                if out is None:
+                    out = acc[q] = [0] * len(z)
+                for t, x in terms_a:
+                    x *= sign
+                    for s, y in terms_b:
+                        xy = x * y
+                        for j, c in powers[(s - t) % d]:
+                            out[j] += xy * c
+        for q, out in acc.items():
+            if tuple(out) != (want if q == partner else z):
+                return False
+    return True

@@ -22,8 +22,9 @@ simplification is performed.
 from __future__ import annotations
 
 import re
+from operator import add
 
-from .cyclotomic import (_PRINT_BOUND, MAX_PRINT_DIGITS, ParseError, _Scanner,
+from .cyclotomic import (_PRINT_BOUND, MAX_PRINT_DIGITS, ParseError, _mul_reduce, _Scanner,
                          parse_ring_literal, render_poly)
 from .generators import FAMILIES, GenSpec, _entries, _ints, matrix_of
 from .ringlinalg import BlockMat, RingMatrix, parse_matrix_poly
@@ -100,30 +101,30 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
 
     Every factor is Id + N for the entries (p, q, c) of N that the family
     gives through generators._entries, the one checked entry point that
-    matrix_of also builds from.  The product is kept as mutable rows.  A
-    factor of a family marked nilpotent has N^2 = 0, so its power is
-    Id + eN for every integer e: multiplying by it adds e*c times column p
-    into column q for each entry, and it never becomes a matrix.  Any other
-    factor is built by matrix_of, inverted for a negative exponent by the
-    division-free BlockMat.form_inverse, -Omega M* Omega (every generator
-    lies in U: UrSp literals are checked on entry, the other families by
-    construction), raised by binary powering and joined by one product; the
-    first factor of a word is not joined to Id.  Such a factor's |e| is at
-    most MAX_POWER, and its powering stops at the first step past
-    MAX_PRINT_DIGITS; a column-op factor's exponent is unbounded.
+    matrix_of also builds from.  The product is kept as mutable rows of
+    coefficient tuples.  A factor of a family marked nilpotent has N^2 = 0,
+    so its power is Id + eN for every integer e: multiplying by it adds e*c
+    times column p into column q for each entry, and it never becomes a
+    matrix.  Any other factor is built by matrix_of, inverted for a negative
+    exponent by the division-free BlockMat.form_inverse, -Omega M* Omega
+    (every generator lies in U: UrSp literals are checked on entry, the
+    other families by construction), raised by binary powering and joined by
+    one product; the first factor of a word is not joined to Id.  Such a
+    factor's |e| is at most MAX_POWER, and its powering stops at the first
+    step past MAX_PRINT_DIGITS; a column-op factor's exponent is unbounded.
     """
     rows = None  # None stands for Id
     for spec, e in word.factors:
         if FAMILIES[spec.name].nilpotent:
             entries = _entries(spec.name, g, d, *spec._args(d))
             if rows is None:
-                rows = [list(row) for row in BlockMat.identity(d, g).mat.entries]
+                rows = [list(row) for row in BlockMat.identity(d, g).mat.coeffs]
             for p, q, c in entries:
-                c = c * e
+                c = tuple(e * x for x in c.coeffs)
                 for row in rows:
                     x = row[p]
-                    if not x.is_zero():
-                        row[q] = row[q] + x * c
+                    if any(x):
+                        row[q] = tuple(map(add, row[q], _mul_reduce(d, x, c)))
             continue
         if abs(e) > MAX_POWER:
             raise ValueError(f"exponent {e} of {spec.name} is over the budget "
@@ -134,12 +135,12 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
         base = m = m.mat
         for bit in bin(e)[3:]:  # binary powering from the top bit, each step checked
             m = m * m if bit == "0" else m * m * base
-            if any(abs(c) >= _PRINT_BOUND for row in m.entries for x in row for c in x.coeffs):
+            if any(abs(c) >= _PRINT_BOUND for row in m.coeffs for x in row for c in x):
                 raise ValueError(f"a power of {spec.name} passes the budget "
                                  f"MAX_PRINT_DIGITS = {MAX_PRINT_DIGITS} digits")
         if rows is not None:
             m = RingMatrix._make(d, tuple(map(tuple, rows))) * m
-        rows = [list(row) for row in m.entries]
+        rows = [list(row) for row in m.coeffs]
     if rows is None:
         return BlockMat.identity(d, g)
     return BlockMat(RingMatrix._make(d, tuple(map(tuple, rows))), g)

@@ -1,0 +1,84 @@
+"""Matrix helpers that only the tests use: the form matrix Omega, the form
+<u, v> evaluated from its definition, basis vectors in the signed index
+order, a matrix acting on a vector, and the cofactor determinant, the oracle
+that Bareiss elimination (RingMatrix.det) is checked against."""
+
+from prymrep.cyclotomic import CycInt, zero
+from prymrep.ringlinalg import BlockMat, RingMatrix, basis_position
+
+
+def omega(g: int, d: int) -> BlockMat:
+    """The form matrix [[0, Id], [-Id, 0]] with (g-1)-square blocks."""
+    if g < 2:
+        raise ValueError("genus must be >= 2")
+    n = g - 1
+    o = CycInt.from_int(d, 1)
+    z = CycInt.from_int(d, 0)
+    rows = []
+    for i in range(n):
+        rows.append([z] * n + [o if j == i else z for j in range(n)])
+    for i in range(n):
+        rows.append([-o if j == i else z for j in range(n)] + [z] * n)
+    return BlockMat(RingMatrix(d, rows), g)
+
+
+def signed_indices(g: int):
+    """Basis order: e_1, ..., e_(g-1), e_(-1), ..., e_(-(g-1))."""
+    return list(range(1, g)) + [-i for i in range(1, g)]
+
+
+def basis_vector(d: int, g: int, i: int):
+    vec = [zero(d)] * (2 * (g - 1))
+    vec[basis_position(g, i)] = CycInt.from_int(d, 1)
+    return vec
+
+
+def form_eval(u, v, g: int) -> CycInt:
+    """The intersection form <u, v> = u^T Omega conj(v); <e_i, e_-i> = 1."""
+    n = g - 1
+    if len(u) != 2 * n or len(v) != 2 * n:
+        raise ValueError("vector length must be 2(g-1)")
+    d = u[0].d
+    acc = zero(d)
+    for i in range(n):
+        if not u[i].is_zero() and not v[n + i].is_zero():
+            acc = acc + u[i] * v[n + i].conj()
+        if not u[n + i].is_zero() and not v[i].is_zero():
+            acc = acc - u[n + i] * v[i].conj()
+    return acc
+
+
+def column(m: RingMatrix, j: int):
+    return [m[i, j] for i in range(m.rows)]
+
+
+def apply(m: RingMatrix, vec):
+    """Matrix times column vector."""
+    if len(vec) != m.cols:
+        raise ValueError("vector length mismatch")
+    out = []
+    for i in range(m.rows):
+        acc = zero(m.d)
+        for j, v in enumerate(vec):
+            if not v.is_zero():
+                acc = acc + m[i, j] * v
+        out.append(acc)
+    return out
+
+
+def det_cofactor(m: RingMatrix) -> CycInt:
+    """Cofactor-expansion determinant; the oracle route for small sizes."""
+    if not m.is_square():
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 1:
+        return m[0, 0]
+    acc = zero(m.d)
+    for j in range(n):
+        a = m[0, j]
+        if a.is_zero():
+            continue
+        minor = m.submatrix(range(1, n), [c for c in range(n) if c != j])
+        term = a * det_cofactor(minor)
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from prymrep import generators
-from prymrep.cyclotomic import CycInt, one, zeta_pow
+from prymrep.cyclotomic import CycInt, one, zero, zeta_pow
 from prymrep.generators import (
     FAMILIES,
     GenSpec,
@@ -28,22 +28,13 @@ from prymrep.generators import (
     scalar_zeta,
     transvection,
     twist_E,
-    twist_transvection,
 )
 from prymrep.predicates import GroupTag, is_member
-from prymrep.ringlinalg import (
-    BlockMat,
-    RingMatrix,
-    basis_position,
-    basis_vector,
-    form_eval,
-    omega,
-    parse_matrix,
-    preserves_form,
-    signed_indices,
-)
+from prymrep.ringlinalg import BlockMat, RingMatrix, basis_position, parse_matrix, preserves_form
 from prymrep.sweeps import random_lambda_word
 from prymrep.wordlang import Word, parse
+
+from matrix_helpers import apply, basis_vector, column, form_eval, omega, signed_indices
 
 
 def test_elem_Ti_examples():
@@ -74,10 +65,10 @@ def test_elem_Tij_examples():
     # T_{1,-2}(z) at d=4: e_2 -> e_2 + conj(z) e_1 and e_-1 -> e_-1 - z e_-2
     z = zeta_pow(4, 1)
     m = elem_Tij(3, 4, 1, -2, z)
-    assert m.mat.column(1)[0] == z.conj()
-    assert m.mat.column(2)[3] == -z
+    assert column(m.mat, 1)[0] == z.conj()
+    assert column(m.mat, 2)[3] == -z
     for b in (0, 3):
-        col = m.mat.column(b)
+        col = column(m.mat, b)
         assert all(col[r] == (1 if r == b else 0) for r in range(4))
 
 
@@ -101,10 +92,10 @@ def test_conj_AH():
     assert conj_AH(3, 5, 1) == BlockMat.identity(5, 3)
     m = conj_AH(3, 5, 2)
     e = lambda i: basis_vector(5, 3, i)
-    assert m.mat.apply(e(2)) == e(1)
-    assert m.mat.apply(e(1)) == e(2)
-    assert m.mat.apply(e(-2)) == e(-1)
-    assert m.mat.apply(e(-1)) == e(-2)
+    assert apply(m.mat, e(2)) == e(1)
+    assert apply(m.mat, e(1)) == e(2)
+    assert apply(m.mat, e(-2)) == e(-1)
+    assert apply(m.mat, e(-1)) == e(-2)
     assert is_member(m, GroupTag.UrSpZ)
 
 
@@ -112,7 +103,7 @@ def test_conj_AHPrime_j_equals_1_case():
     # e_-1 -> e_-i - e_1 in the j = 1 case
     m = conj_AHPrime(3, 5, 2, 1)
     e = lambda i: basis_vector(5, 3, i)
-    img = m.mat.apply(e(-1))
+    img = apply(m.mat, e(-1))
     want = [a - b for a, b in zip(e(-2), e(1))]
     assert img == want
     assert is_member(m, GroupTag.UrSpZ)
@@ -135,9 +126,9 @@ def test_conj_AHPrime_maps_Hprime_correctly():
             for j in [s * m for m in range(1, g) for s in (1, -1) if m != i]:
                 m = conj_AHPrime(g, d, i, j)
                 e = lambda k: basis_vector(d, g, k)
-                assert m.mat.apply(e(i)) == e(1)
+                assert apply(m.mat, e(i)) == e(1)
                 h2 = [a + b for a, b in zip(e(-i), e(j))]
-                assert m.mat.apply(h2) == e(-1)
+                assert apply(m.mat, h2) == e(-1)
 
 
 def test_TH():
@@ -147,9 +138,9 @@ def test_TH():
     m = TH(4, 5, 3)
     z = zeta_pow(5, 1)
     e = lambda i: basis_vector(5, 4, i)
-    assert m.mat.apply(e(3)) == [z * c for c in e(3)]
-    assert m.mat.apply(e(-3)) == [z * c for c in e(-3)]
-    assert m.mat.apply(e(1)) == e(1)
+    assert apply(m.mat, e(3)) == [z * c for c in e(3)]
+    assert apply(m.mat, e(-3)) == [z * c for c in e(-3)]
+    assert apply(m.mat, e(1)) == e(1)
 
 
 def test_THPrime_eigenvector():
@@ -159,8 +150,8 @@ def test_THPrime_eigenvector():
             z = zeta_pow(d, 1)
             e = lambda k: basis_vector(d, g, k)
             v = [a + b for a, b in zip(e(-i), e(j))]
-            assert m.mat.apply(v) == [z * c for c in v]
-            assert m.mat.apply(e(i)) == [z * c for c in e(i)]
+            assert apply(m.mat, v) == [z * c for c in v]
+            assert apply(m.mat, e(i)) == [z * c for c in e(i)]
 
 
 @pytest.mark.parametrize("d,g", [(2, 2), (3, 3), (5, 3), (12, 4)])
@@ -183,6 +174,24 @@ def test_TH_and_THPrime_reject_bad_indices():
                            (lambda: THPrime(3, 5, 1, -1), "THPrime requires |i| != |j|")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
+
+
+def twist_transvection(g: int, d: int, v, direction: int = 1) -> BlockMat:
+    """The lifted-twist transvection for v in the meridian span <e_1..e_(g-1)>.
+
+    Accepts v of length g-1 (coordinates on e_1..e_(g-1)) or of full length
+    2(g-1) with vanishing e_- part.  The forward map has upper-right block
+    -vv*; direction=-1 gives the inverse twist with block +vv*.
+    """
+    n = g - 1
+    v = list(v)
+    if len(v) == n:
+        v = v + [zero(d)] * n
+    if len(v) != 2 * n:
+        raise ValueError("vector length must be g-1 or 2(g-1)")
+    if any(not c.is_zero() for c in v[n:]):
+        raise ValueError("twist vector must be supported on e_1..e_(g-1)")
+    return transvection(g, d, v, direction)
 
 
 def test_twist_transvection_blocks():
@@ -395,7 +404,7 @@ def _assert_images(m, d, g, terms):
         for c, v, u in terms:
             f = c * form_eval(x, v, g)
             want = [a + f * b for a, b in zip(want, u)]
-        assert m.mat.column(basis_position(g, i)) == want, (d, g, i, m)
+        assert column(m.mat, basis_position(g, i)) == want, (d, g, i, m)
 
 
 def test_rank_update_builders_match_form_eval():

@@ -13,9 +13,11 @@ from prymrep.predicates import (
     genus2_theta_project,
     is_member,
 )
-from prymrep.ringlinalg import BlockMat, RingMatrix, omega, parse_matrix, preserves_form
+from prymrep.ringlinalg import BlockMat, RingMatrix, parse_matrix, preserves_form
 from prymrep.sweeps import random_lambda_word
 from prymrep.wordlang import evaluate
+
+from matrix_helpers import omega
 
 
 def block(text, d, g):

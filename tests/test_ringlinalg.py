@@ -1,17 +1,14 @@
 import random
+import sys
 
 import pytest
 
+from prymrep import cyclotomic
 from prymrep.cyclotomic import CycInt, euler_phi, zeta_pow
-from prymrep.ringlinalg import (
-    BlockMat,
-    RingMatrix,
-    basis_vector,
-    form_eval,
-    omega,
-    parse_matrix,
-    preserves_form,
-)
+from prymrep.generators import THPrime
+from prymrep.ringlinalg import BlockMat, RingMatrix, parse_matrix, preserves_form
+
+from matrix_helpers import apply, basis_vector, det_cofactor, form_eval, omega
 
 
 def rand_matrix(rng, d, n, lo=-4, hi=4):
@@ -47,7 +44,7 @@ def test_det_examples():
     # det(Omega) = 1 for g = 3, cross-checked by cofactor expansion
     om = omega(3, 5)
     assert om.mat.det() == 1
-    assert om.mat.det_cofactor() == 1
+    assert det_cofactor(om.mat) == 1
 
 
 def test_det_bareiss_matches_cofactor():
@@ -56,14 +53,14 @@ def test_det_bareiss_matches_cofactor():
         for n in (1, 2, 3, 4):
             for _ in range(6):
                 m = rand_matrix(rng, d, n, -3, 3)
-                assert m.det() == m.det_cofactor(), (d, n, m)
+                assert m.det() == det_cofactor(m), (d, n, m)
 
 
 def test_det_singular():
     z = CycInt.from_int(5, 0)
     m = RingMatrix.from_rows(5, [[1, 1], [1, 1]])
     assert m.det() == z
-    assert m.det_cofactor() == z
+    assert det_cofactor(m) == z
 
 
 def test_det_cofactor_agreement_at_5x5():
@@ -71,7 +68,7 @@ def test_det_cofactor_agreement_at_5x5():
     for d in (3, 8):
         for _ in range(3):
             m = rand_matrix(rng, d, 5, -2, 2)
-            assert m.det() == m.det_cofactor()
+            assert m.det() == det_cofactor(m)
 
 
 def test_det_skips_rows_that_cannot_change(monkeypatch):
@@ -94,7 +91,33 @@ def test_det_skips_rows_that_cannot_change(monkeypatch):
                     [CycInt(d, [rng.randint(-3, 3) for _ in range(phi)])
                      if rng.random() < 0.35 else CycInt.from_int(d, 0)
                      for _ in range(n)] for _ in range(n)])
-                assert m.det() == m.det_cofactor(), (d, n, m)
+                assert m.det() == det_cofactor(m), (d, n, m)
+
+
+def test_matrix_operations_build_no_ring_elements(monkeypatch):
+    # entries stay coefficient tuples: on a catalogue matrix, the form test,
+    # the product, ==, the adjoint and det build one CycInt, det's result
+    m, zeta2 = THPrime(5, 12, 2, -3), zeta_pow(12, 2)
+    built = []
+    new, init = cyclotomic._new, CycInt.__init__
+
+    def counting_new(d, coeffs):
+        built.append(coeffs)
+        return new(d, coeffs)
+
+    def counting_init(self, d, coeffs):
+        built.append(coeffs)
+        init(self, d, coeffs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("prymrep") and getattr(module, "_new", None) is new:
+            monkeypatch.setattr(module, "_new", counting_new)
+    monkeypatch.setattr(CycInt, "__init__", counting_init)
+    assert preserves_form(m)
+    assert m.mat * m.mat == (m * m).mat
+    assert m.mat.adjoint() * m.mat != m.mat
+    assert m.det() == zeta2  # zeta on a plane
+    assert len(built) <= 1, built
 
 
 def test_det_multiplicative():
@@ -168,7 +191,7 @@ def test_preservation_matches_random_vector_spotcheck():
         for _ in range(20):
             u = [CycInt(d, [rng.randint(-3, 3) for _ in range(phi)]) for _ in range(4)]
             v = [CycInt(d, [rng.randint(-3, 3) for _ in range(phi)]) for _ in range(4)]
-            if form_eval(m.mat.apply(u), m.mat.apply(v), g) != form_eval(u, v, g):
+            if form_eval(apply(m.mat, u), apply(m.mat, v), g) != form_eval(u, v, g):
                 spot = False
                 break
         assert spot == preserves_form(m)

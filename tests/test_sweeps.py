@@ -2,6 +2,7 @@
 failures that must name their cell and count the failing case."""
 
 import hashlib
+from time import perf_counter
 
 import pytest
 
@@ -25,6 +26,16 @@ def test_selftest_output_is_pinned(capsys, options, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_selftest_draws_fit_the_certificate_budget(capsys):
+    # at seed 0 a random_member draw at d = 15, g = 2 used to grow a
+    # 40566660-letter certificate walk, and selftest stopped with exit 2
+    start = perf_counter()
+    code = main(["selftest", "--max-d", "15", "--max-g", "3"])
+    out, err = capsys.readouterr()
+    assert perf_counter() - start < 10.0
+    assert code == 0 and err == "" and out.endswith("selftest: all suites passed\n")
 
 
 # (sweep, a function it calls on every case, arguments, keyword arguments,

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prymrep.cyclotomic import MAX_DIGITS, CycInt, ParseError
-from prymrep.generators import FAMILIES, GenSpec, TH, _entries, delta_g3, matrix_of
+from prymrep.generators import (FAMILIES, GenSpec, TH, _entries, conj_AH, delta_g1, delta_g3,
+                                 matrix_of, scalar_zeta)
 from prymrep.ringlinalg import BlockMat
 from prymrep.sweeps import random_lambda_word
 from prymrep.wordlang import MAX_POWER, Word, evaluate, parse
@@ -245,10 +246,14 @@ def test_column_ops_equal_the_dense_product(case):
             assert not {p for p, _, _ in entries} & {q for _, q, _ in entries}, spec
 
 
-@pytest.mark.parametrize("bad", [1.9, 0.4, 1.0, "1", None])
+@pytest.mark.parametrize("bad", [1.9, 0.4, 1.0, "1", None, True])
 def test_non_integral_arguments_are_refused(bad):
     # refused with a message, never truncated by int(): G1(1.9) is not G1(1)
-    # and an exponent 0.4 does not drop its factor
+    # and an exponent 0.4 does not drop its factor; nor is True read as 1, by
+    # a GenSpec, a Word or a public constructor
+    for build, name in ((delta_g1, "G1"), (conj_AH, "AH"), (TH, "TH"), (scalar_zeta, "Zeta")):
+        with pytest.raises(ValueError, match=f"^{name} indices must be integers$"):
+            build(3, 5, bad)
     with pytest.raises(ValueError, match="^G1 indices must be integers$"):
         GenSpec("G1", (bad,))
     with pytest.raises(ValueError, match="^polynomial coefficients must be integers$"):
