@@ -23,7 +23,7 @@ import re
 from functools import lru_cache
 from math import gcd
 
-MAX_D = 1000  # largest modulus; _power_table(997) and _units(997) hold about 3 * 10**6 ints
+MAX_D = 1000  # largest modulus; _power_table(997) and _units(997) hold about 2 * 10**6 ints
 MAX_EXPONENT = 10**5  # largest exponent of z in a ring literal
 MAX_DIGITS = 4000  # longest integer in text; below int()'s own limit of 4300
 MAX_PRINT_DIGITS = 4300  # longest integer rendered as text; int()'s own limit
@@ -143,14 +143,13 @@ def cyclotomic_poly(d: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _power_table(d: int) -> tuple[tuple[int, ...], ...]:
-    """x^m mod Phi_d for m = 0 .. max(d-1, 2*phi(d)-2), rows of length phi(d)."""
+    """x^m mod Phi_d for m = 0 .. d-1, rows of length phi(d)."""
     phi = euler_phi(d)
     mod = cyclotomic_poly(d)
-    top = max(d - 1, 2 * phi - 2)
     rows = []
     cur = [1] + [0] * (phi - 1)
     rows.append(tuple(cur))
-    for _ in range(top):
+    for _ in range(d - 1):
         lead = cur[phi - 1]
         nxt = [0] + cur[: phi - 1]
         if lead:
@@ -164,8 +163,7 @@ def _power_table(d: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _sparse_powers(d: int):
     """zeta^m for m = 0 .. d-1 as its nonzero (index, coefficient) pairs."""
-    return tuple(tuple((j, c) for j, c in enumerate(row) if c)
-                 for row in _power_table(d)[:d])
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in _power_table(d))
 
 
 def _reduce_poly(d, coeffs):

@@ -294,8 +294,8 @@ def _sparse_product(d, a_rows, b_rows, cols):
     2*phi - 1 per entry that is reduced mod Phi_d once.  Entries with no
     contribution share one zero.
     """
-    width = 2 * euler_phi(d) - 1
-    z = (0,) * euler_phi(d)
+    phi = euler_phi(d)
+    width, z = 2 * phi - 1, (0,) * phi
     sparse_b = _sparse_rows(b_rows)
     out = []
     for row in _sparse_rows(a_rows):
@@ -310,7 +310,7 @@ def _sparse_product(d, a_rows, b_rows, cols):
                         conv[s + t] += x * y
         new_row = [z] * cols
         for j, conv in acc.items():
-            new_row[j] = _reduce_poly(d, conv) if any(conv[len(z):]) else tuple(conv[:len(z)])
+            new_row[j] = _reduce_poly(d, conv) if any(conv[phi:]) else tuple(conv[:phi])
         out.append(tuple(new_row))
     return tuple(out)
 
