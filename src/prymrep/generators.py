@@ -18,8 +18,8 @@ that N occupies are disjoint: N^2 = 0, and (Id + N)^e = Id + eN for every
 integer e.  Their Family is marked nilpotent, and wordlang.evaluate applies
 their entries as column operations.  The generic transvection of any v takes
 N = +-v w^T, where w is the form row of v: <x, v> = w . x with
-w[i] = conj(v[n+i]) and w[n+i] = -conj(v[i]), n = g - 1 (_form_row, which
-agrees with form_eval); there N^2 = +-<v, v> N, which need not vanish.
+w[i] = conj(v[n+i]) and w[n+i] = -conj(v[i]), n = g - 1 (_form_row); there
+N^2 = +-<v, v> N, which need not vanish.
 T, T_H and T_H' multiply a hyperbolic plane H = <f1, f2> by zeta and fix
 its form complement, so N = (zeta - 1)P for the form projection P onto H
 (_zeta_on_plane).  Column k of N is the image of e_k less e_k under A_H
