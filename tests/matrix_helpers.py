@@ -1,7 +1,8 @@
 """Matrix helpers that only the tests use: the form matrix Omega, the form
 <u, v> evaluated from its definition, basis vectors in the signed index
-order, a matrix acting on a vector, and the cofactor determinant, the oracle
-that Bareiss elimination (RingMatrix.det) is checked against."""
+order, a matrix acting on a vector, the cofactor determinant, the oracle
+that Bareiss elimination (RingMatrix.det) is checked against, and the Galois
+automorphisms of Z[zeta_d] from their definition."""
 
 from prymrep.cyclotomic import CycInt, zero
 from prymrep.ringlinalg import BlockMat, RingMatrix, basis_position
@@ -82,3 +83,12 @@ def det_cofactor(m: RingMatrix) -> CycInt:
         term = a * det_cofactor(minor)
         acc = acc + (term if j % 2 == 0 else -term)
     return acc
+
+
+def galois(a: CycInt, k: int) -> CycInt:
+    """The Galois automorphism sigma_k: zeta -> zeta^k (k coprime to d),
+    from its definition: c zeta^m goes to c zeta^(k*m)."""
+    poly = [0] * a.d
+    for m, c in enumerate(a.coeffs):
+        poly[k * m % a.d] += c
+    return CycInt.from_poly(a.d, poly)

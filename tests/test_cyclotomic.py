@@ -28,6 +28,8 @@ from prymrep.cyclotomic import (
     zeta_pow,
 )
 
+from matrix_helpers import galois
+
 
 def test_cyclotomic_polynomials():
     # constant-first coefficient tuples
@@ -326,6 +328,49 @@ def test_ring_layer_agrees_with_sympy(case):
         ue = unit_exponent(elem)
         assert (ue is None) == (not found), (d, elem)
         assert ue is None or (ue in found and (ue[0] == 1 or (1, (ue[1] + d // 2) % d) not in found))
+
+
+def _divide_by_products(a, b):
+    """a / b by the per-call product route, the oracle of divide_exact:
+    a*b' / N(b), where b' is the product of sigma_k(b) over 1 < k < d coprime
+    to d and N(b) = b*b', with divide_exact's errors and messages."""
+    d = b.d
+    if b.is_zero():
+        raise ZeroDivisionError(f"division by zero in Z[zeta_{d}]")
+    b_prime = one(d)
+    for k in range(2, d):
+        if gcd(k, d) == 1:
+            b_prime = b_prime * galois(b, k)
+    norm = (b * b_prime).coeffs[0]
+    num = (a * b_prime).coeffs
+    if any(c % norm for c in num):
+        raise ArithmeticError(f"{a!r} / {b!r} is not in Z[zeta_{d}]")
+    return CycInt(d, [c // norm for c in num])
+
+
+def _outcome(divide, a, b):
+    """The quotient's coefficients, or the error's type and text."""
+    try:
+        return divide(a, b).coeffs
+    except ArithmeticError as exc:  # ZeroDivisionError is one too
+        return type(exc), str(exc)
+
+
+@given(oracle_cases())
+@settings(max_examples=150, deadline=None)
+def test_divide_exact_agrees_with_the_product_route(case):
+    # products by a nonzero b and by a unit, non-multiples (a*b + 1 is one
+    # unless b is a unit) and the zero divisor: the same quotient, or the
+    # same error with the same text
+    d, a, b, (s, k) = case
+    ca, cb, unit, z = CycInt(d, a), CycInt(d, b), s * zeta_pow(d, k), zero(d)
+    for x, y in ((ca * cb, cb), (ca * unit, unit), (ca * cb + 1, cb), (ca, cb),
+                 (one(d), cb), (one(d), unit), (ca, z), (z, cb)):
+        assert _outcome(divide_exact, x, y) == _outcome(_divide_by_products, x, y), (x, y)
+    assert _outcome(divide_exact, 1, cb) == _outcome(_divide_by_products, one(d), cb)
+    assert divide_exact(ca * cb, cb) == ca and divide_exact(ca * unit, unit) == ca
+    with pytest.raises(ZeroDivisionError):
+        divide_exact(ca, z)
 
 
 def test_pow():
