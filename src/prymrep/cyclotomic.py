@@ -443,43 +443,46 @@ def eval_real_basis(d: int, n0: int, nk) -> CycInt:
     return acc
 
 
-def _galois(a: CycInt, k: int) -> CycInt:
-    """The Galois automorphism sigma_k: zeta -> zeta^k (k coprime to d)."""
-    return _new(a.d, _monomial_map(a.d, a.coeffs, k))
-
-
 def divide_exact(a, b: CycInt) -> CycInt:
-    """a / b when the quotient lies in Z[zeta_d], in integer arithmetic only.
-
-    A unit b = +-zeta^k divides by rotation.  Otherwise a / b = a*b' / N(b),
-    where b' is the product of the conjugates sigma_k(b) over 1 < k < d with
-    gcd(k, d) = 1, and N(b) = b*b' is a rational integer.  Raises
-    ZeroDivisionError for b = 0 and ArithmeticError when the quotient is not
-    integral; a may be a rational integer.
-    """
+    """a / b when the quotient lies in Z[zeta_d], in integer arithmetic only
+    (_divider).  Raises ZeroDivisionError for b = 0 and ArithmeticError when
+    the quotient is not integral; a may be a rational integer."""
     a = b._coerce(a)
-    d = b.d
-    ue = unit_exponent(b)
-    if ue is not None:
-        return _new(d, _unit_quotient(d, a.coeffs, ue))
-    if b.is_zero():
+    return _new(b.d, _divider(b.d, b.coeffs)(a.coeffs))
+
+
+def _divider(d, b):
+    """x -> x / b on reduced coefficient tuples, the one route of exact
+    division (divide_exact, RingMatrix.det and RingMatrix.inverse).
+
+    A unit b = s * zeta^k divides by rotation.  Any other nonzero b gives
+    x / b = x*b' / N(b), with b' the product of the conjugates sigma_k(b),
+    1 < k < d and gcd(k, d) = 1, and N(b) = b*b' a rational integer; both
+    are built once per divider.  Dividing raises ArithmeticError when x / b
+    is not integral.
+    """
+    unit = _units(d).get(b)
+    if unit is not None:
+        s, k = unit
+
+        def rotate(x):
+            q = _monomial_map(d, x, 1, -k) if k else x
+            return q if s > 0 else tuple(-c for c in q)
+        return rotate
+    if not any(b):
         raise ZeroDivisionError(f"division by zero in Z[zeta_{d}]")
-    b_prime = one(d)
+    b_prime = _power_table(d)[0]
     for k in range(2, d):
         if gcd(k, d) == 1:
-            b_prime = b_prime * _galois(b, k)
-    norm = (b * b_prime).coeffs[0]
-    num = (a * b_prime).coeffs
-    if any(c % norm for c in num):
-        raise ArithmeticError(f"{a!r} / {b!r} is not in Z[zeta_{d}]")
-    return _new(d, tuple(c // norm for c in num))
+            b_prime = _mul_reduce(d, b_prime, _monomial_map(d, b, k))
+    norm = _mul_reduce(d, b, b_prime)[0]
 
-
-def _unit_quotient(d, coeffs, unit):
-    """coeffs / (s * zeta^k) for unit = (s, k), by rotation."""
-    s, k = unit
-    q = _monomial_map(d, coeffs, 1, -k) if k else coeffs
-    return q if s > 0 else tuple(-c for c in q)
+    def divide(x):
+        num = _mul_reduce(d, x, b_prime)
+        if any(c % norm for c in num):
+            raise ArithmeticError(f"{_new(d, x)!r} / {_new(d, b)!r} is not in Z[zeta_{d}]")
+        return tuple(c // norm for c in num)
+    return divide
 
 
 # ---------------------------------------------------------------------------

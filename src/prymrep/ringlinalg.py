@@ -17,15 +17,13 @@ from .cyclotomic import (
     CycInt,
     ParseError,
     _conj,
+    _divider,
     _mul_reduce,
     _new,
     _power,
     _power_table,
     _reduce_poly,
     _sparse_powers,
-    _unit_quotient,
-    _units,
-    divide_exact,
     euler_phi,
     parse_ring_literal,
     render_poly,
@@ -42,16 +40,6 @@ def _one_zero(d):
 
 def _neg(x):
     return tuple(-c for c in x)
-
-
-def _divider(d, b):
-    """x -> x / b on coefficient tuples, for b nonzero and x / b integral:
-    a rotation for b = +-zeta^k, divide_exact for any other b."""
-    unit = _units(d).get(b)
-    if unit is not None:
-        return lambda x: _unit_quotient(d, x, unit)
-    b = _new(d, b)
-    return lambda x: divide_exact(_new(d, x), b).coeffs
 
 
 class RingMatrix:
@@ -208,15 +196,17 @@ class RingMatrix:
     def det(self) -> CycInt:
         """Exact determinant by fraction-free (Bareiss) elimination.
 
-        Each step divides by the previous pivot (_divider), exact by
+        Each step after the first divides by the previous pivot, exact by
         Sylvester's identity; an ArithmeticError signals a bug, not bad input.
+        The divider (_divider) is built at the step's first update, so a
+        pivot that divides nothing builds none.
         """
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         d, n = self.d, self.rows
         prev, z = _one_zero(d)
         m = [list(row) for row in self.coeffs]
-        sign, div = 1, None  # None divides by prev = 1
+        sign = 1
         for k in range(n - 1):
             if not any(m[k][k]):
                 for i in range(k + 1, n):
@@ -226,16 +216,19 @@ class RingMatrix:
                         break
                 else:
                     return _new(d, z)
-            p, pivot_row = m[k][k], m[k]
+            p, pivot_row, div = m[k][k], m[k], None
             unchanged = p == prev  # then rows with m[i][k] = 0 stay as they are
             for i in range(k + 1, n):
                 f = m[i][k]
                 if unchanged and not any(f):
                     continue
                 row = [_mul_reduce(d, p, x, f, y) for x, y in zip(m[i][k + 1:], pivot_row[k + 1:])]
-                m[i][k + 1:] = row if div is None else map(div, row)
+                if k:
+                    div = div or _divider(d, prev)
+                    row = map(div, row)
+                m[i][k + 1:] = row
                 m[i][k] = z
-            prev, div = p, _divider(d, p)
+            prev = p
         result = m[n - 1][n - 1]
         return _new(d, result if sign > 0 else _neg(result))
 
@@ -254,20 +247,24 @@ class RingMatrix:
         o, z = _one_zero(d)
         aug = [list(row) + [o if i == j else z for j in range(n)]
                for i, row in enumerate(self.coeffs)]
-        prev, div = o, None  # None divides by prev = 1
+        prev = o
         for k in range(n):
             piv = next((i for i in range(k, n) if any(aug[i][k])), None)
             if piv is None:
                 raise ZeroDivisionError("matrix is not invertible")
             aug[k], aug[piv] = aug[piv], aug[k]
-            p, pivot_row = aug[k][k], aug[k]
+            p, pivot_row, div = aug[k][k], aug[k], None
             for i in range(n):
                 f = aug[i][k]
                 # with f = 0 and p = prev the update would leave row i as it is
                 if i != k and (any(f) or p != prev):
                     row = [_mul_reduce(d, p, x, f, y) for x, y in zip(aug[i], pivot_row)]
-                    aug[i] = row if div is None else list(map(div, row))
-            prev, div = p, _divider(d, p)
+                    if k:
+                        div = div or _divider(d, prev)
+                        row = list(map(div, row))
+                    aug[i] = row
+            prev = p
+        div = _divider(d, prev)
         return RingMatrix._make(d, tuple(tuple(map(div, row[n:])) for row in aug))
 
     def to_text(self) -> str:

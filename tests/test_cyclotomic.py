@@ -11,7 +11,6 @@ from prymrep.cyclotomic import (
     MAX_EXPONENT,
     CycInt,
     ParseError,
-    _galois,
     _reduce_poly,
     conj,
     cyclotomic_poly,
@@ -270,7 +269,7 @@ def test_norm_matches_resultant():
             norm = one(d)
             for k in range(1, d):
                 if gcd(k, d) == 1:
-                    norm = norm * _galois(b, k)
+                    norm = norm * galois(b, k)
             poly = sum(c * x ** m for m, c in enumerate(b.coeffs))
             assert norm == int(sympy.resultant(phi_d, poly, x)), (d, b)
             assert divide_exact(norm, b) * b == norm

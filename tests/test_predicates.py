@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from prymrep.cyclotomic import CycInt, _galois, one, zeta_pow
+from prymrep.cyclotomic import CycInt, one, zeta_pow
 from prymrep.generators import delta_g1, elem_Ti, scalar_zeta
 from prymrep.predicates import (
     _CLAUSES,
@@ -17,7 +17,7 @@ from prymrep.ringlinalg import BlockMat, RingMatrix, parse_matrix, preserves_for
 from prymrep.sweeps import random_lambda_word
 from prymrep.wordlang import evaluate
 
-from matrix_helpers import omega
+from matrix_helpers import galois, omega
 
 
 def block(text, d, g):
@@ -273,7 +273,7 @@ def test_galois_conjugation_keeps_every_verdict():
         truths = _truths(m)
         for k in range(2, m.d):
             if math.gcd(k, m.d) == 1:
-                assert _truths(_entrywise(m, lambda e: _galois(e, k))) == truths
+                assert _truths(_entrywise(m, lambda e: galois(e, k))) == truths
                 checked += 1
     assert checked > 500
 

@@ -77,9 +77,12 @@ def test_det_skips_rows_that_cannot_change(monkeypatch):
     from prymrep import ringlinalg
 
     calls = []
-    divide = ringlinalg.divide_exact
-    monkeypatch.setattr(ringlinalg, "divide_exact",
-                        lambda a, b: calls.append(1) or divide(a, b))
+    divider = ringlinalg._divider
+
+    def counting(d, b):
+        divide = divider(d, b)
+        return lambda x: calls.append(1) or divide(x)
+    monkeypatch.setattr(ringlinalg, "_divider", counting)
     assert RingMatrix.identity(5, 8).det() == 1
     assert calls == []
     rng = random.Random(9)
@@ -92,6 +95,25 @@ def test_det_skips_rows_that_cannot_change(monkeypatch):
                      if rng.random() < 0.35 else CycInt.from_int(d, 0)
                      for _ in range(n)] for _ in range(n)])
                 assert m.det() == det_cofactor(m), (d, n, m)
+
+
+def test_det_builds_one_cofactor_per_dividing_pivot(monkeypatch):
+    # at n = 5 Bareiss divides 14 entries by the pivots of its first three
+    # steps; for a pivot b that is not +-zeta^k the cofactor b' is a product
+    # of the phi(d) - 2 conjugates sigma_k(b), 1 < k < d, and is built once
+    # per pivot, not once per entry
+    d, n = 31, 5
+    m = rand_matrix(random.Random(17), d, n, -2, 2)
+    conjugates = []
+    monomial_map = cyclotomic._monomial_map
+
+    def counting(d, coeffs, k, j=0):
+        if k % d not in (1, d - 1):  # not a rotation and not conj
+            conjugates.append(k)
+        return monomial_map(d, coeffs, k, j)
+    monkeypatch.setattr(cyclotomic, "_monomial_map", counting)
+    assert m.det() == det_cofactor(m)
+    assert 0 < len(conjugates) <= (n - 2) * (euler_phi(d) - 2)
 
 
 def test_matrix_operations_build_no_ring_elements(monkeypatch):
