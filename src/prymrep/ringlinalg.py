@@ -312,19 +312,22 @@ def _sparse_product(d, a_rows, b_rows, cols):
     return tuple(out)
 
 
-def parse_matrix_poly(text: str):
-    """Parse matrix text into a grid of integer polynomials (no modulus yet)."""
-    rows = tuple(tuple(map(parse_ring_literal, chunk.split(",")))
-                 for chunk in text.split(";"))
+def parse_matrix_poly(text: str, read=parse_ring_literal):
+    """Parse the matrix text format, rows split by ';' and ring literals by
+    ',', into the grid of read(literal): by default integer polynomials (no
+    modulus yet)."""
+    rows = tuple(tuple(map(read, chunk.split(","))) for chunk in text.split(";"))
     if any(len(r) != len(rows[0]) for r in rows):
         raise ParseError("ragged matrix literal", text, 0)
     return rows
 
 
 def parse_matrix(text: str, d: int) -> RingMatrix:
-    """Parse the matrix text format: rows split by ';', ring literals by ','."""
-    grid = parse_matrix_poly(text)
-    return RingMatrix(d, [[CycInt.from_poly(d, p) for p in row] for row in grid])
+    """Parse the matrix text format at modulus d.  Each entry is reduced to
+    its coefficient tuple as it is read, so no dense polynomial of a long
+    literal outlives its entry."""
+    return RingMatrix._make(d, parse_matrix_poly(
+        text, lambda literal: CycInt.from_literal(d, literal).coeffs))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import re
+import tracemalloc
 from time import perf_counter
 
 import pytest
@@ -91,6 +92,21 @@ def test_check_dimension_mismatch_exit_2(capsys):
     assert code == 2
     assert "expected" in err
 
+
+
+def test_matrix_entries_are_reduced_as_they_are_read(capsys):
+    # each z^100000 entry is a dense polynomial of 100001 ints until it is
+    # reduced; kept for all 100 entries, the 1 KB argument peaked near 80 MB
+    text = " ; ".join(", ".join(["z^100000"] * 10) for _ in range(10))
+    tracemalloc.start()
+    try:
+        code = main(["check", "--d", "3", "--g", "2", "--group", "U", "--matrix", text])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().err) == (
+        2, "error: matrix is 10x10, expected 2x2 for genus 2\n")
+    assert peak < 16 * 2**20
 
 def test_decompose_delta_round_trip(capsys):
     b_text = "2, z ; z^4, 1+z+z^4"
