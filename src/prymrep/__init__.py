@@ -10,9 +10,7 @@ independent graph-cover / Fox-calculus oracle for the lower-right block.
 from .cyclotomic import (
     CycInt,
     ParseError,
-    conj,
     euler_phi,
-    is_real,
     one,
     parse_ring_literal,
     render_poly,
@@ -49,7 +47,6 @@ from .generators import (
     gamma_ik,
     matrix_of,
     scalar_zeta,
-    transvection,
     twist_E,
 )
 from .predicates import (

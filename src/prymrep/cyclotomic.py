@@ -389,18 +389,6 @@ def one(d: int) -> CycInt:
     return CycInt.from_int(d, 1)
 
 
-def zero(d: int) -> CycInt:
-    return CycInt.from_int(d, 0)
-
-
-def conj(a: CycInt) -> CycInt:
-    return a.conj()
-
-
-def is_real(a: CycInt) -> bool:
-    return a.is_real()
-
-
 def unit_exponent(a: CycInt):
     """Return (sign, k) with a = sign * zeta^k, or None.
 

@@ -16,10 +16,7 @@ span <e_1..e_(g-1)>) have only entries (pos(a), pos(-b)) with a and b from
 one set of indices of distinct absolute values, so the rows and the columns
 that N occupies are disjoint: N^2 = 0, and (Id + N)^e = Id + eN for every
 integer e.  Their Family is marked nilpotent, and wordlang.evaluate applies
-their entries as column operations.  The generic transvection of any v takes
-N = +-v w^T, where w is the form row of v: <x, v> = w . x with
-w[i] = conj(v[n+i]) and w[n+i] = -conj(v[i]), n = g - 1 (_form_row); there
-N^2 = +-<v, v> N, which need not vanish.
+their entries as column operations.
 T, T_H and T_H' multiply a hyperbolic plane H = <f1, f2> by zeta and fix
 its form complement, so N = (zeta - 1)P for the form projection P onto H
 (_zeta_on_plane).  Column k of N is the image of e_k less e_k under A_H
@@ -41,12 +38,6 @@ from dataclasses import dataclass
 from .cyclotomic import CycInt, one, zeta_pow
 from .predicates import GroupTag, is_member
 from .ringlinalg import BlockMat, RingMatrix, basis_position
-
-
-def _form_row(g, v):
-    """The row w with <x, v> = w . x for every x."""
-    n = g - 1
-    return [c.conj() for c in v[n:]] + [-c.conj() for c in v[:n]]
 
 
 def _rank_update(d, g, entries):
@@ -216,19 +207,6 @@ def THPrime(g: int, d: int, i: int, j: int) -> BlockMat:
     """T_H' = A_H'^-1 T A_H': multiplication by zeta on <e_i, e_-i + e_j>
     (A_H' is symplectic and carries this plane to <e_1, e_-1>)."""
     return _build("THPrime", g, d, i, j)
-
-
-def transvection(g: int, d: int, v, direction: int = 1) -> BlockMat:
-    """x -> x + <x, v>v (direction +1) or x -> x - <x, v>v (direction -1),
-    for any vector v of length 2(g-1)."""
-    if len(v) != 2 * (g - 1):
-        raise ValueError("vector length must be 2(g-1)")
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    u = v if direction > 0 else [-c for c in v]
-    w = _form_row(g, v)
-    return _rank_update(d, g, [(p, q, a * b) for p, a in enumerate(u) if not a.is_zero()
-                               for q, b in enumerate(w) if not b.is_zero()])
 
 
 def twist_E(g: int, d: int, i: int) -> BlockMat:

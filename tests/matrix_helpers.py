@@ -1,11 +1,15 @@
-"""Matrix helpers that only the tests use: the form matrix Omega, the form
-<u, v> evaluated from its definition, basis vectors in the signed index
-order, a matrix acting on a vector, the cofactor determinant, the oracle
-that Bareiss elimination (RingMatrix.det) is checked against, and the Galois
-automorphisms of Z[zeta_d] from their definition."""
+"""Matrix helpers that only the tests use: the zero of Z[zeta_d], the form
+matrix Omega, the form <u, v> evaluated from its definition, basis vectors
+in the signed index order, a matrix acting on a vector, the cofactor
+determinant, the oracle that Bareiss elimination (RingMatrix.det) is checked
+against, and the Galois automorphisms of Z[zeta_d] from their definition."""
 
-from prymrep.cyclotomic import CycInt, zero
+from prymrep.cyclotomic import CycInt
 from prymrep.ringlinalg import BlockMat, RingMatrix, basis_position
+
+
+def zero(d: int) -> CycInt:
+    return CycInt.from_int(d, 0)
 
 
 def omega(g: int, d: int) -> BlockMat:

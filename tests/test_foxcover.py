@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prymrep.cyclotomic import MAX_DIGITS, CycInt, unit_exponent, zero, zeta_pow
+from prymrep.cyclotomic import MAX_DIGITS, CycInt, unit_exponent, zeta_pow
 from prymrep.foxcover import (
     MAX_LETTERS,
     CoverClass,
@@ -31,7 +31,7 @@ from prymrep.foxcover import (
 )
 from prymrep.ringlinalg import RingMatrix
 
-from matrix_helpers import column
+from matrix_helpers import column, zero
 
 
 def render_free_word(w) -> str:

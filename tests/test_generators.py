@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from prymrep import generators
-from prymrep.cyclotomic import CycInt, one, zero, zeta_pow
+from prymrep.cyclotomic import CycInt, one, zeta_pow
 from prymrep.generators import (
     FAMILIES,
     GenSpec,
@@ -26,7 +26,6 @@ from prymrep.generators import (
     gamma_ik,
     matrix_of,
     scalar_zeta,
-    transvection,
     twist_E,
 )
 from prymrep.predicates import GroupTag, is_member
@@ -34,7 +33,7 @@ from prymrep.ringlinalg import BlockMat, RingMatrix, basis_position, parse_matri
 from prymrep.sweeps import random_lambda_word
 from prymrep.wordlang import Word, parse
 
-from matrix_helpers import apply, basis_vector, column, form_eval, omega, signed_indices
+from matrix_helpers import apply, basis_vector, column, form_eval, omega, signed_indices, zero
 
 
 def test_elem_Ti_examples():
@@ -174,6 +173,26 @@ def test_TH_and_THPrime_reject_bad_indices():
                            (lambda: THPrime(3, 5, 1, -1), "THPrime requires |i| != |j|")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
+
+
+def _form_row(g, v):
+    """The row w with <x, v> = w . x for every x: w[i] = conj(v[n+i]) and
+    w[n+i] = -conj(v[i]), n = g - 1."""
+    n = g - 1
+    return [c.conj() for c in v[n:]] + [-c.conj() for c in v[:n]]
+
+
+def transvection(g: int, d: int, v, direction: int = 1) -> BlockMat:
+    """x -> x + <x, v>v (direction +1) or x -> x - <x, v>v (direction -1),
+    for any vector v of length 2(g-1): Id +- v w^T for the form row w of v,
+    the oracle of the catalogue's transvection families."""
+    if len(v) != 2 * (g - 1):
+        raise ValueError("vector length must be 2(g-1)")
+    if direction not in (1, -1):
+        raise ValueError("direction must be +1 or -1")
+    u = v if direction > 0 else [-c for c in v]
+    n = RingMatrix.from_rows(d, [[a * b for b in _form_row(g, v)] for a in u])
+    return BlockMat(RingMatrix.identity(d, 2 * (g - 1)) + n, g)
 
 
 def twist_transvection(g: int, d: int, v, direction: int = 1) -> BlockMat:

@@ -1,7 +1,9 @@
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "prymrep"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "prymrep"
 
 
 def test_every_private_helper_is_referenced():
@@ -21,3 +23,37 @@ def test_every_private_helper_is_referenced():
                 used.add(node.name)
     assert defined, SRC
     assert sorted(f"{at} {name}" for name, at in defined.items() if name not in used) == []
+
+
+def _names(tree):
+    """Every name, attribute and imported name in a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_public_name_is_used():
+    # a public module-level function or class that no module of the package
+    # names (__init__ only re-exports), no benchmark file names and no README
+    # code span documents serves the tests alone, and belongs with them;
+    # cli.main reaches the cmd_* functions through globals()
+    modules = {src.name: ast.parse(src.read_text())
+               for src in sorted(SRC.glob("*.py")) if src.name != "__init__.py"}
+    used = set().union(*map(_names, modules.values()))
+    for bench in sorted((ROOT / "benchmarks").glob("*.py")):
+        used |= _names(ast.parse(bench.read_text()))
+    for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text()):
+        used.update(re.findall(r"\w+", span))
+    assert len(modules) > 5 and "evaluate" in used
+    unused = [f"{name}:{node.lineno} {node.name}"
+              for name, tree in modules.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used
+              and not (name == "cli.py" and node.name.startswith("cmd_"))]
+    assert unused == []
