@@ -291,9 +291,9 @@ def oracle_sweep(d_values, g_values, per_cell, pairs_per_cell, seed=0,
             for n in range(pairs_per_cell):
                 a = random_member(rng, g, d, max_moves)
                 b = random_member(rng, g, d, max_moves)
-                while a.compose(b)._certificate_walk() > MAX_LETTERS:
+                while (ab := a.compose(b))._certificate_walk() > MAX_LETTERS:
                     b = random_member(rng, g, d, max_moves)  # each fits, the pair need not
-                ok = eta_chain(a.compose(b), d, g) == eta_chain(a, d, g) * eta_chain(b, d, g)
+                ok = eta_chain(ab, d, g) == eta_chain(a, d, g) * eta_chain(b, d, g)
                 yield f"d={d} g={g} pair {n}", None if ok else "eta not multiplicative"
     return _run("eta-dual-oracle", cases())
 
