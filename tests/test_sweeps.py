@@ -38,7 +38,6 @@ def test_selftest_draws_fit_the_certificate_budget(capsys):
     assert code == 0 and err == "" and out.endswith("selftest: all suites passed\n")
 
 
-
 def test_oracle_pairs_fit_the_certificate_budget():
     # `selftest --max-d 8 --max-g 3 --seed 2` used to exit 2: at d = 8, g = 2
     # the oracle sweep drew a pair whose walks fit MAX_LETTERS but whose
@@ -48,6 +47,7 @@ def test_oracle_pairs_fit_the_certificate_budget():
     rep = sweeps.oracle_sweep(range(2, 9), range(2, 4), per_cell=6, pairs_per_cell=2, seed=2)
     assert perf_counter() - start < 10.0
     assert (rep.ok, rep.checked) == (True, 112)
+
 
 # (sweep, a function it calls on every case, arguments, keyword arguments,
 # checks, calls, SHA-256 of the calls' arguments), taken before the sweeps
