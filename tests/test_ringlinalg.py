@@ -402,3 +402,61 @@ def test_pow_wastes_no_products(monkeypatch):
         calls.clear()
         assert z ** e == expected_z[e]
         assert len(calls) == products, e
+
+
+def _corpus_matrices(rng, d):
+    """Square matrices of size 1 to 5 at modulus d: dense, sparse, with a
+    zero leading pivot (so Bareiss swaps rows), singular (a repeated row or
+    a zero column), of a unit determinant (rows swapped), and catalogue
+    generators; coefficients in [-2, 2], so most dense determinants are not
+    units."""
+    from prymrep.wordlang import evaluate, parse
+
+    phi = euler_phi(d)
+
+    def elem(density=1.0):
+        if rng.random() >= density:
+            return CycInt(d, [0] * phi)
+        return CycInt(d, [rng.randint(-2, 2) for _ in range(phi)])
+
+    sizes = (1, 2, 3, 4) if d == 31 else (1, 2, 3, 4, 5)
+    for n in sizes:
+        yield RingMatrix(d, [[elem() for _ in range(n)] for _ in range(n)])
+        yield RingMatrix(d, [[elem(0.4) for _ in range(n)] for _ in range(n)])
+        rows = [[elem() for _ in range(n)] for _ in range(n)]
+        rows[0][0] = CycInt(d, [0] * phi)
+        yield RingMatrix(d, rows)
+        rows = [[elem() for _ in range(n)] for _ in range(n)]
+        rows[-1] = rows[0]
+        yield RingMatrix(d, rows)
+        rows = [[elem() for _ in range(n)] for _ in range(n)]
+        for row in rows:
+            row[n // 2] = CycInt(d, [0] * phi)
+        yield RingMatrix(d, rows)
+        if n > 1:
+            yield rand_unit_det_matrix(rng, d, n)
+    if d <= 15:
+        for text in ("T", "TH(2)^3 * AH(2)", "THPrime(1,-2) * T^-1", "Zeta(1) * AHPrime(2,1)",
+                     "Tij(1,-2; 1+z) * TH(1)^-2", "UrSp(1, 1, 0, 0 ; 0, 1, 0, 0 ; "
+                     "0, 0, 1, 0 ; 0, 0, -1, 1) * Ti(2; 2)"):
+            yield evaluate(parse(text), d, 3).mat
+        yield evaluate(parse("TH(1) * T"), d, 2).mat * 2
+
+
+def test_det_and_inverse_corpus_digest():
+    # every det and every inverse (or its error type and text) of a seeded
+    # corpus, pinned before det and inverse shared one elimination kernel
+    import hashlib
+
+    rng = random.Random(2018)
+    lines = []
+    for d in (2, 3, 5, 7, 9, 12, 15, 31):
+        for m in _corpus_matrices(rng, d):
+            lines.append(f"{d} {m!r} det {m.det()!r}")
+            try:
+                lines.append(f"inverse {m.inverse()!r}")
+            except ArithmeticError as exc:
+                lines.append(f"inverse {type(exc).__name__}: {exc}")
+    assert len(lines) == 2 * 275
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "42dd44eb9e140e7dbf8f06734967af8b0b54759ef3168f456dfb4d63f3f9f438"
