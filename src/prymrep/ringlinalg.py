@@ -194,52 +194,21 @@ class RingMatrix:
         ))
 
     def det(self) -> CycInt:
-        """Exact determinant by fraction-free (Bareiss) elimination.
-
-        Each step after the first divides by the previous pivot, exact by
-        Sylvester's identity; an ArithmeticError signals a bug, not bad input.
-        The divider (_divider) is built at the step's first update, so a
-        pivot that divides nothing builds none.
-        """
+        """Exact determinant: _eliminate below the pivots, then the last
+        pivot with the sign of the row swaps."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        d, n = self.d, self.rows
-        prev, z = _one_zero(d)
         m = [list(row) for row in self.coeffs]
-        sign = 1
-        for k in range(n - 1):
-            if not any(m[k][k]):
-                for i in range(k + 1, n):
-                    if any(m[i][k]):
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return _new(d, z)
-            p, pivot_row, div = m[k][k], m[k], None
-            unchanged = p == prev  # then rows with m[i][k] = 0 stay as they are
-            for i in range(k + 1, n):
-                f = m[i][k]
-                if unchanged and not any(f):
-                    continue
-                row = [_mul_reduce(d, p, x, f, y) for x, y in zip(m[i][k + 1:], pivot_row[k + 1:])]
-                if k:
-                    div = div or _divider(d, prev)
-                    row = map(div, row)
-                m[i][k + 1:] = row
-                m[i][k] = z
-            prev = p
-        result = m[n - 1][n - 1]
-        return _new(d, result if sign > 0 else _neg(result))
+        sign, p = _eliminate(self.d, m, self.rows, False), m[-1][-1]
+        return _new(self.d, p if sign > 0 else tuple(sign * c for c in p))
 
     def inverse(self) -> "RingMatrix":
         """Exact inverse with entries in Z[zeta_d].
 
-        Gauss-Jordan on [M | I] in fraction-free (Bareiss) form: each update
-        (p*x - f*y) / prev is exact by Sylvester's identity and the last step
-        leaves [p*I | p*M^-1] with p = +-det M, so the right half is divided
-        by p at the end.  Raises ZeroDivisionError if M is singular and
-        ArithmeticError if det M is not a unit.
+        _eliminate runs Gauss-Jordan on [M | I], above and below the pivots,
+        which leaves p*M^-1 in the right half with p = +-det M the last
+        pivot, so the right half is divided by p.  Raises ZeroDivisionError
+        if M is singular and ArithmeticError if det M is not a unit.
         """
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
@@ -247,24 +216,9 @@ class RingMatrix:
         o, z = _one_zero(d)
         aug = [list(row) + [o if i == j else z for j in range(n)]
                for i, row in enumerate(self.coeffs)]
-        prev = o
-        for k in range(n):
-            piv = next((i for i in range(k, n) if any(aug[i][k])), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is not invertible")
-            aug[k], aug[piv] = aug[piv], aug[k]
-            p, pivot_row, div = aug[k][k], aug[k], None
-            for i in range(n):
-                f = aug[i][k]
-                # with f = 0 and p = prev the update would leave row i as it is
-                if i != k and (any(f) or p != prev):
-                    row = [_mul_reduce(d, p, x, f, y) for x, y in zip(aug[i], pivot_row)]
-                    if k:
-                        div = div or _divider(d, prev)
-                        row = list(map(div, row))
-                    aug[i] = row
-            prev = p
-        div = _divider(d, prev)
+        if not _eliminate(d, aug, n, True):
+            raise ZeroDivisionError("matrix is not invertible")
+        div = _divider(d, aug[-1][n - 1])
         return RingMatrix._make(d, tuple(tuple(map(div, row[n:])) for row in aug))
 
     def to_text(self) -> str:
@@ -274,6 +228,50 @@ class RingMatrix:
 
     def __repr__(self):
         return f"RingMatrix({self.d}, '{self.to_text()}')"
+
+
+def _eliminate(d, rows, n, jordan):
+    """Fraction-free (Bareiss) elimination in place on n rows of coefficient
+    tuples, pivoting in their first n columns: the kernel of det and inverse.
+
+    Step k swaps up the first row from k down with a nonzero entry in column
+    k, then replaces each row below it (with jordan, also each row above it)
+    by (p*x - f*y) / prev: p is the pivot, y the pivot row, f the row's entry
+    in column k and prev the previous pivot, 1 at the first step.  The
+    division is exact by Sylvester's identity, so an ArithmeticError signals
+    a bug, not bad input; its divider (_divider) is built at the step's first
+    update, so a step that divides nothing builds none.  A row with f = 0
+    stays as it is when p = prev, and only the columns right of the pivot are
+    updated, because no later step reads the others.
+
+    Returns 0 when a column has no pivot, so that det M = 0, and else the
+    sign s of the row swaps; rows[n - 1][n - 1] then holds s * det M, the
+    last pivot.  Without jordan the last column is not searched, as nothing
+    is left to eliminate: a zero there is the determinant 0.
+    """
+    prev, sign = _power_table(d)[0], 1
+    for k in range(n if jordan else n - 1):
+        if not any(rows[k][k]):
+            for i in range(k + 1, n):
+                if any(rows[i][k]):
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        p, tail, div = rows[k][k], rows[k][k + 1:], None
+        unchanged = p == prev
+        for i in (*range(k), *range(k + 1, n)) if jordan else range(k + 1, n):
+            f = rows[i][k]
+            if unchanged and not any(f):
+                continue
+            row = [_mul_reduce(d, p, x, f, y) for x, y in zip(rows[i][k + 1:], tail)]
+            if k:
+                div = div or _divider(d, prev)
+                row = map(div, row)
+            rows[i][k + 1:] = row
+        prev = p
+    return sign
 
 
 def _sparse_rows(rows):
