@@ -224,19 +224,20 @@ def _units(d: int):
     return units
 
 
-def _power(base, e, unit):
-    """base ** e for e >= 0 by binary powering, with no product wasted:
-    e = 1 costs none, e = 2 one and e = 3 two.  unit() is the e = 0 result."""
+def _power(base, e, unit, check=None):
+    """base ** e for e >= 0 by binary powering from the top bit, with no
+    product wasted: e = 1 costs none, e = 2 one and e = 3 two.  unit() is
+    the e = 0 result, and check, if given, sees the power after each step."""
     if e == 0:
         return unit()
-    result = None
-    while True:
-        if e & 1:
-            result = base if result is None else result * base
-        e >>= 1
-        if not e:
-            return result
-        base = base * base
+    result = base
+    for bit in bin(e)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * base
+        if check:
+            check(result)
+    return result
 
 
 class CycInt:

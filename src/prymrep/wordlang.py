@@ -24,8 +24,8 @@ from __future__ import annotations
 import re
 from operator import add
 
-from .cyclotomic import (_PRINT_BOUND, MAX_PRINT_DIGITS, ParseError, _mul_reduce, _Scanner,
-                         parse_ring_literal, render_poly)
+from .cyclotomic import (_PRINT_BOUND, MAX_PRINT_DIGITS, ParseError, _mul_reduce, _power,
+                         _Scanner, parse_ring_literal, render_poly)
 from .generators import FAMILIES, GenSpec, _entries, _ints, matrix_of
 from .ringlinalg import BlockMat, RingMatrix, parse_matrix_poly
 
@@ -108,10 +108,11 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
     matrix.  Any other factor is built by matrix_of, inverted for a negative
     exponent by the division-free BlockMat.form_inverse, -Omega M* Omega
     (every generator lies in U: UrSp literals are checked on entry, the
-    other families by construction), raised by binary powering and joined by
-    one product; the first factor of a word is not joined to Id.  Such a
-    factor's |e| is at most MAX_POWER, and its powering stops at the first
-    step past MAX_PRINT_DIGITS; a column-op factor's exponent is unbounded.
+    other families by construction), raised by the package's one binary
+    powering, cyclotomic._power, and joined by one product; the first factor
+    of a word is not joined to Id.  Such a factor's |e| is at most MAX_POWER,
+    and its powering stops at the first step past MAX_PRINT_DIGITS (the
+    check it passes _power); a column-op factor's exponent is unbounded.
     """
     rows = None  # None stands for Id
     for spec, e in word.factors:
@@ -132,12 +133,12 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
         m = matrix_of(spec, d, g)
         if e < 0:
             m, e = m.form_inverse(), -e
-        base = m = m.mat
-        for bit in bin(e)[3:]:  # binary powering from the top bit, each step checked
-            m = m * m if bit == "0" else m * m * base
-            if any(abs(c) >= _PRINT_BOUND for row in m.coeffs for x in row for c in x):
+
+        def check(power):
+            if any(abs(c) >= _PRINT_BOUND for row in power.coeffs for x in row for c in x):
                 raise ValueError(f"a power of {spec.name} passes the budget "
                                  f"MAX_PRINT_DIGITS = {MAX_PRINT_DIGITS} digits")
+        m = _power(m.mat, e, None, check)  # e > 0: a word keeps no zero exponent
         if rows is not None:
             m = RingMatrix._make(d, tuple(map(tuple, rows))) * m
         rows = [list(row) for row in m.coeffs]
