@@ -194,8 +194,8 @@ class RingMatrix:
         ))
 
     def det(self) -> CycInt:
-        """Exact determinant: _eliminate below the pivots, then the last
-        pivot with the sign of the row swaps."""
+        """Exact determinant by the shared elimination _eliminate, run below
+        the pivots: the last pivot times the sign of the row swaps."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         m = [list(row) for row in self.coeffs]
@@ -232,22 +232,17 @@ class RingMatrix:
 
 def _eliminate(d, rows, n, jordan):
     """Fraction-free (Bareiss) elimination in place on n rows of coefficient
-    tuples, pivoting in their first n columns: the kernel of det and inverse.
-
-    Step k swaps up the first row from k down with a nonzero entry in column
-    k, then replaces each row below it (with jordan, also each row above it)
-    by (p*x - f*y) / prev: p is the pivot, y the pivot row, f the row's entry
-    in column k and prev the previous pivot, 1 at the first step.  The
-    division is exact by Sylvester's identity, so an ArithmeticError signals
-    a bug, not bad input; its divider (_divider) is built at the step's first
-    update, so a step that divides nothing builds none.  A row with f = 0
-    stays as it is when p = prev, and only the columns right of the pivot are
-    updated, because no later step reads the others.
-
-    Returns 0 when a column has no pivot, so that det M = 0, and else the
-    sign s of the row swaps; rows[n - 1][n - 1] then holds s * det M, the
-    last pivot.  Without jordan the last column is not searched, as nothing
-    is left to eliminate: a zero there is the determinant 0.
+    tuples, pivoting in their first n columns; det and inverse share it.
+    Step k swaps up the first row from k down that is nonzero in column k
+    and replaces each row below it (with jordan, above it too) by
+    (p*x - f*y) / prev, for the pivot p, the pivot row y, the row's entry f
+    in column k and the previous pivot prev (1 at first).  That is exact by
+    Sylvester's identity, so an ArithmeticError is a bug; _divider is built
+    at a step's first update.  A row with f = 0 stays when p = prev, and only
+    the columns right of the pivot change: no later step reads the others.
+    Returns 0 if a column has no pivot, else the sign s of the swaps, with
+    s * det M, the last pivot, in rows[n - 1][n - 1]; without jordan the
+    last column, where nothing is left to eliminate, is not searched.
     """
     prev, sign = _power_table(d)[0], 1
     for k in range(n if jordan else n - 1):
