@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from math import gcd
+from operator import index
 
 MAX_D = 1000  # largest modulus; _power_table(997) and _units(997) hold about 2 * 10**6 ints
 MAX_EXPONENT = 10**5  # largest exponent of z in a ring literal
@@ -100,6 +101,18 @@ def _int(token):
     if digits > MAX_DIGITS:
         raise ValueError(f"integer of {digits} digits is over the budget MAX_DIGITS = {MAX_DIGITS}")
     return int(token)
+
+
+def _ints(values, what):
+    """values as a tuple of ints; anything else is refused, not truncated,
+    and so is a bool, which is not read as 0 or 1."""
+    values = tuple(values)
+    if bool not in map(type, values):
+        try:
+            return tuple(map(index, values))
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be integers")
 
 
 @lru_cache(maxsize=None)
@@ -248,7 +261,7 @@ class CycInt:
     def __init__(self, d: int, coeffs):
         if d < 2:
             raise ValueError("modulus d must be >= 2")
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = _ints(coeffs, "coefficients")
         if len(coeffs) != euler_phi(d):
             raise ValueError(
                 f"need {euler_phi(d)} coefficients for d={d}, got {len(coeffs)}"
@@ -262,13 +275,15 @@ class CycInt:
 
         One longer than d is first folded mod x^d - 1, which Phi_d divides:
         the coefficients of the powers m = r mod d are summed for each r < d.
+        The at most d terms left must be integers (_ints); a sum with a
+        float is a float, so a long input is not walked twice.
         """
         if d < 2:
             raise ValueError("modulus d must be >= 2")
         coeffs = tuple(coeffs)
         if len(coeffs) > d:
             coeffs = tuple(sum(coeffs[r::d]) for r in range(d))
-        return _new(d, _reduce_poly(d, coeffs))
+        return _new(d, _reduce_poly(d, _ints(coeffs, "polynomial coefficients")))
 
     @classmethod
     def from_int(cls, d, n):

@@ -35,7 +35,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .cyclotomic import CycInt, one, zeta_pow
+from .cyclotomic import CycInt, _ints, one, zeta_pow
 from .predicates import GroupTag, is_member
 from .ringlinalg import BlockMat, RingMatrix, basis_position
 
@@ -378,18 +378,6 @@ def _random_instance(rng, slots, d, g):
     free = slots.replace("k", "")
     ij = iter([i] + [rng.choice(_slot_values(s, d, g, i)) for s in free[1:]])
     return tuple(k if s == "k" else next(ij) for s in slots)
-
-
-def _ints(values, what):
-    """values as a tuple of ints; anything else is refused, not truncated,
-    and so is a bool, which is not read as 0 or 1."""
-    values = tuple(values)
-    if bool not in map(type, values):
-        try:
-            return tuple(map(operator.index, values))
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be integers")
 
 
 def _canon(poly):

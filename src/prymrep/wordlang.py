@@ -24,9 +24,9 @@ from __future__ import annotations
 import re
 from operator import add
 
-from .cyclotomic import (_PRINT_BOUND, MAX_PRINT_DIGITS, ParseError, _mul_reduce, _power,
+from .cyclotomic import (_PRINT_BOUND, MAX_PRINT_DIGITS, ParseError, _ints, _mul_reduce, _power,
                          _Scanner, parse_ring_literal, render_poly)
-from .generators import FAMILIES, GenSpec, _entries, _ints, matrix_of
+from .generators import FAMILIES, GenSpec, _entries, matrix_of
 from .ringlinalg import BlockMat, RingMatrix, parse_matrix_poly
 
 # Largest |e| of a factor raised by binary powering: the entries of a

@@ -66,6 +66,27 @@ def test_modulus_mismatch_rejected():
         zeta_pow(5, 1) * zeta_pow(4, 1)
 
 
+def test_ring_elements_take_integers_only():
+    # a float, a bool or a string is refused, not truncated or read as 0 or
+    # 1, by the constructor, from_poly, from_int and so by a matrix built
+    # from rows of plain numbers; a long input is checked after the fold
+    from prymrep.ringlinalg import RingMatrix
+
+    for build, what in ((lambda: CycInt(5, [1.9, 0, 0, 0]), "coefficients"),
+                        (lambda: CycInt(5, ["7", True, 0, 0]), "coefficients"),
+                        (lambda: CycInt(5, [0, True, 0, 0]), "coefficients"),
+                        (lambda: CycInt.from_poly(5, [0.5]), "polynomial coefficients"),
+                        (lambda: CycInt.from_poly(5, [1] * 12 + [0.0]),
+                         "polynomial coefficients"),
+                        (lambda: CycInt.from_int(5, 2.5), "polynomial coefficients"),
+                        (lambda: CycInt.from_int(5, True), "polynomial coefficients"),
+                        (lambda: RingMatrix.from_rows(5, [[1.5, 0], [0, 1]]).det(),
+                         "polynomial coefficients")):
+        with pytest.raises(ValueError, match=f"^{what} must be integers$"):
+            build()
+    assert CycInt(5, [7, 1, 0, 0]) == CycInt.from_poly(5, [7, 1]) == 7 + zeta_pow(5, 1)
+
+
 def test_mul_examples():
     z = zeta_pow(4, 1)
     assert (1 + z) * (1 - z) == 2
