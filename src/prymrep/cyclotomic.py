@@ -305,9 +305,6 @@ class CycInt:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
-
     def is_integer(self) -> bool:
         return not any(self.coeffs[1:])
 

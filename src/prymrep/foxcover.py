@@ -253,7 +253,7 @@ def eta_chain(phi: Endo, d: int, g: int) -> RingMatrix:
     """Column j is the projected class of the lift of phi(x_j), j < g."""
     _require_member(phi, d, g)
     cols = [_project(lift_class(phi.images[j], d, g), d) for j in range(g - 1)]
-    return RingMatrix.from_columns(d, cols)
+    return RingMatrix.from_rows(d, zip(*cols))
 
 
 def fox_derivative(w, i: int) -> dict:
@@ -298,7 +298,7 @@ def eta_fox(phi: Endo, d: int, g: int) -> RingMatrix:
     """Entry (i, j) is eps(d phi(x_j) / d x_i), column j from one walk of
     phi(x_j) by _fox_column; must agree with eta_chain."""
     _require_member(phi, d, g)
-    return RingMatrix.from_columns(d, [_fox_column(w, d, g) for w in phi.images[:g - 1]])
+    return RingMatrix.from_rows(d, zip(*[_fox_column(w, d, g) for w in phi.images[:g - 1]]))
 
 
 def eta(phi: Endo, d: int, g: int) -> RingMatrix:

@@ -99,12 +99,6 @@ class RingMatrix:
         z = _one_zero(d)[1]
         return cls._make(d, ((z,) * cols,) * rows)
 
-    @classmethod
-    def from_columns(cls, d, columns):
-        cols = [list(c) for c in columns]
-        return cls.from_rows(d, [[cols[j][i] for j in range(len(cols))]
-                                 for i in range(len(cols[0]))])
-
     def __getitem__(self, ij):
         i, j = ij
         return _new(self.d, self.coeffs[i][j])
@@ -222,9 +216,7 @@ class RingMatrix:
         return RingMatrix._make(d, tuple(tuple(map(div, row[n:])) for row in aug))
 
     def to_text(self) -> str:
-        return " ; ".join(
-            ", ".join(render_poly(e) for e in row) for row in self.coeffs
-        )
+        return _matrix_text(self.coeffs)
 
     def __repr__(self):
         return f"RingMatrix({self.d}, '{self.to_text()}')"
@@ -313,6 +305,12 @@ def parse_matrix_poly(text: str, read=parse_ring_literal):
     if any(len(r) != len(rows[0]) for r in rows):
         raise ParseError("ragged matrix literal", text, 0)
     return rows
+
+
+def _matrix_text(rows):
+    """The matrix text format of a grid of integer polynomials; the inverse
+    of parse_matrix_poly on canonical forms."""
+    return " ; ".join(", ".join(map(render_poly, row)) for row in rows)
 
 
 def parse_matrix(text: str, d: int) -> RingMatrix:

@@ -27,7 +27,7 @@ from operator import add
 from .cyclotomic import (_PRINT_BOUND, MAX_PRINT_DIGITS, ParseError, _ints, _mul_reduce, _power,
                          _Scanner, parse_ring_literal, render_poly)
 from .generators import FAMILIES, GenSpec, _entries, matrix_of
-from .ringlinalg import BlockMat, RingMatrix, parse_matrix_poly
+from .ringlinalg import BlockMat, RingMatrix, _matrix_text, parse_matrix_poly
 
 # Largest |e| of a factor raised by binary powering: the entries of a
 # hyperbolic UrSp grow by a constant number of digits per unit of e.
@@ -79,9 +79,7 @@ class Word:
             if spec.scalar is not None:
                 args += "; " + render_poly(spec.scalar)
             if spec.matrix is not None:
-                args += " ; ".join(
-                    ", ".join(render_poly(p) for p in row) for row in spec.matrix
-                )
+                args += _matrix_text(spec.matrix)
             body = f"{spec.name}({args})" if fam.slots or fam.takes else spec.name
             parts.append(body if e == 1 else f"{body}^{e}")
         return " * ".join(parts)
@@ -91,9 +89,6 @@ class Word:
 
     def __repr__(self):
         return f"Word('{self.render()}')"
-
-    def evaluate(self, d: int, g: int) -> BlockMat:
-        return evaluate(self, d, g)
 
 
 def evaluate(word: Word, d: int, g: int) -> BlockMat:

@@ -38,11 +38,22 @@ def _names(tree):
     return names
 
 
+def _public_defs(tree):
+    """The public module-level functions and classes of a module, and the
+    public methods and properties of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, ast.FunctionDef))
+
+
 def test_every_public_name_is_used():
-    # a public module-level function or class that no module of the package
-    # names (__init__ only re-exports), no benchmark file names and no README
-    # code span documents serves the tests alone, and belongs with them;
-    # cli.main reaches the cmd_* functions through globals()
+    # a public module-level function or class, or a public method or
+    # property of a class, that no module of the package names (__init__
+    # only re-exports), no benchmark file names and no README code span
+    # documents serves the tests alone, and belongs with them; cli.main
+    # reaches the cmd_* functions through globals()
     modules = {src.name: ast.parse(src.read_text())
                for src in sorted(SRC.glob("*.py")) if src.name != "__init__.py"}
     used = set().union(*map(_names, modules.values()))
@@ -52,8 +63,7 @@ def test_every_public_name_is_used():
         used.update(re.findall(r"\w+", span))
     assert len(modules) > 5 and "evaluate" in used
     unused = [f"{name}:{node.lineno} {node.name}"
-              for name, tree in modules.items() for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and node.name not in used
+              for name, tree in modules.items() for node in _public_defs(tree)
+              if not node.name.startswith("_") and node.name not in used
               and not (name == "cli.py" and node.name.startswith("cmd_"))]
     assert unused == []
