@@ -305,9 +305,6 @@ class CycInt:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def is_integer(self) -> bool:
-        return not any(self.coeffs[1:])
-
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
