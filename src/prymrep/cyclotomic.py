@@ -275,8 +275,9 @@ class CycInt:
 
         One longer than d is first folded mod x^d - 1, which Phi_d divides:
         the coefficients of the powers m = r mod d are summed for each r < d.
-        The at most d terms left must be integers (_ints); a sum with a
-        float is a float, so a long input is not walked twice.
+        The at most d terms left must be integers (_ints): a sum with a
+        float is a float, so a float anywhere is refused without a second
+        walk of a long input.
         """
         if d < 2:
             raise ValueError("modulus d must be >= 2")
