@@ -107,6 +107,8 @@ def _ints(values, what):
     """values as a tuple of ints; anything else is refused, not truncated,
     and so is a bool, which is not read as 0 or 1."""
     values = tuple(values)
+    if {*map(type, values)} <= {int}:  # the common case, with no copy
+        return values
     if bool not in map(type, values):
         try:
             return tuple(map(index, values))

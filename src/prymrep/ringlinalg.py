@@ -164,10 +164,7 @@ class RingMatrix:
         return RingMatrix._make(self.d, _sparse_product(self.d, self.coeffs,
                                                         other.coeffs, other.cols))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, CycInt)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__  # reached only for a scalar on the left
 
     def __pow__(self, e: int):
         if not self.is_square():
@@ -386,10 +383,7 @@ class BlockMat:
             return BlockMat(self.mat * other, self.g)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, CycInt)):
-            return BlockMat(self.mat * other, self.g)
-        return NotImplemented
+    __rmul__ = __mul__  # reached only for a scalar on the left
 
     def __pow__(self, e: int):
         return BlockMat(self.mat ** e, self.g)
