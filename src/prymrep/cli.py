@@ -87,16 +87,6 @@ def _require_dg(args):
         raise ValueError(f"genus g = {args.g} is over the budget MAX_G = {MAX_G}")
 
 
-def _read_block_matrix(text, d, g) -> BlockMat:
-    mat = parse_matrix(text, d)
-    n = 2 * (g - 1)
-    if mat.rows != n or mat.cols != n:
-        raise ValueError(
-            f"matrix is {mat.rows}x{mat.cols}, expected {n}x{n} for genus {g}"
-        )
-    return BlockMat(mat, g)
-
-
 def cmd_eval(args) -> int:
     _require_dg(args)
     word = parse_word(args.word)
@@ -106,7 +96,7 @@ def cmd_eval(args) -> int:
 
 def cmd_check(args) -> int:
     _require_dg(args)
-    m = _read_block_matrix(args.matrix, args.d, args.g)
+    m = BlockMat(parse_matrix(args.matrix, args.d), args.g)
     tag = GroupTag(args.group)
     verdict = is_member(m, tag)
     if verdict:
@@ -126,7 +116,7 @@ def cmd_decompose_delta(args) -> int:
 
 def cmd_reduce_lambda(args) -> int:
     _require_dg(args)
-    m = _read_block_matrix(args.matrix, args.d, args.g)
+    m = BlockMat(parse_matrix(args.matrix, args.d), args.g)
     witness = parse_word(args.word)
     print(reduce_lambda(m, witness).render())
     return 0
@@ -152,10 +142,9 @@ def cmd_selftest(args) -> int:
         raise ValueError(f"--max-d {args.max_d} is over the budget MAX_D = {MAX_D}")
     if args.max_g > MAX_G:
         raise ValueError(f"--max-g {args.max_g} is over the budget MAX_G = {MAX_G}")
-    reports = run_selftest(args.max_d, args.max_g, seed=args.seed)
     ok = True
-    for rep in reports:
-        print(rep.line())
+    for rep in run_selftest(args.max_d, args.max_g, seed=args.seed):
+        print(rep.line(), flush=True)  # shown even if a later suite raises
         ok = ok and rep.ok
     print("selftest:", "all suites passed" if ok else "FAILURES above")
     return 0 if ok else 1

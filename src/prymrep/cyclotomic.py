@@ -119,7 +119,10 @@ def _ints(values, what):
 
 @lru_cache(maxsize=None)
 def euler_phi(d: int) -> int:
-    # every ring operation asks for phi(d) before its O(d) loops and tables
+    # every ring operation asks for phi(d) before its O(d) loops and tables,
+    # so the modulus rules are stated here once
+    if d < 2:
+        raise ValueError("modulus d must be >= 2")
     if d > MAX_D:
         raise ValueError(f"modulus d = {d} is over the budget MAX_D = {MAX_D}")
     return sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
@@ -261,32 +264,18 @@ class CycInt:
     __slots__ = ("d", "coeffs")
 
     def __init__(self, d: int, coeffs):
-        if d < 2:
-            raise ValueError("modulus d must be >= 2")
+        phi = euler_phi(d)
         coeffs = _ints(coeffs, "coefficients")
-        if len(coeffs) != euler_phi(d):
-            raise ValueError(
-                f"need {euler_phi(d)} coefficients for d={d}, got {len(coeffs)}"
-            )
+        if len(coeffs) != phi:
+            raise ValueError(f"need {phi} coefficients for d={d}, got {len(coeffs)}")
         self.d = d
         self.coeffs = coeffs
 
     @classmethod
     def from_poly(cls, d, coeffs):
-        """Build from an integer polynomial in zeta of any degree.
-
-        One longer than d is first folded mod x^d - 1, which Phi_d divides:
-        the coefficients of the powers m = r mod d are summed for each r < d.
-        The at most d terms left must be integers (_ints): a sum with a
-        float is a float, so a float anywhere is refused without a second
-        walk of a long input.
-        """
-        if d < 2:
-            raise ValueError("modulus d must be >= 2")
-        coeffs = tuple(coeffs)
-        if len(coeffs) > d:
-            coeffs = tuple(sum(coeffs[r::d]) for r in range(d))
-        return _new(d, _reduce_poly(d, _ints(coeffs, "polynomial coefficients")))
+        """Build from an integer polynomial in zeta of any degree, whose
+        coefficients must all be integers (_ints)."""
+        return _from_poly(d, _ints(coeffs, "polynomial coefficients"))
 
     @classmethod
     def from_int(cls, d, n):
@@ -294,7 +283,7 @@ class CycInt:
 
     @classmethod
     def from_literal(cls, d, text):
-        return cls.from_poly(d, parse_ring_literal(text))
+        return _from_poly(d, parse_ring_literal(text))
 
     def _coerce(self, other):
         if isinstance(other, CycInt):
@@ -391,10 +380,19 @@ def _new(d: int, coeffs: tuple) -> CycInt:
     return c
 
 
+def _from_poly(d, coeffs):
+    """from_poly for a tuple of ints, as a parsed literal or a GenSpec holds.
+
+    One longer than d is first folded mod x^d - 1, which Phi_d divides:
+    the coefficients of the powers m = r mod d are summed for each r < d.
+    """
+    if len(coeffs) > d:
+        coeffs = tuple(sum(coeffs[r::d]) for r in range(d))
+    return _new(d, _reduce_poly(d, coeffs))
+
+
 def zeta_pow(d: int, k: int) -> CycInt:
     """The canonical representative of zeta_d^k."""
-    if d < 2:
-        raise ValueError("modulus d must be >= 2")
     return _new(d, _power_table(d)[k % d])
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .cyclotomic import CycInt, _ints, one, zeta_pow
+from .cyclotomic import CycInt, _from_poly, _ints, one, zeta_pow
 from .predicates import GroupTag, is_member
 from .ringlinalg import BlockMat, RingMatrix, basis_position
 
@@ -61,16 +61,12 @@ def _twist_entries(g, v):
 
 
 def _ti_entries(g, d, i, rprime):
-    if not isinstance(rprime, CycInt):
-        rprime = CycInt.from_int(d, rprime)
     if not rprime.is_real():
         raise ValueError("Ti requires a real ring element r'")
     return (_entry(g, rprime, i, i),)
 
 
 def _tij_entries(g, d, i, j, r):
-    if not isinstance(r, CycInt):
-        r = CycInt.from_int(d, r)
     return (_entry(g, r, i, j), _entry(g, r.conj(), j, i))
 
 
@@ -87,7 +83,7 @@ def _gamma_ijk_entries(g, d, i, j, k):
 
 
 def _g1_entries(g, d, i):
-    return _ti_entries(g, d, i, -1)
+    return _ti_entries(g, d, i, -one(d))
 
 
 def _g2_entries(g, d, i, k):
@@ -155,10 +151,7 @@ def _zeta_entries(g, d, k):
 def _ursp_entries(g, d, polys):
     """The UrSp literal of a grid of integer polynomials, checked by
     embed_ursp, less Id."""
-    n = 2 * (g - 1)
-    if len(polys) != n or any(len(r) != n for r in polys):
-        raise ValueError(f"UrSp literal must be {n}x{n} for genus {g}")
-    mat = RingMatrix(d, [[CycInt.from_poly(d, p) for p in row] for row in polys])
+    mat = RingMatrix(d, [[_from_poly(d, p) for p in row] for row in polys])
     o = one(d)
     return [(p, q, c - o if p == q else c)
             for p, row in enumerate(embed_ursp(BlockMat(mat, g)).mat.entries)
@@ -332,7 +325,8 @@ def _entries(name, g, d, *args):
     """The entries of N in the matrix Id + N of family `name`, args as for
     its entry function: the slot rule, then the range rule |i| <= g - 1 for
     every index but a zeta exponent, then the entry function.  The indices
-    must be integers (_ints), as in a GenSpec."""
+    must be integers (_ints), as in a GenSpec, and a ring scalar an int or
+    a CycInt of modulus d (CycInt._coerce)."""
     fam = FAMILIES[name]
     n = len(fam.slots)
     args = _ints(args[:n], f"{name} indices") + args[n:]
@@ -340,6 +334,11 @@ def _entries(name, g, d, *args):
     for slot, i in zip(fam.slots, args):
         if slot != "k" and abs(i) > g - 1:
             raise ValueError(f"index {i} out of range for genus {g}")
+    if fam.takes in ("real", "ring"):
+        scalar = one(d)._coerce(args[n])
+        if scalar is None:
+            raise ValueError(f"{name} requires a ring argument")
+        args = args[:n] + (scalar,)
     return fam.entries(g, d, *args)
 
 
@@ -430,7 +429,7 @@ class GenSpec:
         """The arguments after (g, d) of the family's entry function at
         modulus d."""
         if self.scalar is not None:
-            return self.indices + (CycInt.from_poly(d, self.scalar),)
+            return self.indices + (_from_poly(d, self.scalar),)
         if self.matrix is not None:
             return (self.matrix,)
         return self.indices

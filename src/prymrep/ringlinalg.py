@@ -32,8 +32,6 @@ from .cyclotomic import (
 
 def _one_zero(d):
     """The coefficient tuples of 1 and 0 in Z[zeta_d]."""
-    if d < 2:
-        raise ValueError("modulus d must be >= 2")
     o = _power_table(d)[0]
     return o, (0,) * len(o)
 
@@ -330,9 +328,8 @@ class BlockMat:
             raise ValueError("genus must be >= 2")
         n = 2 * (self.g - 1)
         if self.mat.rows != n or self.mat.cols != n:
-            raise ValueError(
-                f"matrix size {self.mat.rows}x{self.mat.cols} does not match genus {self.g}"
-            )
+            raise ValueError(f"matrix is {self.mat.rows}x{self.mat.cols}, "
+                             f"expected {n}x{n} for genus {self.g}")
 
     @property
     def d(self):

@@ -103,29 +103,15 @@ def commutator_sweep(d_values, g_values) -> SweepReport:
     return _run("commutator-sweep", cases())
 
 
-def _sample_reals(rng, d):
-    phi = euler_phi(d)
-    a = CycInt(d, [rng.randint(-3, 3) for _ in range(phi)])
-    return [one(d), zeta_pow(d, 1) + zeta_pow(d, -1), a + a.conj()]
-
-
-def _sample_rings(rng, d):
-    phi = euler_phi(d)
-    return [
-        one(d),
-        zeta_pow(d, 1),
-        one(d) - zeta_pow(d, 1),
-        CycInt(d, [rng.randint(-3, 3) for _ in range(phi)]),
-    ]
-
-
 def _sample_scalars(rng, d, takes):
     """Sample scalar arguments, as coefficient tuples, for a family that
     takes a "real" or a "ring" scalar; [None] for one that takes none."""
     if not takes:
         return [None]
-    sample = _sample_reals if takes == "real" else _sample_rings
-    return [r.coeffs for r in sample(rng, d)]
+    o, z = one(d), zeta_pow(d, 1)
+    a = CycInt(d, [rng.randint(-3, 3) for _ in range(euler_phi(d))])
+    sample = [o, z + z.conj(), a + a.conj()] if takes == "real" else [o, z, o - z, a]
+    return [r.coeffs for r in sample]
 
 
 _CHAIN = (GroupTag.Delta, GroupTag.Lambda, GroupTag.UrUSharp, GroupTag.UrU,
@@ -410,18 +396,17 @@ def remark_crosscheck() -> SweepReport:
 
 
 def run_selftest(max_d, max_g, seed=0):
-    """The CLI self-test: bounded versions of every sweep."""
+    """The CLI self-test: bounded versions of every sweep, each report
+    yielded as its suite finishes."""
     ds = range(2, max_d + 1)
     gs = range(2, max_g + 1)
-    return [
-        identity_sweep(ds, gs),
-        commutator_sweep(ds, gs),
-        soundness_sweep(ds, gs, seed=seed),
-        delta_roundtrip_sweep(ds, gs, count=10, seed=seed),
-        lambda_roundtrip_sweep(ds, gs, per_cell=4, seed=seed),
-        oracle_sweep(ds, gs, per_cell=6, pairs_per_cell=2, seed=seed),
-        deck_scalar_sweep(ds, gs),
-        real_basis_sweep(ds, count=50, seed=seed),
-        genus2_sweep(ds, count=50, theta_pairs=25, seed=seed),
-        remark_crosscheck(),
-    ]
+    yield identity_sweep(ds, gs)
+    yield commutator_sweep(ds, gs)
+    yield soundness_sweep(ds, gs, seed=seed)
+    yield delta_roundtrip_sweep(ds, gs, count=10, seed=seed)
+    yield lambda_roundtrip_sweep(ds, gs, per_cell=4, seed=seed)
+    yield oracle_sweep(ds, gs, per_cell=6, pairs_per_cell=2, seed=seed)
+    yield deck_scalar_sweep(ds, gs)
+    yield real_basis_sweep(ds, count=50, seed=seed)
+    yield genus2_sweep(ds, count=50, theta_pairs=25, seed=seed)
+    yield remark_crosscheck()

@@ -53,10 +53,18 @@ def test_zeta_pow_reduces_mod_d():
 
 
 def test_d_below_two_rejected():
-    with pytest.raises(ValueError):
-        zeta_pow(1, 0)
-    with pytest.raises(ValueError):
-        CycInt(0, ())
+    # one statement of the rule, in euler_phi, whatever route asks first
+    from prymrep.ringlinalg import RingMatrix, parse_matrix
+
+    for d in (1, 0, -3):
+        for build in (lambda: euler_phi(d), lambda: zeta_pow(d, 0),
+                      lambda: CycInt(d, ()), lambda: CycInt(d, [1]),
+                      lambda: CycInt.from_poly(d, [1, 2, 3, 4, 5]),
+                      lambda: CycInt.from_literal(d, "1+z"),
+                      lambda: RingMatrix.identity(d, 2),
+                      lambda: parse_matrix("1, z ; 0, 1", d)):
+            with pytest.raises(ValueError, match="^modulus d must be >= 2$"):
+                build()
 
 
 def test_modulus_mismatch_rejected():
@@ -69,7 +77,8 @@ def test_modulus_mismatch_rejected():
 def test_ring_elements_take_integers_only():
     # a float, a bool or a string is refused, not truncated or read as 0 or
     # 1, by the constructor, from_poly, from_int and so by a matrix built
-    # from rows of plain numbers; a long input is checked after the fold
+    # from rows of plain numbers; from_poly checks a long input before its
+    # fold, which would sum a bool as an int
     from prymrep.ringlinalg import RingMatrix
 
     for build, what in ((lambda: CycInt(5, [1.9, 0, 0, 0]), "coefficients"),
@@ -77,6 +86,10 @@ def test_ring_elements_take_integers_only():
                         (lambda: CycInt(5, [0, True, 0, 0]), "coefficients"),
                         (lambda: CycInt.from_poly(5, [0.5]), "polynomial coefficients"),
                         (lambda: CycInt.from_poly(5, [1] * 12 + [0.0]),
+                         "polynomial coefficients"),
+                        (lambda: CycInt.from_poly(5, [0] * 6 + [True]),
+                         "polynomial coefficients"),
+                        (lambda: CycInt.from_poly(5, [0] * 6 + ["1"]),
                          "polynomial coefficients"),
                         (lambda: CycInt.from_int(5, 2.5), "polynomial coefficients"),
                         (lambda: CycInt.from_int(5, True), "polynomial coefficients"),

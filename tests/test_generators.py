@@ -71,6 +71,18 @@ def test_elem_Tij_examples():
         assert all(col[r] == (1 if r == b else 0) for r in range(4))
 
 
+def test_ring_scalar_of_another_modulus_is_refused():
+    # a d = 3 scalar has 2 coefficients, a d = 5 entry 4: adding them used to
+    # truncate to 2 and give a matrix with the entry 1+z
+    for other in (3, 7):
+        for build in (lambda r: elem_Ti(3, 5, 1, r), lambda r: elem_Tij(3, 5, 1, 2, r)):
+            with pytest.raises(ValueError, match=f"^modulus mismatch: d=5 vs d={other}$"):
+                build(zeta_pow(other, 0) + 1)
+    assert elem_Tij(3, 5, 1, 2, -1) == elem_Tij(3, 5, 1, 2, -one(5))
+    with pytest.raises(ValueError, match="^Ti requires a ring argument$"):
+        elem_Ti(3, 5, 1, 1.0)
+
+
 def test_elem_Tij_index_validation():
     with pytest.raises(ValueError):
         elem_Tij(3, 5, 1, 1, one(5))

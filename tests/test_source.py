@@ -67,3 +67,11 @@ def test_every_public_name_is_used():
               if not node.name.startswith("_") and node.name not in used
               and not (name == "cli.py" and node.name.startswith("cmd_"))]
     assert unused == []
+
+
+def test_each_input_rule_has_one_message():
+    # the modulus rule and the block-shape rule are each stated in one place,
+    # which every route passes through (euler_phi, BlockMat)
+    text = "".join(src.read_text() for src in sorted(SRC.glob("*.py")))
+    assert text.count('"modulus d must be >= 2"') == 1
+    assert len(re.findall(r"\{[\w.]*rows\}x\{[\w.]*cols\}", text)) == 1

@@ -28,6 +28,19 @@ def test_selftest_output_is_pinned(capsys, options, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_selftest_prints_each_suite_as_it_finishes(capsys, monkeypatch):
+    # a raise in the sixth suite keeps the five PASS lines printed before it
+    def broken(*args, **kwargs):
+        raise ValueError("broken oracle")
+
+    monkeypatch.setattr(sweeps, "oracle_sweep", broken)
+    code = main(["selftest"])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == "error: broken oracle\n"
+    lines = out.splitlines()
+    assert len(lines) == 5 and all(line.startswith("PASS ") for line in lines)
+
+
 def test_selftest_draws_fit_the_certificate_budget(capsys):
     # at seed 0 a random_member draw at d = 15, g = 2 used to grow a
     # 40566660-letter certificate walk, and selftest stopped with exit 2
