@@ -34,7 +34,7 @@ def test_selftest_prints_each_suite_as_it_finishes(capsys, monkeypatch):
         raise ValueError("broken oracle")
 
     monkeypatch.setattr(sweeps, "oracle_sweep", broken)
-    code = main(["selftest"])
+    code = main(["selftest", "--max-d", "3", "--max-g", "2"])
     out, err = capsys.readouterr()
     assert code == 2 and err == "error: broken oracle\n"
     lines = out.splitlines()
