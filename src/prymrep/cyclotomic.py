@@ -274,8 +274,12 @@ class CycInt:
     @classmethod
     def from_poly(cls, d, coeffs):
         """Build from an integer polynomial in zeta of any degree, whose
-        coefficients must all be integers (_ints)."""
-        return _from_poly(d, _ints(coeffs, "polynomial coefficients"))
+        coefficients must all be integers (_ints).  One longer than d is
+        first folded mod x^d - 1, which Phi_d divides."""
+        coeffs = _ints(coeffs, "polynomial coefficients")
+        if len(coeffs) > d:
+            coeffs = tuple(sum(coeffs[r::d]) for r in range(d))
+        return _new(d, _reduce_poly(d, coeffs))
 
     @classmethod
     def from_int(cls, d, n):
@@ -283,7 +287,14 @@ class CycInt:
 
     @classmethod
     def from_literal(cls, d, text):
-        return _from_poly(d, parse_ring_literal(text))
+        """Parse a ring literal at modulus d.  Its terms fold by exponent
+        mod d, so no dense polynomial of a high exponent is built."""
+        terms = _literal_terms(text)
+        euler_phi(d)  # the modulus rule, before the fold divides by d
+        folded = [0] * d
+        for e, c in terms.items():
+            folded[e % d] += c
+        return cls.from_poly(d, folded)
 
     def _coerce(self, other):
         if isinstance(other, CycInt):
@@ -378,22 +389,6 @@ def _new(d: int, coeffs: tuple) -> CycInt:
     c.d = d
     c.coeffs = coeffs
     return c
-
-
-def _from_poly(d, coeffs):
-    """from_poly for a tuple of ints, as a parsed literal or a GenSpec holds.
-
-    It skips from_poly's walk over every term: for a literal with exponents
-    near 10^4 that walk takes three times as long as the fold (230 vs 73 us
-    on a 2-vCPU Xeon VM), and routing the CLI's literals through it cost
-    the cli benchmark 27% of its cases per second.
-
-    One longer than d is first folded mod x^d - 1, which Phi_d divides:
-    the coefficients of the powers m = r mod d are summed for each r < d.
-    """
-    if len(coeffs) > d:
-        coeffs = tuple(sum(coeffs[r::d]) for r in range(d))
-    return _new(d, _reduce_poly(d, coeffs))
 
 
 def zeta_pow(d: int, k: int) -> CycInt:
@@ -499,6 +494,18 @@ _DIGITS = re.compile(r"\d+")
 
 def parse_ring_literal(text: str) -> tuple[int, ...]:
     """Parse to an integer polynomial (constant term first), unreduced."""
+    terms = _literal_terms(text)
+    out = [0] * (max(terms) + 1)
+    for e, c in terms.items():
+        out[e] = c
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _literal_terms(text):
+    """The terms of a ring literal as {exponent: coefficient}; a repeated
+    exponent sums its coefficients."""
     bad = _LEXEMES.match(text).end()
     if bad < len(text) and not text[bad:].isspace():
         raise ParseError("unexpected character in ring literal", text, bad)
@@ -533,12 +540,7 @@ def parse_ring_literal(text: str) -> tuple[int, ...]:
         if s.done():
             break
         sign = s.need(_SIGN, "'+' or '-' between terms")
-    out = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    while len(out) > 1 and not out[-1]:
-        out.pop()
-    return tuple(out)
+    return coeffs
 
 
 def render_poly(coeffs) -> str:

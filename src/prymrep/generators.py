@@ -35,7 +35,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .cyclotomic import CycInt, _from_poly, _ints, one, zeta_pow
+from .cyclotomic import CycInt, _ints, one, zeta_pow
 from .predicates import GroupTag, is_member
 from .ringlinalg import BlockMat, RingMatrix, basis_position
 
@@ -151,7 +151,7 @@ def _zeta_entries(g, d, k):
 def _ursp_entries(g, d, polys):
     """The UrSp literal of a grid of integer polynomials, checked by
     embed_ursp, less Id."""
-    mat = RingMatrix(d, [[_from_poly(d, p) for p in row] for row in polys])
+    mat = RingMatrix(d, [[CycInt.from_poly(d, p) for p in row] for row in polys])
     o = one(d)
     return [(p, q, c - o if p == q else c)
             for p, row in enumerate(embed_ursp(BlockMat(mat, g)).mat.entries)
@@ -429,7 +429,7 @@ class GenSpec:
         """The arguments after (g, d) of the family's entry function at
         modulus d."""
         if self.scalar is not None:
-            return self.indices + (_from_poly(d, self.scalar),)
+            return self.indices + (CycInt.from_poly(d, self.scalar),)
         if self.matrix is not None:
             return (self.matrix,)
         return self.indices

@@ -131,10 +131,6 @@ class RingMatrix:
     def __sub__(self, other):
         return self._entrywise(sub, other)
 
-    def __neg__(self):
-        return RingMatrix._make(self.d, tuple(
-            tuple(_neg(a) for a in row) for row in self.coeffs))
-
     def _check_same_shape(self, other):
         if not isinstance(other, RingMatrix) or other.d != self.d:
             raise ValueError("matrix mismatch")
@@ -385,14 +381,11 @@ class BlockMat:
     def __pow__(self, e: int):
         return BlockMat(self.mat ** e, self.g)
 
-    def inverse(self):
-        return BlockMat(self.mat.inverse(), self.g)
-
     def form_inverse(self):
         """M^-1 for M in U, without division: [[D*, -B*], [-C*, A*]], which is
         -Omega M* Omega for M = [[A, B], [C, D]].  For M outside U it is not
-        the inverse (preserves_form tests exactly that); inverse() is the
-        route for any invertible matrix."""
+        the inverse (preserves_form tests exactly that); RingMatrix.inverse
+        is the route for any invertible matrix."""
         n, e, d = self.n, self.mat.coeffs, self.d
         across = [*range(n, 2 * n), *range(n)]  # a position's twin across the split
         rows = []
@@ -403,9 +396,6 @@ class BlockMat:
                 row.append(x if (p < n) == (q < n) or not any(x) else _neg(x))
             rows.append(tuple(row))
         return BlockMat(RingMatrix._make(self.d, tuple(rows)), self.g)
-
-    def adjoint(self):
-        return BlockMat(self.mat.adjoint(), self.g)
 
     def det(self):
         return self.mat.det()

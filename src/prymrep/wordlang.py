@@ -57,9 +57,6 @@ class Word:
             return NotImplemented
         return Word(self.factors + other.factors)
 
-    def inverse(self):
-        return Word(tuple((spec, -e) for spec, e in reversed(self.factors)))
-
     def __len__(self):
         return len(self.factors)
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -23,6 +24,7 @@ from prymrep.cyclotomic import (
     unit_exponent,
     zeta_pow,
 )
+from prymrep.ringlinalg import parse_matrix
 
 from matrix_helpers import galois, zero
 
@@ -463,6 +465,20 @@ def sparse_polys(draw):
 def test_from_poly_folds_like_the_reduction(case):
     d, poly = case
     assert CycInt.from_poly(d, poly).coeffs == _reduce_poly(d, poly)
+    assert CycInt.from_literal(d, render_poly(poly)).coeffs == _reduce_poly(d, poly)
+
+
+def test_literals_fold_without_a_dense_polynomial():
+    # a dense polynomial of z^100000 holds 100001 ints, about 1.6 MB
+    for build in (lambda: CycInt.from_literal(3, "1 + z^100000"),
+                  lambda: parse_matrix("z^100000, 0 ; 0, 1 - 2*z^99999", 5)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
 
 
 def test_render_poly():

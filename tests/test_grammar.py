@@ -16,7 +16,7 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prymrep.cyclotomic import MAX_EXPONENT, ParseError, parse_ring_literal
+from prymrep.cyclotomic import MAX_EXPONENT, CycInt, ParseError, parse_ring_literal
 from prymrep.ringlinalg import parse_matrix_poly
 from prymrep.wordlang import parse
 
@@ -147,6 +147,15 @@ def test_ring_literal_digest():
 
 def test_word_and_matrix_digest():
     assert _digest(_word_and_matrix_cases()) == WORD_DIGEST
+
+
+def test_literals_fold_like_the_parsed_polynomial():
+    # from_literal folds the scanner's terms itself; it must agree with
+    # from_poly of parse_ring_literal, errors and their positions included
+    for _, text in _literal_cases():
+        for d in (2, 5, 12):
+            want = _outcome(lambda t: CycInt.from_poly(d, parse_ring_literal(t)), text)
+            assert _outcome(lambda t: CycInt.from_literal(d, t), text) == want, (d, text)
 
 
 # the grammar in the cyclotomic docstring as one regex
