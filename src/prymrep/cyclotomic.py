@@ -5,9 +5,9 @@ the d-th cyclotomic polynomial Phi_d, so the representation is canonical and
 ring equality is literal tuple equality.  Coefficients are arbitrary-precision
 Python integers; nothing in this module touches floating point.
 
-The module also owns the ring-literal grammar shared by the whole package,
-reduced modulo Phi_d on parsing, and the scanner that it and the word grammar
-read text with.  In EBNF, with whitespace allowed between any two tokens:
+The module also owns the package's ring-literal grammar, read in one regex
+match; the scanner, which the word grammar reads text with, reports a literal's
+errors.  In EBNF, with whitespace allowed between any two tokens:
 
     literal := [ sign ] term { sign term }        sign := "+" | "-"
     term    := INT [ [ "*" ] "z" [ "^" INT ] ] | "z" [ "^" INT ]
@@ -129,7 +129,6 @@ def euler_phi(d: int) -> int:
 
 
 def _poly_trim(coeffs):
-    coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
@@ -490,22 +489,37 @@ def _divider(d, b):
 _LEXEMES = re.compile(r"(?:\s*[\dz*^+-])*")
 _SIGN = re.compile(r"[+-]")
 _DIGITS = re.compile(r"\d+")
+# one term, digit runs bounded; each run of whitespace has one place to go, so a failure is linear
+_TERM = (rf"(^\s*(?:[+-]\s*)?|[+-]\s*)(\d{{1,{MAX_DIGITS}}}|(?=z))"
+         rf"(?:\s*(?:\*\s*)?(z)(?:\s*\^\s*(\d{{1,{len(str(MAX_EXPONENT))}}}))?)?\s*")
+_TERMS, _LITERAL = re.compile(_TERM), re.compile(f"(?:{_TERM})+")
 
 
 def parse_ring_literal(text: str) -> tuple[int, ...]:
     """Parse to an integer polynomial (constant term first), unreduced."""
-    terms = _literal_terms(text)
+    return _dense(_literal_terms(text))
+
+
+def _dense(terms):
     out = [0] * (max(terms) + 1)
     for e, c in terms.items():
         out[e] = c
-    while len(out) > 1 and not out[-1]:
-        out.pop()
-    return tuple(out)
+    return tuple(_poly_trim(out)) or (0,)
 
 
 def _literal_terms(text):
-    """The terms of a ring literal as {exponent: coefficient}; a repeated
-    exponent sums its coefficients."""
+    """The terms of a ring literal as {exponent: coefficient}, a repeated
+    exponent summed, read in one match; text outside the grammar, or with an
+    exponent over MAX_EXPONENT, goes to the scanner, which reports errors."""
+    terms = {}
+    if _LITERAL.fullmatch(text):
+        for sign, c, z, e in _TERMS.findall(text):
+            e = int(e) if e else 1 if z else 0
+            terms[e] = terms.get(e, 0) + int(sign.strip() + (c or "1"))
+    return terms if terms and max(terms) <= MAX_EXPONENT else _scanned_terms(text)
+
+
+def _scanned_terms(text):
     bad = _LEXEMES.match(text).end()
     if bad < len(text) and not text[bad:].isspace():
         raise ParseError("unexpected character in ring literal", text, bad)
@@ -561,8 +575,5 @@ def render_poly(coeffs) -> str:
             body = "z" if mag == 1 else f"{mag}*z"
         else:
             body = f"z^{m}" if mag == 1 else f"{mag}*z^{m}"
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append(("+" if c > 0 else "-") + body)
+        parts.append(("-" if c < 0 else "+" if parts else "") + body)
     return "".join(parts) if parts else "0"

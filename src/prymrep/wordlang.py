@@ -24,14 +24,15 @@ from __future__ import annotations
 import re
 from operator import add
 
-from .cyclotomic import (_PRINT_BOUND, MAX_PRINT_DIGITS, ParseError, _ints, _mul_reduce, _power,
-                         _Scanner, parse_ring_literal, render_poly)
+from .cyclotomic import (_PRINT_BOUND, MAX_PRINT_DIGITS, ParseError, _dense, _ints, _literal_terms,
+                         _mul_reduce, _power, _Scanner, render_poly)
 from .generators import FAMILIES, GenSpec, _entries, matrix_of
 from .ringlinalg import BlockMat, RingMatrix, _matrix_text, parse_matrix_poly
 
 # Largest |e| of a factor raised by binary powering: the entries of a
 # hyperbolic UrSp grow by a constant number of digits per unit of e.
 MAX_POWER = 10**4
+MAX_DENSE = 10**6  # largest sum of (top exponent + 1) over the ring literals of a word
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 _INT = re.compile(r"-?\d+")
@@ -140,6 +141,15 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
 
 
 class _Parser(_Scanner):
+    expanded = 0  # (top exponent + 1) summed over the ring literals read so far
+
+    def ring(self, text):  # parse_ring_literal, checked against MAX_DENSE first
+        terms = _literal_terms(text)
+        self.expanded += max(terms) + 1
+        if self.expanded > MAX_DENSE:
+            self.err(f"dense length {self.expanded} is over the budget MAX_DENSE = {MAX_DENSE}")
+        return _dense(terms)
+
     def literal(self, parse_text, what):
         """A ring or matrix literal: raw text up to the next ')', which
         neither kind contains."""
@@ -168,10 +178,10 @@ class _Parser(_Scanner):
                     self.expect(",")
                 indices.append(self.integer(self.need(_INT, "an integer")))
             if fam.takes == "matrix":
-                matrix = self.literal(parse_matrix_poly, "matrix")
+                matrix = self.literal(lambda t: parse_matrix_poly(t, self.ring), "matrix")
             elif fam.takes:
                 self.expect(";")
-                scalar = self.literal(parse_ring_literal, "ring")
+                scalar = self.literal(self.ring, "ring")
             self.expect(")")
         try:
             spec = GenSpec(nm, tuple(indices), scalar, matrix)

@@ -297,6 +297,12 @@ _BIG = "9" * (MAX_DIGITS + 1000)
 _URSP = "UrSp(2,1,0,0 ; 1,1,0,0 ; 0,0,1,-1 ; 0,0,-1,2)"
 _NINES = "9" * 300
 _NINES_1 = str(int(_NINES) - 1)
+
+
+def _ursp_grid(n):
+    return "UrSp(" + ";".join([",".join(["z^100000"] * n)] * n) + ")"
+
+
 # each input past a budget, and the budget its message names
 OVER_BUDGET = [
     (("eval", "--d", "3", "--g", "100000", "--word", "T"), "MAX_G"),
@@ -317,6 +323,24 @@ OVER_BUDGET = [
     (("eval", "--d", "3", "--g", "3", "--word",
       f"UrSp({_NINES},{_NINES_1},0,0 ; 1,1,0,0 ; 0,0,1,-1 ; 0,0,-{_NINES_1},{_NINES})^10000"),
      "MAX_PRINT_DIGITS"),
+    # literals of 100,001 dense coefficients each, in a grid of the wrong
+    # shape (20x20 for genus 21) and of the right one (40x40)
+    (("eval", "--d", "3", "--g", "21", "--word", _ursp_grid(20)), "MAX_DENSE"),
+    (("eval", "--d", "3", "--g", "21", "--word", _ursp_grid(40)), "MAX_DENSE"),
+]
+
+
+# literals that a backtracking match with two places for one run of
+# whitespace rejects in time exponential in the terms or quadratic in the
+# spaces; fixed examples of test_main_never_crashes, sized to fail it in
+# seconds rather than hang
+_SIGNS = "1 z+" * 24
+_SPACES = " " * 20000 + "x"
+SLOW_TO_REJECT = [
+    ("eval", "--d", "3", "--g", "2", "--word", f"Ti(1; {_SIGNS})"),
+    ("eval", "--d", "3", "--g", "2", "--word", f"Ti(1; {_SPACES})"),
+    ("check", "--d", "3", "--g", "2", "--matrix", f"{_SIGNS}, 0 ; 0, 1", "--group", "U"),
+    ("decompose-delta", "--d", "3", "--g", "2", "--B", f"{_SPACES}, 0 ; 0, 1"),
 ]
 
 
@@ -391,7 +415,7 @@ def _argvs(draw):
 
 
 def _fuzz_examples(test):
-    for argv, _ in OVER_BUDGET:
+    for argv in (*(argv for argv, _ in OVER_BUDGET), *SLOW_TO_REJECT):
         test = example(list(argv))(test)
     return test
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prymrep import cyclotomic
 from prymrep.cyclotomic import (
     MAX_D,
     MAX_DIGITS,
@@ -446,6 +447,28 @@ def test_digit_budget():
         with pytest.raises(ParseError, match=f"budget MAX_DIGITS = {MAX_DIGITS}") as exc:
             parse_ring_literal(text)
         assert exc.value.pos == pos
+
+
+def test_valid_literals_skip_the_scanner(monkeypatch):
+    # the scanner only reports errors: a valid literal is read in one match,
+    # unless an exponent is over MAX_EXPONENT or padded past six digits
+    from test_grammar import _literal_cases
+
+    valid = {}
+    for _, text in _literal_cases():
+        try:
+            valid[text] = parse_ring_literal(text)
+        except ParseError:
+            pass
+    scanned, scanner = [], cyclotomic._scanned_terms
+    monkeypatch.setattr(cyclotomic, "_scanned_terms",
+                        lambda text: scanned.append(text) or scanner(text))
+    assert len(valid) > 10000
+    assert {text: parse_ring_literal(text) for text in valid} == valid and scanned == []
+    assert parse_ring_literal("1 + z^0000001") == (1, 1) and scanned == ["1 + z^0000001"]
+    with pytest.raises(ParseError, match="budget MAX_EXPONENT") as exc:
+        CycInt.from_literal(5, "z^100001")
+    assert exc.value.pos == 2 and scanned[1:] == ["z^100001"]
 
 
 @st.composite

@@ -16,7 +16,8 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prymrep.cyclotomic import MAX_EXPONENT, CycInt, ParseError, parse_ring_literal
+from prymrep.cyclotomic import (MAX_DIGITS, MAX_EXPONENT, CycInt, ParseError, _literal_terms,
+                                _scanned_terms, parse_ring_literal)
 from prymrep.ringlinalg import parse_matrix_poly
 from prymrep.wordlang import parse
 
@@ -156,6 +157,23 @@ def test_literals_fold_like_the_parsed_polynomial():
         for d in (2, 5, 12):
             want = _outcome(lambda t: CycInt.from_poly(d, parse_ring_literal(t)), text)
             assert _outcome(lambda t: CycInt.from_literal(d, t), text) == want, (d, text)
+
+
+# digit runs at and past their bounds, the exponent budget, an exponent
+# zero-padded past six digits, a Unicode digit, whitespace, terms that
+# cancel or repeat, and text that a backtracking match is slow to reject
+_BOUNDARY = (f"{'9' * MAX_DIGITS}*z", f"1 - {'9' * (MAX_DIGITS + 1)}*z",
+             f"z^{'0' * (MAX_DIGITS - 1)}1", f"z^{'0' * MAX_DIGITS}1",
+             f"z^{MAX_EXPONENT}", f"3 + z^{MAX_EXPONENT + 1}", "z^0000001", "z^\u0663",
+             "\t1\n+ z\u2003-\x1cz^2 ", "2 z", "-0*z", "3z^2-z+z", "1 z+" * 40,
+             " " * 10**5 + "x", " - " + " " * 10**5 + "z  *")
+
+
+def test_one_match_reads_like_the_scanner():
+    # _literal_terms reads a literal in one match and leaves the rest to the
+    # scanner; both must give the same terms, or the same error and position
+    for text in (*(text for _, text in _literal_cases()), *_BOUNDARY):
+        assert _outcome(_literal_terms, text) == _outcome(_scanned_terms, text), text
 
 
 # the grammar in the cyclotomic docstring as one regex
