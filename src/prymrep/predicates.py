@@ -4,7 +4,9 @@ upper-right-block variants, the integer symplectic block group, and the two
 image groups Lambda (handlebody side) and Delta (twist side).
 
 Each group is a fixed tuple of clauses (_CLAUSES), and a negative verdict
-carries the first clause that fails, for CLI diagnostics.
+carries the first clause that fails, for CLI diagnostics.  A matrix decides each
+clause, like det and the form test, once (BlockMat._once, a memo outside its eq,
+hash and repr), so the groups of a chain share the work.
 """
 
 from __future__ import annotations
@@ -131,8 +133,7 @@ def is_member(m: BlockMat, tag: GroupTag) -> Verdict:
         clauses = _CLAUSES[tag]
     except (KeyError, TypeError):
         raise ValueError(f"unknown group tag {tag!r}") from None
-    for clause in clauses:
-        v = clause(m)
+    for v in map(m._once, clauses):
         if not v:
             return v
     return _OK

@@ -11,6 +11,7 @@ form preservation literally M* Omega M = Omega.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add, sub
 
 from .cyclotomic import (
@@ -25,7 +26,6 @@ from .cyclotomic import (
     _reduce_poly,
     _sparse_powers,
     euler_phi,
-    parse_ring_literal,
     render_poly,
 )
 
@@ -288,10 +288,9 @@ def _sparse_product(d, a_rows, b_rows, cols):
     return tuple(out)
 
 
-def parse_matrix_poly(text: str, read=parse_ring_literal):
+def parse_matrix_poly(text: str, read):
     """Parse the matrix text format, rows split by ';' and ring literals by
-    ',', into the grid of read(literal): by default integer polynomials (no
-    modulus yet)."""
+    ',', into the grid of read(literal)."""
     rows = tuple(tuple(map(read, chunk.split(","))) for chunk in text.split(";"))
     if any(len(r) != len(rows[0]) for r in rows):
         raise ParseError("ragged matrix literal", text, 0)
@@ -314,7 +313,8 @@ def parse_matrix(text: str, d: int) -> RingMatrix:
 
 @dataclass(frozen=True)
 class BlockMat:
-    """A 2(g-1)-square matrix with the e_+/e_- block split."""
+    """A 2(g-1)-square matrix with the e_+/e_- block split.  Its det, form test
+    and membership clauses are each decided once, in a memo outside eq, hash and repr."""
 
     mat: RingMatrix
     g: int
@@ -397,8 +397,19 @@ class BlockMat:
             rows.append(tuple(row))
         return BlockMat(RingMatrix._make(self.d, tuple(rows)), self.g)
 
-    def det(self):
+    _memo = cached_property(lambda self: {})  # fn -> fn(self), in the instance __dict__
+
+    def _once(self, fn):
+        """fn(self), computed at most once per matrix; a raise stores nothing."""
+        if fn not in self._memo:
+            self._memo[fn] = fn(self)
+        return self._memo[fn]
+
+    def _mat_det(self):
         return self.mat.det()
+
+    def det(self):
+        return self._once(BlockMat._mat_det)
 
     def is_integer(self):
         return self.mat.is_integer()
@@ -417,13 +428,16 @@ def basis_position(g: int, i: int) -> int:
 
 
 def preserves_form(m: BlockMat) -> bool:
-    """True iff M* Omega M = Omega exactly.
+    """True iff M* Omega M = Omega exactly, walked once per matrix."""
+    return m._once(_form_walk)
 
-    Entry (p, q) of M* Omega M sums +-conj(M[r][p]) M[r'][q] over the rows r
-    of column p, with r' = r -+ (g-1) the twin of r across the split and the
-    sign - for r >= g-1.  A term x zeta^-t times y zeta^s adds x*y times the
-    reduced row of zeta^(s-t).  No matrix is built, and the first row that
-    differs from Omega's ends the test.
+
+def _form_walk(m: BlockMat) -> bool:
+    """Entry (p, q) of M* Omega M sums +-conj(M[r][p]) M[r'][q] over the rows
+    r of column p, with r' = r -+ (g-1) the twin of r across the split and
+    the sign - for r >= g-1.  A term x zeta^-t times y zeta^s adds x*y times
+    the reduced row of zeta^(s-t).  No matrix is built, and the first row
+    that differs from Omega's ends the test.
     """
     d, n = m.d, m.n
     o, z = _one_zero(d)

@@ -135,7 +135,8 @@ def _literal_cases():
 def _word_and_matrix_cases():
     return _cases(11, 10000, lambda rng, n: (
         (parse, _mutate(rng, _word(rng))) if n % 2
-        else (parse_matrix_poly, _mutate(rng, _matrix(rng)))))
+        else (lambda t: parse_matrix_poly(t, parse_ring_literal),
+              _mutate(rng, _matrix(rng)))))
 
 
 LITERAL_DIGEST = "428bf1843fc80d873dd41cbe651acf6f7c4d4e77ff02440179796718d6879439"

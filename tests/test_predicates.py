@@ -3,9 +3,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from prymrep import ringlinalg
 from prymrep.cyclotomic import CycInt, one, zeta_pow
-from prymrep.generators import delta_g1, elem_Ti, scalar_zeta
+from prymrep.generators import GenSpec, delta_g1, elem_Ti, matrix_of, scalar_zeta
 from prymrep.predicates import (
     _CLAUSES,
     GroupTag,
@@ -14,7 +17,7 @@ from prymrep.predicates import (
     is_member,
 )
 from prymrep.ringlinalg import BlockMat, RingMatrix, parse_matrix, preserves_form
-from prymrep.sweeps import random_lambda_word
+from prymrep.sweeps import _soundness_problem, random_lambda_word
 from prymrep.wordlang import evaluate
 
 from matrix_helpers import galois, omega
@@ -299,3 +302,67 @@ def test_preserves_form_is_the_literal_form_test():
         truths.append(preserves_form(m))
         assert truths[-1] == (m.mat.adjoint() * om * m.mat == om)
     assert len(truths) == 384 and 0 < sum(truths) < 384
+
+
+def test_each_clause_runs_once_per_matrix(monkeypatch):
+    # the catalogue's soundness check asks one matrix for its form test, its
+    # det and then every group of the chain Lambda <= urU# <= urU <= U; the
+    # form walk and the elimination of the full matrix run once between them
+    m = matrix_of(GenSpec("TH", (2,)), 5, 3)
+    walks, eliminations = [], []
+    walk, eliminate = ringlinalg._form_walk, ringlinalg._eliminate
+    monkeypatch.setattr(ringlinalg, "_form_walk",
+                        lambda x: walks.append(x) or walk(x))
+    monkeypatch.setattr(ringlinalg, "_eliminate",
+                        lambda d, rows, n, jordan: eliminations.append(n)
+                        or eliminate(d, rows, n, jordan))
+    assert _soundness_problem(m, "TH", GroupTag.Lambda) is None
+    assert _soundness_problem(m, "TH", GroupTag.Lambda) is None
+    monkeypatch.undo()
+    assert walks == [m]
+    # the other elimination is det D, read by the Lambda clause
+    assert sorted(eliminations) == [2, 4]
+
+
+@st.composite
+def _checked_matrices(draw):
+    """A seeded Lambda member, or one with a single entry moved off it."""
+    d = draw(st.sampled_from((2, 3, 4, 5, 12)))
+    g = draw(st.sampled_from((2, 3)))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    m = evaluate(random_lambda_word(rng, d, g, 4), d, g)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, 2 * g - 3)), draw(st.integers(0, 2 * g - 3))
+        z = zeta_pow(d, draw(st.integers(0, d - 1)))
+        m = _set_entry(m, i, j, lambda e: e + z)
+    return m
+
+
+def _fresh(m):
+    return BlockMat(parse_matrix(m.to_text(), m.d), m.g)
+
+
+@given(_checked_matrices(), st.permutations(list(GroupTag)))
+@settings(max_examples=60, deadline=None)
+def test_memo_keeps_every_verdict(m, tags):
+    # one matrix asked every group, in any order, answers as a fresh copy
+    # asked one group; the answers it keeps leave eq, hash and repr alone
+    for tag in tags:
+        assert is_member(m, tag) == is_member(_fresh(m), tag), tag
+    assert (m.det(), preserves_form(m)) == (_fresh(m).det(), preserves_form(_fresh(m)))
+    # and as the routes that keep nothing: a memo shared between matrices
+    # would answer the same wrong way on both copies
+    om = omega(m.g, m.d).mat
+    assert (m.det(), preserves_form(m)) == (m.mat.det(), m.mat.adjoint() * om * m.mat == om)
+    twin = _fresh(m)
+    assert (m == twin, hash(m), repr(m)) == (True, hash(twin), repr(twin))
+    calls = []
+
+    def fails(x):
+        calls.append(x)
+        raise ArithmeticError("no value")
+
+    for _ in range(2):
+        with pytest.raises(ArithmeticError):
+            m._once(fails)
+    assert calls == [m, m]
