@@ -42,7 +42,6 @@ from .generators import (
     delta_g3,
     elem_Ti,
     elem_Tij,
-    embed_ursp,
     gamma_ijk,
     gamma_ik,
     matrix_of,

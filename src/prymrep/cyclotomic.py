@@ -128,6 +128,11 @@ def euler_phi(d: int) -> int:
     return sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
 
 
+def _modulus_mismatch(d, other):
+    """The one error for an operand of modulus `other` met at modulus d."""
+    return ValueError(f"modulus mismatch: d={d} vs d={other}")
+
+
 def _poly_trim(coeffs):
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -298,7 +303,7 @@ class CycInt:
     def _coerce(self, other):
         if isinstance(other, CycInt):
             if other.d != self.d:
-                raise ValueError(f"modulus mismatch: d={self.d} vs d={other.d}")
+                raise _modulus_mismatch(self.d, other.d)
             return other
         if isinstance(other, int):
             return CycInt.from_int(self.d, other)

@@ -8,7 +8,7 @@ its lower-right block.
 
 from __future__ import annotations
 
-from .cyclotomic import solve_real_basis
+from .cyclotomic import _modulus_mismatch, solve_real_basis
 from .generators import GenSpec
 from .predicates import GroupTag, is_member
 from .ringlinalg import BlockMat, RingMatrix
@@ -31,7 +31,7 @@ def decompose_delta(b: RingMatrix, d: int, g: int) -> Word:
     if b.rows != n or b.cols != n:
         raise ValueError(f"B must be {n}x{n} for genus {g}")
     if b.d != d:
-        raise ValueError("modulus mismatch")
+        raise _modulus_mismatch(d, b.d)
     if b != b.adjoint():
         raise ValueError("B is not self-adjoint")
     factors = []
@@ -54,9 +54,9 @@ def reduce_lambda(m: BlockMat, word_d: Word) -> Word:
     """Extend a witness word for the lower-right block to a word for M.
 
     word_d must evaluate to a Lambda element with the same lower-right block
-    D as M.  The residual F = D*(B - E) is self-adjoint and unipotent-side,
-    so the result is word_d followed by its delta decomposition; the returned
-    word evaluates to M exactly.
+    D as M.  The residual F = D*B - D*E is self-adjoint, as D*B = B*D and
+    D*E = E*D are Lambda clauses (decompose_delta refuses any other F), so
+    word_d followed by the delta decomposition of F evaluates to M exactly.
     """
     d, g = m.d, m.g
     v = is_member(m, GroupTag.Lambda)
@@ -70,8 +70,4 @@ def reduce_lambda(m: BlockMat, word_d: Word) -> Word:
     if witness.lower_right() != dm:
         raise ValueError("witness word has a different lower-right block than M")
     f = dm.adjoint() * (m.upper_right() - witness.upper_right())
-    if f != f.adjoint():
-        raise ArithmeticError(
-            "residual F = D*(B - E) is not self-adjoint; precondition violated"
-        )
     return word_d * decompose_delta(f, d, g)

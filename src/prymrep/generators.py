@@ -21,7 +21,7 @@ T, T_H and T_H' multiply a hyperbolic plane H = <f1, f2> by zeta and fix
 its form complement, so N = (zeta - 1)P for the form projection P onto H
 (_zeta_on_plane).  Column k of N is the image of e_k less e_k under A_H
 and A_H' (_image_entries), the diagonal of the deck scalar zeta^k Id is
-zeta^k - 1, and an UrSp literal admitted by embed_ursp is itself less Id.
+zeta^k - 1, and an UrSp literal, checked to lie in urSp(Z), is itself less Id.
 With this convention the forward twist transvection x -> x + <x, v>v has
 upper-right block -vv* for v in the meridian span, and its inverse has +vv*.
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import CycInt, _ints, one, zeta_pow
 from .predicates import GroupTag, is_member
-from .ringlinalg import BlockMat, RingMatrix, basis_position
+from .ringlinalg import BlockMat, RingMatrix, _side, basis_position
 
 
 def _rank_update(d, g, entries):
@@ -94,9 +94,10 @@ def _g3_entries(g, d, i, j, k):
     return _tij_entries(g, d, i, j, -zeta_pow(d, k))
 
 
-def _zeta_on_plane(g, d, i, j=None):
+def _zeta_on_plane(g, d, i=1, j=None):
     """Multiplication by zeta on the plane H = <f1, f2>, f1 = e_i and
-    f2 = e_-i (+ e_j), identity on its form complement: N = (zeta - 1)P.
+    f2 = e_-i (+ e_j), identity on its form complement: N = (zeta - 1)P;
+    T is the plane i = 1.
 
     <f1, f2> = 1 and f1, f2 are isotropic (|i| != |j|), so the form
     projection onto H is P(x) = <x, f2> f1 - <x, f1> f2.
@@ -106,12 +107,6 @@ def _zeta_on_plane(g, d, i, j=None):
     if j is not None:
         entries += [_entry(g, c, j, i), _entry(g, -c, i, j)]
     return entries
-
-
-def _t_entries(g, d):
-    if g < 2:
-        raise ValueError("genus must be >= 2")
-    return _zeta_on_plane(g, d, 1)
 
 
 def _swap_images(i):
@@ -149,13 +144,15 @@ def _zeta_entries(g, d, k):
 
 
 def _ursp_entries(g, d, polys):
-    """The UrSp literal of a grid of integer polynomials, checked by
-    embed_ursp, less Id."""
-    mat = RingMatrix(d, [[CycInt.from_poly(d, p) for p in row] for row in polys])
+    """The UrSp literal of a grid of integer polynomials, checked to lie in
+    urSp(Z), less Id."""
+    m = BlockMat(RingMatrix(d, [[CycInt.from_poly(d, p) for p in row] for row in polys]), g)
+    v = is_member(m, GroupTag.UrSpZ)
+    if not v:
+        raise ValueError(f"matrix is not in urSp_2(g-1)(Z): {v.reason}")
     o = one(d)
     return [(p, q, c - o if p == q else c)
-            for p, row in enumerate(embed_ursp(BlockMat(mat, g)).mat.entries)
-            for q, c in enumerate(row)]
+            for p, row in enumerate(m.mat.entries) for q, c in enumerate(row)]
 
 
 def elem_Ti(g: int, d: int, i: int, rprime: CycInt) -> BlockMat:
@@ -242,14 +239,6 @@ def scalar_zeta(g: int, d: int, k: int) -> BlockMat:
     return _build("Zeta", g, d, k)
 
 
-def embed_ursp(m: BlockMat) -> BlockMat:
-    """Check an integer matrix against the urSp predicate and admit it."""
-    v = is_member(m, GroupTag.UrSpZ)
-    if not v:
-        raise ValueError(f"matrix is not in urSp_2(g-1)(Z): {v.reason}")
-    return m
-
-
 # ---------------------------------------------------------------------------
 # The generator registry: one table of the catalogue families, read by
 # GenSpec, matrix_of, the word parser and renderer, and the sweeps.
@@ -288,7 +277,7 @@ class Family:
 
 # The order is the order of the random word draws in sweeps.
 FAMILIES = {
-    "T": Family("", "", GroupTag.Lambda, _t_entries),
+    "T": Family("", "", GroupTag.Lambda, _zeta_on_plane),
     "Zeta": Family("k", "", GroupTag.Delta, _zeta_entries),
     "Ti": Family("s", "real", GroupTag.Lambda, _ti_entries, True),
     "AH": Family("p", "", GroupTag.Lambda, _ah_entries),
@@ -323,17 +312,18 @@ def _check_slots(name, indices):
 
 def _entries(name, g, d, *args):
     """The entries of N in the matrix Id + N of family `name`, args as for
-    its entry function: the slot rule, then the range rule |i| <= g - 1 for
-    every index but a zeta exponent, then the entry function.  The indices
-    must be integers (_ints), as in a GenSpec, and a ring scalar an int or
-    a CycInt of modulus d (CycInt._coerce)."""
+    its entry function: the genus rule, the slot rule, the range rule of
+    basis_position for every index but a zeta exponent, then the entry
+    function.  The indices must be integers (_ints), as in a GenSpec, and a
+    ring scalar an int or a CycInt of modulus d (CycInt._coerce)."""
+    _side(g)  # the genus rule, before any index is read against g
     fam = FAMILIES[name]
     n = len(fam.slots)
     args = _ints(args[:n], f"{name} indices") + args[n:]
     _check_slots(name, args[:n])
     for slot, i in zip(fam.slots, args):
-        if slot != "k" and abs(i) > g - 1:
-            raise ValueError(f"index {i} out of range for genus {g}")
+        if slot != "k":
+            basis_position(g, i)
     if fam.takes in ("real", "ring"):
         scalar = one(d)._coerce(args[n])
         if scalar is None:

@@ -19,6 +19,7 @@ from .cyclotomic import (
     ParseError,
     _conj,
     _divider,
+    _modulus_mismatch,
     _mul_reduce,
     _new,
     _power,
@@ -132,8 +133,10 @@ class RingMatrix:
         return self._entrywise(sub, other)
 
     def _check_same_shape(self, other):
-        if not isinstance(other, RingMatrix) or other.d != self.d:
+        if not isinstance(other, RingMatrix):
             raise ValueError("matrix mismatch")
+        if other.d != self.d:
+            raise _modulus_mismatch(self.d, other.d)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
 
@@ -142,7 +145,7 @@ class RingMatrix:
         if isinstance(c, int):
             c = CycInt.from_int(d, c)
         elif c.d != d:
-            raise ValueError(f"modulus mismatch: d={d} vs d={c.d}")
+            raise _modulus_mismatch(d, c.d)
         return RingMatrix._make(d, tuple(
             tuple(_mul_reduce(d, c.coeffs, a) for a in row) for row in self.coeffs))
 
@@ -152,7 +155,7 @@ class RingMatrix:
         if not isinstance(other, RingMatrix):
             return NotImplemented
         if other.d != self.d:
-            raise ValueError("modulus mismatch")
+            raise _modulus_mismatch(self.d, other.d)
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
         return RingMatrix._make(self.d, _sparse_product(self.d, self.coeffs,
@@ -311,6 +314,14 @@ def parse_matrix(text: str, d: int) -> RingMatrix:
         text, lambda literal: CycInt.from_literal(d, literal).coeffs))
 
 
+def _side(g):
+    """The side 2(g - 1) of a genus-g block matrix; the one statement of the
+    genus rule, reached before any matrix of genus g is built."""
+    if g < 2:
+        raise ValueError("genus must be >= 2")
+    return 2 * (g - 1)
+
+
 @dataclass(frozen=True)
 class BlockMat:
     """A 2(g-1)-square matrix with the e_+/e_- block split.  Its det, form test
@@ -320,9 +331,7 @@ class BlockMat:
     g: int
 
     def __post_init__(self):
-        if self.g < 2:
-            raise ValueError("genus must be >= 2")
-        n = 2 * (self.g - 1)
+        n = _side(self.g)
         if self.mat.rows != n or self.mat.cols != n:
             raise ValueError(f"matrix is {self.mat.rows}x{self.mat.cols}, "
                              f"expected {n}x{n} for genus {self.g}")
@@ -338,7 +347,7 @@ class BlockMat:
 
     @classmethod
     def identity(cls, d, g):
-        return cls(RingMatrix.identity(d, 2 * (g - 1)), g)
+        return cls(RingMatrix.identity(d, _side(g)), g)
 
     @classmethod
     def from_blocks(cls, g, upper_left, upper_right, lower_left, lower_right):

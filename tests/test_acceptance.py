@@ -61,7 +61,7 @@ def test_criterion_4_delta_roundtrip():
 
 def test_criterion_5_lambda_roundtrip():
     # 100+ random witness-word-times-unipotent instances, words of length <= 6;
-    # the residual F is checked self-adjoint inside the sweep
+    # a residual F that is not self-adjoint is refused by decompose_delta
     rep = lambda_roundtrip_sweep((2, 3, 5, 7), (2, 3, 4), per_cell=9,
                                  seed=SEED, max_len=6)
     report(5, rep)

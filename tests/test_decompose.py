@@ -135,6 +135,32 @@ def test_reduce_lambda_rejects_non_lambda():
         reduce_lambda(m, Word(()))
 
 
+def _refusal_cases():
+    d, g = 5, 2
+    t = evaluate(parse("T"), d, g)
+    b3 = RingMatrix.from_rows(3, [[1]])
+    return [
+        (lambda: decompose_delta(RingMatrix.zeros(d, 2, 2), d, g), "B must be 1x1 for genus 2"),
+        (lambda: decompose_delta(b3, d, g), "modulus mismatch: d=5 vs d=3"),
+        (lambda: decompose_delta(RingMatrix.from_rows(d, [[zeta_pow(d, 1)]]), d, g),
+         "B is not self-adjoint"),
+        (lambda: reduce_lambda(BlockMat(parse_matrix("1, 0 ; 1, 1", d), g), Word(())),
+         "matrix is not in Lambda: lower-left block is nonzero"),
+        (lambda: reduce_lambda(t, parse("Ti(-1; 1)")),
+         "witness word does not evaluate into Lambda: lower-left block is nonzero"),
+        (lambda: reduce_lambda(t, parse("T^2")),
+         "witness word has a different lower-right block than M"),
+    ]
+
+
+def test_decompose_refusals():
+    # each refusal of the decomposition routines, with its type and message
+    for call, message in _refusal_cases():
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert exc.type is ValueError and str(exc.value) == message
+
+
 # SHA-256 of the rendered decompose_delta words for seeded self-adjoint B,
 # and of one `prymrep decompose-delta` stdout, taken before G2/G3 became
 # single transvections and the real coordinates were read off the basis;

@@ -334,6 +334,19 @@ def test_endo_rejects_letters_outside_the_rank(letter):
         Endo.identity(2).apply((1, letter))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Endo(((1,), (2,)), ((1,),)), "images and inverse_images must have equal length"),
+    (lambda: Endo.identity(2).compose(Endo.identity(3)), "rank mismatch"),
+    (lambda: eta_chain(Endo.identity(3), 5, 2), "rank mismatch"),
+    (lambda: parse_free_word("x1 y2", 2), "bad free word 'x1 y2' near position 2"),
+    (lambda: parse_endo_images("x3 -> x1", 2), "generator x3 out of range for rank 2"),
+])
+def test_endo_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert exc.type is ValueError and str(exc.value) == message
+
+
 def test_parse_budget_counts_letters_before_reduction():
     with pytest.raises(ValueError, match="budget"):
         parse_free_word(f"x1^5 x1^-5 x2^{MAX_LETTERS - 9}", 2)

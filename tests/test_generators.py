@@ -21,7 +21,6 @@ from prymrep.generators import (
     delta_g3,
     elem_Ti,
     elem_Tij,
-    embed_ursp,
     gamma_ijk,
     gamma_ik,
     matrix_of,
@@ -31,7 +30,7 @@ from prymrep.generators import (
 from prymrep.predicates import GroupTag, is_member
 from prymrep.ringlinalg import BlockMat, RingMatrix, basis_position, parse_matrix, preserves_form
 from prymrep.sweeps import random_lambda_word
-from prymrep.wordlang import Word, parse
+from prymrep.wordlang import Word, evaluate, parse
 
 from matrix_helpers import apply, basis_vector, column, form_eval, omega, signed_indices, zero
 
@@ -332,15 +331,22 @@ def test_scalar_zeta():
 
 
 def test_embed_ursp():
+    # the UrSp family, the one route into urSp(Z), admits an integer
+    # upper-block symplectic matrix as itself and refuses any other
+    def ursp(m):
+        polys = tuple(tuple(e.coeffs for e in row) for row in m.mat.entries)
+        return matrix_of(GenSpec("UrSp", matrix=polys), m.d, m.g)
+
     m = BlockMat(parse_matrix("1, 1 ; 0, 1", 5), 2)
-    assert embed_ursp(m) == m
+    assert ursp(m) == m
     assert is_member(m, GroupTag.Lambda)
     ah = conj_AH(3, 5, 2)
-    assert embed_ursp(ah) == ah
-    with pytest.raises(ValueError):
-        embed_ursp(BlockMat(parse_matrix("1, z ; 0, 1", 5), 2))  # not integer
-    with pytest.raises(ValueError):
-        embed_ursp(BlockMat(parse_matrix("2, 0 ; 0, 1", 5), 2))  # not symplectic
+    assert ursp(ah) == ah
+    refused = "^" + re.escape("matrix is not in urSp_2(g-1)(Z): ")
+    with pytest.raises(ValueError, match=refused + "entries are not rational integers$"):
+        ursp(BlockMat(parse_matrix("1, z ; 0, 1", 5), 2))
+    with pytest.raises(ValueError, match=refused + re.escape("M* Omega M != Omega") + "$"):
+        ursp(BlockMat(parse_matrix("2, 0 ; 0, 1", 5), 2))
 
 
 def test_conjugation_identity_spot_cases():
@@ -485,7 +491,8 @@ def test_rank_update_builders_match_form_eval():
 
 def _registry_cases(d, g):
     """One instance of every family, in table order, at a genus g >= 3:
-    (spec, the direct call of its public constructor)."""
+    (spec, the direct call of its public constructor; for UrSp, which has
+    none, the block matrix of the literal)."""
     r = zeta_pow(d, 1) + zeta_pow(d, -1)
     c = 1 - 2 * zeta_pow(d, 1)
     lit = parse_matrix("1, 0, 2, 1 ; 0, 1, 1, 0 ; 0, 0, 1, 0 ; 0, 0, 0, 1", d)
@@ -505,7 +512,7 @@ def _registry_cases(d, g):
         (GenSpec("THPrime", (1, 2)), lambda: THPrime(g, d, 1, 2)),
         (GenSpec("GammaIJK", (1, 2, 3)), lambda: gamma_ijk(g, d, 1, 2, 3)),
         (GenSpec("G3", (2, 1, 4)), lambda: delta_g3(g, d, 2, 1, 4)),
-        (GenSpec("UrSp", matrix=polys), lambda: embed_ursp(BlockMat(lit, g))),
+        (GenSpec("UrSp", matrix=polys), lambda: BlockMat(lit, g)),
     ]
 
 
@@ -520,6 +527,36 @@ def test_registry_drives_parse_render_and_build():
         assert m == direct(), spec
         assert is_member(m, FAMILIES[spec.name].group), spec
     assert Word(((GenSpec("T"), 2),)).render() == "T^2"
+
+
+@pytest.mark.parametrize("g", [1, 0])
+def test_genus_rule_comes_first_on_every_route(g):
+    # every family, by its constructor and as a one-factor word, and the
+    # identity and the empty word, refuse a genus below 2 with one message,
+    # before any index is read against g or any matrix is built
+    d = 5
+    routes = [lambda: BlockMat.identity(d, g), lambda: evaluate(Word(()), d, g)]
+    for spec, direct in _registry_cases(d, g):
+        routes += [direct, lambda spec=spec: matrix_of(spec, d, g),
+                   lambda spec=spec: evaluate(Word(((spec, 1),)), d, g)]
+    assert len(routes) == 2 + 3 * len(FAMILIES)
+    for route in routes:
+        with pytest.raises(ValueError, match=r"^genus must be >= 2$"):
+            route()
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"name": "Foo"}, "unknown generator name 'Foo'"),
+    ({"name": "G1", "indices": (1, 2)}, "G1 takes 1 integer argument(s), got 2"),
+    ({"name": "G3", "indices": (1, 2)}, "G3 takes 3 integer argument(s), got 2"),
+    ({"name": "Ti", "indices": (1,)}, "Ti requires a ring argument"),
+    ({"name": "G1", "indices": (1,), "scalar": (1,)}, "G1 does not take a ring argument"),
+    ({"name": "UrSp"}, "UrSp requires a matrix argument"),
+    ({"name": "T", "matrix": ((1,),)}, "T does not take a matrix argument"),
+])
+def test_genspec_refusals(kwargs, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        GenSpec(**kwargs)
 
 
 _NILPOTENT = {"Ti", "Tij", "TwistE", "GammaIK", "GammaIJK", "G1", "G2", "G3"}

@@ -19,6 +19,19 @@ def rand_matrix(rng, d, n, lo=-4, hi=4):
     ])
 
 
+def test_every_modulus_route_gives_one_message():
+    # a matrix or scalar of another modulus is refused with the detailed
+    # text by the sum, the product and the scaling; an operand that is not a
+    # matrix keeps its own message
+    a, b = RingMatrix.identity(5, 2), RingMatrix.identity(3, 2)
+    for call in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a * zeta_pow(3, 1),
+                 lambda: zeta_pow(5, 1) + zeta_pow(3, 1)):
+        with pytest.raises(ValueError, match=r"^modulus mismatch: d=5 vs d=3$"):
+            call()
+    with pytest.raises(ValueError, match=r"^matrix mismatch$"):
+        a + 1
+
+
 def test_adjoint_examples():
     assert RingMatrix.identity(5, 3).adjoint() == RingMatrix.identity(5, 3)
     z = zeta_pow(3, 1)
