@@ -11,7 +11,7 @@ from __future__ import annotations
 from .cyclotomic import _modulus_mismatch, solve_real_basis
 from .generators import GenSpec
 from .predicates import GroupTag, is_member
-from .ringlinalg import BlockMat, RingMatrix
+from .ringlinalg import BlockMat, RingMatrix, _side
 from .wordlang import Word, evaluate
 
 
@@ -27,7 +27,7 @@ def decompose_delta(b: RingMatrix, d: int, g: int) -> Word:
     then (i, j) lexicographic, so output is reproducible; the factors commute,
     so order does not affect correctness.
     """
-    n = g - 1
+    n = _side(g) // 2
     if b.rows != n or b.cols != n:
         raise ValueError(f"B must be {n}x{n} for genus {g}")
     if b.d != d:

@@ -64,29 +64,42 @@ def exponent_sum(w, i: int) -> int:
     return w.count(i) - w.count(-i)
 
 
+def _rank(g: int) -> int:
+    """g, if the eta routes and the Nielsen stock take it: the rank rule."""
+    if g < 2:
+        raise ValueError("rank must be >= 2")
+    return g
+
+
+def _same_rank(g: int, h: int) -> None:
+    """The rule that an endomorphism meets only its own rank."""
+    if g != h:
+        raise ValueError("rank mismatch")
+
+
+def _code(g: int) -> str:
+    """The array type code of a rank-g letter: 2 bytes while +-g fits."""
+    return "h" if g < 2**15 else "q"
+
+
 def _append_reduced(out: array, block: array, undo: array) -> None:
     """Append the reduced word block to the reduced word out, in place.
 
     undo is block's inverse, or a suffix of it at least len(out) letters
-    long, and all three are array('q').  With out = u c and block = c^-1 v,
-    the cancelled part c is the longest common suffix of out and undo, found
-    by galloping slice compares; deleting it and extending by v leaves u v,
-    which is reduced.
+    long, and all three share one type code.  With out = u c and
+    block = c^-1 v, c is the longest common suffix of out and undo.  If the
+    last letters agree, the trailing zero bits of the XOR of the last n
+    letters of each, read as big-endian integers and floored to whole
+    letters, count c exactly, whatever the byte order.  Deleting c and
+    extending by v leaves u v, which is reduced.
     """
     if out and undo and out[-1] == undo[-1]:
         n = min(len(out), len(undo))
-        lo, hi = 1, 2
-        while hi <= n and out[-hi:] == undo[-hi:]:
-            lo, hi = hi, 2 * hi
-        hi = min(hi, n + 1)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if out[-mid:] == undo[-mid:]:
-                lo = mid
-            else:
-                hi = mid
-        del out[-lo:]
-        block = block[lo:]
+        x = (int.from_bytes(out[len(out) - n:], "big")
+             ^ int.from_bytes(undo[len(undo) - n:], "big"))
+        c = ((x & -x).bit_length() - 1) // (8 * out.itemsize) if x else n
+        del out[len(out) - c:]
+        block = block[c:]
     out += block
 
 
@@ -127,11 +140,11 @@ class Endo:
 
     @cached_property
     def _blocks(self) -> dict:
-        """{+-i: (reduced image of x_i^+-1, its inverse)}, as array('q')."""
-        blocks = {}
+        """{+-i: (reduced image of x_i^+-1, its inverse)}, as arrays."""
+        blocks, code = {}, _code(self.g)
         for i, w in enumerate(self.images, start=1):
-            img = array("q", word_mul(w))
-            inv = array("q", word_inv(img))
+            img = array(code, word_mul(w))
+            inv = array(code, word_inv(img))
             blocks[i], blocks[-i] = (img, inv), (inv, img)
         return blocks
 
@@ -142,7 +155,7 @@ class Endo:
         word_mul of the concatenated images, reduced or not; a letter of w
         outside +-1..+-g raises ValueError."""
         blocks = self._blocks
-        out = array("q")
+        out = array(_code(self.g))
         for s in w:
             block = blocks.get(s)
             if block is None:
@@ -152,8 +165,7 @@ class Endo:
 
     def compose(self, other: "Endo") -> "Endo":
         """self o other: apply other first, then self."""
-        if self.g != other.g:
-            raise ValueError("rank mismatch")
+        _same_rank(self.g, other.g)
         images = tuple(self.apply(w) for w in other.images)
         other_inv = other.inverse()
         inv = tuple(other_inv.apply(w) for w in self.inverse_images)
@@ -219,14 +231,9 @@ def lift_class(w, d: int, g: int) -> CoverClass:
     sheet = 0
     for s in w:
         if abs(s) == g:
-            if s > 0:
-                if sheet == d - 1:
-                    lam += 1
-                sheet = (sheet + 1) % d
-            else:
-                if sheet == 0:
-                    lam -= 1
-                sheet = (sheet - 1) % d
+            # the x_g-edge from sheet d - 1 back to sheet 0 is off the tree
+            wrap, sheet = divmod(sheet + (1 if s > 0 else -1), d)
+            lam += wrap
         else:
             loops[abs(s) - 1][sheet] += 1 if s > 0 else -1
     return CoverClass(tuple(tuple(r) for r in loops), lam)
@@ -240,10 +247,7 @@ def _project(cls: CoverClass, d: int):
 
 def _require_member(phi: Endo, d: int, g: int) -> None:
     """The shared guard of both eta routes, checked before either walks."""
-    if g < 2:
-        raise ValueError("rank must be >= 2")
-    if g != phi.g:
-        raise ValueError("rank mismatch")
+    _same_rank(_rank(g), phi.g)
     v = check_member(phi, d)
     if not v:
         raise ValueError(f"endomorphism is not in the covering-preserving group: {v.reason}")
@@ -316,17 +320,14 @@ def eta(phi: Endo, d: int, g: int) -> RingMatrix:
 
 def adapted_nielsen_moves(g: int, d: int):
     """A generating stock of kernel-preserving automorphisms (with inverses)."""
-    if g < 2:
-        raise ValueError("rank must be >= 2")
+    _rank(g)
     moves = []
 
     def endo(images_map, inverse_map):
-        images = []
-        invs = []
-        for i in range(1, g + 1):
-            images.append(free_reduce(images_map.get(i, (i,))))
-            invs.append(free_reduce(inverse_map.get(i, (i,))))
-        return Endo(tuple(images), tuple(invs))
+        # every word below is reduced as written
+        images = tuple(images_map.get(i, (i,)) for i in range(1, g + 1))
+        invs = tuple(inverse_map.get(i, (i,)) for i in range(1, g + 1))
+        return Endo(images, invs)
 
     for i in range(1, g):
         # inversion of a kernel generator
@@ -385,7 +386,7 @@ def parse_free_word(text: str, g: int) -> FreeWord:
     """Parse 'x2^-2 x1 x2' to a reduced word, appending each run x_i^e as one
     block; the budget counts letters before reduction."""
     pos, end = 0, len(text.rstrip())
-    out, total, units = array("q"), 0, {}
+    out, total = array(_code(g)), 0
     while pos < end:
         m = _LETTER.match(text, pos)
         if m is None:
@@ -400,11 +401,9 @@ def parse_free_word(text: str, g: int) -> FreeWord:
         if total > MAX_LETTERS:
             raise ValueError(f"free word expands past the budget of {MAX_LETTERS} letters")
         s = idx if e > 0 else -idx
-        unit = units.get(s)
-        if unit is None:
-            unit = units[s] = array("q", (s,)), array("q", (-s,))
         # at most len(out) letters can cancel, so that much of the inverse will do
-        _append_reduced(out, unit[0] * n, unit[1] * min(n, len(out)))
+        _append_reduced(out, array(out.typecode, (s,)) * n,
+                        array(out.typecode, (-s,)) * min(n, len(out)))
         pos = m.end()
     return tuple(out)
 

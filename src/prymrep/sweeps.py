@@ -35,7 +35,7 @@ from .generators import (
     gamma_ik, matrix_of,
 )
 from .predicates import GroupTag, genus2_real_project, genus2_theta_project, is_member
-from .ringlinalg import BlockMat, RingMatrix, preserves_form
+from .ringlinalg import BlockMat, RingMatrix, _side, preserves_form
 from .wordlang import Word, evaluate, parse
 
 
@@ -204,6 +204,7 @@ def random_lambda_word(rng, d, g, max_len) -> Word:
     but UrSp) and whose indices fit genus g.  Each factor draws its name, i,
     k, then j if the family has a second index and a scalar if it takes one,
     and its exponent from +-1, +-2."""
+    _side(g)  # the genus rule, before anything is drawn from rng
     names = [nm for nm, fam in FAMILIES.items()
              if fam.takes != "matrix" and _instances(fam.slots, d, g)]
     factors = []

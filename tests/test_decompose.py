@@ -150,6 +150,9 @@ def _refusal_cases():
          "witness word does not evaluate into Lambda: lower-left block is nonzero"),
         (lambda: reduce_lambda(t, parse("T^2")),
          "witness word has a different lower-right block than M"),
+        # the genus rule comes first, before any shape check or draw
+        (lambda: decompose_delta(RingMatrix.identity(d, 1), d, 1), "genus must be >= 2"),
+        (lambda: random_lambda_word(random.Random(0), d, 1, 3), "genus must be >= 2"),
     ]
 
 

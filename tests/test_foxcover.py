@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from time import perf_counter
 
 import pytest
@@ -379,6 +380,52 @@ def test_apply_is_word_mul_of_the_images(case):
     phi, w = case
     images = [phi.images[s - 1] if s > 0 else word_inv(phi.images[-s - 1]) for s in w]
     assert phi.apply(w) == word_mul(*images)
+
+
+# generators whose letters sit at the byte boundaries of 2- and 8-byte letters
+_BOUNDARY = (1, 2, 3, 4, 255, 256, 257, 258, 32767, 32768, 32769)
+
+
+@st.composite
+def _wide_endo_and_words(draw):
+    """An Endo of rank 258 or 2^15 + 1 whose boundary generators have
+    unreduced images in the boundary letters, and unreduced input words
+    (several per Endo, as building the blocks of rank 2^15 + 1 is slow)."""
+    g = draw(st.sampled_from((258, 2**15 + 1)))
+    gens = [i for i in _BOUNDARY if i <= g]
+    letters = st.sampled_from(gens).flatmap(lambda i: st.sampled_from((i, -i)))
+    images = [(i,) for i in range(1, g + 1)]
+    for i in gens:
+        images[i - 1] = tuple(draw(st.lists(letters, max_size=12)))
+    words = st.lists(st.lists(letters, max_size=30).map(tuple), min_size=1, max_size=4)
+    return Endo(tuple(images), tuple(images)), draw(words)
+
+
+@given(_wide_endo_and_words())
+@settings(max_examples=20, deadline=None)
+def test_apply_is_word_mul_at_the_byte_boundaries(case):
+    # a cancellation is counted in whole letters from the XOR of two byte
+    # strings, so a letter that differs from another in one byte only must
+    # still stop it, for 2-byte letters below rank 2^15 and 8-byte ones above
+    phi, words = case
+    for w in words:
+        images = [phi.images[s - 1] if s > 0 else word_inv(phi.images[-s - 1]) for s in w]
+        assert phi.apply(w) == word_mul(*images)
+        text = " ".join(f"x{abs(s)}^{1 if s > 0 else -1}" for s in w)
+        assert parse_free_word(text, phi.g) == free_reduce(w)
+
+
+def test_cancelling_parse_stays_small():
+    # two near-budget runs that cancel: the parse holds a few copies of one
+    # run in 2-byte letters, not a dozen in 8-byte ones (193 MiB before)
+    tracemalloc.start()
+    try:
+        w = parse_free_word("x1^4999990 x2 x2^-1 x1^-4999990 x2", 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w == (2,)
+    assert peak < 128 * 2**20
 
 
 @given(st.integers(1, 3).flatmap(lambda g: st.tuples(st.just(g), _words(g, 40))))

@@ -70,12 +70,15 @@ def test_every_public_name_is_used():
 
 
 def test_each_input_rule_has_one_message():
-    # the modulus rule, the block-shape rule, the genus rule and the rule
-    # that operands share a modulus are each stated in one place, which
-    # every route passes through (euler_phi, BlockMat, ringlinalg._side,
-    # cyclotomic._modulus_mismatch)
+    # the modulus rule, the block-shape rule, the genus rule, the rule
+    # that operands share a modulus and foxcover's two rank rules are each
+    # stated in one place, which every route passes through (euler_phi,
+    # BlockMat, ringlinalg._side, cyclotomic._modulus_mismatch,
+    # foxcover._rank and foxcover._same_rank)
     text = "".join(src.read_text() for src in sorted(SRC.glob("*.py")))
     assert text.count('"modulus d must be >= 2"') == 1
     assert text.count('"genus must be >= 2"') == 1
     assert text.count("modulus mismatch") == 1
+    assert text.count('"rank must be >= 2"') == 1
+    assert text.count('"rank mismatch"') == 1
     assert len(re.findall(r"\{[\w.]*rows\}x\{[\w.]*cols\}", text)) == 1
