@@ -27,7 +27,6 @@ from .foxcover import (
     eta,
     eta_chain,
     eta_fox,
-    fox_derivative,
     lift_class,
 )
 from .generators import (

@@ -111,7 +111,8 @@ class Endo:
     Every letter of both lists must be one of +-1..+-g.  Two values derived
     from the images are cached per instance, outside eq, hash and repr: the
     reduced image of each letter +-i together with that image's inverse
-    (the blocks apply appends), and the certificate's outcome."""
+    (the blocks apply appends, built when apply first meets +-i), and the
+    certificate's outcome."""
 
     images: tuple
     inverse_images: tuple
@@ -140,13 +141,20 @@ class Endo:
 
     @cached_property
     def _blocks(self) -> dict:
-        """{+-i: (reduced image of x_i^+-1, its inverse)}, as arrays."""
-        blocks, code = {}, _code(self.g)
-        for i, w in enumerate(self.images, start=1):
-            img = array(code, word_mul(w))
-            inv = array(code, word_inv(img))
-            blocks[i], blocks[-i] = (img, inv), (inv, img)
-        return blocks
+        """{+-i: (reduced image of x_i^+-1, its inverse)}, as arrays, for
+        the letters apply has met (_block)."""
+        return {}
+
+    def _block(self, s):
+        """The block of letter s, built and kept with that of -s; a letter
+        outside +-1..+-g raises ValueError."""
+        if not (isinstance(s, int) and 0 < abs(s) <= self.g):
+            raise ValueError(f"letter {s} is not a generator of rank {self.g}")
+        i, code = abs(s), _code(self.g)
+        img = array(code, word_mul(self.images[i - 1]))
+        inv = array(code, word_inv(img))
+        self._blocks[i], self._blocks[-i] = (img, inv), (inv, img)
+        return self._blocks[s]
 
     def apply(self, w) -> FreeWord:
         """phi(w), reduced, in one block step per letter of w: the reduced
@@ -157,10 +165,7 @@ class Endo:
         blocks = self._blocks
         out = array(_code(self.g))
         for s in w:
-            block = blocks.get(s)
-            if block is None:
-                raise ValueError(f"letter {s} is not a generator of rank {self.g}")
-            _append_reduced(out, *block)
+            _append_reduced(out, *(blocks.get(s) or self._block(s)))
         return tuple(out)
 
     def compose(self, other: "Endo") -> "Endo":
@@ -258,30 +263,6 @@ def eta_chain(phi: Endo, d: int, g: int) -> RingMatrix:
     _require_member(phi, d, g)
     cols = [_project(lift_class(phi.images[j], d, g), d) for j in range(g - 1)]
     return RingMatrix.from_rows(d, zip(*cols))
-
-
-def fox_derivative(w, i: int) -> dict:
-    """d w / d x_i as a formal sum {word: coefficient}; eta_fox's test oracle.
-
-    Product rule d(uv) = du + u dv with d x_j = delta_ij and
-    d x_j^-1 = -delta_ij x_j^-1.  The reduced prefix is kept as one list,
-    extended or cancelled in place, and copied only at the letters +-i.
-    """
-    terms = {}
-    prefix = []
-    for s in w:
-        if s == i:
-            key = tuple(prefix)
-            terms[key] = terms.get(key, 0) + 1
-        if prefix and prefix[-1] == -s:
-            prefix.pop()
-        else:
-            prefix.append(s)
-        if s == -i:
-            # the term is the prefix times x_i^-1, reduced: the prefix just built
-            key = tuple(prefix)
-            terms[key] = terms.get(key, 0) - 1
-    return {k: c for k, c in terms.items() if c}
 
 
 def _fox_column(w, d: int, g: int) -> list:

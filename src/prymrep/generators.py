@@ -7,16 +7,13 @@ Every family is the function that gives the entries (p, q, c) of N in its
 matrix Id + N (Family.entries).  _entries checks the family's index rules
 and calls it, and _rank_update builds Id + N, whose product M(Id + N) adds
 c times column p of M into column q: matrix_of, the public constructors and
-wordlang.evaluate all take this one route.
+wordlang.evaluate all read the entries from this one route.
 
 Since <x, e_i> = -sgn(i) x[pos(-i)], the map x -> x + c<x, e_i>e_j is the
-single entry (pos(j), pos(-i), -sgn(i) c) (_entry).  T_i, T_ij, G1, G2, G3
-and the lifted twists TwistE, GammaIK and GammaIJK (vectors in the meridian
-span <e_1..e_(g-1)>) have only entries (pos(a), pos(-b)) with a and b from
-one set of indices of distinct absolute values, so the rows and the columns
-that N occupies are disjoint: N^2 = 0, and (Id + N)^e = Id + eN for every
-integer e.  Their Family is marked nilpotent, and wordlang.evaluate applies
-their entries as column operations.
+single entry (pos(j), pos(-i), -sgn(i) c) (_entry).  Wherever the rows and
+the columns of N's nonzero entries are disjoint, N^2 = 0 and
+(Id + N)^e = Id + eN for every integer e; wordlang.evaluate reads this off
+each factor's entries.
 T, T_H and T_H' multiply a hyperbolic plane H = <f1, f2> by zeta and fix
 its form complement, so N = (zeta - 1)P for the form projection P onto H
 (_zeta_on_plane).  Column k of N is the image of e_k less e_k under A_H
@@ -260,37 +257,30 @@ class Family:
     (p, q, c) of N in its matrix Id + N; it takes (g, d, *indices), then the
     ring scalar as a CycInt or the matrix literal as a grid of integer
     polynomials (GenSpec._args), and is called only through _entries.
-    nilpotent: set for the eight transvection families whose N has disjoint
-    row and column sets on every instance, so that N^2 = 0 and
-    (Id + N)^e = Id + eN; wordlang.evaluate applies their entries as column
-    operations, whatever the exponent.  It is stated, not read off the
-    entries: AH(1) has none and Zeta(0) only zeros, yet neither family is a
-    column operation on every instance.
     """
 
     slots: str
     takes: str
     group: GroupTag
     entries: object
-    nilpotent: bool = False
 
 
 # The order is the order of the random word draws in sweeps.
 FAMILIES = {
     "T": Family("", "", GroupTag.Lambda, _zeta_on_plane),
     "Zeta": Family("k", "", GroupTag.Delta, _zeta_entries),
-    "Ti": Family("s", "real", GroupTag.Lambda, _ti_entries, True),
+    "Ti": Family("s", "real", GroupTag.Lambda, _ti_entries),
     "AH": Family("p", "", GroupTag.Lambda, _ah_entries),
     "TH": Family("p", "", GroupTag.Lambda, _zeta_on_plane),
-    "TwistE": Family("p", "", GroupTag.Lambda, _twist_e_entries, True),
-    "GammaIK": Family("pk", "", GroupTag.Lambda, _gamma_ik_entries, True),
-    "G1": Family("p", "", GroupTag.Delta, _g1_entries, True),
-    "G2": Family("pk", "", GroupTag.Delta, _g2_entries, True),
-    "Tij": Family("ss", "ring", GroupTag.Lambda, _tij_entries, True),
+    "TwistE": Family("p", "", GroupTag.Lambda, _twist_e_entries),
+    "GammaIK": Family("pk", "", GroupTag.Lambda, _gamma_ik_entries),
+    "G1": Family("p", "", GroupTag.Delta, _g1_entries),
+    "G2": Family("pk", "", GroupTag.Delta, _g2_entries),
+    "Tij": Family("ss", "ring", GroupTag.Lambda, _tij_entries),
     "AHPrime": Family("ps", "", GroupTag.Lambda, _ahprime_entries),
     "THPrime": Family("ps", "", GroupTag.Lambda, _zeta_on_plane),
-    "GammaIJK": Family("ppk", "", GroupTag.Lambda, _gamma_ijk_entries, True),
-    "G3": Family("ppk", "", GroupTag.Delta, _g3_entries, True),
+    "GammaIJK": Family("ppk", "", GroupTag.Lambda, _gamma_ijk_entries),
+    "G3": Family("ppk", "", GroupTag.Delta, _g3_entries),
     "UrSp": Family("", "matrix", GroupTag.Lambda, _ursp_entries),
 }
 

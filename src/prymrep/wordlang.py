@@ -12,11 +12,11 @@ The names, the number and kind of the indices, and what follows them come
 from generators.FAMILIES: a generator with no arguments is written bare (T),
 ring scalars follow the indices after ";" (Ti, Tij), and UrSp takes an inline
 matrix literal.  The empty string denotes the identity.  Evaluation is the
-left-to-right product, kept as rows: a factor of a transvection family
-(Ti, Tij, TwistE, GammaIK, GammaIJK, G1, G2, G3) is a handful of column
-operations whatever its exponent, and any other factor is a matrix, inverted
-for a negative exponent by the division-free form inverse; no symbolic
-simplification is performed.
+left-to-right product, kept as rows: a factor Id + N whose nonzero entries
+occupy disjoint rows and columns is a handful of column operations whatever
+its exponent, and any other factor is a matrix, inverted for a negative
+exponent by the division-free form inverse; no symbolic simplification is
+performed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from operator import add
 
 from .cyclotomic import (_PRINT_BOUND, MAX_PRINT_DIGITS, ParseError, _dense, _ints, _literal_terms,
                          _mul_reduce, _power, _Scanner, render_poly)
-from .generators import FAMILIES, GenSpec, _entries, matrix_of
+from .generators import FAMILIES, GenSpec, _entries, _rank_update
 from .ringlinalg import BlockMat, RingMatrix, _matrix_text, parse_matrix_poly
 
 # Largest |e| of a factor raised by binary powering: the entries of a
@@ -93,12 +93,12 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
     """The left-to-right product of the factors raised to their exponents.
 
     Every factor is Id + N for the entries (p, q, c) of N that the family
-    gives through generators._entries, the one checked entry point that
-    matrix_of also builds from.  The product is kept as mutable rows of
-    coefficient tuples.  A factor of a family marked nilpotent has N^2 = 0,
-    so its power is Id + eN for every integer e: multiplying by it adds e*c
-    times column p into column q for each entry, and it never becomes a
-    matrix.  Any other factor is built by matrix_of, inverted for a negative
+    gives through generators._entries, read once per factor.  The product is
+    kept as mutable rows of coefficient tuples.  If the rows and the columns
+    of N's nonzero entries are disjoint, N^2 = 0, so the factor's power is
+    Id + eN for every integer e: multiplying by it adds e*c times column p
+    into column q for each entry, and it never becomes a matrix.  Any other
+    factor is built by generators._rank_update, inverted for a negative
     exponent by the division-free BlockMat.form_inverse, -Omega M* Omega
     (every generator lies in U: UrSp literals are checked on entry, the
     other families by construction), raised by the package's one binary
@@ -109,12 +109,13 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
     """
     rows = None  # None stands for Id
     for spec, e in word.factors:
-        if FAMILIES[spec.name].nilpotent:
-            entries = _entries(spec.name, g, d, *spec._args(d))
+        entries = _entries(spec.name, g, d, *spec._args(d))
+        support = [(p, q, c.coeffs) for p, q, c in entries if any(c.coeffs)]
+        if {p for p, _, _ in support}.isdisjoint(q for _, q, _ in support):
             if rows is None:
                 rows = [list(row) for row in BlockMat.identity(d, g).mat.coeffs]
-            for p, q, c in entries:
-                c = tuple(e * x for x in c.coeffs)
+            for p, q, c in support:
+                c = tuple(e * x for x in c)
                 for row in rows:
                     x = row[p]
                     if any(x):
@@ -123,7 +124,7 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
         if abs(e) > MAX_POWER:
             raise ValueError(f"exponent {e} of {spec.name} is over the budget "
                              f"MAX_POWER = {MAX_POWER}")
-        m = matrix_of(spec, d, g)
+        m = _rank_update(d, g, entries)
         if e < 0:
             m, e = m.form_inverse(), -e
 

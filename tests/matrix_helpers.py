@@ -2,9 +2,12 @@
 matrix Omega, the form <u, v> evaluated from its definition, basis vectors
 in the signed index order, a matrix acting on a vector, the cofactor
 determinant, the oracle that Bareiss elimination (RingMatrix.det) is checked
-against, and the Galois automorphisms of Z[zeta_d] from their definition."""
+against, the Galois automorphisms of Z[zeta_d] from their definition, the
+support rule of word evaluation, and the Fox derivative, the oracle of
+foxcover.eta_fox."""
 
 from prymrep.cyclotomic import CycInt
+from prymrep.generators import _entries
 from prymrep.ringlinalg import BlockMat, RingMatrix, basis_position
 
 
@@ -96,3 +99,35 @@ def galois(a: CycInt, k: int) -> CycInt:
     for m, c in enumerate(a.coeffs):
         poly[k * m % a.d] += c
     return CycInt.from_poly(a.d, poly)
+
+
+def disjoint_support(spec, d: int, g: int) -> bool:
+    """The support rule: the rows and the columns of the nonzero entries of
+    the generator's N are disjoint, so N^2 = 0."""
+    support = [(p, q) for p, q, c in _entries(spec.name, g, d, *spec._args(d))
+               if not c.is_zero()]
+    return not {p for p, _ in support} & {q for _, q in support}
+
+
+def fox_derivative(w, i: int) -> dict:
+    """d w / d x_i as a formal sum {word: coefficient}; eta_fox's test oracle.
+
+    Product rule d(uv) = du + u dv with d x_j = delta_ij and
+    d x_j^-1 = -delta_ij x_j^-1.  The reduced prefix is kept as one list,
+    extended or cancelled in place, and copied only at the letters +-i.
+    """
+    terms = {}
+    prefix = []
+    for s in w:
+        if s == i:
+            key = tuple(prefix)
+            terms[key] = terms.get(key, 0) + 1
+        if prefix and prefix[-1] == -s:
+            prefix.pop()
+        else:
+            prefix.append(s)
+        if s == -i:
+            # the term is the prefix times x_i^-1, reduced: the prefix just built
+            key = tuple(prefix)
+            terms[key] = terms.get(key, 0) - 1
+    return {k: c for k, c in terms.items() if c}

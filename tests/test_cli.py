@@ -295,6 +295,7 @@ def test_usage_errors_repeat_exactly(capsys):
 
 _BIG = "9" * (MAX_DIGITS + 1000)
 _URSP = "UrSp(2,1,0,0 ; 1,1,0,0 ; 0,0,1,-1 ; 0,0,-1,2)"
+_UNIPOTENT = "UrSp(1,0,2,1 ; 0,1,1,-3 ; 0,0,1,0 ; 0,0,0,1)"
 _NINES = "9" * 300
 _NINES_1 = str(int(_NINES) - 1)
 
@@ -373,12 +374,25 @@ def test_inside_the_budgets_answers_at_once(capsys):
     assert max(map(len, re.findall(r"\d+", out))) == 4180
 
 
+def test_disjoint_support_takes_any_exponent(capsys):
+    # AH(1) has N = 0 and a unipotent UrSp N = [[0, S], [0, 0]]: column
+    # operations, which MAX_POWER does not bound
+    start = perf_counter()
+    code, out, err = run(capsys, "eval", "--d", "3", "--g", "3",
+                         "--word", f"AH(1)^{10**20} * {_UNIPOTENT}^{10**20}")
+    assert perf_counter() - start < 1.0
+    e = 10**20
+    assert code == 0 and err == ""
+    assert out == f"1, 0, {2 * e}, {e} ; 0, 1, {e}, {-3 * e} ; 0, 0, 1, 0 ; 0, 0, 0, 1\n"
+
+
 def _pieces(*fragments, size=6):
     return st.lists(st.sampled_from(fragments), max_size=size).map("".join)
 
 
 _WORDS = _pieces("T", "G1(1)", "Ti(1; 2 + z + z^2)", "Tij(1,-2; 3*z^7)", "TH(2)",
                  "THPrime(1,-2)", "AHPrime(2,1)", "Zeta(1)", "GammaIJK(1,2,3)", _URSP,
+                 "AH(1)", "Zeta(3)", _UNIPOTENT,
                  "Foo", "(", ")", " * ", "^", "^-1", "^7", f"^{10**20}", f"^{MAX_POWER + 1}",
                  "; ", ",", "1", "-3", "z^", _BIG)
 _MATRICES = _pieces("1", "0", "z", "-z^4", "2*z", "z^200000", ", ", " ; ", "x", _BIG)

@@ -32,7 +32,8 @@ from prymrep.ringlinalg import BlockMat, RingMatrix, basis_position, parse_matri
 from prymrep.sweeps import random_lambda_word
 from prymrep.wordlang import Word, evaluate, parse
 
-from matrix_helpers import apply, basis_vector, column, form_eval, omega, signed_indices, zero
+from matrix_helpers import (apply, basis_vector, column, disjoint_support, form_eval, omega,
+                            signed_indices, zero)
 
 
 def test_elem_Ti_examples():
@@ -559,22 +560,21 @@ def test_genspec_refusals(kwargs, message):
         GenSpec(**kwargs)
 
 
-_NILPOTENT = {"Ti", "Tij", "TwistE", "GammaIK", "GammaIJK", "G1", "G2", "G3"}
+_TRANSVECTIONS = {"Ti", "Tij", "TwistE", "GammaIK", "GammaIJK", "G1", "G2", "G3"}
 
 
-def test_nilpotent_marks_the_families_with_disjoint_support():
-    # the marker is stated, not derived: N has disjoint row and column sets
-    # (so N^2 = 0) on every instance of a marked family, and every other
-    # family but UrSp has an instance where they overlap
-    assert {nm for nm, fam in FAMILIES.items() if fam.nilpotent} == _NILPOTENT
+def test_transvection_families_have_disjoint_support():
+    # the support rule that wordlang.evaluate reads off each factor: the rows
+    # and the columns of N's nonzero entries are disjoint (so N^2 = 0) on
+    # every instance of a transvection family, and every other family but
+    # UrSp has an instance where they overlap
     overlap = set()
     for d, g in _PIN_CELLS:
         for spec in _pinned_specs(d, g):
-            entries = generators._entries(spec.name, g, d, *spec._args(d))
-            if {p for p, _, _ in entries} & {q for _, q, _ in entries}:
-                assert spec.name not in _NILPOTENT, (d, g, spec)
+            if not disjoint_support(spec, d, g):
+                assert spec.name not in _TRANSVECTIONS, (d, g, spec)
                 overlap.add(spec.name)
-    assert overlap - {"UrSp"} == set(FAMILIES) - _NILPOTENT - {"UrSp"}
+    assert overlap - {"UrSp"} == set(FAMILIES) - _TRANSVECTIONS - {"UrSp"}
 
 
 # the public constructor of every family that takes indices

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prymrep.cyclotomic import MAX_DIGITS, CycInt, ParseError
-from prymrep.generators import (FAMILIES, GenSpec, TH, _entries, conj_AH, delta_g1, delta_g3,
-                                 matrix_of, scalar_zeta)
+from prymrep.generators import (FAMILIES, GenSpec, TH, conj_AH, delta_g1, delta_g3, matrix_of,
+                                 scalar_zeta)
 from prymrep.ringlinalg import BlockMat
 from prymrep.sweeps import random_lambda_word
 from prymrep.wordlang import MAX_POWER, Word, evaluate, parse
+
+from matrix_helpers import disjoint_support
 
 
 def test_empty_word_is_identity():
@@ -199,7 +201,7 @@ def _dense_product(word, d, g):
 @st.composite
 def _words(draw):
     """(d, g, word) over all the families of FAMILIES whose indices fit g;
-    exponents +-10^6 and +-10^20 only on the column-op families."""
+    exponents +-10^6 and +-10^20 only on the factors of disjoint support."""
     d = draw(st.sampled_from((2, 3, 4, 5, 7, 12)))
     g = draw(st.integers(2, 5))
     names = [nm for nm, fam in FAMILIES.items() if len(fam.slots.replace("k", "")) < g]
@@ -232,9 +234,10 @@ def _words(draw):
                 for c in range(r, n):
                     rows[r][n + c] = rows[c][n + r] = draw(st.integers(-2, 2))
             matrix = tuple(tuple((x,) for x in row) for row in rows)
-        sizes = (1, 2, 7) + ((10**6, 10**20) if fam.nilpotent else ())
+        spec = GenSpec(name, tuple(indices), scalar, matrix)
+        sizes = (1, 2, 7) + ((10**6, 10**20) if disjoint_support(spec, d, g) else ())
         e = draw(st.sampled_from(sizes)) * draw(st.sampled_from((1, -1)))
-        factors.append((GenSpec(name, tuple(indices), scalar, matrix), e))
+        factors.append((spec, e))
     return d, g, Word(tuple(factors))
 
 
@@ -243,11 +246,24 @@ def _words(draw):
 def test_column_ops_equal_the_dense_product(case):
     d, g, word = case
     assert evaluate(word, d, g) == _dense_product(word, d, g), (d, g, word)
-    for spec, _ in word.factors:
-        if FAMILIES[spec.name].nilpotent:
-            # rows and columns of N disjoint: N^2 = 0, so (Id + N)^e = Id + eN
-            entries = _entries(spec.name, g, d, *spec._args(d))
-            assert not {p for p, _, _ in entries} & {q for _, q, _ in entries}, spec
+
+
+def test_disjoint_support_outside_the_transvections_takes_any_exponent():
+    # N = 0 for AH(1) and Zeta(d), N = [[0, S], [0, 0]] for a unipotent UrSp:
+    # each is a column operation, so 10^20 costs nothing and MAX_POWER does
+    # not apply
+    d, g = 3, 3
+    for text in ("AH(1)", f"Zeta({d})", "UrSp(1,0,2,1 ; 0,1,1,-3 ; 0,0,1,0 ; 0,0,0,1)"):
+        (spec, _), = parse(text).factors
+        assert disjoint_support(spec, d, g), text
+        word = parse(f"{text}^{10**20}")
+        start = perf_counter()
+        m = evaluate(word, d, g)
+        assert perf_counter() - start < 0.25, text
+        assert m == _dense_product(word, d, g), text
+        for e in (7, -7):
+            word = parse(f"{text}^{e}")
+            assert evaluate(word, d, g) == _dense_product(word, d, g), (text, e)
 
 
 @pytest.mark.parametrize("bad", [1.9, 0.4, 1.0, "1", None, True])
