@@ -75,9 +75,9 @@ def _lambda_blocks(m: BlockMat) -> Verdict:
     a, b, _, dd = m.blocks()
     if unit_exponent(dd.det()) is None:
         return Verdict(False, "det(D) is not +-zeta^k")
-    if dd.adjoint() * a != RingMatrix.identity(m.d, m.n):
+    if (ds := dd.adjoint()) * a != RingMatrix.identity(m.d, m.n):
         return Verdict(False, "upper-left block is not (D*)^-1")
-    if dd.adjoint() * b != b.adjoint() * dd:
+    if ds * b != b.adjoint() * dd:
         return Verdict(False, "D*B != B*D")
     return _OK
 

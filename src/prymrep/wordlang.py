@@ -22,6 +22,7 @@ performed.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from operator import add
 
 from .cyclotomic import (_PRINT_BOUND, MAX_PRINT_DIGITS, ParseError, _dense, _ints, _literal_terms,
@@ -89,11 +90,20 @@ class Word:
         return f"Word('{self.render()}')"
 
 
+@lru_cache(maxsize=4096, typed=True)
+def _factor(name, g, d, *args):
+    """The nonzero entries (p, q, c) of a factor's N, and whether their rows
+    and columns are disjoint: up to 4096 entries of O(g phi(d)) ints, keyed by
+    name, g, d and the reduced GenSpec._args(d); UrSp bypasses via __wrapped__."""
+    support = tuple((p, q, c) for p, q, c in _entries(name, g, d, *args) if any(c.coeffs))
+    return support, {p for p, _, _ in support}.isdisjoint(q for _, q, _ in support)
+
+
 def evaluate(word: Word, d: int, g: int) -> BlockMat:
     """The left-to-right product of the factors raised to their exponents.
 
     Every factor is Id + N for the entries (p, q, c) of N that the family
-    gives through generators._entries, read once per factor.  The product is
+    gives through generators._entries, read through _factor.  The product is
     kept as mutable rows of coefficient tuples.  If the rows and the columns
     of N's nonzero entries are disjoint, N^2 = 0, so the factor's power is
     Id + eN for every integer e: multiplying by it adds e*c times column p
@@ -109,13 +119,13 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
     """
     rows = None  # None stands for Id
     for spec, e in word.factors:
-        entries = _entries(spec.name, g, d, *spec._args(d))
-        support = [(p, q, c.coeffs) for p, q, c in entries if any(c.coeffs)]
-        if {p for p, _, _ in support}.isdisjoint(q for _, q, _ in support):
+        read = _factor.__wrapped__ if spec.matrix is not None else _factor
+        support, disjoint = read(spec.name, g, d, *spec._args(d))
+        if disjoint:
             if rows is None:
                 rows = [list(row) for row in BlockMat.identity(d, g).mat.coeffs]
             for p, q, c in support:
-                c = tuple(e * x for x in c)
+                c = tuple(e * x for x in c.coeffs)
                 for row in rows:
                     x = row[p]
                     if any(x):
@@ -124,7 +134,7 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
         if abs(e) > MAX_POWER:
             raise ValueError(f"exponent {e} of {spec.name} is over the budget "
                              f"MAX_POWER = {MAX_POWER}")
-        m = _rank_update(d, g, entries)
+        m = _rank_update(d, g, support)
         if e < 0:
             m, e = m.form_inverse(), -e
 

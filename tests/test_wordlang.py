@@ -1,17 +1,18 @@
 import random
 import re
+import tracemalloc
 from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prymrep.cyclotomic import MAX_DIGITS, CycInt, ParseError
+from prymrep.cyclotomic import MAX_DIGITS, MAX_EXPONENT, CycInt, ParseError
 from prymrep.generators import (FAMILIES, GenSpec, TH, conj_AH, delta_g1, delta_g3, matrix_of,
                                  scalar_zeta)
 from prymrep.ringlinalg import BlockMat
 from prymrep.sweeps import random_lambda_word
-from prymrep.wordlang import MAX_POWER, Word, evaluate, parse
+from prymrep.wordlang import MAX_POWER, Word, _factor, evaluate, parse
 
 from matrix_helpers import disjoint_support
 
@@ -199,12 +200,15 @@ def _dense_product(word, d, g):
 
 
 @st.composite
-def _words(draw):
+def _words(draw, memoized=False):
     """(d, g, word) over all the families of FAMILIES whose indices fit g;
-    exponents +-10^6 and +-10^20 only on the factors of disjoint support."""
+    exponents +-10^6 and +-10^20 only on the factors of disjoint support.
+    memoized: only the families that evaluate's memo keeps (all but UrSp),
+    with exponents +-1, +-2 and +-7."""
     d = draw(st.sampled_from((2, 3, 4, 5, 7, 12)))
     g = draw(st.integers(2, 5))
-    names = [nm for nm, fam in FAMILIES.items() if len(fam.slots.replace("k", "")) < g]
+    names = [nm for nm, fam in FAMILIES.items() if len(fam.slots.replace("k", "")) < g
+             and not (memoized and fam.takes == "matrix")]
     n = g - 1
     factors = []
     for _ in range(draw(st.integers(0, 5))):
@@ -235,7 +239,8 @@ def _words(draw):
                     rows[r][n + c] = rows[c][n + r] = draw(st.integers(-2, 2))
             matrix = tuple(tuple((x,) for x in row) for row in rows)
         spec = GenSpec(name, tuple(indices), scalar, matrix)
-        sizes = (1, 2, 7) + ((10**6, 10**20) if disjoint_support(spec, d, g) else ())
+        large = not memoized and disjoint_support(spec, d, g)
+        sizes = (1, 2, 7) + ((10**6, 10**20) if large else ())
         e = draw(st.sampled_from(sizes)) * draw(st.sampled_from((1, -1)))
         factors.append((spec, e))
     return d, g, Word(tuple(factors))
@@ -246,6 +251,56 @@ def _words(draw):
 def test_column_ops_equal_the_dense_product(case):
     d, g, word = case
     assert evaluate(word, d, g) == _dense_product(word, d, g), (d, g, word)
+
+
+@given(_words(memoized=True))
+@settings(max_examples=120, deadline=None)
+def test_the_factor_memo_is_transparent(case):
+    # the second evaluation reads every factor from the memo; a cleared memo
+    # and the dense matrix_of product give the same matrix
+    d, g, word = case
+    evaluate(word, d, g)
+    hits = _factor.cache_info().hits
+    warm = evaluate(word, d, g)
+    assert _factor.cache_info().hits == hits + len(word)
+    _factor.cache_clear()
+    assert evaluate(word, d, g) == warm == _dense_product(word, d, g), (d, g, word)
+
+
+def test_refusals_are_never_memoized():
+    for _ in range(2):
+        for text, message in (("Ti(1; z)", "Ti requires a real ring element r'"),
+                              ("G1(3)", "index 3 out of range for genus 3")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                evaluate(parse(text), 5, 3)
+    # g and d are part of the key: G1(2), kept at g = 3, is refused at g = 2,
+    # and the float 5.0 does not find the entries kept for the int 5
+    w = parse("G1(2)")
+    assert evaluate(w, 5, 3) == delta_g1(3, 5, 2)
+    with pytest.raises(ValueError, match="^index 2 out of range for genus 2$"):
+        evaluate(w, 5, 2)
+    _factor.cache_clear()
+    with pytest.raises(Exception) as cold:
+        evaluate(w, 5.0, 3)
+    evaluate(w, 5, 3)
+    with pytest.raises(cold.type, match=f"^{re.escape(str(cold.value))}$"):
+        evaluate(w, 5.0, 3)
+
+
+def test_the_factor_memo_keeps_no_dense_literal():
+    # z^k for k near MAX_EXPONENT is a dense polynomial of ~10^5 ints in its
+    # GenSpec, but the memo's key holds the phi(d) ints of its reduction
+    _factor.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(MAX_EXPONENT - 199, MAX_EXPONENT + 1):
+            evaluate(parse(f"Tij(1,2; z^{k})"), 5, 3)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * 2**20, held
+    assert _factor.cache_info().currsize == 5  # z^k and z^(k mod 5) share a key
 
 
 def test_disjoint_support_outside_the_transvections_takes_any_exponent():
