@@ -29,24 +29,7 @@ from .foxcover import (
     eta_fox,
     lift_class,
 )
-from .generators import (
-    GenSpec,
-    TH,
-    THPrime,
-    big_T,
-    conj_AH,
-    conj_AHPrime,
-    delta_g1,
-    delta_g2,
-    delta_g3,
-    elem_Ti,
-    elem_Tij,
-    gamma_ijk,
-    gamma_ik,
-    matrix_of,
-    scalar_zeta,
-    twist_E,
-)
+from .generators import GenSpec, matrix_of
 from .predicates import (
     GroupTag,
     Verdict,

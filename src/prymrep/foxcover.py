@@ -363,6 +363,15 @@ def random_member(rng, g: int, d: int, max_moves: int = 8) -> Endo:
 _LETTER = re.compile(r"\s*x(\d+)(?:\s*\^\s*(-?\d+))?")
 
 
+def _generator(digits: str, g: int) -> int:
+    """The index i of a generator x_i written in a free word or a rule,
+    which must lie in 1..g."""
+    idx = _int(digits)
+    if not 1 <= idx <= g:
+        raise ValueError(f"generator x{idx} out of range for rank {g}")
+    return idx
+
+
 def parse_free_word(text: str, g: int) -> FreeWord:
     """Parse 'x2^-2 x1 x2' to a reduced word, appending each run x_i^e as one
     block; the budget counts letters before reduction."""
@@ -373,9 +382,7 @@ def parse_free_word(text: str, g: int) -> FreeWord:
         if m is None:
             raise ValueError(f"bad free word {text!r} near position {pos}")
         idx, e = m.groups()
-        idx = _int(idx)
-        if not 1 <= idx <= g:
-            raise ValueError(f"generator x{idx} out of range for rank {g}")
+        idx = _generator(idx, g)
         e = _int(e) if e else 1
         n = abs(e)
         total += n
@@ -401,8 +408,6 @@ def parse_endo_images(text: str, g: int):
         m = re.fullmatch(r"\s*x(\d+)\s*", lhs)
         if m is None:
             raise ValueError(f"left side of rule must be a single generator: {lhs.strip()!r}")
-        idx = _int(m.group(1))
-        if not 1 <= idx <= g:
-            raise ValueError(f"generator x{idx} out of range for rank {g}")
+        idx = _generator(m.group(1), g)
         images[idx] = parse_free_word(rhs, g)
     return tuple(images[i] for i in range(1, g + 1))

@@ -30,10 +30,7 @@ from .cyclotomic import (
 )
 from .decompose import decompose_delta, reduce_lambda
 from .foxcover import MAX_LETTERS, deck_conjugation, eta_chain, eta_fox, random_member
-from .generators import (
-    FAMILIES, TH, GenSpec, THPrime, _instances, _random_instance, elem_Ti, elem_Tij,
-    gamma_ik, matrix_of,
-)
+from .generators import FAMILIES, GenSpec, _instances, _random_instance, matrix_of
 from .predicates import GroupTag, genus2_real_project, genus2_theta_project, is_member
 from .ringlinalg import BlockMat, RingMatrix, _side, preserves_form
 from .wordlang import Word, evaluate, parse
@@ -67,14 +64,15 @@ def identity_sweep(d_values, g_values) -> SweepReport:
     def cases():
         for d, g in product(d_values, g_values):
             for i, j in _instances("ss", d, g):
-                th_inv = TH(g, d, i).form_inverse()
-                thp = THPrime(g, d, i, j)
+                th_inv = matrix_of(GenSpec("TH", (i,)), d, g).form_inverse()
+                thp = matrix_of(GenSpec("THPrime", (i, j)), d, g)
                 acc_m = BlockMat.identity(d, g)
                 acc_p = BlockMat.identity(d, g)
                 for k in range(1, d):
                     acc_m = acc_m * th_inv
                     acc_p = acc_p * thp
-                    lhs = elem_Tij(g, d, i, j, one(d) - zeta_pow(d, k))
+                    r = one(d) - zeta_pow(d, k)
+                    lhs = matrix_of(GenSpec("Tij", (i, j), r.coeffs), d, g)
                     yield (f"d={d} g={g} i={i} j={j} k={k}",
                            None if lhs == acc_m * acc_p else "mismatch")
     return _run("identity-sweep", cases())
@@ -91,13 +89,13 @@ def commutator_sweep(d_values, g_values) -> SweepReport:
     def cases():
         for d, g in product(d_values, g_values):
             for i, j in _instances("ss", d, g):
-                b = elem_Tij(g, d, i, j, one(d))
+                b = matrix_of(GenSpec("Tij", (i, j), (1,)), d, g)
                 b_inv = b.form_inverse()
                 for k in range(1, d):
-                    a = elem_Tij(g, d, i, -j, zeta_pow(d, k))
+                    a = matrix_of(GenSpec("Tij", (i, -j), zeta_pow(d, k).coeffs), d, g)
                     lhs = a * b * a.form_inverse() * b_inv
                     r = zeta_pow(d, k) + zeta_pow(d, -k)
-                    rhs = elem_Ti(g, d, i, r if j > 0 else -r)
+                    rhs = matrix_of(GenSpec("Ti", (i,), (r if j > 0 else -r).coeffs), d, g)
                     yield (f"d={d} g={g} i={i} j={j} k={k}",
                            None if lhs == rhs else "mismatch")
     return _run("commutator-sweep", cases())
@@ -366,10 +364,12 @@ def remark_crosscheck() -> SweepReport:
     def cases():
         want_gamma = BlockMat(RingMatrix.from_rows(d, [[1, z + z ** -1 - 2], [0, 1]]), g)
         yield ("d=5 g=2 T_gamma",
-               None if gamma_ik(g, d, 1, 1) == want_gamma else "image mismatch")
-        want_delta = BlockMat(RingMatrix.from_rows(d, [[1, 0], [2 - z - z ** -1, 1]]), g)
+               None if matrix_of(GenSpec("GammaIK", (1, 1)), d, g) == want_gamma
+               else "image mismatch")
+        r = 2 - z - z ** -1
+        want_delta = BlockMat(RingMatrix.from_rows(d, [[1, 0], [r, 1]]), g)
         yield ("d=5 g=2 T_delta",
-               None if elem_Ti(g, d, -1, 2 - z - z ** -1) == want_delta
+               None if matrix_of(GenSpec("Ti", (-1,), r.coeffs), d, g) == want_delta
                else "image mismatch")
         m = evaluate(parse(
             "GammaIK(1,1)^2 * TwistE(1)^-2 * Ti(-1; 1) * GammaIK(1,1)^2"

@@ -150,6 +150,13 @@ def test_fox_nonmember_exit_1(capsys):
     assert "exponent" in out
 
 
+def test_fox_compound_left_side_exit_2(capsys):
+    code, out, err = run(capsys, "fox", "--d", "3", "--g", "2",
+                         "--map", "x1 x2 -> x1", "--inverse", "x1 -> x1")
+    assert code == 2 and out == ""
+    assert err == "error: left side of rule must be a single generator: 'x1 x2'\n"
+
+
 def test_fox_is_linear_in_the_image_length(capsys):
     # a 24,001-letter image written out letter by letter: the Fox route walks
     # it once, where a walk that copies every prefix is quadratic
@@ -217,15 +224,17 @@ def test_selftest_small(capsys):
 def test_selftest_injected_failure(capsys, monkeypatch):
     # a wrong T_{i,j}(1 - zeta^3) at d = 4 makes the identity sweep fail
     import prymrep.sweeps as sweeps
-    from prymrep.cyclotomic import one, zeta_pow
-    real = sweeps.elem_Tij
+    from prymrep.cyclotomic import CycInt, one, zeta_pow
+    from prymrep.generators import GenSpec
+    real = sweeps.matrix_of
 
-    def wrong_at_d4_k3(g, d, i, j, r):
-        if d == 4 and r == one(d) - zeta_pow(d, 3):
-            r = one(d)
-        return real(g, d, i, j, r)
+    def wrong_at_d4_k3(spec, d, g):
+        if (d == 4 and spec.name == "Tij"
+                and CycInt.from_poly(d, spec.scalar) == one(d) - zeta_pow(d, 3)):
+            spec = GenSpec("Tij", spec.indices, (1,))
+        return real(spec, d, g)
 
-    monkeypatch.setattr(sweeps, "elem_Tij", wrong_at_d4_k3)
+    monkeypatch.setattr(sweeps, "matrix_of", wrong_at_d4_k3)
     code, out, _ = run(capsys, "selftest", "--max-d", "4", "--max-g", "3")
     assert code == 1
     # 12 cases in d = 2, 3, none in (4, 2), the third in (4, 3) fails

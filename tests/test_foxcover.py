@@ -322,6 +322,7 @@ def test_endo_text_round_trip():
         parse_free_word(f"x1 x2^{MAX_LETTERS}", 2)
     with pytest.raises(ValueError):
         parse_endo_images("x1 - x2", 2)
+    assert parse_endo_images("x1 -> x2 ; ; x2 -> x2", 2) == ((2,), (2,))  # empty rule skipped
 
 
 @pytest.mark.parametrize("letter", [0, 3, -3])
@@ -340,6 +341,8 @@ def test_endo_rejects_letters_outside_the_rank(letter):
     (lambda: eta_chain(Endo.identity(3), 5, 2), "rank mismatch"),
     (lambda: parse_free_word("x1 y2", 2), "bad free word 'x1 y2' near position 2"),
     (lambda: parse_endo_images("x3 -> x1", 2), "generator x3 out of range for rank 2"),
+    (lambda: parse_endo_images("x1 x2 -> x1", 2),
+     "left side of rule must be a single generator: 'x1 x2'"),
 ])
 def test_endo_refusals(call, message):
     with pytest.raises(ValueError) as exc:

@@ -306,6 +306,21 @@ def test_blockmat_size_validation():
         BlockMat(RingMatrix.identity(5, 2), 1)
 
 
+def test_shape_refusals():
+    # each shape rule of a sum, a product, a power, det(), inverse() and a
+    # block product keeps its own message
+    sq, wide = RingMatrix.identity(5, 2), RingMatrix.zeros(5, 2, 3)
+    for call, message in ((lambda: sq + wide, "shape mismatch"),
+                          (lambda: wide * wide, "dimension mismatch in matrix product"),
+                          (lambda: wide ** 2, "only square matrices can be raised to powers"),
+                          (lambda: wide.det(), "determinant of a non-square matrix"),
+                          (lambda: wide.inverse(), "inverse of a non-square matrix"),
+                          (lambda: BlockMat.identity(5, 2) * BlockMat.identity(5, 3),
+                           "genus mismatch")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 def test_blockmat_blocks():
     m = parse_matrix("1, 2, 3, 4 ; 5, 6, 7, 8 ; 9, 10, 11, 12 ; 13, 14, 15, 16", 5)
     b = BlockMat(m, 3)

@@ -69,16 +69,36 @@ def test_every_public_name_is_used():
     assert unused == []
 
 
+def test_generators_are_named_by_registry_key_outside_generators():
+    # the catalogue constructors, which take (g, d, ...), are a second name
+    # for each family of generators.FAMILIES: no other module of the package
+    # imports or calls one, and the package root exports none, so the rest
+    # of the package builds a generator as matrix_of(GenSpec(name, ...), d, g)
+    import prymrep
+    gens = ast.parse((SRC / "generators.py").read_text())
+    constructors = {node.name for node in gens.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                    and node.args.args and node.args.args[0].arg == "g"}
+    assert len(constructors) == 14 and {"big_T", "delta_g3"} <= constructors
+    named = {src.name: _names(ast.parse(src.read_text()))
+             for src in sorted(SRC.glob("*.py")) if src.name != "generators.py"}
+    assert {name: sorted(ns & constructors) for name, ns in named.items()
+            if ns & constructors} == {}
+    assert sorted(constructors & set(dir(prymrep))) == []
+
+
 def test_each_input_rule_has_one_message():
     # the modulus rule, the block-shape rule, the genus rule, the rule
-    # that operands share a modulus and foxcover's two rank rules are each
-    # stated in one place, which every route passes through (euler_phi,
-    # BlockMat, ringlinalg._side, cyclotomic._modulus_mismatch,
-    # foxcover._rank and foxcover._same_rank)
+    # that operands share a modulus, foxcover's two rank rules and its
+    # free-word index rule are each stated in one place, which every route
+    # passes through (euler_phi, BlockMat, ringlinalg._side,
+    # cyclotomic._modulus_mismatch, foxcover._rank, foxcover._same_rank and
+    # foxcover._generator)
     text = "".join(src.read_text() for src in sorted(SRC.glob("*.py")))
     assert text.count('"modulus d must be >= 2"') == 1
     assert text.count('"genus must be >= 2"') == 1
     assert text.count("modulus mismatch") == 1
     assert text.count('"rank must be >= 2"') == 1
     assert text.count('"rank mismatch"') == 1
+    assert text.count("out of range for rank") == 1
     assert len(re.findall(r"\{[\w.]*rows\}x\{[\w.]*cols\}", text)) == 1

@@ -8,7 +8,8 @@ import pytest
 
 import prymrep.sweeps as sweeps
 from prymrep.cli import main
-from prymrep.cyclotomic import one, zeta_pow
+from prymrep.cyclotomic import CycInt, one, zeta_pow
+from prymrep.generators import GenSpec
 from prymrep.wordlang import parse
 
 # SHA-256 of the stdout of `prymrep selftest` with these options, taken
@@ -117,15 +118,16 @@ def test_run_counts_up_to_the_first_problem():
 
 
 def test_identity_failure_names_its_case(monkeypatch):
-    real = sweeps.elem_Tij
+    real = sweeps.matrix_of
 
-    def wrong_at_d4_k3(g, d, i, j, r):
-        if d == 4 and r == one(d) - zeta_pow(d, 3):
-            r = one(d)
-        return real(g, d, i, j, r)
+    def wrong_at_d4_k3(spec, d, g):
+        if (d == 4 and spec.name == "Tij"
+                and CycInt.from_poly(d, spec.scalar) == one(d) - zeta_pow(d, 3)):
+            spec = GenSpec("Tij", spec.indices, (1,))
+        return real(spec, d, g)
 
     before = sweeps.identity_sweep(range(2, 4), range(2, 4)).checked
-    monkeypatch.setattr(sweeps, "elem_Tij", wrong_at_d4_k3)
+    monkeypatch.setattr(sweeps, "matrix_of", wrong_at_d4_k3)
     rep = sweeps.identity_sweep(range(2, 7), range(2, 4))
     # (4, 2) has no (i, j); in (4, 3) the first pair is i=1, j=2
     assert not rep.ok
@@ -169,8 +171,13 @@ def test_oracle_and_remark_failures_name_their_case(monkeypatch):
     assert (rep.ok, rep.checked) == (False, 1)
     assert rep.detail == "eta of the deck conjugation is not zeta Id at d=2 g=2"
 
-    real_gamma = sweeps.gamma_ik
-    monkeypatch.setattr(sweeps, "gamma_ik", lambda *a: real_gamma(*a) * 2)
+    real_matrix_of = sweeps.matrix_of
+
+    def doubled_gamma(spec, d, g):
+        m = real_matrix_of(spec, d, g)
+        return m * 2 if spec.name == "GammaIK" else m
+
+    monkeypatch.setattr(sweeps, "matrix_of", doubled_gamma)
     rep = sweeps.remark_crosscheck()
     assert (rep.ok, rep.checked) == (False, 1)
     assert rep.detail == "image mismatch at d=5 g=2 T_gamma"

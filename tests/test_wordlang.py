@@ -339,6 +339,11 @@ def test_non_integral_arguments_are_refused(bad):
         Word(((GenSpec("G1", (1,)), bad),))
 
 
+def test_word_factors_are_genspec_pairs():
+    with pytest.raises(ValueError, match=r"^word factors must be \(GenSpec, int\) pairs$"):
+        Word((("G1", 1),))
+
+
 def test_matrix_of_matches_evaluate():
     spec = GenSpec("GammaIK", (1, 2))
     assert matrix_of(spec, 7, 2) == evaluate(Word(((spec, 1),)), 7, 2)
