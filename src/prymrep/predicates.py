@@ -6,7 +6,10 @@ image groups Lambda (handlebody side) and Delta (twist side).
 Each group is a fixed tuple of clauses (_CLAUSES), and a negative verdict
 carries the first clause that fails, for CLI diagnostics.  A matrix decides each
 clause, like det and the form test, once (BlockMat._once, a memo outside its eq,
-hash and repr), so the groups of a chain share the work.
+hash and repr), so the groups of a chain share the work.  With C = 0,
+M* Omega M = [[0, A*D], [-D*A, B*D - D*B]]: the form walk decides Lambda's
+D*A = Id and D*B = B*D and, once A = D = zeta^k Id, Delta's B = B*, so a block
+product only names the clause that fails.
 """
 
 from __future__ import annotations
@@ -71,30 +74,30 @@ def _even_det(m: BlockMat) -> Verdict:
 
 
 def _lambda_blocks(m: BlockMat) -> Verdict:
-    """[[(D*)^-1, B], [0, D]], det D = +-zeta^k, D*B = B*D; C = 0 is given."""
-    a, b, _, dd = m.blocks()
+    """[[(D*)^-1, B], [0, D]], det D = +-zeta^k, D*B = B*D; C = 0 is given.
+    Past det D the form decides; A*D = (D*A)*, so D*A = Id leaves D*B != B*D."""
+    dd = m.lower_right()
     if unit_exponent(dd.det()) is None:
         return Verdict(False, "det(D) is not +-zeta^k")
-    if (ds := dd.adjoint()) * a != RingMatrix.identity(m.d, m.n):
+    if m._once(_preserves):
+        return _OK
+    if dd.adjoint() * m.upper_left() != RingMatrix.identity(m.d, m.n):
         return Verdict(False, "upper-left block is not (D*)^-1")
-    if ds * b != b.adjoint() * dd:
-        return Verdict(False, "D*B != B*D")
-    return _OK
+    return Verdict(False, "D*B != B*D")
 
 
 def _delta_blocks(m: BlockMat) -> Verdict:
-    """M = zeta^k [[Id, B], [0, Id]] with B = B*; C = 0 is given."""
-    ul, ur, _, lr = m.blocks()
-    ue = unit_exponent(ul[0, 0])
-    if ue is None or ue[0] < 0:
+    """M = zeta^k [[Id, B], [0, Id]] with B = B*; C = 0 is given.  With
+    A = D = zeta^k Id the form holds iff zeta^-k B is self-adjoint."""
+    ul, n = m.upper_left(), m.n
+    c = ul.coeffs[0][0]
+    z, ue = (0,) * len(c), unit_exponent(ul[0, 0])
+    if ue is None or ue[0] < 0 or ul.coeffs != tuple(
+            tuple(c if i == j else z for j in range(n)) for i in range(n)):
         return Verdict(False, "upper-left block is not zeta^k Id")
-    ident = RingMatrix.identity(m.d, m.n) * zeta_pow(m.d, ue[1])
-    if ul != ident:
-        return Verdict(False, "upper-left block is not zeta^k Id")
-    if lr != ident:
+    if m.lower_right() != ul:
         return Verdict(False, "lower-right block does not match the upper-left scalar")
-    b = ur * zeta_pow(m.d, -ue[1])
-    if b != b.adjoint():
+    if not m._once(_preserves):
         return Verdict(False, "upper-right block is not self-adjoint")
     return _OK
 

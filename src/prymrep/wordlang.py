@@ -46,9 +46,10 @@ class Word:
 
     def __init__(self, factors=()):
         cleaned = []
-        for spec, e in factors:
-            if not isinstance(spec, GenSpec):
+        for f in factors:
+            if not isinstance(f, tuple) or len(f) != 2 or not isinstance(f[0], GenSpec):
                 raise ValueError("word factors must be (GenSpec, int) pairs")
+            spec, e = f
             e = _ints((e,), "word exponents")[0]
             if e != 0:
                 cleaned.append((spec, e))

@@ -3,11 +3,13 @@ matrix Omega, the form <u, v> evaluated from its definition, basis vectors
 in the signed index order, a matrix acting on a vector, the cofactor
 determinant, the oracle that Bareiss elimination (RingMatrix.det) is checked
 against, the Galois automorphisms of Z[zeta_d] from their definition, the
-support rule of word evaluation, and the Fox derivative, the oracle of
-foxcover.eta_fox."""
+support rule of word evaluation, the Fox derivative, the oracle of
+foxcover.eta_fox, and the Lambda and Delta block clauses decided by block
+products, the oracle of the clauses that read the form walk."""
 
-from prymrep.cyclotomic import CycInt
+from prymrep.cyclotomic import CycInt, unit_exponent, zeta_pow
 from prymrep.generators import _entries
+from prymrep.predicates import _OK, Verdict
 from prymrep.ringlinalg import BlockMat, RingMatrix, basis_position
 
 
@@ -131,3 +133,32 @@ def fox_derivative(w, i: int) -> dict:
             key = tuple(prefix)
             terms[key] = terms.get(key, 0) - 1
     return {k: c for k, c in terms.items() if c}
+
+
+def lambda_blocks_by_products(m: BlockMat) -> Verdict:
+    """[[(D*)^-1, B], [0, D]], det D = +-zeta^k, D*B = B*D; C = 0 is given."""
+    a, b, _, dd = m.blocks()
+    if unit_exponent(dd.det()) is None:
+        return Verdict(False, "det(D) is not +-zeta^k")
+    if (ds := dd.adjoint()) * a != RingMatrix.identity(m.d, m.n):
+        return Verdict(False, "upper-left block is not (D*)^-1")
+    if ds * b != b.adjoint() * dd:
+        return Verdict(False, "D*B != B*D")
+    return _OK
+
+
+def delta_blocks_by_products(m: BlockMat) -> Verdict:
+    """M = zeta^k [[Id, B], [0, Id]] with B = B*; C = 0 is given."""
+    ul, ur, _, lr = m.blocks()
+    ue = unit_exponent(ul[0, 0])
+    if ue is None or ue[0] < 0:
+        return Verdict(False, "upper-left block is not zeta^k Id")
+    ident = RingMatrix.identity(m.d, m.n) * zeta_pow(m.d, ue[1])
+    if ul != ident:
+        return Verdict(False, "upper-left block is not zeta^k Id")
+    if lr != ident:
+        return Verdict(False, "lower-right block does not match the upper-left scalar")
+    b = ur * zeta_pow(m.d, -ue[1])
+    if b != b.adjoint():
+        return Verdict(False, "upper-right block is not self-adjoint")
+    return _OK

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prymrep import ringlinalg
@@ -12,15 +12,21 @@ from prymrep.generators import GenSpec, delta_g1, elem_Ti, matrix_of, scalar_zet
 from prymrep.predicates import (
     _CLAUSES,
     GroupTag,
+    Verdict,
     genus2_real_project,
     genus2_theta_project,
     is_member,
 )
 from prymrep.ringlinalg import BlockMat, RingMatrix, parse_matrix, preserves_form
-from prymrep.sweeps import _soundness_problem, random_lambda_word
+from prymrep.sweeps import _soundness_problem, random_lambda_word, random_self_adjoint
 from prymrep.wordlang import evaluate
 
-from matrix_helpers import galois, omega
+from matrix_helpers import (
+    delta_blocks_by_products,
+    galois,
+    lambda_blocks_by_products,
+    omega,
+)
 
 
 def block(text, d, g):
@@ -366,3 +372,104 @@ def test_memo_keeps_every_verdict(m, tags):
         with pytest.raises(ArithmeticError):
             m._once(fails)
     assert calls == [m, m]
+
+
+def _c_zero_matrix(d, g, seed, kind, where, p):
+    """A C = 0 block matrix from seed: an evaluated Lambda word ("word"), the
+    same times a random unipotent [[Id, S], [0, Id]] ("unipotent"), or
+    zeta^k [[Id, B], [0, Id]] with B self-adjoint ("delta").  where, if set,
+    is (block, i, j): entry (i, j) of block A, B or D gets zeta^p added."""
+    rng = random.Random(seed)
+    n = g - 1
+    ident, zeros = RingMatrix.identity(d, n), RingMatrix.zeros(d, n, n)
+    if kind == "delta":
+        m = BlockMat.from_blocks(g, ident, random_self_adjoint(rng, d, n), zeros, ident)
+        m = m * zeta_pow(d, rng.randrange(d))
+    else:
+        m = evaluate(random_lambda_word(rng, d, g, 4), d, g)
+        if kind == "unipotent":
+            s = random_self_adjoint(rng, d, n, -3, 3)
+            m = m * BlockMat.from_blocks(g, ident, s, zeros, ident)
+    if where is not None:
+        blk, i, j = where
+        row, col = {"A": (0, 0), "B": (0, n), "D": (n, n)}[blk]
+        m = _set_entry(m, row + i, col + j, lambda e: e + zeta_pow(d, p))
+    return m
+
+
+@st.composite
+def _c_zero_draws(draw):
+    d = draw(st.sampled_from((2, 3, 4, 5, 6, 7, 12)))
+    g = draw(st.sampled_from((2, 3, 4)))
+    kind = draw(st.sampled_from(("word", "unipotent", "delta")))
+    where = draw(st.none() | st.tuples(st.sampled_from("ABD"), st.integers(0, g - 2),
+                                       st.integers(0, g - 2)))
+    return d, g, draw(st.integers(0, 10**6)), kind, where, draw(st.integers(0, d - 1))
+
+
+_BLOCK_REASONS = {
+    "det(D) is not +-zeta^k",
+    "upper-left block is not (D*)^-1",
+    "D*B != B*D",
+    "upper-left block is not zeta^k Id",
+    "lower-right block does not match the upper-left scalar",
+    "upper-right block is not self-adjoint",
+}
+
+
+def test_block_clauses_match_the_product_oracle():
+    # Lambda's and Delta's block clauses read the form walk and compute a
+    # block product only to name a failure; they answer as the block products
+    # alone did, verdict and reason, and every reason is reached
+    reached = set()
+
+    @given(_c_zero_draws())
+    @settings(max_examples=150, deadline=None)
+    # three draws that reach all six reasons, two by two
+    @example((5, 2, 0, "word", ("D", 0, 0), 0))  # det(D); lower-right block
+    @example((5, 3, 0, "word", ("A", 0, 1), 0))  # (D*)^-1; zeta^k Id
+    @example((5, 3, 0, "unipotent", ("B", 0, 1), 0))  # D*B; self-adjoint
+    def check(draw):
+        m = _c_zero_matrix(*draw)
+        lam, delta = lambda_blocks_by_products(m), delta_blocks_by_products(m)
+        theta = lam if m.g == 2 else Verdict(False, "matrix is not genus 2")
+        for tag, want in ((GroupTag.Delta, delta), (GroupTag.Lambda, lam),
+                          (GroupTag.Genus2Theta, theta)):
+            v = is_member(m, tag)
+            assert (v.ok, v.reason) == (want.ok, want.reason), (tag, draw)
+        reached.update((lam.reason, delta.reason))
+
+    check()
+    assert reached - {""} == _BLOCK_REASONS
+
+
+def test_positive_block_verdicts_compute_no_product(monkeypatch):
+    # a positive Lambda, Delta or Genus2Theta verdict reads the form walk and
+    # multiplies no blocks; asking one matrix the chain
+    # Delta <= Lambda <= urU# <= urU <= U walks the form once
+    delta = [_c_zero_matrix(7, 2, 0, "delta", None, 0),
+             _c_zero_matrix(12, 3, 1, "delta", None, 0)]
+    # -Id is in Lambda but not in Delta for odd d, where -1 is no power of zeta
+    lam = [block("-1, 1 ; 0, -1", 5, 2), matrix_of(GenSpec("TH", (2,)), 5, 3)]
+    members = [(GroupTag.Delta, m) for m in delta]
+    members += [(GroupTag.Lambda, m) for m in delta + lam]
+    members += [(GroupTag.Genus2Theta, m) for m in delta + lam if m.g == 2]
+    asked = [(tag, _fresh(m)) for tag, m in members]
+    failing = _c_zero_matrix(5, 3, 0, "unipotent", ("B", 0, 1), 0)
+    chained = [_fresh(m) for m in delta + lam]
+    products, walks = [], []
+    product, walk = ringlinalg._sparse_product, ringlinalg._form_walk
+    monkeypatch.setattr(ringlinalg, "_sparse_product",
+                        lambda *a: products.append(a) or product(*a))
+    monkeypatch.setattr(ringlinalg, "_form_walk", lambda x: walks.append(x) or walk(x))
+    assert all(is_member(m, tag) for tag, m in asked)
+    assert products == []
+    # the counter is live: naming this failure takes the one product D*A
+    assert is_member(failing, GroupTag.Lambda).reason == "D*B != B*D"
+    assert len(products) == 1
+    walks.clear()
+    chain = (GroupTag.Delta, GroupTag.Lambda, GroupTag.UrUSharp, GroupTag.UrU, GroupTag.U)
+    for m in chained:
+        assert [bool(is_member(m, tag)) for tag in chain] == [m in delta] + [True] * 4
+    monkeypatch.undo()
+    assert walks == chained

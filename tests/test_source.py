@@ -89,11 +89,11 @@ def test_generators_are_named_by_registry_key_outside_generators():
 
 def test_each_input_rule_has_one_message():
     # the modulus rule, the block-shape rule, the genus rule, the rule
-    # that operands share a modulus, foxcover's two rank rules and its
-    # free-word index rule are each stated in one place, which every route
-    # passes through (euler_phi, BlockMat, ringlinalg._side,
-    # cyclotomic._modulus_mismatch, foxcover._rank, foxcover._same_rank and
-    # foxcover._generator)
+    # that operands share a modulus, foxcover's two rank rules, its
+    # free-word index rule and the word factor rule are each stated in one
+    # place, which every route passes through (euler_phi, BlockMat,
+    # ringlinalg._side, cyclotomic._modulus_mismatch, foxcover._rank,
+    # foxcover._same_rank, foxcover._generator and wordlang.Word)
     text = "".join(src.read_text() for src in sorted(SRC.glob("*.py")))
     assert text.count('"modulus d must be >= 2"') == 1
     assert text.count('"genus must be >= 2"') == 1
@@ -101,4 +101,5 @@ def test_each_input_rule_has_one_message():
     assert text.count('"rank must be >= 2"') == 1
     assert text.count('"rank mismatch"') == 1
     assert text.count("out of range for rank") == 1
+    assert text.count('"word factors must be (GenSpec, int) pairs"') == 1
     assert len(re.findall(r"\{[\w.]*rows\}x\{[\w.]*cols\}", text)) == 1

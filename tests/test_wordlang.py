@@ -340,8 +340,12 @@ def test_non_integral_arguments_are_refused(bad):
 
 
 def test_word_factors_are_genspec_pairs():
-    with pytest.raises(ValueError, match=r"^word factors must be \(GenSpec, int\) pairs$"):
-        Word((("G1", 1),))
+    # each malformed factor gets the one message, before any unpacking: a
+    # bare GenSpec, a 3-tuple, and a 2-letter string that would unpack
+    spec = GenSpec("G1", (1,))
+    for factor in (("G1", 1), spec, (spec, 1, 1), "ab"):
+        with pytest.raises(ValueError, match=r"^word factors must be \(GenSpec, int\) pairs$"):
+            Word((factor,))
 
 
 def test_matrix_of_matches_evaluate():
