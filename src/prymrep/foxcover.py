@@ -26,8 +26,9 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
-from .cyclotomic import CycInt, _int
+from .cyclotomic import CycInt, _int, _ints
 from .predicates import Verdict
 from .ringlinalg import RingMatrix
 
@@ -36,13 +37,6 @@ FreeWord = tuple
 
 # Letter budget of a parsed free word and of an inverse-certificate walk.
 MAX_LETTERS = 10**7
-
-
-def free_reduce(letters) -> FreeWord:
-    letters = tuple(letters)
-    if 0 in letters:
-        raise ValueError("letter 0 is not a generator")
-    return word_mul(letters)
 
 
 def word_mul(*words) -> FreeWord:
@@ -77,6 +71,15 @@ def _same_rank(g: int, h: int) -> None:
         raise ValueError("rank mismatch")
 
 
+def _check_letters(g: int, *words) -> None:
+    """The letter rule of Endo, Endo.apply and lift_class: each letter is an
+    integer (cyclotomic._ints) in +-1..+-g, read in two streaming passes."""
+    if not set(map(type, chain.from_iterable(words))) <= {int}:
+        _ints(chain.from_iterable(words), "free-word letters")
+    if bad := {s for s in set().union(*words) if not 0 < abs(s) <= g}:
+        raise ValueError(f"letter {min(bad)} is not a generator of rank {g}")
+
+
 def _code(g: int) -> str:
     """The array type code of a rank-g letter: 2 bytes while +-g fits."""
     return "h" if g < 2**15 else "q"
@@ -108,27 +111,21 @@ class Endo:
     """A free-group endomorphism by generator images, with an inverse
     certificate: composing images with inverse_images must reduce to the
     identity, which certifies an automorphism (free groups are Hopfian).
-    Every letter of both lists must be one of +-1..+-g.  Two values derived
-    from the images are cached per instance, outside eq, hash and repr: the
-    reduced image of each letter +-i together with that image's inverse
-    (the blocks apply appends, built when apply first meets +-i), and the
-    certificate's outcome."""
+    Every letter of both lists must be an integer in +-1..+-g
+    (_check_letters).  Two values derived from the images are cached per
+    instance, outside eq, hash and repr: the reduced image of each letter
+    +-i with that image's inverse (the blocks _walk appends, built when
+    _walk first meets +-i), and the certificate's outcome."""
 
     images: tuple
     inverse_images: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(tuple(w) for w in self.images))
-        object.__setattr__(
-            self, "inverse_images", tuple(tuple(w) for w in self.inverse_images)
-        )
+        for name in ("images", "inverse_images"):
+            object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
         if len(self.images) != len(self.inverse_images):
             raise ValueError("images and inverse_images must have equal length")
-        g = len(self.images)
-        bad = set().union(*self.images, *self.inverse_images).difference(
-            range(-g, 0), range(1, g + 1))
-        if bad:
-            raise ValueError(f"letter {min(bad)} is not a generator of rank {g}")
+        _check_letters(len(self.images), *self.images, *self.inverse_images)
 
     @property
     def g(self):
@@ -142,14 +139,11 @@ class Endo:
     @cached_property
     def _blocks(self) -> dict:
         """{+-i: (reduced image of x_i^+-1, its inverse)}, as arrays, for
-        the letters apply has met (_block)."""
+        the letters _walk has met (_block)."""
         return {}
 
     def _block(self, s):
-        """The block of letter s, built and kept with that of -s; a letter
-        outside +-1..+-g raises ValueError."""
-        if not (isinstance(s, int) and 0 < abs(s) <= self.g):
-            raise ValueError(f"letter {s} is not a generator of rank {self.g}")
+        """The block of a checked letter s, built and kept with that of -s."""
         i, code = abs(s), _code(self.g)
         img = array(code, word_mul(self.images[i - 1]))
         inv = array(code, word_inv(img))
@@ -157,11 +151,16 @@ class Endo:
         return self._blocks[s]
 
     def apply(self, w) -> FreeWord:
-        """phi(w), reduced, in one block step per letter of w: the reduced
-        output u c takes the image block c^-1 v as u v, where c is the
-        common suffix of the output and the block's inverse.  Equal to
-        word_mul of the concatenated images, reduced or not; a letter of w
-        outside +-1..+-g raises ValueError."""
+        """phi(w), reduced, by _walk: word_mul of the images of its letters.
+        Each letter must be an integer in +-1..+-g (_check_letters)."""
+        w = tuple(w)
+        _check_letters(self.g, w)
+        return self._walk(w)
+
+    def _walk(self, w) -> FreeWord:
+        """phi(w) for a word of checked letters, in one block step per
+        letter: the reduced output u c takes the image block c^-1 v as u v,
+        where c is the common suffix of the output and the block's inverse."""
         blocks = self._blocks
         out = array(_code(self.g))
         for s in w:
@@ -171,13 +170,12 @@ class Endo:
     def compose(self, other: "Endo") -> "Endo":
         """self o other: apply other first, then self."""
         _same_rank(self.g, other.g)
-        images = tuple(self.apply(w) for w in other.images)
-        other_inv = other.inverse()
-        inv = tuple(other_inv.apply(w) for w in self.inverse_images)
-        return Endo(images, inv)
+        images = tuple(self._walk(w) for w in other.images)
+        inv = tuple(other.inverse()._walk(w) for w in self.inverse_images)
+        return _checked(images, inv)
 
     def inverse(self) -> "Endo":
-        return Endo(self.inverse_images, self.images)
+        return _checked(self.inverse_images, self.images)
 
     def _certificate_walk(self) -> int:
         """The letters the certificate walks: an inverse-image letter +-i
@@ -194,9 +192,16 @@ class Endo:
             raise ValueError(f"inverse certificate walks {walk} letters, "
                              f"over the budget of {MAX_LETTERS}")
         for i, w in enumerate(self.inverse_images, start=1):
-            if self.apply(w) != (i,):
+            if self._walk(w) != (i,):
                 return i
         return 0
+
+
+def _checked(images, inverse_images) -> Endo:
+    """An Endo of words a checked Endo or its walks gave, not checked again."""
+    phi = object.__new__(Endo)
+    phi.__dict__.update(images=images, inverse_images=inverse_images)
+    return phi
 
 
 def check_member(phi: Endo, d: int) -> Verdict:
@@ -205,10 +210,7 @@ def check_member(phi: Endo, d: int) -> Verdict:
     g = phi.g
     i = phi._certificate_failure
     if i:
-        return Verdict(
-            False,
-            f"inverse certificate fails: phi(psi(x{i})) does not reduce to x{i}",
-        )
+        return Verdict(False, f"inverse certificate fails: phi(psi(x{i})) does not reduce to x{i}")
     for i, w in enumerate(phi.images, start=1):
         e, want = exponent_sum(w, g), int(i == g)
         if e % d != want % d:
@@ -226,11 +228,16 @@ class CoverClass:
 
 
 def lift_class(w, d: int, g: int) -> CoverClass:
-    """Path-lift a closed word from sheet 0 and read off its homology class."""
+    """Path-lift a closed word from sheet 0 and read off its homology class
+    (_lift).  Each letter must be an integer in +-1..+-g (_check_letters)."""
+    _check_letters(g, w)
+    return _lift(w, d, g)
+
+
+def _lift(w, d: int, g: int) -> CoverClass:
+    """lift_class of a word of checked letters."""
     if exponent_sum(w, g) % d != 0:
-        raise ValueError(
-            f"word does not lift to a closed path: x{g}-exponent not 0 mod {d}"
-        )
+        raise ValueError(f"word does not lift to a closed path: x{g}-exponent not 0 mod {d}")
     loops = [[0] * d for _ in range(g - 1)]
     lam = 0
     sheet = 0
@@ -261,7 +268,7 @@ def _require_member(phi: Endo, d: int, g: int) -> None:
 def eta_chain(phi: Endo, d: int, g: int) -> RingMatrix:
     """Column j is the projected class of the lift of phi(x_j), j < g."""
     _require_member(phi, d, g)
-    cols = [_project(lift_class(phi.images[j], d, g), d) for j in range(g - 1)]
+    cols = [_project(_lift(phi.images[j], d, g), d) for j in range(g - 1)]
     return RingMatrix.from_rows(d, zip(*cols))
 
 
@@ -331,12 +338,8 @@ def adapted_nielsen_moves(g: int, d: int):
 
 def deck_conjugation(g: int) -> Endo:
     """Conjugation of every generator by x_g; maps to zeta Id under eta."""
-    images = []
-    invs = []
-    for i in range(1, g + 1):
-        images.append(free_reduce((g, i, -g)))
-        invs.append(free_reduce((-g, i, g)))
-    return Endo(tuple(images), tuple(invs))
+    return Endo(tuple(word_mul((g, i, -g)) for i in range(1, g + 1)),
+                tuple(word_mul((-g, i, g)) for i in range(1, g + 1)))
 
 
 def random_member(rng, g: int, d: int, max_moves: int = 8) -> Endo:

@@ -27,6 +27,7 @@ from .cyclotomic import (
     _reduce_poly,
     _sparse_powers,
     euler_phi,
+    one,
     render_poly,
 )
 
@@ -53,28 +54,28 @@ class RingMatrix:
 
     def __init__(self, d, entries):
         entries = tuple(tuple(e for e in row) for row in entries)
-        if not entries or not entries[0]:
-            raise ValueError("matrix dimensions must be positive")
         for row in entries:
             if len(row) != len(entries[0]):
                 raise ValueError("ragged rows")
             for e in row:
                 if not isinstance(e, CycInt) or e.d != d:
                     raise ValueError("all entries must be CycInt with matching d")
-        self.d, self.rows, self.cols = d, len(entries), len(entries[0])
-        self.coeffs = tuple(tuple(e.coeffs for e in row) for row in entries)
+        self._fill(d, tuple(tuple(e.coeffs for e in row) for row in entries))
 
     @classmethod
     def _make(cls, d, coeffs):
-        """Trusted constructor: coeffs is already a rectangular tuple of row
-        tuples of reduced coefficient tuples at modulus d.  For results that
-        are correct by construction; RingMatrix(d, entries) validates the
-        entries, this only the dimensions."""
+        """Trusted constructor, for results correct by construction: coeffs
+        is already a rectangular grid of reduced coefficient tuples at
+        modulus d.  RingMatrix(d, entries) also validates the entries."""
+        m = object.__new__(cls)
+        m._fill(d, coeffs)
+        return m
+
+    def _fill(self, d, coeffs):
+        """Set the slots from a rectangular coefficient grid: the shape rule."""
         if not coeffs or not coeffs[0]:
             raise ValueError("matrix dimensions must be positive")
-        m = object.__new__(cls)
-        m.d, m.rows, m.cols, m.coeffs = d, len(coeffs), len(coeffs[0]), coeffs
-        return m
+        self.d, self.rows, self.cols, self.coeffs = d, len(coeffs), len(coeffs[0]), coeffs
 
     @property
     def entries(self):
@@ -140,26 +141,21 @@ class RingMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
 
-    def scale(self, c):
+    def __mul__(self, other):
+        """The matrix product, or each entry times a ring scalar: an int or a
+        CycInt of modulus d, coerced as CycInt arithmetic coerces (_coerce)."""
         d = self.d
-        if isinstance(c, int):
-            c = CycInt.from_int(d, c)
-        elif c.d != d:
-            raise _modulus_mismatch(d, c.d)
+        if isinstance(other, RingMatrix):
+            if other.d != d:
+                raise _modulus_mismatch(d, other.d)
+            if self.cols != other.rows:
+                raise ValueError("dimension mismatch in matrix product")
+            return RingMatrix._make(d, _sparse_product(d, self.coeffs, other.coeffs, other.cols))
+        c = one(d)._coerce(other)
+        if c is None:
+            return NotImplemented
         return RingMatrix._make(d, tuple(
             tuple(_mul_reduce(d, c.coeffs, a) for a in row) for row in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, CycInt)):
-            return self.scale(other)
-        if not isinstance(other, RingMatrix):
-            return NotImplemented
-        if other.d != self.d:
-            raise _modulus_mismatch(self.d, other.d)
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        return RingMatrix._make(self.d, _sparse_product(self.d, self.coeffs,
-                                                        other.coeffs, other.cols))
 
     __rmul__ = __mul__  # reached only for a scalar on the left
 

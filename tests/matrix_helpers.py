@@ -3,11 +3,13 @@ matrix Omega, the form <u, v> evaluated from its definition, basis vectors
 in the signed index order, a matrix acting on a vector, the cofactor
 determinant, the oracle that Bareiss elimination (RingMatrix.det) is checked
 against, the Galois automorphisms of Z[zeta_d] from their definition, the
-support rule of word evaluation, the Fox derivative, the oracle of
+support rule of word evaluation, free reduction, the oracle of
+foxcover.parse_free_word, the Fox derivative, the oracle of
 foxcover.eta_fox, and the Lambda and Delta block clauses decided by block
 products, the oracle of the clauses that read the form walk."""
 
 from prymrep.cyclotomic import CycInt, unit_exponent, zeta_pow
+from prymrep.foxcover import word_mul
 from prymrep.generators import _entries
 from prymrep.predicates import _OK, Verdict
 from prymrep.ringlinalg import BlockMat, RingMatrix, basis_position
@@ -109,6 +111,15 @@ def disjoint_support(spec, d: int, g: int) -> bool:
     support = [(p, q) for p, q, c in _entries(spec.name, g, d, *spec._args(d))
                if not c.is_zero()]
     return not {p for p, _ in support} & {q for _, q in support}
+
+
+def free_reduce(letters) -> tuple:
+    """The reduced form of a tuple of nonzero signed letters; letter 0 is
+    refused.  parse_free_word's test oracle."""
+    letters = tuple(letters)
+    if 0 in letters:
+        raise ValueError("letter 0 is not a generator")
+    return word_mul(letters)
 
 
 def fox_derivative(w, i: int) -> dict:

@@ -509,3 +509,17 @@ def test_render_poly():
     assert render_poly((1, 0, -1)) == "1-z^2"
     assert render_poly((0, 1)) == "z"
     assert render_poly((-2, 3)) == "-2+3*z"
+
+
+def test_arithmetic_defers_on_a_foreign_operand():
+    # each operator returns NotImplemented for an operand that is neither an
+    # int nor a CycInt, so Python raises TypeError (or, for ==, compares false)
+    a = zeta_pow(5, 1)
+    for op in (CycInt.__add__, CycInt.__sub__, CycInt.__rsub__, CycInt.__mul__,
+               CycInt.__pow__, CycInt.__eq__):
+        assert op(a, "z") is NotImplemented
+    for call in (lambda: a + "z", lambda: a - "z", lambda: "z" - a, lambda: a * 1.5,
+                 lambda: a ** "2", lambda: a ** 1.0):
+        with pytest.raises(TypeError):
+            call()
+    assert a != "z" and not (a == 1.0) and a == zeta_pow(5, 6)

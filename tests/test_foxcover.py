@@ -21,7 +21,6 @@ from prymrep.foxcover import (
     eta_chain,
     eta_fox,
     exponent_sum,
-    free_reduce,
     lift_class,
     parse_endo_images,
     parse_free_word,
@@ -31,7 +30,7 @@ from prymrep.foxcover import (
 )
 from prymrep.ringlinalg import RingMatrix
 
-from matrix_helpers import column, fox_derivative, zero
+from matrix_helpers import column, fox_derivative, free_reduce, zero
 
 
 def render_free_word(w) -> str:
@@ -178,8 +177,8 @@ def test_certificate_is_walked_once(monkeypatch):
     for g in (2, 3, 5):
         phi = random_member(rng, g, 5, 12)
         calls = []
-        apply = Endo.apply
-        monkeypatch.setattr(Endo, "apply", lambda self, w: calls.append(w) or apply(self, w))
+        walk = Endo._walk
+        monkeypatch.setattr(Endo, "_walk", lambda self, w: calls.append(w) or walk(self, w))
         assert check_member(phi, 5)
         eta_chain(phi, 5, g)
         eta_fox(phi, 5, g)
@@ -505,3 +504,79 @@ def test_rank_one_rejected_before_any_walk(route):
     # either route walks, with the message adapted_nielsen_moves uses
     with pytest.raises(ValueError, match=r"^rank must be >= 2$"):
         route(Endo.identity(1), 3, 1)
+
+
+_LETTER_PROBES = [
+    ((1.0,), r"^free-word letters must be integers$"),
+    ((True,), r"^free-word letters must be integers$"),
+    ((1, True), r"^free-word letters must be integers$"),
+    (("a", 1), r"^free-word letters must be integers$"),
+    ((0,), r"^letter 0 is not a generator of rank 2$"),
+    ((1, -3), r"^letter -3 is not a generator of rank 2$"),
+    ((5, 2), r"^letter 5 is not a generator of rank 2$"),
+]
+
+
+@pytest.mark.parametrize("word,message", _LETTER_PROBES)
+def test_apply_refuses_a_bad_letter_whatever_is_cached(word, message):
+    # the letter rule runs before the walk, so the answer cannot depend on
+    # which blocks an earlier apply built (1.0 and True hash like 1)
+    phi = Endo(((1,), (2,)), ((1,), (2,)))
+    with pytest.raises(ValueError, match=message):
+        phi.apply(word)
+    assert phi.apply((1, 2, -1)) == (1, 2, -1)
+    with pytest.raises(ValueError, match=message):
+        phi.apply(word)
+    assert sorted(phi._blocks) == [-2, -1, 1, 2]
+
+
+@pytest.mark.parametrize("word,message", _LETTER_PROBES)
+def test_endo_and_lift_class_refuse_a_bad_letter(word, message):
+    with pytest.raises(ValueError, match=message):
+        Endo((word, (2,)), ((1,), (2,)))
+    with pytest.raises(ValueError, match=message):
+        Endo(((1,), (2,)), ((1,), word))
+    with pytest.raises(ValueError, match=message):
+        lift_class(word, 5, 2)
+
+
+def test_lift_class_refuses_letter_zero():
+    # unchecked, letter 0 would index loops[-1], a class of the wrong generator
+    with pytest.raises(ValueError, match=r"^letter 0 is not a generator of rank 2$"):
+        lift_class((0,), 5, 2)
+    with pytest.raises(ValueError, match=r"^letter 5 is not a generator of rank 2$"):
+        lift_class((5,), 5, 2)
+    assert lift_class([1, 2, -1, -2], 5, 2) == CoverClass(((1, -1, 0, 0, 0),), 0)
+
+
+def test_letter_rule_runs_once_per_entry(monkeypatch):
+    # Endo checks every word it is given in one call, and apply and
+    # lift_class their word; compose, inverse, the certificate walk and
+    # both eta routes read checked words and check nothing again
+    import prymrep.foxcover as fc
+
+    calls = []
+    check = fc._check_letters
+    monkeypatch.setattr(fc, "_check_letters", lambda g, *ws: calls.append(len(ws)) or check(g, *ws))
+    phi = Endo(((2, 1, -2), (2,)), ((-2, 1, 2), (2,)))
+    assert calls == [4]
+    psi = phi.compose(phi.inverse()).compose(phi)
+    assert psi == phi and psi.inverse().inverse() == psi
+    assert check_member(psi, 3) and eta(psi, 3, 2) == eta_chain(phi, 3, 2)
+    assert calls == [4]
+    assert phi.apply((1, 2)) == (2, 1)
+    lift_class((2, 1, -2), 3, 2)
+    assert calls == [4, 1, 1]
+
+
+def test_apply_takes_any_iterable_of_letters():
+    phi = conj_by_x2()
+    assert phi.apply(iter((1, 2))) == phi.apply([1, 2]) == (2, 1)
+
+
+@pytest.mark.parametrize("g", range(2, 7))
+def test_deck_conjugation_matches_the_free_reduce_oracle(g):
+    images = tuple(free_reduce((g, i, -g)) for i in range(1, g + 1))
+    inverses = tuple(free_reduce((-g, i, g)) for i in range(1, g + 1))
+    assert deck_conjugation(g) == Endo(images, inverses)
+    assert deck_conjugation(g).images[g - 1] == (g,)

@@ -488,3 +488,47 @@ def test_det_and_inverse_corpus_digest():
     assert len(lines) == 2 * 275
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "42dd44eb9e140e7dbf8f06734967af8b0b54759ef3168f456dfb4d63f3f9f438"
+
+
+@pytest.mark.parametrize("build", [lambda: RingMatrix.identity(5, 0),
+                                   lambda: RingMatrix.zeros(5, 2, 0),
+                                   lambda: RingMatrix.zeros(5, 0, 2),
+                                   lambda: RingMatrix(5, []),
+                                   lambda: RingMatrix(5, [[]])])
+def test_every_constructor_states_the_shape_rule_once(build):
+    # the validating and the trusted constructor share one shape check
+    with pytest.raises(ValueError, match=r"^matrix dimensions must be positive$"):
+        build()
+
+
+def test_scalar_product_is_the_entrywise_product():
+    # a scalar is coerced as CycInt arithmetic coerces it; the product is
+    # each entry times the scalar, from either side
+    rng = random.Random(17)
+    for d in (2, 3, 5, 12):
+        m = rand_matrix(rng, d, 3)
+        for c in (0, 1, -3, 7, zeta_pow(d, 1), CycInt(d, [rng.randint(-4, 4)
+                                                          for _ in range(euler_phi(d))])):
+            want = RingMatrix(d, [[e * c for e in row] for row in m.entries])
+            assert m * c == want and c * m == want
+    assert not hasattr(RingMatrix, "scale")
+    m = RingMatrix.identity(5, 2)
+    with pytest.raises(ValueError, match=r"^modulus mismatch: d=5 vs d=3$"):
+        zeta_pow(3, 1) * m
+    with pytest.raises(ValueError, match=r"^polynomial coefficients must be integers$"):
+        m * True
+
+
+def test_operators_defer_on_a_foreign_operand():
+    # == and * return NotImplemented for an operand they do not take, so
+    # Python falls back to the other side or raises TypeError
+    m, b = RingMatrix.identity(5, 2), BlockMat.identity(5, 2)
+    assert RingMatrix.__eq__(m, "m") is NotImplemented
+    assert m != "m" and not (m == 1)
+    for x in (m, b):
+        for other in ("m", 1.5, None):
+            assert type(x).__mul__(x, other) is NotImplemented
+            with pytest.raises(TypeError):
+                x * other
+        with pytest.raises(TypeError):
+            "m" * x

@@ -90,10 +90,12 @@ def test_generators_are_named_by_registry_key_outside_generators():
 def test_each_input_rule_has_one_message():
     # the modulus rule, the block-shape rule, the genus rule, the rule
     # that operands share a modulus, foxcover's two rank rules, its
-    # free-word index rule and the word factor rule are each stated in one
-    # place, which every route passes through (euler_phi, BlockMat,
-    # ringlinalg._side, cyclotomic._modulus_mismatch, foxcover._rank,
-    # foxcover._same_rank, foxcover._generator and wordlang.Word)
+    # free-word index rule and letter rule, the word factor rule and the
+    # matrix shape rule are each stated in one place, which every route
+    # passes through (euler_phi, BlockMat, ringlinalg._side,
+    # cyclotomic._modulus_mismatch, foxcover._rank, foxcover._same_rank,
+    # foxcover._generator, foxcover._check_letters, wordlang.Word and
+    # RingMatrix._fill)
     text = "".join(src.read_text() for src in sorted(SRC.glob("*.py")))
     assert text.count('"modulus d must be >= 2"') == 1
     assert text.count('"genus must be >= 2"') == 1
@@ -101,5 +103,7 @@ def test_each_input_rule_has_one_message():
     assert text.count('"rank must be >= 2"') == 1
     assert text.count('"rank mismatch"') == 1
     assert text.count("out of range for rank") == 1
+    assert text.count("is not a generator of rank") == 1
+    assert text.count('"matrix dimensions must be positive"') == 1
     assert text.count('"word factors must be (GenSpec, int) pairs"') == 1
     assert len(re.findall(r"\{[\w.]*rows\}x\{[\w.]*cols\}", text)) == 1

@@ -10,6 +10,8 @@ import prymrep.sweeps as sweeps
 from prymrep.cli import main
 from prymrep.cyclotomic import CycInt, one, zeta_pow
 from prymrep.generators import GenSpec
+from prymrep.predicates import GroupTag, Verdict
+from prymrep.ringlinalg import BlockMat, RingMatrix
 from prymrep.wordlang import parse
 
 # SHA-256 of the stdout of `prymrep selftest` with these options, taken
@@ -196,3 +198,91 @@ def test_genus2_failure_counts_the_failing_word(monkeypatch):
     rep = sweeps.genus2_sweep(range(2, 6), count=10, theta_pairs=4, seed=1)
     assert (rep.ok, rep.checked) == (False, 3)
     assert f"at d=4 g=2 word={calls[2].render()!r}" in rep.detail
+
+
+def _from_call(n, real, fault):
+    """A stand-in for real that gives fault(*args) from its n-th call on."""
+    calls = []
+
+    def stand_in(*args):
+        calls.append(args)
+        return fault(*args) if len(calls) >= n else real(*args)
+    return stand_in, calls
+
+
+def test_soundness_clauses_name_their_first_failing_generator(monkeypatch):
+    # d=3, g=2 runs T, Zeta(0..2), then Ti(1; r) for the sampled reals
+    ue, _ = _from_call(5, sweeps.unit_exponent, lambda a: None)
+    monkeypatch.setattr(sweeps, "unit_exponent", ue)
+    rep = sweeps.soundness_sweep(range(3, 5), range(2, 4))
+    assert (rep.ok, rep.checked, rep.detail) == (False, 5, "det not +-zeta^k at d=3 g=2 Ti(1; 1)")
+    monkeypatch.undo()
+
+    real = sweeps.is_member
+    for tag, checked, detail in ((GroupTag.UrSpZ, 11, "urSp(Z) fails at d=3 g=2 AH(1)"),
+                                 (GroupTag.UrU, 1, "UrU fails: forced at d=3 g=2 T")):
+        monkeypatch.setattr(sweeps, "is_member", lambda m, t, tag=tag:
+                            Verdict(False, "forced") if t is tag else real(m, t))
+        rep = sweeps.soundness_sweep(range(3, 5), range(2, 4))
+        assert (rep.ok, rep.checked, rep.detail) == (False, checked, detail)
+
+
+def test_lambda_refusal_is_the_problem(monkeypatch):
+    def refuse(m, wd):
+        raise ValueError("witness refused")
+
+    rl, calls = _from_call(2, sweeps.reduce_lambda, refuse)
+    monkeypatch.setattr(sweeps, "reduce_lambda", rl)
+    rep = sweeps.lambda_roundtrip_sweep((5,), (3,), per_cell=3)
+    assert (rep.ok, rep.checked) == (False, 2)
+    assert rep.detail == f"witness refused at d=5 g=3 word={calls[1][1].render()!r}"
+
+
+def test_oracle_determinant_failure_names_its_case(monkeypatch):
+    # per cell: three eta cases and one pair, so the fourth determinant is
+    # the first case of the cell d=3, g=3
+    ue, _ = _from_call(4, sweeps.unit_exponent, lambda a: None)
+    monkeypatch.setattr(sweeps, "unit_exponent", ue)
+    rep = sweeps.oracle_sweep(range(3, 5), range(2, 4), per_cell=3, pairs_per_cell=1)
+    assert (rep.ok, rep.checked) == (False, 5)
+    assert rep.detail.startswith("det eta not +-zeta^k: CycInt(3, ")
+    assert " at d=3 g=3 phi=Endo(images=" in rep.detail
+
+
+def test_genus2_clauses_name_their_first_failing_word(monkeypatch):
+    real_project = sweeps.genus2_real_project
+    for name, fault, ds, detail in (
+            ("unit_exponent", lambda a: None, range(2, 6), "shape violated: BlockMat(g=2, d=5, "),
+            ("genus2_real_project", lambda m: zeta_pow(m.d, 1), (3, 5), "projection not real"),
+            ("genus2_real_project", lambda m: real_project(m) + 1, (3, 5),
+             "reconstruction failed")):
+        words = []
+        real_eval = sweeps.evaluate
+        monkeypatch.setattr(sweeps, "evaluate",
+                            lambda w, d, g: words.append((w, d)) or real_eval(w, d, g))
+        stand_in, _ = _from_call(4, getattr(sweeps, name), fault)
+        monkeypatch.setattr(sweeps, name, stand_in)
+        rep = sweeps.genus2_sweep(ds, count=10, theta_pairs=4, seed=1)
+        monkeypatch.undo()
+        w, d = words[3]
+        assert (rep.ok, rep.checked) == (False, 4)
+        assert rep.detail.startswith(detail)
+        assert rep.detail.endswith(f" at d={d} g=2 word={w.render()!r}")
+
+
+def test_remark_failures_name_their_clause(monkeypatch):
+    real = sweeps.matrix_of
+    monkeypatch.setattr(sweeps, "matrix_of", lambda spec, d, g: real(spec, d, g) * 2
+                        if spec.name == "Ti" else real(spec, d, g))
+    rep = sweeps.remark_crosscheck()
+    assert (rep.ok, rep.checked, rep.detail) == (False, 2, "image mismatch at d=5 g=2 T_delta")
+    monkeypatch.undo()
+
+    # diag(z, z^-1) is diagonal with unit product, but its trace is z + z^4
+    z = zeta_pow(5, 1)
+    monkeypatch.setattr(sweeps, "evaluate", lambda w, d, g:
+                        BlockMat(RingMatrix.from_rows(d, [[z, 0], [0, z ** -1]]), g))
+    rep = sweeps.remark_crosscheck()
+    assert (rep.ok, rep.checked) == (False, 5)
+    assert rep.detail == (f"trace is {z + z ** -1!r}, not +-(2+4z+4z^4)"
+                          " at d=5 g=2 7-factor product")

@@ -371,3 +371,17 @@ def test_parser_handles_arbitrary_unicode(text):
         parse(text)
     except ParseError:
         pass
+
+
+def test_word_operators_defer_and_hash_agrees_with_eq():
+    w = parse("G1(1)^2 * Ti(-1; 1+z)")
+    assert Word.__mul__(w, "G1(1)") is NotImplemented
+    assert Word.__eq__(w, "G1(1)") is NotImplemented
+    with pytest.raises(TypeError):
+        w * "G1(1)"
+    assert w != w.render() and w != 1
+    # equal words built apart hash alike, and a set keeps one of them
+    twin = Word(((GenSpec("G1", (1,)), 2),)) * Word(((GenSpec("Ti", (-1,), (1, 1)), 1),))
+    assert twin == w and hash(twin) == hash(w) and len({w, twin, parse("G1(1)")}) == 2
+    assert str(w) == w.render() == "G1(1)^2 * Ti(-1; 1+z)"
+    assert repr(w) == "Word('G1(1)^2 * Ti(-1; 1+z)')"
