@@ -13,7 +13,7 @@ import argparse
 import sys
 from functools import cache
 
-from .cyclotomic import MAX_D, ParseError
+from .cyclotomic import MAX_D, ParseError, euler_phi
 from .decompose import decompose_delta, reduce_lambda
 from .foxcover import Endo, check_member, eta, parse_endo_images
 from .predicates import GroupTag, is_member
@@ -23,6 +23,7 @@ from .wordlang import evaluate, parse as parse_word
 
 
 MAX_G = 200  # largest genus; eval --d 3 --g 200 --word T prints 396^2 entries
+MAX_SELFTEST_WORK = 50_000  # phi(d) * g^3 summed over the selftest cells; see README
 
 
 def _add_dg(p):
@@ -142,6 +143,11 @@ def cmd_selftest(args) -> int:
         raise ValueError(f"--max-d {args.max_d} is over the budget MAX_D = {MAX_D}")
     if args.max_g > MAX_G:
         raise ValueError(f"--max-g {args.max_g} is over the budget MAX_G = {MAX_G}")
+    work = (sum(map(euler_phi, range(2, args.max_d + 1)))
+            * sum(g ** 3 for g in range(2, args.max_g + 1)))
+    if work > MAX_SELFTEST_WORK:
+        raise ValueError(f"selftest work {work} (phi(d) * g^3 summed over the cells) "
+                         f"is over the budget MAX_SELFTEST_WORK = {MAX_SELFTEST_WORK}")
     ok = True
     for rep in run_selftest(args.max_d, args.max_g, seed=args.seed):
         print(rep.line(), flush=True)  # shown even if a later suite raises

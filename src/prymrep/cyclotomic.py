@@ -120,17 +120,18 @@ def _ints(values, what):
 @lru_cache(maxsize=None)
 def euler_phi(d: int) -> int:
     # every ring operation asks for phi(d) before its O(d) loops and tables,
-    # so the modulus rules are stated here once
-    if d < 2:
+    # so the modulus rules are stated here once; the integer clause is _ints'
+    if _ints((d,), "moduli")[0] < 2:
         raise ValueError("modulus d must be >= 2")
     if d > MAX_D:
         raise ValueError(f"modulus d = {d} is over the budget MAX_D = {MAX_D}")
     return sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
 
 
-def _modulus_mismatch(d, other):
-    """The one error for an operand of modulus `other` met at modulus d."""
-    return ValueError(f"modulus mismatch: d={d} vs d={other}")
+def _same_modulus(d, other):
+    """The rule that an operand of modulus `other` met at modulus d shares it."""
+    if other != d:
+        raise ValueError(f"modulus mismatch: d={d} vs d={other}")
 
 
 def _poly_trim(coeffs):
@@ -280,6 +281,7 @@ class CycInt:
         """Build from an integer polynomial in zeta of any degree, whose
         coefficients must all be integers (_ints).  One longer than d is
         first folded mod x^d - 1, which Phi_d divides."""
+        euler_phi(d)  # the modulus rule, before the fold reads d
         coeffs = _ints(coeffs, "polynomial coefficients")
         if len(coeffs) > d:
             coeffs = tuple(sum(coeffs[r::d]) for r in range(d))
@@ -302,8 +304,7 @@ class CycInt:
 
     def _coerce(self, other):
         if isinstance(other, CycInt):
-            if other.d != self.d:
-                raise _modulus_mismatch(self.d, other.d)
+            _same_modulus(self.d, other.d)
             return other
         if isinstance(other, int):
             return CycInt.from_int(self.d, other)
@@ -351,7 +352,7 @@ class CycInt:
         return _power(self, e, lambda: one(self.d))
 
     def __eq__(self, other):
-        o = self._coerce(other) if isinstance(other, (CycInt, int)) else None
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.coeffs == o.coeffs

@@ -8,7 +8,7 @@ its lower-right block.
 
 from __future__ import annotations
 
-from .cyclotomic import _modulus_mismatch, solve_real_basis
+from .cyclotomic import _same_modulus, euler_phi, solve_real_basis
 from .generators import GenSpec
 from .predicates import GroupTag, is_member
 from .ringlinalg import BlockMat, RingMatrix, _side
@@ -27,11 +27,11 @@ def decompose_delta(b: RingMatrix, d: int, g: int) -> Word:
     then (i, j) lexicographic, so output is reproducible; the factors commute,
     so order does not affect correctness.
     """
+    euler_phi(d)  # the modulus rule, before d is compared with b.d
     n = _side(g) // 2
     if b.rows != n or b.cols != n:
         raise ValueError(f"B must be {n}x{n} for genus {g}")
-    if b.d != d:
-        raise _modulus_mismatch(d, b.d)
+    _same_modulus(d, b.d)
     if b != b.adjoint():
         raise ValueError("B is not self-adjoint")
     factors = []

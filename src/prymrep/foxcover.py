@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .cyclotomic import CycInt, _int, _ints
+from .cyclotomic import CycInt, _int, _ints, euler_phi
 from .predicates import Verdict
 from .ringlinalg import RingMatrix
 
@@ -59,8 +59,8 @@ def exponent_sum(w, i: int) -> int:
 
 
 def _rank(g: int) -> int:
-    """g, if the eta routes and the Nielsen stock take it: the rank rule."""
-    if g < 2:
+    """The rank rule of the eta routes, lift_class, deck_conjugation and the Nielsen stock."""
+    if _ints((g,), "ranks")[0] < 2:
         raise ValueError("rank must be >= 2")
     return g
 
@@ -207,6 +207,7 @@ def _checked(images, inverse_images) -> Endo:
 def check_member(phi: Endo, d: int) -> Verdict:
     """Is phi in the group of automorphisms preserving ker(F_g -> Z/d) and
     inducing the identity on the quotient?"""
+    euler_phi(d)  # the modulus rule, before any exponent is read mod d
     g = phi.g
     i = phi._certificate_failure
     if i:
@@ -229,8 +230,9 @@ class CoverClass:
 
 def lift_class(w, d: int, g: int) -> CoverClass:
     """Path-lift a closed word from sheet 0 and read off its homology class
-    (_lift).  Each letter must be an integer in +-1..+-g (_check_letters)."""
-    _check_letters(g, w)
+    (_lift), past the modulus, rank and letter rules (_check_letters)."""
+    euler_phi(d)
+    _check_letters(_rank(g), w)
     return _lift(w, d, g)
 
 
@@ -269,7 +271,7 @@ def eta_chain(phi: Endo, d: int, g: int) -> RingMatrix:
     """Column j is the projected class of the lift of phi(x_j), j < g."""
     _require_member(phi, d, g)
     cols = [_project(_lift(phi.images[j], d, g), d) for j in range(g - 1)]
-    return RingMatrix.from_rows(d, zip(*cols))
+    return RingMatrix(d, zip(*cols))
 
 
 def _fox_column(w, d: int, g: int) -> list:
@@ -290,7 +292,7 @@ def eta_fox(phi: Endo, d: int, g: int) -> RingMatrix:
     """Entry (i, j) is eps(d phi(x_j) / d x_i), column j from one walk of
     phi(x_j) by _fox_column; must agree with eta_chain."""
     _require_member(phi, d, g)
-    return RingMatrix.from_rows(d, zip(*[_fox_column(w, d, g) for w in phi.images[:g - 1]]))
+    return RingMatrix(d, zip(*[_fox_column(w, d, g) for w in phi.images[:g - 1]]))
 
 
 def eta(phi: Endo, d: int, g: int) -> RingMatrix:
@@ -338,6 +340,7 @@ def adapted_nielsen_moves(g: int, d: int):
 
 def deck_conjugation(g: int) -> Endo:
     """Conjugation of every generator by x_g; maps to zeta Id under eta."""
+    _rank(g)
     return Endo(tuple(word_mul((g, i, -g)) for i in range(1, g + 1)),
                 tuple(word_mul((-g, i, g)) for i in range(1, g + 1)))
 

@@ -19,12 +19,13 @@ from .cyclotomic import (
     ParseError,
     _conj,
     _divider,
-    _modulus_mismatch,
+    _ints,
     _mul_reduce,
     _new,
     _power,
     _power_table,
     _reduce_poly,
+    _same_modulus,
     _sparse_powers,
     euler_phi,
     one,
@@ -52,21 +53,21 @@ class RingMatrix:
 
     __slots__ = ("d", "rows", "cols", "coeffs")
 
-    def __init__(self, d, entries):
-        entries = tuple(tuple(e for e in row) for row in entries)
-        for row in entries:
-            if len(row) != len(entries[0]):
-                raise ValueError("ragged rows")
-            for e in row:
-                if not isinstance(e, CycInt) or e.d != d:
-                    raise ValueError("all entries must be CycInt with matching d")
-        self._fill(d, tuple(tuple(e.coeffs for e in row) for row in entries))
+    def __init__(self, d, rows):
+        """Rows of ints and CycInts of modulus d, each coerced by CycInt._coerce;
+        from_int refuses any other entry by the integer rule of coefficients."""
+        o = one(d)
+        coeffs = tuple(tuple((o._coerce(e) or CycInt.from_int(d, e)).coeffs for e in row)
+                       for row in rows)
+        if any(len(row) != len(coeffs[0]) for row in coeffs):
+            raise ValueError("ragged rows")
+        self._fill(d, coeffs)
 
     @classmethod
     def _make(cls, d, coeffs):
         """Trusted constructor, for results correct by construction: coeffs
         is already a rectangular grid of reduced coefficient tuples at
-        modulus d.  RingMatrix(d, entries) also validates the entries."""
+        modulus d.  RingMatrix(d, rows) also validates the entries."""
         m = object.__new__(cls)
         m._fill(d, coeffs)
         return m
@@ -82,11 +83,6 @@ class RingMatrix:
         """The entries as rows of CycInt, made on each read."""
         d = self.d
         return tuple(tuple(_new(d, e) for e in row) for row in self.coeffs)
-
-    @classmethod
-    def from_rows(cls, d, rows):
-        return cls(d, [[e if isinstance(e, CycInt) else CycInt.from_int(d, e) for e in row]
-                       for row in rows])
 
     @classmethod
     def identity(cls, d, n):
@@ -136,8 +132,7 @@ class RingMatrix:
     def _check_same_shape(self, other):
         if not isinstance(other, RingMatrix):
             raise ValueError("matrix mismatch")
-        if other.d != self.d:
-            raise _modulus_mismatch(self.d, other.d)
+        _same_modulus(self.d, other.d)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
 
@@ -146,8 +141,7 @@ class RingMatrix:
         CycInt of modulus d, coerced as CycInt arithmetic coerces (_coerce)."""
         d = self.d
         if isinstance(other, RingMatrix):
-            if other.d != d:
-                raise _modulus_mismatch(d, other.d)
+            _same_modulus(d, other.d)
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch in matrix product")
             return RingMatrix._make(d, _sparse_product(d, self.coeffs, other.coeffs, other.cols))
@@ -313,7 +307,7 @@ def parse_matrix(text: str, d: int) -> RingMatrix:
 def _side(g):
     """The side 2(g - 1) of a genus-g block matrix; the one statement of the
     genus rule, reached before any matrix of genus g is built."""
-    if g < 2:
+    if _ints((g,), "genera")[0] < 2:
         raise ValueError("genus must be >= 2")
     return 2 * (g - 1)
 
@@ -377,9 +371,8 @@ class BlockMat:
             if other.g != self.g:
                 raise ValueError("genus mismatch")
             return BlockMat(self.mat * other.mat, self.g)
-        if isinstance(other, (int, CycInt)):
-            return BlockMat(self.mat * other, self.g)
-        return NotImplemented
+        c = one(self.d)._coerce(other)  # a ring scalar, as RingMatrix.__mul__ takes one
+        return NotImplemented if c is None else BlockMat(self.mat * c, self.g)
 
     __rmul__ = __mul__  # reached only for a scalar on the left
 

@@ -321,10 +321,7 @@ def _genus2_problem(m):
     if not r.is_real():
         return "projection not real"
     s, k = ue
-    sign = CycInt.from_int(m.d, s)
-    rebuilt = BlockMat(
-        RingMatrix.from_rows(m.d, [[sign, sign * r], [0, sign]]), 2
-    ) * zeta_pow(m.d, k)
+    rebuilt = BlockMat(RingMatrix(m.d, [[s, s * r], [0, s]]), 2) * zeta_pow(m.d, k)
     if rebuilt != m:
         return "reconstruction failed"
     return None
@@ -362,12 +359,12 @@ def remark_crosscheck() -> SweepReport:
     z = zeta_pow(d, 1)
 
     def cases():
-        want_gamma = BlockMat(RingMatrix.from_rows(d, [[1, z + z ** -1 - 2], [0, 1]]), g)
+        want_gamma = BlockMat(RingMatrix(d, [[1, z + z ** -1 - 2], [0, 1]]), g)
         yield ("d=5 g=2 T_gamma",
                None if matrix_of(GenSpec("GammaIK", (1, 1)), d, g) == want_gamma
                else "image mismatch")
         r = 2 - z - z ** -1
-        want_delta = BlockMat(RingMatrix.from_rows(d, [[1, 0], [r, 1]]), g)
+        want_delta = BlockMat(RingMatrix(d, [[1, 0], [r, 1]]), g)
         yield ("d=5 g=2 T_delta",
                None if matrix_of(GenSpec("Ti", (-1,), r.coeffs), d, g) == want_delta
                else "image mismatch")

@@ -93,9 +93,9 @@ def test_criterion_8_genus2_d5_crosscheck():
     d, g = 5, 2
     z = zeta_pow(d, 1)
     assert gamma_ik(g, d, 1, 1) == BlockMat(
-        RingMatrix.from_rows(d, [[1, z + z ** -1 - 2], [0, 1]]), g)
+        RingMatrix(d, [[1, z + z ** -1 - 2], [0, 1]]), g)
     assert elem_Ti(g, d, -1, 2 - z - z ** -1) == BlockMat(
-        RingMatrix.from_rows(d, [[1, 0], [2 - z - z ** -1, 1]]), g)
+        RingMatrix(d, [[1, 0], [2 - z - z ** -1, 1]]), g)
 
 
 def test_criterion_9_real_basis_solvability():

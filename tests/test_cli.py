@@ -337,6 +337,10 @@ OVER_BUDGET = [
     # shape (20x20 for genus 21) and of the right one (40x40)
     (("eval", "--d", "3", "--g", "21", "--word", _ursp_grid(20)), "MAX_DENSE"),
     (("eval", "--d", "3", "--g", "21", "--word", _ursp_grid(40)), "MAX_DENSE"),
+    # each cell is inside MAX_D and MAX_G, but the runs would take about ten
+    # minutes and well over a minute
+    (("selftest", "--max-d", "3", "--max-g", "30"), "MAX_SELFTEST_WORK"),
+    (("selftest", "--max-d", "1000", "--max-g", "3"), "MAX_SELFTEST_WORK"),
 ]
 
 

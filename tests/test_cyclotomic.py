@@ -96,7 +96,10 @@ def test_ring_elements_take_integers_only():
                          "polynomial coefficients"),
                         (lambda: CycInt.from_int(5, 2.5), "polynomial coefficients"),
                         (lambda: CycInt.from_int(5, True), "polynomial coefficients"),
-                        (lambda: RingMatrix.from_rows(5, [[1.5, 0], [0, 1]]).det(),
+                        (lambda: RingMatrix(5, [[1.5, 0], [0, 1]]).det(),
+                         "polynomial coefficients"),
+                        (lambda: RingMatrix(5, [[0, "x"]]), "polynomial coefficients"),
+                        (lambda: RingMatrix(5, [[zeta_pow(5, 1), True]]),
                          "polynomial coefficients")):
         with pytest.raises(ValueError, match=f"^{what} must be integers$"):
             build()

@@ -35,14 +35,14 @@ def test_single_e11():
 
 def test_offdiagonal_pair():
     z = zeta_pow(5, 1)
-    b = RingMatrix.from_rows(5, [[0, z ** -1], [z, 0]])
+    b = RingMatrix(5, [[0, z ** -1], [z, 0]])
     w = decompose_delta(b, 5, 3)
     assert all(spec.name == "G3" for spec, _ in w.factors)
     assert evaluate(w, 5, 3) == unipotent(5, 3, b)
 
 
 def test_non_self_adjoint_rejected():
-    b = RingMatrix.from_rows(5, [[0, 1], [0, 0]])
+    b = RingMatrix(5, [[0, 1], [0, 0]])
     with pytest.raises(ValueError):
         decompose_delta(b, 5, 3)
     b = parse_matrix("z", 5)  # 1x1, not real
@@ -138,11 +138,11 @@ def test_reduce_lambda_rejects_non_lambda():
 def _refusal_cases():
     d, g = 5, 2
     t = evaluate(parse("T"), d, g)
-    b3 = RingMatrix.from_rows(3, [[1]])
+    b3 = RingMatrix(3, [[1]])
     return [
         (lambda: decompose_delta(RingMatrix.zeros(d, 2, 2), d, g), "B must be 1x1 for genus 2"),
         (lambda: decompose_delta(b3, d, g), "modulus mismatch: d=5 vs d=3"),
-        (lambda: decompose_delta(RingMatrix.from_rows(d, [[zeta_pow(d, 1)]]), d, g),
+        (lambda: decompose_delta(RingMatrix(d, [[zeta_pow(d, 1)]]), d, g),
          "B is not self-adjoint"),
         (lambda: reduce_lambda(BlockMat(parse_matrix("1, 0 ; 1, 1", d), g), Word(())),
          "matrix is not in Lambda: lower-left block is nonzero"),

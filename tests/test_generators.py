@@ -203,7 +203,7 @@ def transvection(g: int, d: int, v, direction: int = 1) -> BlockMat:
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     u = v if direction > 0 else [-c for c in v]
-    n = RingMatrix.from_rows(d, [[a * b for b in _form_row(g, v)] for a in u])
+    n = RingMatrix(d, [[a * b for b in _form_row(g, v)] for a in u])
     return BlockMat(RingMatrix.identity(d, 2 * (g - 1)) + n, g)
 
 

@@ -81,7 +81,7 @@ def test_even_det_clause_for_even_d():
     # (1 - z) / conj(1 - z) = -z = z^7, an odd power of zeta
     u = 1 - zeta_pow(12, 1)
     a = u.conj().inverse()
-    m = BlockMat(RingMatrix.from_rows(12, [[a, 0], [0, u]]), 2)
+    m = BlockMat(RingMatrix(12, [[a, 0], [0, u]]), 2)
     assert is_member(m, GroupTag.UrU)
     from prymrep.cyclotomic import unit_exponent
     assert unit_exponent(m.det()) == (1, 7)
@@ -185,14 +185,14 @@ def test_delta_generator_is_delta_member():
 
 
 def _entrywise(m, f):
-    return BlockMat(RingMatrix.from_rows(m.d, [[f(e) for e in row]
+    return BlockMat(RingMatrix(m.d, [[f(e) for e in row]
                                                for row in m.mat.entries]), m.g)
 
 
 def _set_entry(m, i, j, f):
     rows = [list(row) for row in m.mat.entries]
     rows[i][j] = f(rows[i][j])
-    return BlockMat(RingMatrix.from_rows(m.d, rows), m.g)
+    return BlockMat(RingMatrix(m.d, rows), m.g)
 
 
 def _variants(m):
@@ -214,7 +214,7 @@ def _corpus():
 
 def _unit_diag(d, u):
     # diag(conj(u)^-1, u) lies in UrU with det u / conj(u)
-    return BlockMat(RingMatrix.from_rows(d, [[u.conj().inverse(), 0], [0, u]]), 2)
+    return BlockMat(RingMatrix(d, [[u.conj().inverse(), 0], [0, u]]), 2)
 
 
 # one matrix for each reason the random corpus does not reach

@@ -1,6 +1,11 @@
 import ast
+import inspect
 import re
 from pathlib import Path
+
+import pytest
+
+from prymrep.cyclotomic import MAX_D
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "prymrep"
@@ -87,23 +92,144 @@ def test_generators_are_named_by_registry_key_outside_generators():
     assert sorted(constructors & set(dir(prymrep))) == []
 
 
+# Each input rule: the one statement of its message in the package source,
+# and a pattern of the text it raises.  test_each_input_rule_has_one_message
+# counts the statements, and test_public_entries_refuse_bad_d_and_g matches
+# what a refusal raises against the patterns, so a rule is registered once.
+# The owners: euler_phi (the modulus rule; its integer clause is _ints',
+# which also states the integer clause of the rank and genus rules),
+# ringlinalg._side (genus), cyclotomic._same_modulus (operands share a
+# modulus), foxcover._rank and _same_rank (rank), foxcover._generator (the
+# free-word index rule), foxcover._check_letters (the letter rule),
+# RingMatrix._fill (the matrix shape rule) and wordlang.Word (word factors).
+INPUT_RULES = [
+    ('"modulus d must be >= 2"', r"modulus d must be >= 2"),
+    ('"modulus d = {d} is over the budget MAX_D = {MAX_D}"',
+     r"modulus d = -?\d+ is over the budget MAX_D = \d+"),
+    ('"{what} must be integers"', r"(moduli|ranks|genera) must be integers"),
+    ('"genus must be >= 2"', r"genus must be >= 2"),
+    ("modulus mismatch", r"modulus mismatch: d=\S+ vs d=\S+"),
+    ('"rank must be >= 2"', r"rank must be >= 2"),
+    ('"rank mismatch"', r"rank mismatch"),
+    ("out of range for rank", r"generator x\d+ out of range for rank \d+"),
+    ("is not a generator of rank", r"letter -?\d+ is not a generator of rank \d+"),
+    ('"matrix dimensions must be positive"', r"matrix dimensions must be positive"),
+    ('"word factors must be (GenSpec, int) pairs"', r"word factors must be \(GenSpec, int\) pairs"),
+]
+
+
 def test_each_input_rule_has_one_message():
-    # the modulus rule, the block-shape rule, the genus rule, the rule
-    # that operands share a modulus, foxcover's two rank rules, its
-    # free-word index rule and letter rule, the word factor rule and the
-    # matrix shape rule are each stated in one place, which every route
-    # passes through (euler_phi, BlockMat, ringlinalg._side,
-    # cyclotomic._modulus_mismatch, foxcover._rank, foxcover._same_rank,
-    # foxcover._generator, foxcover._check_letters, wordlang.Word and
-    # RingMatrix._fill)
+    # each rule of INPUT_RULES is stated in one place, which every route
+    # passes through; so are the block-shape rule of BlockMat, the text of
+    # the integer rule, which coefficients, letters, indices, the modulus,
+    # the rank and the genus share, and the ring-scalar test, an int or a
+    # CycInt, which is CycInt._coerce's: no other code asks for a CycInt
     text = "".join(src.read_text() for src in sorted(SRC.glob("*.py")))
-    assert text.count('"modulus d must be >= 2"') == 1
-    assert text.count('"genus must be >= 2"') == 1
-    assert text.count("modulus mismatch") == 1
-    assert text.count('"rank must be >= 2"') == 1
-    assert text.count('"rank mismatch"') == 1
-    assert text.count("out of range for rank") == 1
-    assert text.count("is not a generator of rank") == 1
-    assert text.count('"matrix dimensions must be positive"') == 1
-    assert text.count('"word factors must be (GenSpec, int) pairs"') == 1
+    assert {statement: text.count(statement) for statement, _ in INPUT_RULES} == {
+        statement: 1 for statement, _ in INPUT_RULES}
+    assert text.count('must be integers"') == 1
     assert len(re.findall(r"\{[\w.]*rows\}x\{[\w.]*cols\}", text)) == 1
+    calls, coerce = [], None
+    for src in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(src.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "_coerce":
+                coerce = src.name, range(node.lineno, node.end_lineno + 1)
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", "") == "isinstance"
+                    and "CycInt" in ast.unparse(node.args[1])):
+                calls.append((src.name, node.lineno))
+    assert calls and all(name == coerce[0] and line in coerce[1] for name, line in calls)
+
+
+# Valid arguments of every public entry of the package root that takes d or
+# g: its functions, and the constructors and classmethods of CycInt,
+# RingMatrix and BlockMat.  Endo and Endo.identity are rank-agnostic.
+def _valid_calls():
+    import prymrep as p
+    i1, z1 = p.RingMatrix.identity(5, 1), p.RingMatrix.zeros(5, 1, 1)
+    phi = p.Endo.identity(2)
+    return {
+        "euler_phi": dict(d=5),
+        "one": dict(d=5),
+        "zeta_pow": dict(d=5, k=1),
+        "decompose_delta": dict(b=p.RingMatrix(5, [[2]]), d=5, g=2),
+        "check_member": dict(phi=phi, d=5),
+        "deck_conjugation": dict(g=2),
+        "eta": dict(phi=phi, d=5, g=2),
+        "eta_chain": dict(phi=phi, d=5, g=2),
+        "eta_fox": dict(phi=phi, d=5, g=2),
+        "lift_class": dict(w=(2, 1, -2), d=5, g=2),
+        "matrix_of": dict(spec=p.GenSpec("Ti", (1,), (2,)), d=5, g=2),
+        "evaluate": dict(word=p.parse("G1(1)^2 * T * Ti(-1; 3)"), d=5, g=2),
+        "parse_matrix": dict(text="1, z ; 0, 1", d=5),
+        "CycInt": dict(d=5, coeffs=(1, 2, 0, 0)),
+        "CycInt.from_poly": dict(d=5, coeffs=(1,) * 12),
+        "CycInt.from_int": dict(d=5, n=3),
+        "CycInt.from_literal": dict(d=5, text="1 + z^7"),
+        "RingMatrix": dict(d=5, rows=[[1, p.zeta_pow(5, 1)]]),
+        "RingMatrix.identity": dict(d=5, n=2),
+        "RingMatrix.zeros": dict(d=5, rows=1, cols=2),
+        "BlockMat": dict(mat=p.RingMatrix.identity(5, 2), g=2),
+        "BlockMat.identity": dict(d=5, g=2),
+        "BlockMat.from_blocks": dict(g=2, upper_left=i1, upper_right=z1,
+                                     lower_left=z1, lower_right=i1),
+    }
+
+
+def _entries_taking_d_or_g():
+    """{name: callable} of the public entries that take d or g."""
+    import prymrep
+
+    def takes_d_or_g(fn):
+        return bool({"d", "g"} & set(inspect.signature(fn).parameters))
+
+    out = {name: fn for name, fn in vars(prymrep).items()
+           if callable(fn) and not inspect.isclass(fn) and takes_d_or_g(fn)}
+    for cls in (prymrep.CycInt, prymrep.RingMatrix, prymrep.BlockMat):
+        if takes_d_or_g(cls):
+            out[cls.__name__] = cls
+        for name, attr in vars(cls).items():
+            if (isinstance(attr, classmethod) and not name.startswith("_")
+                    and takes_d_or_g(getattr(cls, name))):
+                out[f"{cls.__name__}.{name}"] = getattr(cls, name)
+    return out
+
+
+BAD = {"d": (0, 1, -3, 2.0, True, MAX_D + 1), "g": (0, 1, -2, 3.0, True)}
+
+
+def test_public_entries_refuse_bad_d_and_g():
+    # every public entry that takes d or g refuses each value of BAD with a
+    # ValueError whose text is a registered rule message, before any other
+    # error can arise, and never returns a result; each valid call works
+    entries, valid = _entries_taking_d_or_g(), _valid_calls()
+    assert sorted(entries) == sorted(valid)
+    rules = [re.compile(pattern) for _, pattern in INPUT_RULES]
+    problems = []
+    for name, fn in entries.items():
+        fn(**valid[name])
+        for param in {"d", "g"} & set(inspect.signature(fn).parameters):
+            for bad in BAD[param]:
+                call = f"{name}({param}={bad!r})"
+                try:
+                    out = fn(**{**valid[name], param: bad})
+                except ValueError as exc:
+                    if not any(rule.fullmatch(str(exc)) for rule in rules):
+                        problems.append(f"{call}: unregistered {exc}")
+                except Exception as exc:
+                    problems.append(f"{call}: {type(exc).__name__}: {exc}")
+                else:
+                    problems.append(f"{call} returned {out!r}")
+    assert problems == []
+
+
+@pytest.mark.parametrize("call,message", [
+    # b.d == d read 2 == 2.0 as true, and the word G1(1) came back
+    (lambda p: p.decompose_delta(p.RingMatrix.identity(2, 1), 2.0, 2),
+     "moduli must be integers"),
+    # an entry of another modulus gets the text of the rule it breaks
+    (lambda p: p.RingMatrix(5, [[p.zeta_pow(3, 1)]]), "modulus mismatch: d=5 vs d=3"),
+], ids=["decompose_delta-float-d", "RingMatrix-entry-of-another-modulus"])
+def test_fixed_refusals(call, message):
+    import prymrep
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(prymrep)

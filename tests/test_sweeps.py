@@ -281,7 +281,7 @@ def test_remark_failures_name_their_clause(monkeypatch):
     # diag(z, z^-1) is diagonal with unit product, but its trace is z + z^4
     z = zeta_pow(5, 1)
     monkeypatch.setattr(sweeps, "evaluate", lambda w, d, g:
-                        BlockMat(RingMatrix.from_rows(d, [[z, 0], [0, z ** -1]]), g))
+                        BlockMat(RingMatrix(d, [[z, 0], [0, z ** -1]]), g))
     rep = sweeps.remark_crosscheck()
     assert (rep.ok, rep.checked) == (False, 5)
     assert rep.detail == (f"trace is {z + z ** -1!r}, not +-(2+4z+4z^4)"
