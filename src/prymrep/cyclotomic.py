@@ -398,7 +398,7 @@ def _new(d: int, coeffs: tuple) -> CycInt:
 
 def zeta_pow(d: int, k: int) -> CycInt:
     """The canonical representative of zeta_d^k."""
-    return _new(d, _power_table(d)[k % d])
+    return _new(d, _power_table(d)[_ints((k,), "exponents")[0] % d])
 
 
 def one(d: int) -> CycInt:

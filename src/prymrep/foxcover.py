@@ -81,8 +81,8 @@ def _check_letters(g: int, *words) -> None:
 
 
 def _code(g: int) -> str:
-    """The array type code of a rank-g letter: 2 bytes while +-g fits."""
-    return "h" if g < 2**15 else "q"
+    """The array type code of a rank-g letter: 1, 2 or 8 bytes, the least that holds +-g."""
+    return "b" if g < 2**7 else "h" if g < 2**15 else "q"
 
 
 def _append_reduced(out: array, block: array, undo: array) -> None:
@@ -93,8 +93,8 @@ def _append_reduced(out: array, block: array, undo: array) -> None:
     block = c^-1 v, c is the longest common suffix of out and undo.  If the
     last letters agree, the trailing zero bits of the XOR of the last n
     letters of each, read as big-endian integers and floored to whole
-    letters, count c exactly, whatever the byte order.  Deleting c and
-    extending by v leaves u v, which is reduced.
+    letters, count c exactly, whatever the byte order and the letter width.
+    Deleting c and extending by v leaves u v, which is reduced.
     """
     if out and undo and out[-1] == undo[-1]:
         n = min(len(out), len(undo))
@@ -114,8 +114,8 @@ class Endo:
     Every letter of both lists must be an integer in +-1..+-g
     (_check_letters).  Two values derived from the images are cached per
     instance, outside eq, hash and repr: the reduced image of each letter
-    +-i with that image's inverse (the blocks _walk appends, built when
-    _walk first meets +-i), and the certificate's outcome."""
+    +-i with that image's inverse (the letter blocks of _walks, built when
+    a walk first meets +-i), and the certificate's outcome."""
 
     images: tuple
     inverse_images: tuple
@@ -139,7 +139,7 @@ class Endo:
     @cached_property
     def _blocks(self) -> dict:
         """{+-i: (reduced image of x_i^+-1, its inverse)}, as arrays, for
-        the letters _walk has met (_block)."""
+        the letters _walks has met (_block)."""
         return {}
 
     def _block(self, s):
@@ -151,27 +151,43 @@ class Endo:
         return self._blocks[s]
 
     def apply(self, w) -> FreeWord:
-        """phi(w), reduced, by _walk: word_mul of the images of its letters.
+        """phi(w), reduced, by _walks: word_mul of the images of its letters.
         Each letter must be an integer in +-1..+-g (_check_letters)."""
         w = tuple(w)
         _check_letters(self.g, w)
-        return self._walk(w)
+        return next(self._walks((w,)))
 
-    def _walk(self, w) -> FreeWord:
-        """phi(w) for a word of checked letters, in one block step per
-        letter: the reduced output u c takes the image block c^-1 v as u v,
-        where c is the common suffix of the output and the block's inverse."""
-        blocks = self._blocks
-        out = array(_code(self.g))
-        for s in w:
-            _append_reduced(out, *(blocks.get(s) or self._block(s)))
-        return tuple(out)
+    def _walks(self, words):
+        """Yield phi(w) for each tuple w of checked letters in turn, in one
+        block step per letter pair st, as _append_reduced.  A walk appends
+        the two letter blocks the first time it meets st, and the second
+        time builds and keeps the blocks phi(st) and phi(-t -s) till it ends."""
+        blocks, pairs, m = self._blocks, {}, 2 * self.g + 1
+        for w in words:
+            out = array(_code(self.g))
+            for s, t in zip(*[iter(w)] * 2):
+                p = pairs.get(key := s * m + t)
+                if p is None:
+                    pairs[key] = ()
+                    _append_reduced(out, *(blocks.get(s) or self._block(s)))
+                    p = blocks.get(t) or self._block(t)
+                elif not p:
+                    (a, a_inv), (b, b_inv) = blocks[s], blocks[t]
+                    img, inv = a[:], b_inv[:]
+                    _append_reduced(img, b, b_inv)
+                    _append_reduced(inv, a_inv, a)
+                    p = pairs[key] = img, inv
+                    pairs[-t * m - s] = inv, img
+                _append_reduced(out, *p)
+            if len(w) % 2:
+                _append_reduced(out, *(blocks.get(w[-1]) or self._block(w[-1])))
+            yield tuple(out)
 
     def compose(self, other: "Endo") -> "Endo":
         """self o other: apply other first, then self."""
         _same_rank(self.g, other.g)
-        images = tuple(self._walk(w) for w in other.images)
-        inv = tuple(other.inverse()._walk(w) for w in self.inverse_images)
+        images = tuple(self._walks(other.images))
+        inv = tuple(other.inverse()._walks(self.inverse_images))
         return _checked(images, inv)
 
     def inverse(self) -> "Endo":
@@ -191,8 +207,8 @@ class Endo:
         if walk > MAX_LETTERS:
             raise ValueError(f"inverse certificate walks {walk} letters, "
                              f"over the budget of {MAX_LETTERS}")
-        for i, w in enumerate(self.inverse_images, start=1):
-            if self._walk(w) != (i,):
+        for i, w in enumerate(self._walks(self.inverse_images), start=1):
+            if w != (i,):
                 return i
         return 0
 

@@ -87,12 +87,14 @@ class RingMatrix:
     @classmethod
     def identity(cls, d, n):
         o, z = _one_zero(d)
+        (n,) = _ints((n,), "matrix dimensions")
         return cls._make(d, tuple(tuple(o if i == j else z for j in range(n))
                                   for i in range(n)))
 
     @classmethod
     def zeros(cls, d, rows, cols):
         z = _one_zero(d)[1]
+        rows, cols = _ints((rows, cols), "matrix dimensions")
         return cls._make(d, ((z,) * cols,) * rows)
 
     def __getitem__(self, ij):
@@ -312,6 +314,12 @@ def _side(g):
     return 2 * (g - 1)
 
 
+def _square(m, n, g, what):
+    """The shape rule of a genus-g block matrix and of its blocks: m is n x n."""
+    if m.rows != n or m.cols != n:
+        raise ValueError(f"{what} is {m.rows}x{m.cols}, expected {n}x{n} for genus {g}")
+
+
 @dataclass(frozen=True)
 class BlockMat:
     """A 2(g-1)-square matrix with the e_+/e_- block split.  Its det, form test
@@ -321,10 +329,7 @@ class BlockMat:
     g: int
 
     def __post_init__(self):
-        n = _side(self.g)
-        if self.mat.rows != n or self.mat.cols != n:
-            raise ValueError(f"matrix is {self.mat.rows}x{self.mat.cols}, "
-                             f"expected {n}x{n} for genus {self.g}")
+        _square(self.mat, _side(self.g), self.g, "matrix")
 
     @property
     def d(self):
@@ -341,6 +346,10 @@ class BlockMat:
 
     @classmethod
     def from_blocks(cls, g, upper_left, upper_right, lower_left, lower_right):
+        n = _side(g) // 2
+        for block in (upper_left, upper_right, lower_left, lower_right):
+            _same_modulus(upper_left.d, block.d)
+            _square(block, n, g, "block")
         rows = tuple(a + b for a, b in zip(upper_left.coeffs, upper_right.coeffs))
         rows += tuple(a + b for a, b in zip(lower_left.coeffs, lower_right.coeffs))
         return cls(RingMatrix._make(upper_left.d, rows), g)

@@ -4,7 +4,7 @@ import tracemalloc
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prymrep.cyclotomic import MAX_DIGITS, CycInt, unit_exponent, zeta_pow
@@ -172,19 +172,65 @@ def test_eta_raises_when_the_routes_disagree(monkeypatch):
         eta(conj_by_x2(), 7, 2)
 
 
+def _spy_walks(monkeypatch):
+    """The words that Endo._walks pulls from its argument, in order, as it
+    pulls them."""
+    pulled, walks = [], Endo._walks
+    monkeypatch.setattr(Endo, "_walks", lambda self, words: walks(
+        self, (pulled.append(w) or w for w in words)))
+    return pulled
+
+
 def test_certificate_is_walked_once(monkeypatch):
     rng = random.Random(45)
     for g in (2, 3, 5):
         phi = random_member(rng, g, 5, 12)
-        calls = []
-        walk = Endo._walk
-        monkeypatch.setattr(Endo, "_walk", lambda self, w: calls.append(w) or walk(self, w))
+        calls = _spy_walks(monkeypatch)
         assert check_member(phi, 5)
         eta_chain(phi, 5, g)
         eta_fox(phi, 5, g)
         assert check_member(phi, 5)
         monkeypatch.undo()
         assert calls == list(phi.inverse_images)
+
+
+def test_failing_certificate_walks_one_word(monkeypatch):
+    # the walk is lazy: a certificate that fails at x_1 walks psi(x_1) alone
+    images = tuple((i,) for i in range(1, 6))
+    phi = Endo(images, ((2, 1, -2),) + images[1:])
+    calls = _spy_walks(monkeypatch)
+    assert check_member(phi, 5).reason == \
+        "inverse certificate fails: phi(psi(x1)) does not reduce to x1"
+    assert calls == [(2, 1, -2)]
+
+
+def _budget_probe(g, rng):
+    """An Endo of rank g whose certificate walks nearly MAX_LETTERS letters
+    and fails at x_1: random images of one length, and inverse images made
+    of distinct letter pairs, so that no pair of the walk repeats."""
+    letters = [s for i in range(1, g + 1) for s in (i, -i)]
+    pairs = [(s, t) for s in letters for t in letters if t != -s]
+    rng.shuffle(pairs)
+    k = min(len(pairs) // g, 40)
+    inverse = tuple(sum(pairs[i * k:(i + 1) * k], ()) for i in range(g))
+    n = MAX_LETTERS // (2 * k * g)
+    return Endo(tuple(tuple(rng.choices(letters, k=n)) for _ in range(g)), inverse)
+
+
+@pytest.mark.parametrize("g", [2, 5, 127])
+def test_budget_certificate_stops_at_the_first_failure(g):
+    # a budget-size walk with no repeated pair gains nothing from the pair
+    # blocks; it must still stop at x_1, fast and small
+    phi = _budget_probe(g, random.Random(g))
+    assert 0.99 * MAX_LETTERS < phi._certificate_walk() <= MAX_LETTERS
+    tracemalloc.start()
+    start = perf_counter()
+    try:
+        assert phi._certificate_failure == 1
+        seconds, peak = perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 2.0 and peak < 64 * 2**20, (seconds, peak)
 
 
 def test_eta_rejects_non_members():
@@ -383,16 +429,16 @@ def test_apply_is_word_mul_of_the_images(case):
     assert phi.apply(w) == word_mul(*images)
 
 
-# generators whose letters sit at the byte boundaries of 2- and 8-byte letters
-_BOUNDARY = (1, 2, 3, 4, 255, 256, 257, 258, 32767, 32768, 32769)
+# generators whose letters sit at the byte boundaries of 1-, 2- and 8-byte letters
+_BOUNDARY = (1, 2, 3, 4, 127, 128, 255, 256, 257, 258, 32767, 32768, 32769)
 
 
 @st.composite
 def _wide_endo_and_words(draw):
-    """An Endo of rank 258 or 2^15 + 1 whose boundary generators have
-    unreduced images in the boundary letters, and unreduced input words
+    """An Endo of rank 127, 128, 258 or 2^15 + 1 whose boundary generators
+    have unreduced images in the boundary letters, and unreduced input words
     (several per Endo, as building the blocks of rank 2^15 + 1 is slow)."""
-    g = draw(st.sampled_from((258, 2**15 + 1)))
+    g = draw(st.sampled_from((127, 128, 258, 2**15 + 1)))
     gens = [i for i in _BOUNDARY if i <= g]
     letters = st.sampled_from(gens).flatmap(lambda i: st.sampled_from((i, -i)))
     images = [(i,) for i in range(1, g + 1)]
@@ -407,13 +453,50 @@ def _wide_endo_and_words(draw):
 def test_apply_is_word_mul_at_the_byte_boundaries(case):
     # a cancellation is counted in whole letters from the XOR of two byte
     # strings, so a letter that differs from another in one byte only must
-    # still stop it, for 2-byte letters below rank 2^15 and 8-byte ones above
+    # still stop it, for 1-byte letters below rank 2^7, 2-byte ones below
+    # rank 2^15 and 8-byte ones above
     phi, words = case
     for w in words:
         images = [phi.images[s - 1] if s > 0 else word_inv(phi.images[-s - 1]) for s in w]
         assert phi.apply(w) == word_mul(*images)
         text = " ".join(f"x{abs(s)}^{1 if s > 0 else -1}" for s in w)
         assert parse_free_word(text, phi.g) == free_reduce(w)
+
+
+@st.composite
+def _endo_and_repeating_words(draw):
+    """An Endo of rank 2, 5, 127, 128 or 2^15 +- 1 whose boundary generators
+    and x_g have unreduced images in those letters, and unreduced input words
+    over at most four of them, so that letter pairs repeat within a word
+    and across words."""
+    g = draw(st.sampled_from((2, 5, 127, 128, 2**15 - 1, 2**15 + 1)))
+    gens = sorted({i for i in _BOUNDARY if i <= g} | {g})
+    letters = st.sampled_from(gens).flatmap(lambda i: st.sampled_from((i, -i)))
+    images = [(i,) for i in range(1, g + 1)]
+    for i in gens:
+        images[i - 1] = tuple(draw(st.lists(letters, max_size=12)))
+    alphabet = st.sampled_from(draw(st.lists(letters, min_size=1, max_size=4)))
+    words = st.lists(st.lists(alphabet, max_size=40).map(tuple), min_size=1, max_size=4)
+    return Endo(tuple(images), tuple(images)), draw(words)
+
+
+# every letter pair of rank 2 at an even offset, in two orders: a block kept
+# under another pair's key would show in the second word
+_ALL_PAIRS = [(s, t) for s in (1, -1, 2, -2) for t in (1, -1, 2, -2)]
+
+
+@given(_endo_and_repeating_words())
+@example((Endo(((1, 2), (2,)), ((1, 2), (2,))),
+          [sum(_ALL_PAIRS, ()), sum(reversed(_ALL_PAIRS), ())]))
+@settings(max_examples=40, deadline=None)
+def test_walks_is_word_mul_of_the_images(case):
+    # one walk builds a pair's block the second time it meets the pair and
+    # keeps it for the words after; Endo._blocks keeps letter keys only
+    phi, words = case
+    want = [word_mul(*(phi.images[s - 1] if s > 0 else word_inv(phi.images[-s - 1])
+                       for s in w)) for w in words]
+    assert list(phi._walks(words)) == want
+    assert set(phi._blocks) <= {r for w in words for s in w for r in (s, -s)}
 
 
 def test_blocks_are_built_per_letter():

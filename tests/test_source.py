@@ -94,25 +94,29 @@ def test_generators_are_named_by_registry_key_outside_generators():
 
 # Each input rule: the one statement of its message in the package source,
 # and a pattern of the text it raises.  test_each_input_rule_has_one_message
-# counts the statements, and test_public_entries_refuse_bad_d_and_g matches
+# counts the statements, and the contract fuzz (_refusal_problem) matches
 # what a refusal raises against the patterns, so a rule is registered once.
 # The owners: euler_phi (the modulus rule; its integer clause is _ints',
-# which also states the integer clause of the rank and genus rules),
-# ringlinalg._side (genus), cyclotomic._same_modulus (operands share a
-# modulus), foxcover._rank and _same_rank (rank), foxcover._generator (the
-# free-word index rule), foxcover._check_letters (the letter rule),
-# RingMatrix._fill (the matrix shape rule) and wordlang.Word (word factors).
+# which also states the integer clause of the rank and genus rules and of
+# the dimension and exponent arguments), ringlinalg._side (genus),
+# cyclotomic._same_modulus (operands share a modulus), foxcover._rank and
+# _same_rank (rank), foxcover._generator (the free-word index rule),
+# foxcover._check_letters (the letter rule), parse_free_word (the free-word
+# text), RingMatrix._fill (the matrix shape rule) and wordlang.Word (word
+# factors).
 INPUT_RULES = [
     ('"modulus d must be >= 2"', r"modulus d must be >= 2"),
     ('"modulus d = {d} is over the budget MAX_D = {MAX_D}"',
      r"modulus d = -?\d+ is over the budget MAX_D = \d+"),
-    ('"{what} must be integers"', r"(moduli|ranks|genera) must be integers"),
+    ('"{what} must be integers"',
+     r"(moduli|ranks|genera|matrix dimensions|exponents|free-word letters) must be integers"),
     ('"genus must be >= 2"', r"genus must be >= 2"),
     ("modulus mismatch", r"modulus mismatch: d=\S+ vs d=\S+"),
     ('"rank must be >= 2"', r"rank must be >= 2"),
     ('"rank mismatch"', r"rank mismatch"),
     ("out of range for rank", r"generator x\d+ out of range for rank \d+"),
     ("is not a generator of rank", r"letter -?\d+ is not a generator of rank \d+"),
+    ("bad free word", r"bad free word '.*' near position \d+"),
     ('"matrix dimensions must be positive"', r"matrix dimensions must be positive"),
     ('"word factors must be (GenSpec, int) pairs"', r"word factors must be \(GenSpec, int\) pairs"),
 ]
@@ -196,6 +200,29 @@ def _entries_taking_d_or_g():
 
 BAD = {"d": (0, 1, -3, 2.0, True, MAX_D + 1), "g": (0, 1, -2, 3.0, True)}
 
+# The dimension and exponent arguments of the entries above, which the
+# integer rule (and, for a dimension, the shape rule) also covers.
+BAD_ARGS = {("RingMatrix.identity", "n"): (0, -1, 2.0, True, "2"),
+            ("RingMatrix.zeros", "rows"): (0, 2.0, True),
+            ("RingMatrix.zeros", "cols"): (-1, 1.5, True),
+            ("zeta_pow", "k"): (1.5, True, "1")}
+
+
+def _refusal_problem(call, fn, kwargs):
+    """None if fn(**kwargs) raises a ValueError whose text is a registered
+    rule message, else a line that names the call and what went wrong."""
+    rules = [re.compile(pattern) for _, pattern in INPUT_RULES]
+    try:
+        out = fn(**kwargs)
+    except ValueError as exc:
+        if not any(rule.fullmatch(str(exc)) for rule in rules):
+            return f"{call}: unregistered {exc}"
+    except Exception as exc:
+        return f"{call}: {type(exc).__name__}: {exc}"
+    else:
+        return f"{call} returned {out!r}"
+    return None
+
 
 def test_public_entries_refuse_bad_d_and_g():
     # every public entry that takes d or g refuses each value of BAD with a
@@ -203,23 +230,56 @@ def test_public_entries_refuse_bad_d_and_g():
     # error can arise, and never returns a result; each valid call works
     entries, valid = _entries_taking_d_or_g(), _valid_calls()
     assert sorted(entries) == sorted(valid)
-    rules = [re.compile(pattern) for _, pattern in INPUT_RULES]
     problems = []
     for name, fn in entries.items():
         fn(**valid[name])
         for param in {"d", "g"} & set(inspect.signature(fn).parameters):
             for bad in BAD[param]:
-                call = f"{name}({param}={bad!r})"
-                try:
-                    out = fn(**{**valid[name], param: bad})
-                except ValueError as exc:
-                    if not any(rule.fullmatch(str(exc)) for rule in rules):
-                        problems.append(f"{call}: unregistered {exc}")
-                except Exception as exc:
-                    problems.append(f"{call}: {type(exc).__name__}: {exc}")
-                else:
-                    problems.append(f"{call} returned {out!r}")
-    assert problems == []
+                problems.append(_refusal_problem(
+                    f"{name}({param}={bad!r})", fn, {**valid[name], param: bad}))
+    assert [p for p in problems if p] == []
+
+
+def test_dimension_and_exponent_arguments_are_integers():
+    # RingMatrix.identity(5, 2.0) and zeta_pow(5, 1.5) raised a bare
+    # TypeError, and zeta_pow(5, True) returned zeta
+    entries, valid = _entries_taking_d_or_g(), _valid_calls()
+    problems = [_refusal_problem(f"{name}({param}={bad!r})", entries[name],
+                                 {**valid[name], param: bad})
+                for (name, param), bads in BAD_ARGS.items() for bad in bads]
+    assert [p for p in problems if p] == []
+
+
+def _word_text(word):
+    """word as free-word text, a letter that is no int written as it prints."""
+    return " ".join(f"x{abs(s)}^{1 if s > 0 else -1}" if type(s) is int else f"x{s}"
+                    for s in word)
+
+
+# Every public entry of foxcover that takes a free word, as letters or as
+# text, called at rank 2 on the module.
+_WORD_ENTRIES = {
+    "Endo(images)": lambda p, w: p.Endo((w, (2,)), ((1,), (2,))),
+    "Endo(inverse_images)": lambda p, w: p.Endo(((1,), (2,)), ((1,), w)),
+    "Endo.apply": lambda p, w: p.Endo.identity(2).apply(w),
+    "lift_class": lambda p, w: p.lift_class(w, 5, 2),
+    "parse_free_word": lambda p, w: p.parse_free_word(_word_text(w), 2),
+    "parse_endo_images": lambda p, w: p.parse_endo_images("x1 -> " + _word_text(w), 2),
+}
+
+
+def test_free_word_entries_refuse_bad_letters():
+    # every public entry that takes a free word refuses each bad letter of
+    # _LETTER_PROBES with a registered rule message; each valid word works
+    from prymrep import foxcover
+    from test_foxcover import _LETTER_PROBES
+
+    problems = []
+    for name, call in _WORD_ENTRIES.items():
+        call(foxcover, (2, 1, -2))
+        for word, _ in _LETTER_PROBES:
+            problems.append(_refusal_problem(f"{name}({word!r})", call, dict(p=foxcover, w=word)))
+    assert [p for p in problems if p] == []
 
 
 @pytest.mark.parametrize("call,message", [
@@ -228,7 +288,16 @@ def test_public_entries_refuse_bad_d_and_g():
      "moduli must be integers"),
     # an entry of another modulus gets the text of the rule it breaks
     (lambda p: p.RingMatrix(5, [[p.zeta_pow(3, 1)]]), "modulus mismatch: d=5 vs d=3"),
-], ids=["decompose_delta-float-d", "RingMatrix-entry-of-another-modulus"])
+    # from_blocks zipped the rows of a d = 3 block into a d = 5 matrix, and
+    # called a 1x2 block's matrix 2x3
+    (lambda p: p.BlockMat.from_blocks(2, p.RingMatrix.identity(5, 1), p.RingMatrix.identity(3, 1),
+                                      p.RingMatrix.zeros(5, 1, 1), p.RingMatrix.identity(5, 1)),
+     "modulus mismatch: d=5 vs d=3"),
+    (lambda p: p.BlockMat.from_blocks(2, p.RingMatrix.identity(5, 1), p.RingMatrix.zeros(5, 1, 2),
+                                      p.RingMatrix.zeros(5, 1, 1), p.RingMatrix.identity(5, 1)),
+     "block is 1x2, expected 1x1 for genus 2"),
+], ids=["decompose_delta-float-d", "RingMatrix-entry-of-another-modulus",
+        "from_blocks-block-of-another-modulus", "from_blocks-block-of-the-wrong-shape"])
 def test_fixed_refusals(call, message):
     import prymrep
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
