@@ -11,7 +11,7 @@ from __future__ import annotations
 from .cyclotomic import _same_modulus, euler_phi, solve_real_basis
 from .generators import GenSpec
 from .predicates import GroupTag, is_member
-from .ringlinalg import BlockMat, RingMatrix, _side
+from .ringlinalg import BlockMat, RingMatrix, _side, _square
 from .wordlang import Word, evaluate
 
 
@@ -29,8 +29,7 @@ def decompose_delta(b: RingMatrix, d: int, g: int) -> Word:
     """
     euler_phi(d)  # the modulus rule, before d is compared with b.d
     n = _side(g) // 2
-    if b.rows != n or b.cols != n:
-        raise ValueError(f"B must be {n}x{n} for genus {g}")
+    _square(b, n, g, "B")
     _same_modulus(d, b.d)
     if b != b.adjoint():
         raise ValueError("B is not self-adjoint")

@@ -112,10 +112,8 @@ class Endo:
     certificate: composing images with inverse_images must reduce to the
     identity, which certifies an automorphism (free groups are Hopfian).
     Every letter of both lists must be an integer in +-1..+-g
-    (_check_letters).  Two values derived from the images are cached per
-    instance, outside eq, hash and repr: the reduced image of each letter
-    +-i with that image's inverse (the letter blocks of _walks, built when
-    a walk first meets +-i), and the certificate's outcome."""
+    (_check_letters).  The certificate's outcome is cached per instance,
+    outside eq, hash and repr; nothing else outlives a walk."""
 
     images: tuple
     inverse_images: tuple
@@ -133,61 +131,59 @@ class Endo:
 
     @staticmethod
     def identity(g: int) -> "Endo":
-        gens = tuple((i,) for i in range(1, g + 1))
+        gens = tuple((i,) for i in range(1, _ints((g,), "ranks")[0] + 1))
         return Endo(gens, gens)
-
-    @cached_property
-    def _blocks(self) -> dict:
-        """{+-i: (reduced image of x_i^+-1, its inverse)}, as arrays, for
-        the letters _walks has met (_block)."""
-        return {}
-
-    def _block(self, s):
-        """The block of a checked letter s, built and kept with that of -s."""
-        i, code = abs(s), _code(self.g)
-        img = array(code, word_mul(self.images[i - 1]))
-        inv = array(code, word_inv(img))
-        self._blocks[i], self._blocks[-i] = (img, inv), (inv, img)
-        return self._blocks[s]
 
     def apply(self, w) -> FreeWord:
         """phi(w), reduced, by _walks: word_mul of the images of its letters.
         Each letter must be an integer in +-1..+-g (_check_letters)."""
         w = tuple(w)
         _check_letters(self.g, w)
-        return next(self._walks((w,)))
+        return tuple(next(self._walks((w,))))
 
     def _walks(self, words):
-        """Yield phi(w) for each tuple w of checked letters in turn, in one
-        block step per letter pair st, as _append_reduced.  A walk appends
-        the two letter blocks the first time it meets st, and the second
-        time builds and keeps the blocks phi(st) and phi(-t -s) till it ends."""
-        blocks, pairs, m = self._blocks, {}, 2 * self.g + 1
+        """Yield phi(w), an array, for each tuple w of checked letters in
+        turn, in one block step per letter pair st, as _append_reduced.  One
+        dict, which ends with the walk, keeps the block of a letter +-i
+        (key +-i), with its inverse's, from the first time the walk meets
+        it.  A pair key s(2g+1)+t, at least g+1 in size so that it meets no
+        letter key, holds () once the walk has appended the two letter
+        blocks of st, and from its second st on the blocks phi(st) and
+        phi(-t -s)."""
+        code, m, blocks = _code(self.g), 2 * self.g + 1, {}
+
+        def letter(s):
+            i = abs(s)
+            img = array(code, word_mul(self.images[i - 1]))
+            inv = array(code, word_inv(img))
+            blocks[i], blocks[-i] = (img, inv), (inv, img)
+            return blocks[s]
+
         for w in words:
-            out = array(_code(self.g))
+            out = array(code)
             for s, t in zip(*[iter(w)] * 2):
-                p = pairs.get(key := s * m + t)
+                p = blocks.get(key := s * m + t)
                 if p is None:
-                    pairs[key] = ()
-                    _append_reduced(out, *(blocks.get(s) or self._block(s)))
-                    p = blocks.get(t) or self._block(t)
+                    blocks[key] = ()
+                    _append_reduced(out, *(blocks.get(s) or letter(s)))
+                    p = blocks.get(t) or letter(t)
                 elif not p:
                     (a, a_inv), (b, b_inv) = blocks[s], blocks[t]
                     img, inv = a[:], b_inv[:]
                     _append_reduced(img, b, b_inv)
                     _append_reduced(inv, a_inv, a)
-                    p = pairs[key] = img, inv
-                    pairs[-t * m - s] = inv, img
+                    p = blocks[key] = img, inv
+                    blocks[-t * m - s] = inv, img
                 _append_reduced(out, *p)
             if len(w) % 2:
-                _append_reduced(out, *(blocks.get(w[-1]) or self._block(w[-1])))
-            yield tuple(out)
+                _append_reduced(out, *(blocks.get(w[-1]) or letter(w[-1])))
+            yield out
 
     def compose(self, other: "Endo") -> "Endo":
         """self o other: apply other first, then self."""
         _same_rank(self.g, other.g)
-        images = tuple(self._walks(other.images))
-        inv = tuple(other.inverse()._walks(self.inverse_images))
+        images = tuple(map(tuple, self._walks(other.images)))
+        inv = tuple(map(tuple, other.inverse()._walks(self.inverse_images)))
         return _checked(images, inv)
 
     def inverse(self) -> "Endo":
@@ -197,8 +193,7 @@ class Endo:
         """The letters the certificate walks: an inverse-image letter +-i
         costs the length of phi(x_i)."""
         sizes = [len(w) for w in self.images]
-        return sum(sizes[i - 1] * (w.count(i) + w.count(-i))
-                   for w in self.inverse_images for i in range(1, self.g + 1))
+        return sum(sizes[abs(s) - 1] for w in self.inverse_images for s in w)
 
     @cached_property
     def _certificate_failure(self) -> int:
@@ -208,7 +203,7 @@ class Endo:
             raise ValueError(f"inverse certificate walks {walk} letters, "
                              f"over the budget of {MAX_LETTERS}")
         for i, w in enumerate(self._walks(self.inverse_images), start=1):
-            if w != (i,):
+            if len(w) != 1 or w[0] != i:
                 return i
         return 0
 

@@ -140,7 +140,8 @@ def _refusal_cases():
     t = evaluate(parse("T"), d, g)
     b3 = RingMatrix(3, [[1]])
     return [
-        (lambda: decompose_delta(RingMatrix.zeros(d, 2, 2), d, g), "B must be 1x1 for genus 2"),
+        (lambda: decompose_delta(RingMatrix.zeros(d, 2, 2), d, g),
+         "B is 2x2, expected 1x1 for genus 2"),
         (lambda: decompose_delta(b3, d, g), "modulus mismatch: d=5 vs d=3"),
         (lambda: decompose_delta(RingMatrix(d, [[zeta_pow(d, 1)]]), d, g),
          "B is not self-adjoint"),

@@ -146,7 +146,8 @@ def test_each_input_rule_has_one_message():
 
 # Valid arguments of every public entry of the package root that takes d or
 # g: its functions, and the constructors and classmethods of CycInt,
-# RingMatrix and BlockMat.  Endo and Endo.identity are rank-agnostic.
+# RingMatrix and BlockMat.  Endo takes no rank, and Endo.identity any
+# integer rank (test_fixed_refusals).
 def _valid_calls():
     import prymrep as p
     i1, z1 = p.RingMatrix.identity(5, 1), p.RingMatrix.zeros(5, 1, 1)
@@ -296,8 +297,13 @@ def test_free_word_entries_refuse_bad_letters():
     (lambda p: p.BlockMat.from_blocks(2, p.RingMatrix.identity(5, 1), p.RingMatrix.zeros(5, 1, 2),
                                       p.RingMatrix.zeros(5, 1, 1), p.RingMatrix.identity(5, 1)),
      "block is 1x2, expected 1x1 for genus 2"),
+    # Endo.identity(2.0) raised a bare TypeError from range, and
+    # Endo.identity(True) returned a rank-1 Endo
+    (lambda p: p.Endo.identity(2.0), "ranks must be integers"),
+    (lambda p: p.Endo.identity(True), "ranks must be integers"),
 ], ids=["decompose_delta-float-d", "RingMatrix-entry-of-another-modulus",
-        "from_blocks-block-of-another-modulus", "from_blocks-block-of-the-wrong-shape"])
+        "from_blocks-block-of-another-modulus", "from_blocks-block-of-the-wrong-shape",
+        "Endo.identity-float-rank", "Endo.identity-bool-rank"])
 def test_fixed_refusals(call, message):
     import prymrep
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
