@@ -26,7 +26,8 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
+from operator import add
 
 from .cyclotomic import CycInt, _int, _ints, euler_phi
 from .predicates import Verdict
@@ -111,19 +112,22 @@ class Endo:
     """A free-group endomorphism by generator images, with an inverse
     certificate: composing images with inverse_images must reduce to the
     identity, which certifies an automorphism (free groups are Hopfian).
-    Every letter of both lists must be an integer in +-1..+-g
-    (_check_letters).  The certificate's outcome is cached per instance,
-    outside eq, hash and repr; nothing else outlives a walk."""
+    The constructor checks every letter (_check_letters), then stores each
+    word reduced, so eq and hash compare maps.  The certificate's outcome is
+    cached per instance, outside eq, hash and repr; nothing else outlives a walk."""
 
     images: tuple
     inverse_images: tuple
 
     def __post_init__(self):
-        for name in ("images", "inverse_images"):
-            object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
-        if len(self.images) != len(self.inverse_images):
+        images, inverse = (tuple(map(tuple, ws)) for ws in (self.images, self.inverse_images))
+        if len(images) != len(inverse):
             raise ValueError("images and inverse_images must have equal length")
-        _check_letters(len(self.images), *self.images, *self.inverse_images)
+        _check_letters(len(images), *images, *inverse)
+        # a word with no cancelling neighbours is reduced: one C-level scan
+        for name, words in ("images", images), ("inverse_images", inverse):
+            object.__setattr__(self, name, tuple(
+                word_mul(w) if 0 in map(add, w, islice(w, 1, None)) else w for w in words))
 
     @property
     def g(self):
@@ -135,7 +139,7 @@ class Endo:
         return Endo(gens, gens)
 
     def apply(self, w) -> FreeWord:
-        """phi(w), reduced, by _walks: word_mul of the images of its letters.
+        """phi(w), reduced, by _walks: the reduced product of the images of its letters.
         Each letter must be an integer in +-1..+-g (_check_letters)."""
         w = tuple(w)
         _check_letters(self.g, w)
@@ -144,19 +148,18 @@ class Endo:
     def _walks(self, words):
         """Yield phi(w), an array, for each tuple w of checked letters in
         turn, in one block step per letter pair st, as _append_reduced.  One
-        dict, which ends with the walk, keeps the block of a letter +-i
-        (key +-i), with its inverse's, from the first time the walk meets
-        it.  A pair key s(2g+1)+t, at least g+1 in size so that it meets no
-        letter key, holds () once the walk has appended the two letter
-        blocks of st, and from its second st on the blocks phi(st) and
-        phi(-t -s)."""
+        dict, which ends with the walk, keeps the block of a letter +-i (key
+        +-i), its image as stored or that image's inverse, from the first
+        time the walk meets it.  A pair key s(2g+1)+t, at least g+1 in size
+        so that it meets no letter key, holds () once the walk has appended
+        the two letter blocks of st, and from its second st on the blocks
+        phi(st) and phi(-t -s)."""
         code, m, blocks = _code(self.g), 2 * self.g + 1, {}
 
         def letter(s):
-            i = abs(s)
-            img = array(code, word_mul(self.images[i - 1]))
+            img = array(code, self.images[abs(s) - 1])
             inv = array(code, word_inv(img))
-            blocks[i], blocks[-i] = (img, inv), (inv, img)
+            blocks[abs(s)], blocks[-abs(s)] = (img, inv), (inv, img)
             return blocks[s]
 
         for w in words:
@@ -191,9 +194,9 @@ class Endo:
 
     def _certificate_walk(self) -> int:
         """The letters the certificate walks: an inverse-image letter +-i
-        costs the length of phi(x_i)."""
-        sizes = [len(w) for w in self.images]
-        return sum(sizes[abs(s) - 1] for w in self.inverse_images for s in w)
+        costs the length of the reduced phi(x_i), summed in one pass."""
+        sizes = {s: len(w) for i, w in enumerate(self.images, start=1) for s in (i, -i)}
+        return sum(map(sizes.__getitem__, chain.from_iterable(self.inverse_images)))
 
     @cached_property
     def _certificate_failure(self) -> int:
@@ -209,7 +212,7 @@ class Endo:
 
 
 def _checked(images, inverse_images) -> Endo:
-    """An Endo of words a checked Endo or its walks gave, not checked again."""
+    """An Endo of words a checked Endo or its walks gave, reduced already: not checked again."""
     phi = object.__new__(Endo)
     phi.__dict__.update(images=images, inverse_images=inverse_images)
     return phi
@@ -220,8 +223,7 @@ def check_member(phi: Endo, d: int) -> Verdict:
     inducing the identity on the quotient?"""
     euler_phi(d)  # the modulus rule, before any exponent is read mod d
     g = phi.g
-    i = phi._certificate_failure
-    if i:
+    if i := phi._certificate_failure:
         return Verdict(False, f"inverse certificate fails: phi(psi(x{i})) does not reduce to x{i}")
     for i, w in enumerate(phi.images, start=1):
         e, want = exponent_sum(w, g), int(i == g)
@@ -243,6 +245,7 @@ def lift_class(w, d: int, g: int) -> CoverClass:
     """Path-lift a closed word from sheet 0 and read off its homology class
     (_lift), past the modulus, rank and letter rules (_check_letters)."""
     euler_phi(d)
+    w = tuple(w)
     _check_letters(_rank(g), w)
     return _lift(w, d, g)
 
@@ -252,8 +255,7 @@ def _lift(w, d: int, g: int) -> CoverClass:
     if exponent_sum(w, g) % d != 0:
         raise ValueError(f"word does not lift to a closed path: x{g}-exponent not 0 mod {d}")
     loops = [[0] * d for _ in range(g - 1)]
-    lam = 0
-    sheet = 0
+    lam = sheet = 0
     for s in w:
         if abs(s) == g:
             # the x_g-edge from sheet d - 1 back to sheet 0 is off the tree
@@ -325,10 +327,8 @@ def adapted_nielsen_moves(g: int, d: int):
     moves = []
 
     def endo(images_map, inverse_map):
-        # every word below is reduced as written
-        images = tuple(images_map.get(i, (i,)) for i in range(1, g + 1))
-        invs = tuple(inverse_map.get(i, (i,)) for i in range(1, g + 1))
-        return Endo(images, invs)
+        return Endo(*[tuple(m.get(i, (i,)) for i in range(1, g + 1))
+                      for m in (images_map, inverse_map)])
 
     for i in range(1, g):
         # inversion of a kernel generator
@@ -352,8 +352,8 @@ def adapted_nielsen_moves(g: int, d: int):
 def deck_conjugation(g: int) -> Endo:
     """Conjugation of every generator by x_g; maps to zeta Id under eta."""
     _rank(g)
-    return Endo(tuple(word_mul((g, i, -g)) for i in range(1, g + 1)),
-                tuple(word_mul((-g, i, g)) for i in range(1, g + 1)))
+    return Endo(tuple((g, i, -g) for i in range(1, g + 1)),
+                tuple((-g, i, g) for i in range(1, g + 1)))
 
 
 def random_member(rng, g: int, d: int, max_moves: int = 8) -> Endo:

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+from itertools import accumulate
 from time import perf_counter
 
 import pytest
@@ -204,17 +205,55 @@ def test_failing_certificate_walks_one_word(monkeypatch):
     assert calls == [(2, 1, -2)]
 
 
+def _reduced_word(rng, letters, n, j):
+    """A random reduced word of n letters from letters[j], letters[k ^ 1]
+    the inverse of letters[k]: each step moves past the last one's inverse."""
+    m = len(letters)
+    steps = rng.choices(range(1, m), k=n - 1)
+    return tuple(map(letters.__getitem__, accumulate(
+        steps, lambda k, o: ((k ^ 1) + o) % m, initial=j)))
+
+
+def _pair_words(rng, letters, g, k):
+    """g reduced words of k letter pairs each, no pair used twice: each word
+    takes, in shuffled order, the next pair whose first letter does not
+    cancel its last.  Raises StopIteration at a dead end."""
+    pool = [(s, t) for s in letters for t in letters if t != -s]
+    rng.shuffle(pool)
+    words = []
+    for _ in range(g):
+        w = ()
+        for _ in range(k):
+            w += pool.pop(next(j for j, p in enumerate(pool) if not w or p[0] != -w[-1]))
+        words.append(w)
+    return words
+
+
 def _budget_probe(g, rng):
     """An Endo of rank g whose certificate walks nearly MAX_LETTERS letters
-    and fails at x_1: random images of one length, and inverse images made
-    of distinct letter pairs, so that no pair of the walk repeats."""
+    and fails at x_1: random reduced images of one length, and reduced
+    inverse images made of distinct letter pairs, so that no pair of the
+    walk repeats.  Every word is stored as drawn, and phi(x_i) starts and
+    ends with x_i, so no two images laid end to end cancel: the budget is
+    the walk, letter for letter."""
     letters = [s for i in range(1, g + 1) for s in (i, -i)]
-    pairs = [(s, t) for s in letters for t in letters if t != -s]
-    rng.shuffle(pairs)
-    k = min(len(pairs) // g, 40)
-    inverse = tuple(sum(pairs[i * k:(i + 1) * k], ()) for i in range(g))
+    k = min(2 * (2 * g - 1), 40)  # (2g)(2g - 1) pairs, k per inverse image
+    while True:
+        try:
+            inverse = _pair_words(rng, letters, g, k)
+            break
+        except StopIteration:
+            pass
     n = MAX_LETTERS // (2 * k * g)
-    return Endo(tuple(tuple(rng.choices(letters, k=n)) for _ in range(g)), inverse)
+
+    def image(i):
+        while (w := _reduced_word(rng, letters, n - 1, 2 * i - 2))[-1] == -i:
+            pass
+        return w + (i,)
+
+    phi = Endo(tuple(map(image, range(1, g + 1))), inverse)
+    assert phi.inverse_images == tuple(inverse) and set(map(len, phi.images)) == {n}
+    return phi
 
 
 @pytest.mark.parametrize("g", [2, 5, 127])
@@ -231,6 +270,8 @@ def test_budget_certificate_stops_at_the_first_failure(g):
     finally:
         tracemalloc.stop()
     assert seconds < 2.0 and peak < 8 * 2**20, (seconds, peak)
+    # the stored words are reduced and no join cancels: the budget is the walk
+    assert sum(map(len, phi._walks(phi.inverse_images))) == phi._certificate_walk()
 
 
 def test_identity_certificate_is_linear_in_the_rank():
@@ -522,18 +563,18 @@ def test_walks_is_word_mul_of_the_images(case):
 
 def test_blocks_are_built_per_letter(monkeypatch):
     # a walk builds the block of a letter, with its inverse's, when it first
-    # meets it: three generators at rank 2^15 + 1 reduce three images, not
-    # 2^15 + 1, and a bad letter is refused before any is reduced
+    # meets it: three generators at rank 2^15 + 1 invert three images, not
+    # 2^15 + 1, and a bad letter is refused before any is inverted
     import prymrep.foxcover as fc
 
     phi = Endo.identity(2**15 + 1)
-    reduced = []
-    monkeypatch.setattr(fc, "word_mul", lambda *ws: reduced.append(ws) or word_mul(*ws))
+    inverted = []
+    monkeypatch.setattr(fc, "word_inv", lambda w: inverted.append(tuple(w)) or word_inv(w))
     assert phi.apply((1, -5, 32769, -1, 5)) == (1, -5, 32769, -1, 5)
-    assert reduced == [((1,),), ((5,),), ((32769,),)]
+    assert inverted == [(1,), (5,), (32769,)]
     with pytest.raises(ValueError, match=r"^letter 32770 is not a generator of rank 32769$"):
         phi.apply((1, 32770))
-    assert len(reduced) == 3
+    assert len(inverted) == 3
 
 
 @given(st.integers(2, 6).flatmap(lambda g: st.tuples(
@@ -541,12 +582,12 @@ def test_blocks_are_built_per_letter(monkeypatch):
     st.lists(_words(g, 20), min_size=g, max_size=g))))
 @settings(max_examples=40)
 def test_certificate_walk_is_the_length_of_the_image_letters(case):
-    # the certificate walks, for each inverse-image letter +-i, the image
-    # of x_i: its budget is the length of those images laid end to end
-    images, inverse = case
-    phi = Endo(images, inverse)
+    # the certificate walks, for each letter +-i of the reduced inverse
+    # images, the reduced image of x_i: its budget is the length of those
+    # images laid end to end
+    phi = Endo(*case)
     assert phi._certificate_walk() == len(
-        sum((images[abs(s) - 1] for w in inverse for s in w), ()))
+        sum((phi.images[abs(s) - 1] for w in phi.inverse_images for s in w), ()))
 
 
 def test_cancelling_parse_stays_small():
@@ -636,6 +677,9 @@ _LETTER_PROBES = [
     ((0,), r"^letter 0 is not a generator of rank 2$"),
     ((1, -3), r"^letter -3 is not a generator of rank 2$"),
     ((5, 2), r"^letter 5 is not a generator of rank 2$"),
+    # letters are checked before reduction, so a bad letter cannot cancel away
+    ((1, -1.0), r"^free-word letters must be integers$"),
+    ((1, True, -1), r"^free-word letters must be integers$"),
 ]
 
 
@@ -695,6 +739,31 @@ def test_letter_rule_runs_once_per_entry(monkeypatch):
 def test_apply_takes_any_iterable_of_letters():
     phi = conj_by_x2()
     assert phi.apply(iter((1, 2))) == phi.apply([1, 2]) == (2, 1)
+
+
+def test_lift_class_takes_any_iterable_of_letters():
+    # a one-shot iterator is read once, before the letter rule and the lift
+    want = CoverClass(((0, 0, 0),), 0)
+    assert lift_class(iter([1, -1]), 3, 2) == lift_class([1, -1], 3, 2) \
+        == lift_class((1, -1), 3, 2) == want
+    assert lift_class(iter((2, 1, -2)), 3, 2) == lift_class([2, 1, -2], 3, 2) \
+        == lift_class((2, 1, -2), 3, 2)
+
+
+def test_endo_stores_reduced_words():
+    # an Endo is its map: words that reduce alike give equal Endos, and the
+    # certificate budget counts the reduced letters it walks, not the
+    # 10^7 + 2 letters the caller wrote
+    ident = Endo.identity(2)
+    long = Endo(((1, -1) * 5_000_000 + (1,), (2,)), ((1,), (2,)))
+    assert long.images == ((1,), (2,)) and long._certificate_walk() == 2
+    assert check_member(long, 3) == check_member(ident, 3)
+    assert check_member(long, 3)
+    short = Endo(((2, 1, -1, -2, 1), (2,)), ((1,), (2,)))
+    assert short == ident and hash(short) == hash(ident)
+    phi = Endo(((2, 1, 1, -1, -2), (2, -1, 1)), ((2, -1, -2), (-1, 1, 2)))
+    assert phi.images == ((2, 1, -2), (2,)) and phi.inverse_images == ((2, -1, -2), (2,))
+    assert phi == phi.compose(ident) == Endo(phi.images, phi.inverse_images)
 
 
 @pytest.mark.parametrize("g", range(2, 7))

@@ -74,6 +74,28 @@ def test_every_public_name_is_used():
     assert unused == []
 
 
+def _calls_by_function(tree, name, scope=""):
+    """The qualified name of the function around each call of name in tree;
+    a call outside any function yields "<module>"."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _calls_by_function(node, name, f"{scope}{node.name}.")
+            continue
+        if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            yield scope.rstrip(".") or "<module>"
+        yield from _calls_by_function(node, name, scope)
+
+
+def test_only_the_endo_constructor_reduces_free_words():
+    # an Endo stores its words reduced, so every walk reads them as they
+    # stand: no other function of the package calls word_mul
+    callers = {f"{src.name} {qual}"
+               for src in sorted(SRC.glob("*.py"))
+               for qual in _calls_by_function(ast.parse(src.read_text()), "word_mul")}
+    assert callers == {"foxcover.py Endo.__post_init__"}
+
+
 def test_generators_are_named_by_registry_key_outside_generators():
     # the catalogue constructors, which take (g, d, ...), are a second name
     # for each family of generators.FAMILIES: no other module of the package
