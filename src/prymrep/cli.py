@@ -15,7 +15,7 @@ from functools import cache
 
 from .cyclotomic import MAX_D, ParseError, euler_phi
 from .decompose import decompose_delta, reduce_lambda
-from .foxcover import Endo, check_member, eta, parse_endo_images
+from .foxcover import _checked, check_member, eta, parse_endo_images
 from .predicates import GroupTag, is_member
 from .ringlinalg import BlockMat, parse_matrix
 from .sweeps import run_selftest
@@ -125,9 +125,8 @@ def cmd_reduce_lambda(args) -> int:
 
 def cmd_fox(args) -> int:
     _require_dg(args)
-    images = parse_endo_images(args.map_text, args.g)
-    inverse_images = parse_endo_images(args.inverse_text, args.g)
-    phi = Endo(images, inverse_images)
+    phi = _checked(parse_endo_images(args.map_text, args.g),  # checked and reduced words
+                   parse_endo_images(args.inverse_text, args.g))
     verdict = check_member(phi, args.d)
     if not verdict:
         print(f"not a covering-preserving automorphism: {verdict.reason}")

@@ -27,7 +27,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
-from operator import add
+from operator import add, neg
 
 from .cyclotomic import CycInt, _int, _ints, euler_phi
 from .predicates import Verdict
@@ -52,7 +52,7 @@ def word_mul(*words) -> FreeWord:
 
 
 def word_inv(w) -> FreeWord:
-    return tuple(-s for s in reversed(w))
+    return tuple(map(neg, reversed(w)))
 
 
 def exponent_sum(w, i: int) -> int:
@@ -86,25 +86,26 @@ def _code(g: int) -> str:
     return "b" if g < 2**7 else "h" if g < 2**15 else "q"
 
 
-def _append_reduced(out: array, block: array, undo: array) -> None:
-    """Append the reduced word block to the reduced word out, in place.
+def _append_reduced(out: array, block: tuple) -> None:
+    """Append the reduced word v of block = (v, undo) to the reduced word out, in place.
 
-    undo is block's inverse, or a suffix of it at least len(out) letters
+    undo is v's inverse, or a suffix of it at least len(out) letters
     long, and all three share one type code.  With out = u c and
-    block = c^-1 v, c is the longest common suffix of out and undo.  If the
+    v = c^-1 v', c is the longest common suffix of out and undo.  If the
     last letters agree, the trailing zero bits of the XOR of the last n
     letters of each, read as big-endian integers and floored to whole
     letters, count c exactly, whatever the byte order and the letter width.
-    Deleting c and extending by v leaves u v, which is reduced.
+    Deleting c and extending by v' leaves u v', which is reduced.
     """
+    v, undo = block
     if out and undo and out[-1] == undo[-1]:
         n = min(len(out), len(undo))
         x = (int.from_bytes(out[len(out) - n:], "big")
              ^ int.from_bytes(undo[len(undo) - n:], "big"))
         c = ((x & -x).bit_length() - 1) // (8 * out.itemsize) if x else n
         del out[len(out) - c:]
-        block = block[c:]
-    out += block
+        v = v[c:]
+    out += v
 
 
 @dataclass(frozen=True)
@@ -147,14 +148,17 @@ class Endo:
 
     def _walks(self, words):
         """Yield phi(w), an array, for each tuple w of checked letters in
-        turn, in one block step per letter pair st, as _append_reduced.  One
-        dict, which ends with the walk, keeps the block of a letter +-i (key
-        +-i), its image as stored or that image's inverse, from the first
-        time the walk meets it.  A pair key s(2g+1)+t, at least g+1 in size
-        so that it meets no letter key, holds () once the walk has appended
-        the two letter blocks of st, and from its second st on the blocks
-        phi(st) and phi(-t -s)."""
+        turn, in one block step per letter quad, as _append_reduced.  One
+        dict, which ends with the walk, keeps the blocks (v, v^-1) it builds:
+        of a letter +-i, its image as stored or that image's inverse, from
+        the first meeting, and of a letter pair or quad from the second.  A
+        key reads the letters as a number in base 2g+1 with digits -g..g,
+        so keys of one, two and four letters never meet.  A first meeting
+        leaves the marker () and steps a level down; at most (2g+1)^2 quads
+        are marked, so a walk with few repeats stays small.  The len(w) % 4
+        letters left step as a pair and/or a letter."""
         code, m, blocks = _code(self.g), 2 * self.g + 1, {}
+        k = room = m * m
 
         def letter(s):
             img = array(code, self.images[abs(s) - 1])
@@ -162,24 +166,48 @@ class Endo:
             blocks[abs(s)], blocks[-abs(s)] = (img, inv), (inv, img)
             return blocks[s]
 
+        def join(key, inv_key, x, y):
+            # the block of xy, stored with its inverse's
+            img, inv = x[0][:], y[1][:]
+            _append_reduced(img, y)
+            _append_reduced(inv, x[::-1])
+            blocks[inv_key], blocks[key] = (inv, img), (block := (img, inv))
+            return block
+
+        def pair(out, p, s, t):
+            # a pair st met before: its block; else mark it, append s's and return t's
+            if p in blocks:
+                return join(p, -t * m - s, blocks[s], blocks[t])
+            blocks[p] = ()
+            _append_reduced(out, blocks.get(s) or letter(s))
+            return blocks.get(t) or letter(t)
+
         for w in words:
-            out = array(code)
-            for s, t in zip(*[iter(w)] * 2):
-                p = blocks.get(key := s * m + t)
-                if p is None:
-                    blocks[key] = ()
-                    _append_reduced(out, *(blocks.get(s) or letter(s)))
-                    p = blocks.get(t) or letter(t)
-                elif not p:
-                    (a, a_inv), (b, b_inv) = blocks[s], blocks[t]
-                    img, inv = a[:], b_inv[:]
-                    _append_reduced(img, b, b_inv)
-                    _append_reduced(inv, a_inv, a)
-                    p = blocks[key] = img, inv
-                    blocks[-t * m - s] = inv, img
-                _append_reduced(out, *p)
-            if len(w) % 2:
-                _append_reduced(out, *(blocks.get(w[-1]) or letter(w[-1])))
+            out, it, r = array(code), iter(w), len(w) % 4
+            for s, t, u, v in zip(it, it, it, it):
+                block = blocks.get(key := (p := s * m + t) * k + (q := u * m + v))
+                if block is None:
+                    if room:
+                        blocks[key], room = (), room - 1
+                    # inlined pair(): a call per pair slows a walk without repeated quads by ~5%
+                    if (block := blocks.get(p)) is None:
+                        blocks[p] = ()
+                        _append_reduced(out, blocks.get(s) or letter(s))
+                        block = blocks.get(t) or letter(t)
+                    _append_reduced(out, block or join(p, -t * m - s, blocks[s], blocks[t]))
+                    if (block := blocks.get(q)) is None:
+                        blocks[q] = ()
+                        _append_reduced(out, blocks.get(u) or letter(u))
+                        block = blocks.get(v) or letter(v)
+                    block = block or join(q, -v * m - u, blocks[u], blocks[v])
+                elif not block:
+                    block = join(key, (-v * m - u) * k - t * m - s,
+                                 blocks[p] or pair(out, p, s, t), blocks[q] or pair(out, q, u, v))
+                _append_reduced(out, block)
+            for s, t in zip(*[iter(w[len(w) - r:])] * 2):
+                _append_reduced(out, blocks.get(p := s * m + t) or pair(out, p, s, t))
+            if r % 2:
+                _append_reduced(out, blocks.get(w[-1]) or letter(w[-1]))
             yield out
 
     def compose(self, other: "Endo") -> "Endo":
@@ -212,7 +240,8 @@ class Endo:
 
 
 def _checked(images, inverse_images) -> Endo:
-    """An Endo of words a checked Endo or its walks gave, reduced already: not checked again."""
+    """An Endo of words that a checked Endo, its walks or parse_endo_images
+    gave, checked and reduced already: not checked again."""
     phi = object.__new__(Endo)
     phi.__dict__.update(images=images, inverse_images=inverse_images)
     return phi
@@ -407,8 +436,8 @@ def parse_free_word(text: str, g: int) -> FreeWord:
             raise ValueError(f"free word expands past the budget of {MAX_LETTERS} letters")
         s = idx if e > 0 else -idx
         # at most len(out) letters can cancel, so that much of the inverse will do
-        _append_reduced(out, array(out.typecode, (s,)) * n,
-                        array(out.typecode, (-s,)) * min(n, len(out)))
+        _append_reduced(out, (array(out.typecode, (s,)) * n,
+                              array(out.typecode, (-s,)) * min(n, len(out))))
         pos = m.end()
     return tuple(out)
 

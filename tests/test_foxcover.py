@@ -182,6 +182,16 @@ def _spy_walks(monkeypatch):
     return pulled
 
 
+def _spy_steps(monkeypatch):
+    """A list that gains an item at each block step (_append_reduced call)."""
+    import prymrep.foxcover as fc
+
+    steps, append = [], fc._append_reduced
+    monkeypatch.setattr(fc, "_append_reduced",
+                        lambda out, block: steps.append(1) or append(out, block))
+    return steps
+
+
 def test_certificate_is_walked_once(monkeypatch):
     rng = random.Random(45)
     for g in (2, 3, 5):
@@ -272,6 +282,29 @@ def test_budget_certificate_stops_at_the_first_failure(g):
     assert seconds < 2.0 and peak < 8 * 2**20, (seconds, peak)
     # the stored words are reduced and no join cancels: the budget is the walk
     assert sum(map(len, phi._walks(phi.inverse_images))) == phi._certificate_walk()
+
+
+@pytest.mark.parametrize("g, appends, mib", [(127, 104_207, 8), (31, 56_623, 2)])
+def test_walk_with_no_repeated_quad_stays_small(g, appends, mib, monkeypatch):
+    # a random 10^5-letter word repeats almost no letter quad: marking a
+    # quad at its first meeting must cost no more block steps than the pair
+    # walk made (104,207 at rank 127; 56,617 at rank 31, where six quads met
+    # twice cost their builds), and at most (2g+1)^2 quads are marked (3 MiB
+    # at rank 31 when all 25,000 were)
+    letters = [s for i in range(1, g + 1) for s in (i, -i)]
+    w = _reduced_word(random.Random(g), letters, 10**5, 0)
+    gens = tuple((i,) for i in range(1, g + 1))
+    phi = Endo(gens, (w,) + gens[1:])
+    tracemalloc.start()
+    try:
+        assert phi._certificate_failure == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mib * 2**20, peak
+    steps = _spy_steps(monkeypatch)
+    assert tuple(next(phi._walks(phi.inverse_images))) == w
+    assert len(steps) <= appends
 
 
 def test_identity_certificate_is_linear_in_the_rank():
@@ -543,18 +576,26 @@ def _endo_and_repeating_words(draw):
     return Endo(tuple(images), tuple(images)), draw(words)
 
 
-# every letter pair of rank 2 at an even offset, in two orders: a block kept
-# under another pair's key would show in the second word
+# every letter pair of rank 2 at an even offset, and every letter quad at an
+# offset divisible by 4, in two orders: a block kept under another pair's or
+# quad's key, or under a wrong inverse key, would show in the second word.
+# At rank 2 a walk marks 25 quads and steps through the rest as pairs; at
+# rank 8 all 256 fit under the cap of (2g+1)^2
 _ALL_PAIRS = [(s, t) for s in (1, -1, 2, -2) for t in (1, -1, 2, -2)]
+_ALL_QUADS = [p + q for p in _ALL_PAIRS for q in _ALL_PAIRS]
 
 
 @given(_endo_and_repeating_words())
 @example((Endo(((1, 2), (2,)), ((1, 2), (2,))),
           [sum(_ALL_PAIRS, ()), sum(reversed(_ALL_PAIRS), ())]))
+@example((Endo(((1, 2), (2,)), ((1, 2), (2,))),
+          [sum(_ALL_QUADS, ()), sum(reversed(_ALL_QUADS), ())]))
+@example((Endo(((1, 2), (2, 1, 2)) + tuple((i,) for i in range(3, 9)), Endo.identity(8).images),
+          [sum(_ALL_QUADS, ()), sum(reversed(_ALL_QUADS), ())]))
 @settings(max_examples=40, deadline=None)
 def test_walks_is_word_mul_of_the_images(case):
-    # one walk builds a pair's block the second time it meets the pair and
-    # keeps it, beside the letter blocks, for the words after
+    # one walk builds a pair's or a quad's block the second time it meets
+    # it and keeps it, beside the letter blocks, for the words after
     phi, words = case
     want = [word_mul(*(phi.images[s - 1] if s > 0 else word_inv(phi.images[-s - 1])
                        for s in w)) for w in words]
@@ -575,6 +616,20 @@ def test_blocks_are_built_per_letter(monkeypatch):
     with pytest.raises(ValueError, match=r"^letter 32770 is not a generator of rank 32769$"):
         phi.apply((1, 32770))
     assert len(inverted) == 3
+
+
+def test_a_repeated_quad_is_one_block_step(monkeypatch):
+    # 50 copies of the quad x1 x2 x3 x2: the first meeting steps through
+    # four letters (4 steps), the second builds both pair blocks and the
+    # quad's (6) and appends it (1), and each later one is a step (48); the
+    # pair walk made 106 steps, and a tail of 2 or 3 letters adds 1 or 2
+    steps = _spy_steps(monkeypatch)
+    phi = Endo.identity(3)
+    for tail, more in ((), 0), ((1, 2), 1), ((1, 2, 3), 2):
+        steps.clear()
+        w = (1, 2, 3, 2) * 50 + tail
+        assert phi.apply(w) == w
+        assert len(steps) == 59 + more
 
 
 @given(st.integers(2, 6).flatmap(lambda g: st.tuples(
