@@ -115,7 +115,8 @@ class Endo:
     identity, which certifies an automorphism (free groups are Hopfian).
     The constructor checks every letter (_check_letters), then stores each
     word reduced, so eq and hash compare maps.  The certificate's outcome is
-    cached per instance, outside eq, hash and repr; nothing else outlives a walk."""
+    cached per instance, outside eq, hash and repr, and compose and inverse
+    carry a pass to their result unwalked; nothing else outlives a walk."""
 
     images: tuple
     inverse_images: tuple
@@ -147,18 +148,12 @@ class Endo:
         return tuple(next(self._walks((w,))))
 
     def _walks(self, words):
-        """Yield phi(w), an array, for each tuple w of checked letters in
-        turn, in one block step per letter quad, as _append_reduced.  One
-        dict, which ends with the walk, keeps the blocks (v, v^-1) it builds:
-        of a letter +-i, its image as stored or that image's inverse, from
-        the first meeting, and of a letter pair or quad from the second.  A
-        key reads the letters as a number in base 2g+1 with digits -g..g,
-        so keys of one, two and four letters never meet.  A first meeting
-        leaves the marker () and steps a level down; at most (2g+1)^2 quads
-        are marked, so a walk with few repeats stays small.  The len(w) % 4
-        letters left step as a pair and/or a letter."""
+        """Yield phi(w), an array, for each tuple w of checked letters in turn,
+        in one block step per letter pair st, as _append_reduced.  One dict,
+        which ends with the walk, keeps the blocks (v, v^-1) of a letter +-i
+        from its first meeting and of st and -t -s from the second st; the
+        first leaves () under the key s(2g+1)+t, which meets no letter key."""
         code, m, blocks = _code(self.g), 2 * self.g + 1, {}
-        k = room = m * m
 
         def letter(s):
             img = array(code, self.images[abs(s) - 1])
@@ -166,59 +161,41 @@ class Endo:
             blocks[abs(s)], blocks[-abs(s)] = (img, inv), (inv, img)
             return blocks[s]
 
-        def join(key, inv_key, x, y):
-            # the block of xy, stored with its inverse's
-            img, inv = x[0][:], y[1][:]
-            _append_reduced(img, y)
-            _append_reduced(inv, x[::-1])
-            blocks[inv_key], blocks[key] = (inv, img), (block := (img, inv))
-            return block
-
-        def pair(out, p, s, t):
-            # a pair st met before: its block; else mark it, append s's and return t's
-            if p in blocks:
-                return join(p, -t * m - s, blocks[s], blocks[t])
-            blocks[p] = ()
-            _append_reduced(out, blocks.get(s) or letter(s))
-            return blocks.get(t) or letter(t)
-
         for w in words:
-            out, it, r = array(code), iter(w), len(w) % 4
-            for s, t, u, v in zip(it, it, it, it):
-                block = blocks.get(key := (p := s * m + t) * k + (q := u * m + v))
-                if block is None:
-                    if room:
-                        blocks[key], room = (), room - 1
-                    # inlined pair(): a call per pair slows a walk without repeated quads by ~5%
-                    if (block := blocks.get(p)) is None:
-                        blocks[p] = ()
-                        _append_reduced(out, blocks.get(s) or letter(s))
-                        block = blocks.get(t) or letter(t)
-                    _append_reduced(out, block or join(p, -t * m - s, blocks[s], blocks[t]))
-                    if (block := blocks.get(q)) is None:
-                        blocks[q] = ()
-                        _append_reduced(out, blocks.get(u) or letter(u))
-                        block = blocks.get(v) or letter(v)
-                    block = block or join(q, -v * m - u, blocks[u], blocks[v])
-                elif not block:
-                    block = join(key, (-v * m - u) * k - t * m - s,
-                                 blocks[p] or pair(out, p, s, t), blocks[q] or pair(out, q, u, v))
-                _append_reduced(out, block)
-            for s, t in zip(*[iter(w[len(w) - r:])] * 2):
-                _append_reduced(out, blocks.get(p := s * m + t) or pair(out, p, s, t))
-            if r % 2:
+            out = array(code)
+            for s, t in zip(*[iter(w)] * 2):
+                p = blocks.get(key := s * m + t)
+                if p is None:
+                    blocks[key] = ()
+                    _append_reduced(out, blocks.get(s) or letter(s))
+                    p = blocks.get(t) or letter(t)
+                elif not p:
+                    img, inv = blocks[s][0][:], blocks[t][1][:]
+                    _append_reduced(img, blocks[t])
+                    _append_reduced(inv, blocks[s][::-1])
+                    p = blocks[key] = img, inv
+                    blocks[-t * m - s] = inv, img
+                _append_reduced(out, p)
+            if len(w) % 2:
                 _append_reduced(out, blocks.get(w[-1]) or letter(w[-1]))
             yield out
 
     def compose(self, other: "Endo") -> "Endo":
-        """self o other: apply other first, then self."""
+        """self o other: apply other first, then self; a pass of both certificates carries."""
         _same_rank(self.g, other.g)
         images = tuple(map(tuple, self._walks(other.images)))
         inv = tuple(map(tuple, other.inverse()._walks(self.inverse_images)))
-        return _checked(images, inv)
+        return _checked(images, inv, self._passes() and other._passes())
 
     def inverse(self) -> "Endo":
-        return _checked(self.inverse_images, self.images)
+        """psi, with a pass phi has cached: phi o psi = id gives psi o phi = id (Hopfian)."""
+        return _checked(self.inverse_images, self.images, self._passes(walk=False))
+
+    def _passes(self, walk=True) -> bool:
+        """Whether the certificate passes, as cached or, if walk, walked within MAX_LETTERS."""
+        if "_certificate_failure" in vars(self) or walk and self._certificate_walk() <= MAX_LETTERS:
+            return not self._certificate_failure
+        return False
 
     def _certificate_walk(self) -> int:
         """The letters the certificate walks: an inverse-image letter +-i
@@ -239,11 +216,14 @@ class Endo:
         return 0
 
 
-def _checked(images, inverse_images) -> Endo:
+def _checked(images, inverse_images, certified=False) -> Endo:
     """An Endo of words that a checked Endo, its walks or parse_endo_images
-    gave, checked and reduced already: not checked again."""
+    gave, checked and reduced already: not checked again.  certified caches
+    the pass that compose and inverse carry, the one place that does."""
     phi = object.__new__(Endo)
     phi.__dict__.update(images=images, inverse_images=inverse_images)
+    if certified:
+        phi.__dict__["_certificate_failure"] = 0
     return phi
 
 

@@ -193,16 +193,85 @@ def _spy_steps(monkeypatch):
 
 
 def test_certificate_is_walked_once(monkeypatch):
+    # a random_member composite carries the pass of its moves and walks
+    # nothing; the same words built afresh walk each inverse image once
     rng = random.Random(45)
     for g in (2, 3, 5):
         phi = random_member(rng, g, 5, 12)
+        fresh = Endo(phi.images, phi.inverse_images)
         calls = _spy_walks(monkeypatch)
-        assert check_member(phi, 5)
-        eta_chain(phi, 5, g)
-        eta_fox(phi, 5, g)
-        assert check_member(phi, 5)
+        for e in (phi, fresh, phi, fresh):
+            assert check_member(e, 5)
+            eta_chain(e, 5, g)
+            eta_fox(e, 5, g)
         monkeypatch.undo()
         assert calls == list(phi.inverse_images)
+
+
+def _fresh(phi):
+    """phi built afresh from its words, so its certificate is walked."""
+    fresh = Endo(phi.images, phi.inverse_images)
+    assert "_certificate_failure" not in vars(fresh)
+    return fresh
+
+
+@given(st.integers(2, 5), st.sampled_from((2, 3, 5)), st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_carried_certificate_is_the_walked_one(g, d, seed):
+    # compose and inverse carry a pass unwalked: a fresh walk of the same
+    # words must pass too and give the same verdict
+    rng = random.Random(seed)
+    a, b = random_member(rng, g, d, 6), random_member(rng, g, d, 6)
+    for x in (a, b, a.inverse(), a.compose(b), b.compose(a).inverse()):
+        assert vars(x).get("_certificate_failure") == 0
+        fresh = _fresh(x)
+        assert fresh._certificate_failure == 0
+        assert check_member(x, d) == check_member(fresh, d)
+
+
+def test_a_failing_or_unread_certificate_is_not_carried(monkeypatch):
+    # a composite carries a pass only when both operands pass; an inverse
+    # carries only a cached pass, and walks nothing to find one
+    images = tuple((i,) for i in range(1, 4))
+    bad, ident = Endo(images, ((2, 1, -2),) + images[1:]), Endo.identity(3)
+    calls = _spy_walks(monkeypatch)
+    inv = bad.inverse()
+    assert calls == [] and "_certificate_failure" not in vars(inv)
+    monkeypatch.undo()
+    assert not check_member(bad, 5)
+    for e in (bad.compose(ident), ident.compose(bad), bad.inverse(), inv):
+        assert "_certificate_failure" not in vars(e)
+        assert check_member(e, 5) == check_member(_fresh(e), 5)
+        assert not check_member(e, 5)
+
+
+def _over_budget_composite():
+    """(x2 -> x2 x1^150) o (x1 -> x2^750 x1), two powers of adapted Nielsen
+    moves at d = 5, built in a few ms: their certificates walk 302 and 1502
+    letters, the composite's 34,201,802."""
+    a = Endo(((1,), (2,) + (1,) * 150), ((1,), (2,) + (-1,) * 150))
+    b = Endo(((2,) * 750 + (1,), (2,)), ((-2,) * 750 + (1,), (2,)))
+    assert check_member(a, 5) and check_member(b, 5)
+    return a.compose(b)
+
+
+def test_an_over_budget_composite_is_certified_by_construction():
+    # the composite of two certified automorphisms is one: check_member
+    # answers without the walk that a rebuilt Endo of its words refuses
+    start = perf_counter()
+    ab = _over_budget_composite()
+    assert ab._certificate_walk() > MAX_LETTERS
+    assert check_member(ab, 5) and check_member(ab.inverse(), 5)
+    assert perf_counter() - start < 1.0
+    rebuilt = Endo(ab.images, ab.inverse_images)
+    with pytest.raises(ValueError, match=r"^inverse certificate walks \d+ letters, "
+                                         r"over the budget of 10000000$"):
+        check_member(rebuilt, 5)
+    # compose reads no certificate past the budget: it neither raises nor carries
+    for e in (rebuilt.compose(Endo.identity(2)), rebuilt.inverse()):
+        assert "_certificate_failure" not in vars(e)
+        with pytest.raises(ValueError, match="over the budget"):
+            check_member(e, 5)
 
 
 def test_failing_certificate_walks_one_word(monkeypatch):
@@ -285,12 +354,10 @@ def test_budget_certificate_stops_at_the_first_failure(g):
 
 
 @pytest.mark.parametrize("g, appends, mib", [(127, 104_207, 8), (31, 56_623, 2)])
-def test_walk_with_no_repeated_quad_stays_small(g, appends, mib, monkeypatch):
-    # a random 10^5-letter word repeats almost no letter quad: marking a
-    # quad at its first meeting must cost no more block steps than the pair
-    # walk made (104,207 at rank 127; 56,617 at rank 31, where six quads met
-    # twice cost their builds), and at most (2g+1)^2 quads are marked (3 MiB
-    # at rank 31 when all 25,000 were)
+def test_walk_with_no_repeated_pair_stays_small(g, appends, mib, monkeypatch):
+    # a random 10^5-letter word repeats few letter pairs: its walk takes
+    # 104,207 block steps at rank 127 and 56,617 at rank 31, and peaks at
+    # 5.4 MiB and 0.8 MiB
     letters = [s for i in range(1, g + 1) for s in (i, -i)]
     w = _reduced_word(random.Random(g), letters, 10**5, 0)
     gens = tuple((i,) for i in range(1, g + 1))
@@ -576,11 +643,10 @@ def _endo_and_repeating_words(draw):
     return Endo(tuple(images), tuple(images)), draw(words)
 
 
-# every letter pair of rank 2 at an even offset, and every letter quad at an
-# offset divisible by 4, in two orders: a block kept under another pair's or
-# quad's key, or under a wrong inverse key, would show in the second word.
-# At rank 2 a walk marks 25 quads and steps through the rest as pairs; at
-# rank 8 all 256 fit under the cap of (2g+1)^2
+# every letter pair of rank 2 at an even offset, in two orders: a block kept
+# under another pair's key, or under a wrong inverse key, would show in the
+# second word.  The 256 letter quads of rank 2, laid end to end, meet each
+# pair 32 times; the examples walk them at ranks 2 and 8
 _ALL_PAIRS = [(s, t) for s in (1, -1, 2, -2) for t in (1, -1, 2, -2)]
 _ALL_QUADS = [p + q for p in _ALL_PAIRS for q in _ALL_PAIRS]
 
@@ -594,8 +660,8 @@ _ALL_QUADS = [p + q for p in _ALL_PAIRS for q in _ALL_PAIRS]
           [sum(_ALL_QUADS, ()), sum(reversed(_ALL_QUADS), ())]))
 @settings(max_examples=40, deadline=None)
 def test_walks_is_word_mul_of_the_images(case):
-    # one walk builds a pair's or a quad's block the second time it meets
-    # it and keeps it, beside the letter blocks, for the words after
+    # one walk builds a pair's block the second time it meets the pair and
+    # keeps it, beside the letter blocks, for the words after
     phi, words = case
     want = [word_mul(*(phi.images[s - 1] if s > 0 else word_inv(phi.images[-s - 1])
                        for s in w)) for w in words]
@@ -618,18 +684,18 @@ def test_blocks_are_built_per_letter(monkeypatch):
     assert len(inverted) == 3
 
 
-def test_a_repeated_quad_is_one_block_step(monkeypatch):
-    # 50 copies of the quad x1 x2 x3 x2: the first meeting steps through
-    # four letters (4 steps), the second builds both pair blocks and the
-    # quad's (6) and appends it (1), and each later one is a step (48); the
-    # pair walk made 106 steps, and a tail of 2 or 3 letters adds 1 or 2
+def test_a_repeated_pair_is_one_block_step(monkeypatch):
+    # 50 copies of x1 x2 x3 x2: the first meetings of the pairs x1 x2 and
+    # x3 x2 step through their letters (4 steps), the second ones build each
+    # pair's block (2 each) and append it (1 each), and each of the 96 pairs
+    # after is one step; a tail of 2 or 3 letters adds a pair and a letter
     steps = _spy_steps(monkeypatch)
     phi = Endo.identity(3)
     for tail, more in ((), 0), ((1, 2), 1), ((1, 2, 3), 2):
         steps.clear()
         w = (1, 2, 3, 2) * 50 + tail
         assert phi.apply(w) == w
-        assert len(steps) == 59 + more
+        assert len(steps) == 106 + more
 
 
 @given(st.integers(2, 6).flatmap(lambda g: st.tuples(

@@ -96,6 +96,54 @@ def test_only_the_endo_constructor_reduces_free_words():
     assert callers == {"foxcover.py Endo.__post_init__"}
 
 
+def _is_write(node, name):
+    """Does node write the instance attribute name: define it as a
+    cached_property, store or delete it, pass it as a keyword, or store
+    under, key a dict by or setattr its string?"""
+    text = ast.dump(ast.Constant(name))
+    if isinstance(node, ast.FunctionDef):
+        return node.name == name and "cached_property" in map(ast.unparse, node.decorator_list)
+    if isinstance(node, ast.Attribute):
+        return node.attr == name and not isinstance(node.ctx, ast.Load)
+    if isinstance(node, ast.keyword):
+        return node.arg == name
+    if isinstance(node, ast.Subscript):
+        return ast.dump(node.slice) == text and not isinstance(node.ctx, ast.Load)
+    if isinstance(node, ast.Dict):
+        return text in map(ast.dump, filter(None, node.keys))
+    if isinstance(node, ast.Call):
+        return "setattr" in ast.unparse(node.func) and text in map(ast.dump, node.args)
+    return False
+
+
+def _nodes_by_function(tree, pred, scope=""):
+    """The qualified name of the function around each node of tree that
+    pred holds for; a function or class it holds for gives its own name."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}{node.name}."
+        if pred(node):
+            yield inner.rstrip(".") or "<module>"
+        yield from _nodes_by_function(node, pred, inner)
+
+
+def test_only_compose_and_inverse_carry_a_certificate():
+    # an Endo's certificate outcome is walked (the cached_property) or
+    # carried: _checked is the one carry site, and only compose and inverse
+    # pass it a carry, so every other Endo, parsed or built, walks its own
+    def found(pred):
+        return {f"{src.name} {qual}" for src in sorted(SRC.glob("*.py"))
+                for qual in _nodes_by_function(ast.parse(src.read_text()), pred)}
+
+    assert found(lambda node: _is_write(node, "_certificate_failure")) == {
+        "foxcover.py Endo._certificate_failure", "foxcover.py _checked"}
+    assert found(lambda node: isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "_checked"
+                 and len(node.args) + len(node.keywords) > 2) == {
+        "foxcover.py Endo.compose", "foxcover.py Endo.inverse"}
+
+
 def test_generators_are_named_by_registry_key_outside_generators():
     # the catalogue constructors, which take (g, d, ...), are a second name
     # for each family of generators.FAMILIES: no other module of the package
