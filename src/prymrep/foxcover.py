@@ -36,7 +36,8 @@ from .ringlinalg import RingMatrix
 # A free word is a tuple of nonzero signed letters: +i for x_i, -i for x_i^-1.
 FreeWord = tuple
 
-# Letter budget of a parsed free word and of an inverse-certificate walk.
+# Letter budget of a parsed free word, of the rules of a parsed map together,
+# and of an inverse-certificate walk.
 MAX_LETTERS = 10**7
 
 
@@ -116,7 +117,8 @@ class Endo:
     The constructor checks every letter (_check_letters), then stores each
     word reduced, so eq and hash compare maps.  The certificate's outcome is
     cached per instance, outside eq, hash and repr, and compose and inverse
-    carry a pass to their result unwalked; nothing else outlives a walk."""
+    carry a pass to their result unwalked.  A walk (_walks) takes one block
+    step per letter, and nothing else outlives it."""
 
     images: tuple
     inverse_images: tuple
@@ -149,11 +151,10 @@ class Endo:
 
     def _walks(self, words):
         """Yield phi(w), an array, for each tuple w of checked letters in turn,
-        in one block step per letter pair st, as _append_reduced.  One dict,
-        which ends with the walk, keeps the blocks (v, v^-1) of a letter +-i
-        from its first meeting and of st and -t -s from the second st; the
-        first leaves () under the key s(2g+1)+t, which meets no letter key."""
-        code, m, blocks = _code(self.g), 2 * self.g + 1, {}
+        in one block step per letter, as _append_reduced.  One dict, which
+        ends with the walk, keeps the blocks (v, v^-1) of a letter +-i from
+        the first meeting of x_i or x_i^-1."""
+        code, blocks = _code(self.g), {}
 
         def letter(s):
             img = array(code, self.images[abs(s) - 1])
@@ -163,21 +164,8 @@ class Endo:
 
         for w in words:
             out = array(code)
-            for s, t in zip(*[iter(w)] * 2):
-                p = blocks.get(key := s * m + t)
-                if p is None:
-                    blocks[key] = ()
-                    _append_reduced(out, blocks.get(s) or letter(s))
-                    p = blocks.get(t) or letter(t)
-                elif not p:
-                    img, inv = blocks[s][0][:], blocks[t][1][:]
-                    _append_reduced(img, blocks[t])
-                    _append_reduced(inv, blocks[s][::-1])
-                    p = blocks[key] = img, inv
-                    blocks[-t * m - s] = inv, img
-                _append_reduced(out, p)
-            if len(w) % 2:
-                _append_reduced(out, blocks.get(w[-1]) or letter(w[-1]))
+            for s in w:
+                _append_reduced(out, blocks.get(s) or letter(s))
             yield out
 
     def compose(self, other: "Endo") -> "Endo":
@@ -423,8 +411,10 @@ def parse_free_word(text: str, g: int) -> FreeWord:
 
 
 def parse_endo_images(text: str, g: int):
-    """Parse 'x1 -> w1 ; x2 -> w2 ; ...'; unmapped generators stay fixed."""
-    images = {i: (i,) for i in range(1, g + 1)}
+    """Parse 'x1 -> w1 ; x2 -> w2 ; ...'; unmapped generators stay fixed.
+    Each generator is mapped at most once, and the stored letters of all
+    rules together must fit MAX_LETTERS."""
+    images, total = {}, 0
     for rule in text.split(";"):
         if not rule.strip():
             continue
@@ -435,5 +425,11 @@ def parse_endo_images(text: str, g: int):
         if m is None:
             raise ValueError(f"left side of rule must be a single generator: {lhs.strip()!r}")
         idx = _generator(m.group(1), g)
+        if idx in images:
+            raise ValueError(f"generator x{idx} is mapped twice")
         images[idx] = parse_free_word(rhs, g)
-    return tuple(images[i] for i in range(1, g + 1))
+        total += len(images[idx])
+        if total > MAX_LETTERS:
+            raise ValueError(f"the rules of a map store more than the budget of "
+                             f"{MAX_LETTERS} letters")
+    return tuple(images.get(i, (i,)) for i in range(1, g + 1))

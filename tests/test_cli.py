@@ -157,6 +157,14 @@ def test_fox_compound_left_side_exit_2(capsys):
     assert err == "error: left side of rule must be a single generator: 'x1 x2'\n"
 
 
+def test_fox_generator_mapped_twice_exit_2(capsys):
+    # refused by name, before the certificate could blame the inverse
+    code, out, err = run(capsys, "fox", "--d", "3", "--g", "2",
+                         "--map", "x1 -> x1 ; x1 -> x2", "--inverse", "x1 -> x1")
+    assert code == 2 and out == ""
+    assert err == "error: generator x1 is mapped twice\n"
+
+
 def test_fox_is_linear_in_the_image_length(capsys):
     # a 24,001-letter image written out letter by letter: the Fox route walks
     # it once, where a walk that copies every prefix is quadratic
@@ -173,6 +181,7 @@ def test_fox_is_linear_in_the_image_length(capsys):
 @pytest.mark.parametrize("rules", [
     ("x1 -> x1^300000000", "x1 -> x1"),           # power past the parse budget
     ("x1 -> x1^100000", "x1 -> x1^-100000"),      # certificate walk of 10^10 letters
+    ("x1 -> x1^5000000 ; x2 -> x2^5000001", "x1 -> x1"),  # rules that store 10^7 + 1
 ])
 def test_fox_over_budget_exit_2(capsys, rules):
     start = perf_counter()

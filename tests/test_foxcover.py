@@ -311,10 +311,10 @@ def _pair_words(rng, letters, g, k):
 def _budget_probe(g, rng):
     """An Endo of rank g whose certificate walks nearly MAX_LETTERS letters
     and fails at x_1: random reduced images of one length, and reduced
-    inverse images made of distinct letter pairs, so that no pair of the
-    walk repeats.  Every word is stored as drawn, and phi(x_i) starts and
-    ends with x_i, so no two images laid end to end cancel: the budget is
-    the walk, letter for letter."""
+    inverse images of k letter pairs each, no pair used twice (_pair_words).
+    Every word is stored as drawn, and phi(x_i) starts and ends with x_i, so
+    no two images laid end to end cancel: the budget is the walk, letter for
+    letter."""
     letters = [s for i in range(1, g + 1) for s in (i, -i)]
     k = min(2 * (2 * g - 1), 40)  # (2g)(2g - 1) pairs, k per inverse image
     while True:
@@ -337,8 +337,8 @@ def _budget_probe(g, rng):
 
 @pytest.mark.parametrize("g", [2, 5, 127])
 def test_budget_certificate_stops_at_the_first_failure(g):
-    # a budget-size walk with no repeated pair gains nothing from the pair
-    # blocks; it must still stop at x_1, fast and small
+    # a budget-size walk, one block step per inverse-image letter, must
+    # stop at x_1, fast and small
     phi = _budget_probe(g, random.Random(g))
     assert 0.99 * MAX_LETTERS < phi._certificate_walk() <= MAX_LETTERS
     tracemalloc.start()
@@ -353,11 +353,11 @@ def test_budget_certificate_stops_at_the_first_failure(g):
     assert sum(map(len, phi._walks(phi.inverse_images))) == phi._certificate_walk()
 
 
-@pytest.mark.parametrize("g, appends, mib", [(127, 104_207, 8), (31, 56_623, 2)])
-def test_walk_with_no_repeated_pair_stays_small(g, appends, mib, monkeypatch):
-    # a random 10^5-letter word repeats few letter pairs: its walk takes
-    # 104,207 block steps at rank 127 and 56,617 at rank 31, and peaks at
-    # 5.4 MiB and 0.8 MiB
+@pytest.mark.parametrize("g, mib", [(127, 8), (31, 2)])
+def test_letter_walk_of_a_long_word_stays_small(g, mib, monkeypatch):
+    # a random 10^5-letter word takes one block step per letter, 100,000 in
+    # all, and its walk peaks at about 0.14 MiB at rank 127 and 0.11 MiB at
+    # rank 31
     letters = [s for i in range(1, g + 1) for s in (i, -i)]
     w = _reduced_word(random.Random(g), letters, 10**5, 0)
     gens = tuple((i,) for i in range(1, g + 1))
@@ -371,7 +371,7 @@ def test_walk_with_no_repeated_pair_stays_small(g, appends, mib, monkeypatch):
     assert peak < mib * 2**20, peak
     steps = _spy_steps(monkeypatch)
     assert tuple(next(phi._walks(phi.inverse_images))) == w
-    assert len(steps) <= appends
+    assert len(steps) == 10**5
 
 
 def test_identity_certificate_is_linear_in_the_rank():
@@ -551,6 +551,7 @@ def test_endo_rejects_letters_outside_the_rank(letter):
     (lambda: parse_endo_images("x3 -> x1", 2), "generator x3 out of range for rank 2"),
     (lambda: parse_endo_images("x1 x2 -> x1", 2),
      "left side of rule must be a single generator: 'x1 x2'"),
+    (lambda: parse_endo_images("x1 -> x2 ; x2 -> x1 ; x1 -> x1", 2), "generator x1 is mapped twice"),
 ])
 def test_endo_refusals(call, message):
     with pytest.raises(ValueError) as exc:
@@ -561,6 +562,21 @@ def test_endo_refusals(call, message):
 def test_parse_budget_counts_letters_before_reduction():
     with pytest.raises(ValueError, match="budget"):
         parse_free_word(f"x1^5 x1^-5 x2^{MAX_LETTERS - 9}", 2)
+
+
+def test_map_budget_sums_the_stored_letters_of_its_rules(monkeypatch):
+    # each rule fits the budget on its own; the map is refused once its
+    # reduced words, summed over the rules, pass it
+    import prymrep.foxcover as fc
+
+    monkeypatch.setattr(fc, "MAX_LETTERS", 100)
+    assert parse_endo_images("x1 -> x1^40 ; x2 -> x2^40 ; x3 -> x3^20", 3) == (
+        (1,) * 40, (2,) * 40, (3,) * 20)
+    # a run that cancels counts the letters it stores, not those it parses
+    assert parse_endo_images("x1 -> x1^60 x1^-30 ; x2 -> x2^70", 3)[:2] == ((1,) * 30, (2,) * 70)
+    with pytest.raises(ValueError) as exc:
+        parse_endo_images("x1 -> x1^40 ; x2 -> x2^40 ; x3 -> x3^21", 3)
+    assert str(exc.value) == "the rules of a map store more than the budget of 100 letters"
 
 
 def test_parse_refuses_long_integers_before_int():
@@ -630,8 +646,8 @@ def test_apply_is_word_mul_at_the_byte_boundaries(case):
 def _endo_and_repeating_words(draw):
     """An Endo of rank 2, 5, 127, 128 or 2^15 +- 1 whose boundary generators
     and x_g have unreduced images in those letters, and unreduced input words
-    over at most four of them, so that letter pairs repeat within a word
-    and across words."""
+    over at most four of them, so that letters repeat within a word and
+    across words."""
     g = draw(st.sampled_from((2, 5, 127, 128, 2**15 - 1, 2**15 + 1)))
     gens = sorted({i for i in _BOUNDARY if i <= g} | {g})
     letters = st.sampled_from(gens).flatmap(lambda i: st.sampled_from((i, -i)))
@@ -643,10 +659,10 @@ def _endo_and_repeating_words(draw):
     return Endo(tuple(images), tuple(images)), draw(words)
 
 
-# every letter pair of rank 2 at an even offset, in two orders: a block kept
-# under another pair's key, or under a wrong inverse key, would show in the
-# second word.  The 256 letter quads of rank 2, laid end to end, meet each
-# pair 32 times; the examples walk them at ranks 2 and 8
+# every letter pair of rank 2, and every letter quad, laid end to end in two
+# orders: a letter block kept under another letter's key, or a letter and its
+# inverse given each other's block, would show in the first or second word.
+# The examples walk them at ranks 2 and 8
 _ALL_PAIRS = [(s, t) for s in (1, -1, 2, -2) for t in (1, -1, 2, -2)]
 _ALL_QUADS = [p + q for p in _ALL_PAIRS for q in _ALL_PAIRS]
 
@@ -660,8 +676,8 @@ _ALL_QUADS = [p + q for p in _ALL_PAIRS for q in _ALL_PAIRS]
           [sum(_ALL_QUADS, ()), sum(reversed(_ALL_QUADS), ())]))
 @settings(max_examples=40, deadline=None)
 def test_walks_is_word_mul_of_the_images(case):
-    # one walk builds a pair's block the second time it meets the pair and
-    # keeps it, beside the letter blocks, for the words after
+    # one walk builds a letter's block, with its inverse's, the first time
+    # it meets the letter and keeps both for the words after
     phi, words = case
     want = [word_mul(*(phi.images[s - 1] if s > 0 else word_inv(phi.images[-s - 1])
                        for s in w)) for w in words]
@@ -684,18 +700,16 @@ def test_blocks_are_built_per_letter(monkeypatch):
     assert len(inverted) == 3
 
 
-def test_a_repeated_pair_is_one_block_step(monkeypatch):
-    # 50 copies of x1 x2 x3 x2: the first meetings of the pairs x1 x2 and
-    # x3 x2 step through their letters (4 steps), the second ones build each
-    # pair's block (2 each) and append it (1 each), and each of the 96 pairs
-    # after is one step; a tail of 2 or 3 letters adds a pair and a letter
+def test_each_letter_is_one_block_step(monkeypatch):
+    # 50 copies of x1 x2 x3 x2 and a tail of 0, 2 or 3 letters: each letter,
+    # repeated or not, is one block step, and building a block takes none
     steps = _spy_steps(monkeypatch)
     phi = Endo.identity(3)
-    for tail, more in ((), 0), ((1, 2), 1), ((1, 2, 3), 2):
+    for tail in (), (1, 2), (1, 2, 3):
         steps.clear()
         w = (1, 2, 3, 2) * 50 + tail
         assert phi.apply(w) == w
-        assert len(steps) == 106 + more
+        assert len(steps) == 200 + len(tail)
 
 
 @given(st.integers(2, 6).flatmap(lambda g: st.tuples(
