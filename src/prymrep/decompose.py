@@ -8,11 +8,17 @@ its lower-right block.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .cyclotomic import _same_modulus, euler_phi, solve_real_basis
 from .generators import GenSpec
 from .predicates import GroupTag, is_member
 from .ringlinalg import BlockMat, RingMatrix, _side, _square
 from .wordlang import Word, evaluate
+
+# decompose_delta's G1/G2/G3 specs, each checked by GenSpec once: a spec
+# depends on its name and indices alone, not on d or g; at most 4096 are kept.
+_spec = lru_cache(maxsize=4096, typed=True)(GenSpec)
 
 
 def decompose_delta(b: RingMatrix, d: int, g: int) -> Word:
@@ -25,7 +31,8 @@ def decompose_delta(b: RingMatrix, d: int, g: int) -> Word:
     with multiplicity equal to its coefficient of zeta^m, since G3(i, j, k)
     places zeta^-k at position (i, j).  Emission order is diagonal first,
     then (i, j) lexicographic, so output is reproducible; the factors commute,
-    so order does not affect correctness.
+    so order does not affect correctness.  Its specs come from a bounded
+    cache, _spec, so two calls share them.
     """
     euler_phi(d)  # the modulus rule, before d is compared with b.d
     n = _side(g) // 2
@@ -37,15 +44,15 @@ def decompose_delta(b: RingMatrix, d: int, g: int) -> Word:
     for i in range(1, n + 1):
         n0, nk = solve_real_basis(b[i - 1, i - 1])
         if n0:
-            factors.append((GenSpec("G1", (i,)), n0))
+            factors.append((_spec("G1", (i,)), n0))
         for k, coeff in enumerate(nk, start=1):
             if coeff:
-                factors.append((GenSpec("G2", (i, k)), coeff))
+                factors.append((_spec("G2", (i, k)), coeff))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for m, coeff in enumerate(b[i - 1, j - 1].coeffs):
                 if coeff:
-                    factors.append((GenSpec("G3", (i, j, (d - m) % d)), coeff))
+                    factors.append((_spec("G3", (i, j, (d - m) % d)), coeff))
     return Word(tuple(factors))
 
 

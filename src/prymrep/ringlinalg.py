@@ -86,10 +86,11 @@ class RingMatrix:
 
     @classmethod
     def identity(cls, d, n):
+        """The n x n identity, its rows joined from shared 0 and 1 tuples; no
+        cache keeps it."""
         o, z = _one_zero(d)
         (n,) = _ints((n,), "matrix dimensions")
-        return cls._make(d, tuple(tuple(o if i == j else z for j in range(n))
-                                  for i in range(n)))
+        return cls._make(d, tuple((z,) * i + (o,) + (z,) * (n - 1 - i) for i in range(n)))
 
     @classmethod
     def zeros(cls, d, rows, cols):

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import chain
 from operator import add
 
 from .cyclotomic import (_PRINT_BOUND, MAX_PRINT_DIGITS, ParseError, _dense, _ints, _literal_terms,
-                         _mul_reduce, _power, _Scanner, render_poly)
+                         _mul_reduce, _power, _power_table, _Scanner, render_poly)
 from .generators import FAMILIES, GenSpec, _entries, _rank_update
 from .ringlinalg import BlockMat, RingMatrix, _matrix_text, parse_matrix_poly
 
@@ -45,20 +46,21 @@ class Word:
     __slots__ = ("factors",)
 
     def __init__(self, factors=()):
-        cleaned = []
-        for f in factors:
-            if not isinstance(f, tuple) or len(f) != 2 or not isinstance(f[0], GenSpec):
-                raise ValueError("word factors must be (GenSpec, int) pairs")
-            spec, e = f
-            e = _ints((e,), "word exponents")[0]
-            if e != 0:
-                cleaned.append((spec, e))
-        self.factors = tuple(cleaned)
+        factors = tuple(factors)
+        if not all(isinstance(f, tuple) and len(f) == 2 and isinstance(f[0], GenSpec)
+                   for f in factors):
+            raise ValueError("word factors must be (GenSpec, int) pairs")
+        exponents = _ints([e for _, e in factors], "word exponents")
+        self.factors = tuple((spec, e) for (spec, _), e in zip(factors, exponents) if e)
 
     def __mul__(self, other):
+        """The product, joining the two clean factor tuples without checking
+        them again."""
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.factors + other.factors)
+        word = object.__new__(Word)
+        word.factors = self.factors + other.factors
+        return word
 
     def __len__(self):
         return len(self.factors)
@@ -108,7 +110,8 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
     kept as mutable rows of coefficient tuples.  If the rows and the columns
     of N's nonzero entries are disjoint, N^2 = 0, so the factor's power is
     Id + eN for every integer e: multiplying by it adds e*c times column p
-    into column q for each entry, and it never becomes a matrix.  Any other
+    into column q for each entry, and it never becomes a matrix; where the
+    column-p entry is the ring's 1, e*c is added as it stands.  Any other
     factor is built by generators._rank_update, inverted for a negative
     exponent by the division-free BlockMat.form_inverse, -Omega M* Omega
     (every generator lies in U: UrSp literals are checked on entry, the
@@ -116,13 +119,15 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
     powering, cyclotomic._power, and joined by one product; the first factor
     of a word is not joined to Id.  Such a factor's |e| is at most MAX_POWER,
     and its powering stops at the first step past MAX_PRINT_DIGITS (the
-    check it passes _power); a column-op factor's exponent is unbounded.
+    check it passes _power, one max over every coefficient); a column-op
+    factor's exponent is unbounded.
     """
     rows = None  # None stands for Id
     for spec, e in word.factors:
         read = _factor.__wrapped__ if spec.matrix is not None else _factor
         support, disjoint = read(spec.name, g, d, *spec._args(d))
         if disjoint:
+            one = _power_table(d)[0]
             if rows is None:
                 rows = [list(row) for row in BlockMat.identity(d, g).mat.coeffs]
             for p, q, c in support:
@@ -130,7 +135,7 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
                 for row in rows:
                     x = row[p]
                     if any(x):
-                        row[q] = tuple(map(add, row[q], _mul_reduce(d, x, c)))
+                        row[q] = tuple(map(add, row[q], c if x == one else _mul_reduce(d, x, c)))
             continue
         if abs(e) > MAX_POWER:
             raise ValueError(f"exponent {e} of {spec.name} is over the budget "
@@ -140,7 +145,8 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
             m, e = m.form_inverse(), -e
 
         def check(power):
-            if any(abs(c) >= _PRINT_BOUND for row in power.coeffs for x in row for c in x):
+            coeffs = chain.from_iterable(chain.from_iterable(power.coeffs))
+            if max(map(abs, coeffs)) >= _PRINT_BOUND:
                 raise ValueError(f"a power of {spec.name} passes the budget "
                                  f"MAX_PRINT_DIGITS = {MAX_PRINT_DIGITS} digits")
         m = _power(m.mat, e, None, check)  # e > 0: a word keeps no zero exponent

@@ -8,6 +8,7 @@ from prymrep.cli import main
 
 from prymrep.cyclotomic import zeta_pow
 from prymrep.decompose import decompose_delta, reduce_lambda
+from prymrep.generators import GenSpec
 from prymrep.predicates import GroupTag, is_member
 from prymrep.ringlinalg import BlockMat, RingMatrix, parse_matrix
 from prymrep.sweeps import random_lambda_word, random_self_adjoint
@@ -56,6 +57,17 @@ def test_emission_order_is_deterministic():
     w1 = decompose_delta(b, 7, 4)
     w2 = decompose_delta(b, 7, 4)
     assert w1 == w2 and w1.render() == w2.render()
+
+
+def test_decompose_delta_shares_its_specs():
+    # two calls on one B give equal words whose specs are the same objects,
+    # and a word rebuilt from fresh GenSpec(...) calls is equal and hashes alike
+    b = random_self_adjoint(random.Random(31), 7, 3)
+    w1, w2 = decompose_delta(b, 7, 4), decompose_delta(b, 7, 4)
+    assert {spec.name for spec, _ in w1.factors} == {"G1", "G2", "G3"}
+    assert w1 == w2 and all(s1 is s2 for (s1, _), (s2, _) in zip(w1.factors, w2.factors))
+    fresh = Word(tuple((GenSpec(spec.name, spec.indices), e) for spec, e in w1.factors))
+    assert fresh == w1 and hash(fresh) == hash(w1)
 
 
 def test_decompose_random_round_trips():

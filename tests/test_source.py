@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -378,3 +379,65 @@ def test_fixed_refusals(call, message):
     import prymrep
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(prymrep)
+
+
+def _cache_typed(expr):
+    """Whether expr, a decorator or the callee of a wrapping call, is a
+    functools cache (cache or lru_cache, bare or called) that passes
+    typed=True; None if it is no cache."""
+    call = expr if isinstance(expr, ast.Call) else None
+    if ast.unparse(call.func if call else expr).rpartition(".")[2] not in ("cache", "lru_cache"):
+        return None
+    typed = [k.value for k in call.keywords if k.arg == "typed"] + call.args[1:2] if call else []
+    return any(isinstance(v, ast.Constant) and v.value is True for v in typed)
+
+
+def _cache_sites(module, tree):
+    """(name, parameter count, typed) of each functools cache in tree: a
+    decorated def, or a cache called on a function or class, as in
+    lru_cache(...)(fn) or cache(fn), whose parameters are read from the
+    module's object of that name."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            count = len(a.posonlyargs + a.args + a.kwonlyargs) + bool(a.vararg) + bool(a.kwarg)
+            for dec in node.decorator_list:
+                if _cache_typed(dec) is not None:
+                    yield node.name, count, _cache_typed(dec)
+        elif (isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Name)
+              and callable(getattr(module, node.args[0].id, None))
+              and _cache_typed(node.func) is not None):
+            target = node.args[0].id
+            count = len(inspect.signature(getattr(module, target)).parameters)
+            yield target, count, _cache_typed(node.func)
+
+
+def test_multi_parameter_caches_are_typed():
+    # a cache keyed by equal values hands 2.0 or True the entry kept for 2:
+    # a two-parameter cache of identity rows without typed=True made
+    # RingMatrix.identity(2.0, 1) return a matrix with d = 2.0 once (2, 1)
+    # was kept.  A one-parameter cache is safe, as CPython keys a bare int by
+    # itself and wraps a float or a bool, so the two never match
+    sites, untyped = set(), []
+    for src in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"prymrep.{src.stem}")
+        for name, count, typed in _cache_sites(module, ast.parse(src.read_text())):
+            sites.add(f"{src.stem}.{name}")
+            if count > 1 and not typed:
+                untyped.append(f"{src.name} {name}: {count} parameters, no typed=True")
+    assert {"cyclotomic.euler_phi", "decompose.GenSpec", "wordlang._factor"} <= sites
+    assert untyped == []
+
+
+def test_refusals_hold_after_warm_caches():
+    # each call below is refused after the caches on its route have kept the
+    # entries of the int modulus 2, whatever ran before this test
+    import prymrep as p
+    b, g1 = p.RingMatrix(2, [[1]]), p.parse("G1(1)")
+    p.RingMatrix.identity(2, 1), p.BlockMat.identity(2, 2)
+    p.decompose_delta(b, 2, 2), p.evaluate(g1, 2, 2)
+    for call in (lambda: p.RingMatrix.identity(2.0, 1), lambda: p.RingMatrix.identity(True, 1),
+                 lambda: p.BlockMat.identity(2.0, 2), lambda: p.decompose_delta(b, 2.0, 2),
+                 lambda: p.evaluate(g1, 2.0, 2), lambda: p.evaluate(g1, True, 2)):
+        with pytest.raises(ValueError, match="^moduli must be integers$"):
+            call()

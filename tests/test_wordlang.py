@@ -200,13 +200,12 @@ def _dense_product(word, d, g):
 
 
 @st.composite
-def _words(draw, memoized=False):
+def _words(draw, memoized=False, at=None):
     """(d, g, word) over all the families of FAMILIES whose indices fit g;
     exponents +-10^6 and +-10^20 only on the factors of disjoint support.
     memoized: only the families that evaluate's memo keeps (all but UrSp),
-    with exponents +-1, +-2 and +-7."""
-    d = draw(st.sampled_from((2, 3, 4, 5, 7, 12)))
-    g = draw(st.integers(2, 5))
+    with exponents +-1, +-2 and +-7.  at: a fixed (d, g)."""
+    d, g = at or (draw(st.sampled_from((2, 3, 4, 5, 7, 12))), draw(st.integers(2, 5)))
     names = [nm for nm, fam in FAMILIES.items() if len(fam.slots.replace("k", "")) < g
              and not (memoized and fam.takes == "matrix")]
     n = g - 1
@@ -251,6 +250,26 @@ def _words(draw, memoized=False):
 def test_column_ops_equal_the_dense_product(case):
     d, g, word = case
     assert evaluate(word, d, g) == _dense_product(word, d, g), (d, g, word)
+
+
+@st.composite
+def _word_pairs(draw):
+    """(d, g, a, b): two _words draws at one (d, g)."""
+    d, g, a = draw(_words())
+    return d, g, a, draw(_words(at=(d, g)))[2]
+
+
+@given(_word_pairs())
+@settings(max_examples=60, deadline=None)
+def test_word_product_joins_the_factors(case):
+    # a * b joins two clean words unchecked: it is the word built from the
+    # joined factors and hashes alike, and it evaluates to the product.  The
+    # dense product is the generic route, so it also checks the column-op
+    # step that adds e*c as it stands where the column entry is 1
+    d, g, a, b = case
+    ab, built = a * b, Word(a.factors + b.factors)
+    assert ab == built and hash(ab) == hash(built)
+    assert evaluate(ab, d, g) == evaluate(a, d, g) * evaluate(b, d, g) == _dense_product(ab, d, g)
 
 
 @given(_words(memoized=True))
