@@ -89,14 +89,12 @@ def _require_dg(args):
 
 
 def cmd_eval(args) -> int:
-    _require_dg(args)
     word = parse_word(args.word)
     print(evaluate(word, args.d, args.g).to_text())
     return 0
 
 
 def cmd_check(args) -> int:
-    _require_dg(args)
     m = BlockMat(parse_matrix(args.matrix, args.d), args.g)
     tag = GroupTag(args.group)
     verdict = is_member(m, tag)
@@ -108,7 +106,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_decompose_delta(args) -> int:
-    _require_dg(args)
     b = parse_matrix(args.b, args.d)
     word = decompose_delta(b, args.d, args.g)
     print(word.render())
@@ -116,7 +113,6 @@ def cmd_decompose_delta(args) -> int:
 
 
 def cmd_reduce_lambda(args) -> int:
-    _require_dg(args)
     m = BlockMat(parse_matrix(args.matrix, args.d), args.g)
     witness = parse_word(args.word)
     print(reduce_lambda(m, witness).render())
@@ -124,7 +120,6 @@ def cmd_reduce_lambda(args) -> int:
 
 
 def cmd_fox(args) -> int:
-    _require_dg(args)
     phi = _checked(parse_endo_images(args.map_text, args.g),  # checked and reduced words
                    parse_endo_images(args.inverse_text, args.g))
     verdict = check_member(phi, args.d)
@@ -160,6 +155,8 @@ def main(argv=None) -> int:
     # looked up at each call, so a rebound cmd_* (a tracer, a test double) is seen
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        if "d" in vars(args):  # a command built with _add_dg
+            _require_dg(args)
         return command(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

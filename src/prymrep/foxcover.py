@@ -356,9 +356,9 @@ def deck_conjugation(g: int) -> Endo:
 def random_member(rng, g: int, d: int, max_moves: int = 8) -> Endo:
     """A random composite of at most max_moves adapted Nielsen moves.
 
-    A move is kept only while the composite's inverse certificate walks at
-    most MAX_LETTERS letters, so every draw can be checked; the check draws
-    nothing from rng."""
+    A move is kept only while the composite's inverse certificate would walk
+    at most MAX_LETTERS letters.  Every draw carries its pass, so none is
+    walked: the check bounds the size of a draw, and draws nothing from rng."""
     moves = adapted_nielsen_moves(g, d)
     phi = Endo.identity(g)
     for _ in range(rng.randint(1, max_moves)):
@@ -386,9 +386,9 @@ def _generator(digits: str, g: int) -> int:
     return idx
 
 
-def parse_free_word(text: str, g: int) -> FreeWord:
-    """Parse 'x2^-2 x1 x2' to a reduced word, appending each run x_i^e as one
-    block; the budget counts letters before reduction."""
+def _free_word(text: str, g: int) -> array:
+    """Parse 'x2^-2 x1 x2' to a reduced word, an array, appending each run
+    x_i^e as one block; the budget counts letters before reduction."""
     pos, end = 0, len(text.rstrip())
     out, total = array(_code(g)), 0
     while pos < end:
@@ -407,13 +407,19 @@ def parse_free_word(text: str, g: int) -> FreeWord:
         _append_reduced(out, (array(out.typecode, (s,)) * n,
                               array(out.typecode, (-s,)) * min(n, len(out))))
         pos = m.end()
-    return tuple(out)
+    return out
+
+
+def parse_free_word(text: str, g: int) -> FreeWord:
+    """The reduced word of _free_word, as a tuple."""
+    return tuple(_free_word(text, g))
 
 
 def parse_endo_images(text: str, g: int):
     """Parse 'x1 -> w1 ; x2 -> w2 ; ...'; unmapped generators stay fixed.
     Each generator is mapped at most once, and the stored letters of all
-    rules together must fit MAX_LETTERS."""
+    rules together must fit MAX_LETTERS; each rule stays an array until the
+    whole map fits, so a refused map builds no tuple."""
     images, total = {}, 0
     for rule in text.split(";"):
         if not rule.strip():
@@ -427,9 +433,9 @@ def parse_endo_images(text: str, g: int):
         idx = _generator(m.group(1), g)
         if idx in images:
             raise ValueError(f"generator x{idx} is mapped twice")
-        images[idx] = parse_free_word(rhs, g)
+        images[idx] = _free_word(rhs, g)
         total += len(images[idx])
         if total > MAX_LETTERS:
             raise ValueError(f"the rules of a map store more than the budget of "
                              f"{MAX_LETTERS} letters")
-    return tuple(images.get(i, (i,)) for i in range(1, g + 1))
+    return tuple(tuple(images.get(i, (i,))) for i in range(1, g + 1))

@@ -116,20 +116,17 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
     exponent by the division-free BlockMat.form_inverse, -Omega M* Omega
     (every generator lies in U: UrSp literals are checked on entry, the
     other families by construction), raised by the package's one binary
-    powering, cyclotomic._power, and joined by one product; the first factor
-    of a word is not joined to Id.  Such a factor's |e| is at most MAX_POWER,
-    and its powering stops at the first step past MAX_PRINT_DIGITS (the
-    check it passes _power, one max over every coefficient); a column-op
-    factor's exponent is unbounded.
+    powering, cyclotomic._power, and joined by one product.  Such a factor's
+    |e| is at most MAX_POWER, and its powering stops at the first step past
+    MAX_PRINT_DIGITS (the check it passes _power, one max over every
+    coefficient); a column-op factor's exponent is unbounded.
     """
-    rows = None  # None stands for Id
+    rows = [list(row) for row in BlockMat.identity(d, g).mat.coeffs]
     for spec, e in word.factors:
         read = _factor.__wrapped__ if spec.matrix is not None else _factor
         support, disjoint = read(spec.name, g, d, *spec._args(d))
         if disjoint:
             one = _power_table(d)[0]
-            if rows is None:
-                rows = [list(row) for row in BlockMat.identity(d, g).mat.coeffs]
             for p, q, c in support:
                 c = tuple(e * x for x in c.coeffs)
                 for row in rows:
@@ -150,11 +147,8 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
                 raise ValueError(f"a power of {spec.name} passes the budget "
                                  f"MAX_PRINT_DIGITS = {MAX_PRINT_DIGITS} digits")
         m = _power(m.mat, e, None, check)  # e > 0: a word keeps no zero exponent
-        if rows is not None:
-            m = RingMatrix._make(d, tuple(map(tuple, rows))) * m
+        m = RingMatrix._make(d, tuple(map(tuple, rows))) * m
         rows = [list(row) for row in m.coeffs]
-    if rows is None:
-        return BlockMat.identity(d, g)
     return BlockMat(RingMatrix._make(d, tuple(map(tuple, rows))), g)
 
 

@@ -270,6 +270,33 @@ def test_d_and_g_bounds(capsys):
     assert code == 2 and ">= 2" in err
 
 
+# Valid arguments of each command that takes --d and --g, and the same
+# with another argument malformed.
+_DG_COMMANDS = [
+    (("eval", "--word", "T"), ("eval", "--word", "Q(1)")),
+    (("check", "--matrix", "1, 0 ; 0, 1", "--group", "U"),
+     ("check", "--matrix", "1, 0 ; 0", "--group", "U")),
+    (("decompose-delta", "--B", "2"), ("decompose-delta", "--B", "z^")),
+    (("reduce-lambda", "--matrix", "1, 1 ; 0, 1", "--word", "G1(1)"),
+     ("reduce-lambda", "--matrix", "1, 1 ; 0, 1", "--word", "Q(1)")),
+    (("fox", "--map", "x1 -> x1", "--inverse", "x1 -> x1"),
+     ("fox", "--map", "x1 - x2", "--inverse", "x1 -> x1")),
+]
+
+
+@pytest.mark.parametrize("dg, message", [
+    (("--d", "1", "--g", "2"), "error: d must be >= 2\n"),
+    (("--d", "5", "--g", "1"), "error: g must be >= 2\n"),
+    (("--d", "5", "--g", "201"), "error: genus g = 201 is over the budget MAX_G = 200\n"),
+])
+def test_d_and_g_are_checked_first(capsys, dg, message):
+    # every command that takes --d and --g checks them before reading any
+    # other argument
+    for argvs in _DG_COMMANDS:
+        for argv in argvs:
+            assert run(capsys, argv[0], *dg, *argv[1:]) == (2, "", message)
+
+
 def test_selftest_deterministic(capsys):
     code1, out1, _ = run(capsys, "selftest", "--max-d", "3", "--max-g", "3",
                          "--seed", "7")

@@ -579,6 +579,20 @@ def test_map_budget_sums_the_stored_letters_of_its_rules(monkeypatch):
     assert str(exc.value) == "the rules of a map store more than the budget of 100 letters"
 
 
+def test_refused_map_builds_no_word_tuple():
+    # the second near-budget rule passes the map budget: the two rules are
+    # refused as arrays of letters, where tuples of them peaked at 162.7 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            parse_endo_images("x1 -> x1^9999999 ; x2 -> x2^9999999 ; x3 -> x3^9999999", 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "the rules of a map store more than the budget of 10000000 letters"
+    assert peak < 48 * 2**20
+
+
 def test_parse_refuses_long_integers_before_int():
     big = "9" * (MAX_DIGITS + 1)
     for text in (f"x1^{big}", f"x1^-{big}", f"x{big}"):

@@ -97,6 +97,18 @@ def test_only_the_endo_constructor_reduces_free_words():
     assert callers == {"foxcover.py Endo.__post_init__"}
 
 
+def test_only_foxcover_owns_the_letter_budget_and_cli_main_checks_d_and_g():
+    # the walk budget is foxcover's decision alone, and the --d/--g check
+    # runs once, in cli.main, for every command that takes them
+    owners = {src.name for src in sorted(SRC.glob("*.py"))
+              if {"MAX_LETTERS", "_certificate_walk"} & _names(ast.parse(src.read_text()))}
+    assert owners == {"foxcover.py"}
+    callers = [f"{src.name} {qual}"
+               for src in sorted(SRC.glob("*.py"))
+               for qual in _calls_by_function(ast.parse(src.read_text()), "_require_dg")]
+    assert callers == ["cli.py main"]
+
+
 def _is_write(node, name):
     """Does node write the instance attribute name: define it as a
     cached_property, store or delete it, pass it as a keyword, or store

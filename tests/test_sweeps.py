@@ -9,6 +9,7 @@ import pytest
 import prymrep.sweeps as sweeps
 from prymrep.cli import main
 from prymrep.cyclotomic import CycInt, one, zeta_pow
+from prymrep.foxcover import MAX_LETTERS
 from prymrep.generators import GenSpec
 from prymrep.predicates import GroupTag, Verdict
 from prymrep.ringlinalg import BlockMat, RingMatrix
@@ -57,12 +58,29 @@ def test_selftest_draws_fit_the_certificate_budget(capsys):
 def test_oracle_pairs_fit_the_certificate_budget():
     # `selftest --max-d 8 --max-g 3 --seed 2` used to exit 2: at d = 8, g = 2
     # the oracle sweep drew a pair whose walks fit MAX_LETTERS but whose
-    # composite walked 11695136 letters; the pair's second factor is drawn
-    # again until the composite fits
+    # composite's certificate would walk 11695136 letters; the composite
+    # carries the pass of its two factors, so it is never walked
     start = perf_counter()
     rep = sweeps.oracle_sweep(range(2, 9), range(2, 4), per_cell=6, pairs_per_cell=2, seed=2)
     assert perf_counter() - start < 10.0
     assert (rep.ok, rep.checked) == (True, 112)
+
+
+def test_oracle_pairs_are_checked_as_drawn(monkeypatch):
+    # no pair is drawn again: the over-budget composite of seed 2 reaches
+    # eta_chain with the pass its factors carry
+    over = []
+    real = sweeps.eta_chain
+
+    def logged(phi, d, g):
+        if phi._certificate_walk() > MAX_LETTERS:
+            over.append(vars(phi).get("_certificate_failure"))
+        return real(phi, d, g)
+
+    monkeypatch.setattr(sweeps, "eta_chain", logged)
+    rep = sweeps.oracle_sweep(range(2, 9), range(2, 4), per_cell=6, pairs_per_cell=2, seed=2)
+    assert (rep.ok, rep.checked) == (True, 112)
+    assert over and all(failure == 0 for failure in over)
 
 
 # (sweep, a function it calls on every case, arguments, keyword arguments,
