@@ -177,13 +177,13 @@ class Endo:
 
     def inverse(self) -> "Endo":
         """psi, with a pass phi has cached: phi o psi = id gives psi o phi = id (Hopfian)."""
-        return _checked(self.inverse_images, self.images, self._passes(walk=False))
+        return _checked(self.inverse_images, self.images,
+                        vars(self).get("_certificate_failure") == 0)
 
-    def _passes(self, walk=True) -> bool:
-        """Whether the certificate passes, as cached or, if walk, walked within MAX_LETTERS."""
-        if "_certificate_failure" in vars(self) or walk and self._certificate_walk() <= MAX_LETTERS:
-            return not self._certificate_failure
-        return False
+    def _passes(self) -> bool:
+        """Whether the certificate passes, as cached or walked within MAX_LETTERS."""
+        known = "_certificate_failure" in vars(self) or self._certificate_walk() <= MAX_LETTERS
+        return known and not self._certificate_failure
 
     def _certificate_walk(self) -> int:
         """The letters the certificate walks: an inverse-image letter +-i

@@ -4,10 +4,11 @@ their conjugates T_H and T_H', lifted-twist transvections, deck scalars, and
 the embedding of integer upper-block symplectic matrices.
 
 Every family is the function that gives the entries (p, q, c) of N in its
-matrix Id + N (Family.entries).  _entries checks the family's index rules
-and calls it, and _rank_update builds Id + N, whose product M(Id + N) adds
-c times column p of M into column q: matrix_of, the public constructors and
-wordlang.evaluate all read the entries from this one route.
+matrix Id + N (Family.entries).  GenSpec checks the argument rules that need
+no (d, g), _entries those that need g before it calls the entry function,
+and _rank_update builds Id + N, whose product M(Id + N) adds c times column p
+of M into column q: matrix_of, wordlang.evaluate and each (g, d, ...)
+constructor, one call of matrix_of, read the entries from this one route.
 
 Since <x, e_i> = -sgn(i) x[pos(-i)], the map x -> x + c<x, e_i>e_j is the
 single entry (pos(j), pos(-i), -sgn(i) c) (_entry).  Wherever the rows and
@@ -152,24 +153,31 @@ def _ursp_entries(g, d, polys):
             for p, row in enumerate(m.mat.entries) for q, c in enumerate(row)]
 
 
+def _coeffs(d, r):
+    """The coefficients of a constructor's ring scalar r at modulus d
+    (CycInt._coerce), or None, which GenSpec refuses."""
+    c = one(d)._coerce(r)
+    return None if c is None else c.coeffs
+
+
 def elem_Ti(g: int, d: int, i: int, rprime: CycInt) -> BlockMat:
     """T_i(r'): x -> x + r' <x, e_i> e_i, for real r'."""
-    return _build("Ti", g, d, i, rprime)
+    return matrix_of(GenSpec("Ti", (i,), _coeffs(d, rprime)), d, g)
 
 
 def elem_Tij(g: int, d: int, i: int, j: int, r: CycInt) -> BlockMat:
     """T_{i,j}(r): x -> x + r <x, e_i> e_j + conj(r) <x, e_j> e_i."""
-    return _build("Tij", g, d, i, j, r)
+    return matrix_of(GenSpec("Tij", (i, j), _coeffs(d, r)), d, g)
 
 
 def big_T(g: int, d: int) -> BlockMat:
     """Multiplication by zeta on <e_1, e_-1>, identity elsewhere."""
-    return _build("T", g, d)
+    return matrix_of(GenSpec("T"), d, g)
 
 
 def conj_AH(g: int, d: int, i: int) -> BlockMat:
     """The swap of <e_i, e_-i> with <e_1, e_-1>; integer symplectic."""
-    return _build("AH", g, d, i)
+    return matrix_of(GenSpec("AH", (i,)), d, g)
 
 
 def conj_AHPrime(g: int, d: int, i: int, j: int) -> BlockMat:
@@ -182,58 +190,58 @@ def conj_AHPrime(g: int, d: int, i: int, j: int) -> BlockMat:
     classical case formulas; for negative j the sign flip is what keeps the
     map symplectic.
     """
-    return _build("AHPrime", g, d, i, j)
+    return matrix_of(GenSpec("AHPrime", (i, j)), d, g)
 
 
 def TH(g: int, d: int, i: int) -> BlockMat:
     """T_H = A_H^-1 T A_H: multiplication by zeta on <e_i, e_-i>."""
-    return _build("TH", g, d, i)
+    return matrix_of(GenSpec("TH", (i,)), d, g)
 
 
 def THPrime(g: int, d: int, i: int, j: int) -> BlockMat:
     """T_H' = A_H'^-1 T A_H': multiplication by zeta on <e_i, e_-i + e_j>
     (A_H' is symplectic and carries this plane to <e_1, e_-1>)."""
-    return _build("THPrime", g, d, i, j)
+    return matrix_of(GenSpec("THPrime", (i, j)), d, g)
 
 
 def twist_E(g: int, d: int, i: int) -> BlockMat:
     """The lifted twist about the i-th meridian: v = e_i."""
-    return _build("TwistE", g, d, i)
+    return matrix_of(GenSpec("TwistE", (i,)), d, g)
 
 
 def gamma_ik(g: int, d: int, i: int, k: int) -> BlockMat:
     """The lifted twist with homology class (1 - zeta^k) e_i."""
-    return _build("GammaIK", g, d, i, k)
+    return matrix_of(GenSpec("GammaIK", (i, k)), d, g)
 
 
 def gamma_ijk(g: int, d: int, i: int, j: int, k: int) -> BlockMat:
     """The lifted twist with homology class e_i - zeta^k e_j."""
-    return _build("GammaIJK", g, d, i, j, k)
+    return matrix_of(GenSpec("GammaIJK", (i, j, k)), d, g)
 
 
 def delta_g1(g: int, d: int, i: int) -> BlockMat:
     """G1(i) = T_i(-1), the inverse twist about the i-th meridian;
     upper-right block E_ii."""
-    return _build("G1", g, d, i)
+    return matrix_of(GenSpec("G1", (i,)), d, g)
 
 
 def delta_g2(g: int, d: int, i: int, k: int) -> BlockMat:
     """G2(i, k) = T_i(-(zeta^k + zeta^-k)); upper-right block
     (zeta^k + zeta^-k) E_ii.  Equal to gamma_ik * G1(i)^2, the lift of
     T_gamma(i,k) composed with two inverse twists about E_i."""
-    return _build("G2", g, d, i, k)
+    return matrix_of(GenSpec("G2", (i, k)), d, g)
 
 
 def delta_g3(g: int, d: int, i: int, j: int, k: int) -> BlockMat:
     """G3(i, j, k) = T_{i,j}(-zeta^k); upper-right block
     zeta^k E_ji + zeta^-k E_ij.  Equal to gamma_ijk * G1(i) * G1(j), the
     lift of T_gamma(i,j,k) composed with inverse twists about E_i and E_j."""
-    return _build("G3", g, d, i, j, k)
+    return matrix_of(GenSpec("G3", (i, j, k)), d, g)
 
 
 def scalar_zeta(g: int, d: int, k: int) -> BlockMat:
     """The deck scalar zeta^k Id."""
-    return _build("Zeta", g, d, k)
+    return matrix_of(GenSpec("Zeta", (k,)), d, g)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +294,9 @@ FAMILIES = {
 
 
 def _check_slots(name, indices):
-    """The index rules of family `name` that need no (d, g), with one message
-    each whether the indices come from a word or a direct call."""
+    """The index rules of family `name` that need no (d, g), stated once:
+    every route to a matrix, a word, matrix_of or a constructor, passes
+    them through GenSpec."""
     free = []
     for slot, i in zip(FAMILIES[name].slots, indices):
         if slot == "s" and i == 0:
@@ -301,30 +310,16 @@ def _check_slots(name, indices):
 
 
 def _entries(name, g, d, *args):
-    """The entries of N in the matrix Id + N of family `name`, args as for
-    its entry function: the genus rule, the slot rule, the range rule of
-    basis_position for every index but a zeta exponent, then the entry
-    function.  The indices must be integers (_ints), as in a GenSpec, and a
-    ring scalar an int or a CycInt of modulus d (CycInt._coerce)."""
+    """The entries of N in the matrix Id + N of family `name`, args those of
+    a checked GenSpec at modulus d (GenSpec._args): the rules that need g,
+    the genus rule and the range rule of basis_position for every index but
+    a zeta exponent, then the entry function."""
     _side(g)  # the genus rule, before any index is read against g
     fam = FAMILIES[name]
-    n = len(fam.slots)
-    args = _ints(args[:n], f"{name} indices") + args[n:]
-    _check_slots(name, args[:n])
     for slot, i in zip(fam.slots, args):
         if slot != "k":
             basis_position(g, i)
-    if fam.takes in ("real", "ring"):
-        scalar = one(d)._coerce(args[n])
-        if scalar is None:
-            raise ValueError(f"{name} requires a ring argument")
-        args = args[:n] + (scalar,)
     return fam.entries(g, d, *args)
-
-
-def _build(name, g, d, *args):
-    """The matrix Id + N of family `name`: the rank update of _entries."""
-    return _rank_update(d, g, _entries(name, g, d, *args))
 
 
 def _slot_values(slot, d, g, i=None):
@@ -417,4 +412,4 @@ class GenSpec:
 
 def matrix_of(spec: GenSpec, d: int, g: int) -> BlockMat:
     """Evaluate a generator spec to its matrix for the ambient (d, g)."""
-    return _build(spec.name, g, d, *spec._args(d))
+    return _rank_update(d, g, _entries(spec.name, g, d, *spec._args(d)))

@@ -546,6 +546,24 @@ def test_genus_rule_comes_first_on_every_route(g):
             route()
 
 
+@pytest.mark.parametrize("direct, spec, message", [
+    (lambda: conj_AH(1, 5, 0), ("AH", (0,)), "AH requires a positive index"),
+    (lambda: THPrime(1, 5, 1, -1), ("THPrime", (1, -1)), "THPrime requires |i| != |j|"),
+    (lambda: elem_Tij(1, 5, 1, 1, 1), ("Tij", (1, 1), (1,)), "Tij requires |i| != |j|"),
+    (lambda: delta_g1(1, 5, 1.5), ("G1", (1.5,)), "G1 indices must be integers"),
+    # a ring scalar is read at d before the GenSpec holds it
+    (lambda: elem_Tij(3, 1, 1, 1, 1), None, "modulus d must be >= 2"),
+], ids=["AH-zero-index", "THPrime-repeat", "Tij-repeat", "G1-float-index", "Tij-modulus"])
+def test_constructor_and_word_give_the_same_first_message(direct, spec, message):
+    # a constructor checks its arguments as a GenSpec does, before the genus
+    # rule of _entries: with g = 1 and a bad index, both routes name the index
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        direct()
+    if spec is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(Word(((GenSpec(*spec), 1),)), 5, 1)
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"name": "Foo"}, "unknown generator name 'Foo'"),
     ({"name": "G1", "indices": (1, 2)}, "G1 takes 1 integer argument(s), got 2"),
@@ -642,7 +660,7 @@ def test_catalogue_matrices_are_pinned():
 
 def test_bad_index_messages_are_pinned():
     # the corpus of test_constructors_and_words_share_one_index_rule: both
-    # routes share one checked entry point, so the texts are pinned here
+    # routes build through GenSpec and matrix_of, so the texts are pinned here
     d = 5
     scalars = {"real": zeta_pow(d, 1) + zeta_pow(d, -1), "ring": 1 - 2 * zeta_pow(d, 1)}
     lines = []

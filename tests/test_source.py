@@ -157,22 +157,78 @@ def test_only_compose_and_inverse_carry_a_certificate():
         "foxcover.py Endo.compose", "foxcover.py Endo.inverse"}
 
 
+def _constructors(gens):
+    """{name: def} of the catalogue constructors, which take (g, d, ...)."""
+    return {node.name: node for node in gens.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and node.args.args and node.args.args[0].arg == "g"}
+
+
 def test_generators_are_named_by_registry_key_outside_generators():
     # the catalogue constructors, which take (g, d, ...), are a second name
     # for each family of generators.FAMILIES: no other module of the package
     # imports or calls one, and the package root exports none, so the rest
     # of the package builds a generator as matrix_of(GenSpec(name, ...), d, g)
     import prymrep
-    gens = ast.parse((SRC / "generators.py").read_text())
-    constructors = {node.name for node in gens.body
-                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-                    and node.args.args and node.args.args[0].arg == "g"}
+    constructors = set(_constructors(ast.parse((SRC / "generators.py").read_text())))
     assert len(constructors) == 14 and {"big_T", "delta_g3"} <= constructors
     named = {src.name: _names(ast.parse(src.read_text()))
              for src in sorted(SRC.glob("*.py")) if src.name != "generators.py"}
     assert {name: sorted(ns & constructors) for name, ns in named.items()
             if ns & constructors} == {}
     assert sorted(constructors & set(dir(prymrep))) == []
+
+
+def test_constructors_build_through_genspec_and_matrix_of():
+    # each constructor is one call of the registry route, so GenSpec states
+    # every argument rule that needs no (d, g), once, and _entries only the
+    # rules that need g: no second index, slot or ring-scalar rule
+    from prymrep.generators import FAMILIES
+    gens = ast.parse((SRC / "generators.py").read_text())
+    for name, fn in _constructors(gens).items():
+        body = fn.body[1:] if ast.get_docstring(fn) else fn.body
+        call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+        assert (isinstance(call, ast.Call) and ast.unparse(call.func) == "matrix_of"
+                and ast.unparse(call.args[0].func) == "GenSpec"
+                and call.args[0].args[0].value in FAMILIES
+                and [ast.unparse(a) for a in call.args[1:]] == ["d", "g"]), name
+    callers = [f"{src.name} {qual}" for src in sorted(SRC.glob("*.py"))
+               for qual in _calls_by_function(ast.parse(src.read_text()), "_check_slots")]
+    assert callers == ["generators.py GenSpec.__post_init__"]
+    defs = {node.name: node for node in gens.body if isinstance(node, ast.FunctionDef)}
+    called = {ast.unparse(node.func).rpartition(".")[2]
+              for node in ast.walk(defs["_entries"]) if isinstance(node, ast.Call)}
+    assert called & {"_ints", "_check_slots", "_coerce"} == set()
+    assert "_build" not in defs and "_build" not in _names(gens)
+
+
+def _benchmark_tree(name):
+    return ast.parse((ROOT / "benchmarks" / name).read_text())
+
+
+def test_the_benchmark_harness_names_exist_in_the_package():
+    # benchmarks/ is read here, never run or changed: every CRITERIA row of
+    # acceptance.py binds to its sweep's signature, and every attribute that
+    # workloads.py reads off a package module exists, so dropping a keyword
+    # or a name that the harness passes fails here, not in the harness
+    from prymrep import sweeps
+    ns = {}
+    for node in _benchmark_tree("acceptance.py").body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) in ("SEED", "CRITERIA"):
+            exec(compile(ast.Module([node], []), "acceptance.py", "exec"), ns)
+    assert len(ns["CRITERIA"]) == 10
+    for _, name, args, kwargs, _ in ns["CRITERIA"]:
+        inspect.signature(getattr(sweeps, name)).bind(*args, **kwargs)
+    tree = _benchmark_tree("workloads.py")
+    aliases = {alias.asname: importlib.import_module(f"prymrep.{alias.name}")
+               for node in tree.body if isinstance(node, ast.ImportFrom) and node.module == "prymrep"
+               for alias in node.names if alias.asname}
+    assert sorted(aliases) == ["cyc", "dec", "fox", "gen", "pred", "rla", "wl"]
+    read = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in aliases}
+    assert len(read) > 20
+    assert sorted(f"{a}.{attr}" for a, attr in read if not hasattr(aliases[a], attr)) == []
 
 
 # Each input rule: the one statement of its message in the package source,
