@@ -18,7 +18,6 @@ from .decompose import decompose_delta, reduce_lambda
 from .foxcover import _checked, check_member, eta, parse_endo_images
 from .predicates import GroupTag, is_member
 from .ringlinalg import BlockMat, parse_matrix
-from .sweeps import run_selftest
 from .wordlang import evaluate, parse as parse_word
 
 
@@ -131,6 +130,7 @@ def cmd_fox(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .sweeps import run_selftest  # imported here: no other command needs the sweeps
     if args.max_d < 2 or args.max_g < 2:
         raise ValueError("--max-d and --max-g must be >= 2")
     if args.max_d > MAX_D:

@@ -32,12 +32,12 @@ _PRINT_BOUND = 10**MAX_PRINT_DIGITS
 
 
 class ParseError(ValueError):
-    """Syntax error in a text input; carries the offending position."""
+    """Syntax error in a text input; carries the message, the whole text and
+    the offending position in it."""
 
     def __init__(self, message, text, pos):
         super().__init__(f"{message} at position {pos}: {text!r}")
-        self.pos = pos
-        self.text = text
+        self.message, self.text, self.pos = message, text, pos
 
 
 _SPACE = re.compile(r"\s*")

@@ -29,7 +29,7 @@ from functools import cached_property
 from itertools import chain, islice
 from operator import add, neg
 
-from .cyclotomic import CycInt, _int, _ints, euler_phi
+from .cyclotomic import _SPACE, CycInt, ParseError, _int, _ints, euler_phi
 from .predicates import Verdict
 from .ringlinalg import RingMatrix
 
@@ -374,29 +374,31 @@ def random_member(rng, g: int, d: int, max_moves: int = 8) -> Endo:
 # ---------------------------------------------------------------------------
 # Text format for endomorphisms: "x1 -> x2 x1 x2^-1 ; x2 -> x2"
 
-_LETTER = re.compile(r"\s*x(\d+)(?:\s*\^\s*(-?\d+))?")
+_RULE = re.compile(r"[^;]+")
+_HEAD = re.compile(r"\s*(?:x(\d+)\s*(->)?)?")  # a rule's 'x<i> ->', or as much as is there
+_LETTER = re.compile(r"x(\d+)(?:\s*\^\s*(-?\d+))?\s*")  # a run and the space after it
 
 
-def _generator(digits: str, g: int) -> int:
-    """The index i of a generator x_i written in a free word or a rule,
-    which must lie in 1..g."""
+def _generator(digits: str, g: int, m) -> int:
+    """The index i of x_i, digits of the match m, which must lie in 1..g."""
     idx = _int(digits)
     if not 1 <= idx <= g:
-        raise ValueError(f"generator x{idx} out of range for rank {g}")
+        raise ParseError(f"generator x{idx} out of range for rank {g}", m.string, m.start(1) - 1)
     return idx
 
 
-def _free_word(text: str, g: int) -> array:
-    """Parse 'x2^-2 x1 x2' to a reduced word, an array, appending each run
-    x_i^e as one block; the budget counts letters before reduction."""
-    pos, end = 0, len(text.rstrip())
+def _free_word(text: str, g: int, pos: int, end: int) -> array:
+    """Parse text[pos:end], as 'x2^-2 x1 x2', in place to a reduced word, an
+    array, appending each run x_i^e as one block; the budget counts letters
+    before reduction."""
     out, total = array(_code(g)), 0
+    pos = _SPACE.match(text, pos, end).end()
     while pos < end:
-        m = _LETTER.match(text, pos)
+        m = _LETTER.match(text, pos, end)
         if m is None:
-            raise ValueError(f"bad free word {text!r} near position {pos}")
+            raise ParseError("bad free word", text, pos)
         idx, e = m.groups()
-        idx = _generator(idx, g)
+        idx = _generator(idx, g, m)
         e = _int(e) if e else 1
         n = abs(e)
         total += n
@@ -412,30 +414,27 @@ def _free_word(text: str, g: int) -> array:
 
 def parse_free_word(text: str, g: int) -> FreeWord:
     """The reduced word of _free_word, as a tuple."""
-    return tuple(_free_word(text, g))
+    return tuple(_free_word(text, g, 0, len(text)))
 
 
 def parse_endo_images(text: str, g: int):
-    """Parse 'x1 -> w1 ; x2 -> w2 ; ...'; unmapped generators stay fixed.
-    Each generator is mapped at most once, and the stored letters of all
-    rules together must fit MAX_LETTERS; each rule stays an array until the
-    whole map fits, so a refused map builds no tuple."""
+    """Parse 'x1 -> w1 ; x2 -> w2 ; ...' in one pass; unmapped generators
+    stay fixed and blank rules are skipped.  Each generator is mapped at
+    most once, and the stored letters of all rules together must fit
+    MAX_LETTERS; each rule stays an array until the whole map fits, so a
+    refused map builds no tuple."""
     images, total = {}, 0
-    for rule in text.split(";"):
-        if not rule.strip():
-            continue
-        if "->" not in rule:
-            raise ValueError(f"rule {rule.strip()!r} is missing '->'")
-        lhs, rhs = rule.split("->", 1)
-        m = re.fullmatch(r"\s*x(\d+)\s*", lhs)
-        if m is None:
-            raise ValueError(f"left side of rule must be a single generator: {lhs.strip()!r}")
-        idx = _generator(m.group(1), g)
-        if idx in images:
-            raise ValueError(f"generator x{idx} is mapped twice")
-        images[idx] = _free_word(rhs, g)
-        total += len(images[idx])
-        if total > MAX_LETTERS:
-            raise ValueError(f"the rules of a map store more than the budget of "
-                             f"{MAX_LETTERS} letters")
+    for rule in _RULE.finditer(text):  # the text between two ';', in place
+        m = _HEAD.match(text, *rule.span())
+        if m[2]:
+            idx = _generator(m[1], g, m)
+            if idx in images:
+                raise ParseError(f"generator x{idx} is mapped twice", text, m.start(1) - 1)
+            images[idx] = _free_word(text, g, m.end(), rule.end())
+            total += len(images[idx])
+            if total > MAX_LETTERS:
+                raise ValueError(f"the rules of a map store more than the budget of "
+                                 f"{MAX_LETTERS} letters")
+        elif m[1] or m.end() < rule.end():
+            raise ParseError("expected '->'" if m[1] else "expected 'x<i> ->'", text, m.end())
     return tuple(tuple(images.get(i, (i,))) for i in range(1, g + 1))

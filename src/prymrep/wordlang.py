@@ -172,7 +172,7 @@ class _Parser(_Scanner):
         try:
             value = parse_text(self.text[start:end])
         except ParseError as exc:
-            self.err(f"bad {what} literal ({exc.args[0].split(' at ')[0]})")
+            self.err(f"bad {what} literal ({exc.message})")
         self.pos = end
         return value
 

@@ -154,7 +154,7 @@ def test_fox_compound_left_side_exit_2(capsys):
     code, out, err = run(capsys, "fox", "--d", "3", "--g", "2",
                          "--map", "x1 x2 -> x1", "--inverse", "x1 -> x1")
     assert code == 2 and out == ""
-    assert err == "error: left side of rule must be a single generator: 'x1 x2'\n"
+    assert err == "parse error: expected '->' at position 3: 'x1 x2 -> x1'\n"
 
 
 def test_fox_generator_mapped_twice_exit_2(capsys):
@@ -162,7 +162,7 @@ def test_fox_generator_mapped_twice_exit_2(capsys):
     code, out, err = run(capsys, "fox", "--d", "3", "--g", "2",
                          "--map", "x1 -> x1 ; x1 -> x2", "--inverse", "x1 -> x1")
     assert code == 2 and out == ""
-    assert err == "error: generator x1 is mapped twice\n"
+    assert err == "parse error: generator x1 is mapped twice at position 11: 'x1 -> x1 ; x1 -> x2'\n"
 
 
 def test_fox_is_linear_in_the_image_length(capsys):

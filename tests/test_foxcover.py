@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import tracemalloc
 from itertools import accumulate
 from time import perf_counter
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prymrep.cyclotomic import MAX_DIGITS, CycInt, unit_exponent, zeta_pow
+from prymrep.cyclotomic import MAX_DIGITS, CycInt, ParseError, unit_exponent, zeta_pow
 from prymrep.foxcover import (
     MAX_LETTERS,
     CoverClass,
@@ -533,6 +534,33 @@ def test_endo_text_round_trip():
     assert parse_endo_images("x1 -> x2 ; ; x2 -> x2", 2) == ((2,), (2,))  # empty rule skipped
 
 
+def _token_start(text, i):
+    """The start of the run of non-blank characters that holds text[i], or,
+    if text[i] is blank, of the run just before it (0 if there is none)."""
+    head = text[:i + 1].rstrip()
+    return len(head) - len(head.split()[-1]) if head else 0
+
+
+@given(st.integers(2, 4), st.sampled_from((2, 3, 5)), st.integers(0, 2**32), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_corrupted_map_parses_or_says_where_in_the_text(g, d, seed, data):
+    # one character of a valid map, changed: the parse succeeds, or refuses
+    # a letter budget, or raises a ParseError that quotes the whole input and
+    # points into it, not before the token that holds the changed character
+    images = random_member(random.Random(seed), g, d).images
+    text = " ; ".join(f"x{i} -> {render_free_word(w)}" for i, w in enumerate(images, start=1))
+    i = data.draw(st.integers(0, len(text) - 1))
+    ch = data.draw(st.sampled_from("x1359^-> ;\t") | st.characters())
+    text = text[:i] + ch + text[i + 1:]
+    try:
+        parse_endo_images(text, g)
+    except ParseError as exc:
+        assert exc.text is text and _token_start(text, i) <= exc.pos <= len(text)
+    except ValueError as exc:
+        assert re.fullmatch(r"(free word expands past|the rules of a map store more than) "
+                            r"the budget of \d+ letters", str(exc))
+
+
 @pytest.mark.parametrize("letter", [0, 3, -3])
 def test_endo_rejects_letters_outside_the_rank(letter):
     with pytest.raises(ValueError, match=f"letter {letter} is not a generator of rank 2"):
@@ -547,16 +575,19 @@ def test_endo_rejects_letters_outside_the_rank(letter):
     (lambda: Endo(((1,), (2,)), ((1,),)), "images and inverse_images must have equal length"),
     (lambda: Endo.identity(2).compose(Endo.identity(3)), "rank mismatch"),
     (lambda: eta_chain(Endo.identity(3), 5, 2), "rank mismatch"),
-    (lambda: parse_free_word("x1 y2", 2), "bad free word 'x1 y2' near position 2"),
-    (lambda: parse_endo_images("x3 -> x1", 2), "generator x3 out of range for rank 2"),
-    (lambda: parse_endo_images("x1 x2 -> x1", 2),
-     "left side of rule must be a single generator: 'x1 x2'"),
-    (lambda: parse_endo_images("x1 -> x2 ; x2 -> x1 ; x1 -> x1", 2), "generator x1 is mapped twice"),
+    (lambda: parse_free_word("x1 y2", 2), "bad free word at position 3: 'x1 y2'"),
+    (lambda: parse_endo_images("x3 -> x1", 2),
+     "generator x3 out of range for rank 2 at position 0: 'x3 -> x1'"),
+    (lambda: parse_endo_images("x1 x2 -> x1", 2), "expected '->' at position 3: 'x1 x2 -> x1'"),
+    (lambda: parse_endo_images("x1 -> x2 ; x2 -> x1 ; x1 -> x1", 2),
+     "generator x1 is mapped twice at position 22: 'x1 -> x2 ; x2 -> x1 ; x1 -> x1'"),
 ])
 def test_endo_refusals(call, message):
+    # a refusal of the text itself is a ParseError at its position there
     with pytest.raises(ValueError) as exc:
         call()
-    assert exc.type is ValueError and str(exc.value) == message
+    kind = ParseError if "at position" in message else ValueError
+    assert exc.type is kind and str(exc.value) == message
 
 
 def test_parse_budget_counts_letters_before_reduction():

@@ -97,6 +97,23 @@ def test_only_the_endo_constructor_reduces_free_words():
     assert callers == {"foxcover.py Endo.__post_init__"}
 
 
+def test_free_word_text_is_read_in_place_and_errors_name_their_position():
+    # parse_endo_images and _free_word read the caller's string through
+    # regex matches bounded by positions: no split, strip, slice or fullmatch
+    # copies it.  A ParseError keeps its message, so nothing cuts its text at
+    # ' at ', and no message counts a position from a copy ('near position')
+    text = "".join(src.read_text() for src in sorted(SRC.glob("*.py")))
+    assert not re.search(r"""split\(\s*["'] at ["']""", text)
+    assert "near position" not in text
+    defs = {node.name: node for node in ast.walk(ast.parse((SRC / "foxcover.py").read_text()))
+            if isinstance(node, ast.FunctionDef)}
+    for name in ("parse_endo_images", "_free_word"):
+        calls = {getattr(node.func, "attr", getattr(node.func, "id", None))
+                 for node in ast.walk(defs[name]) if isinstance(node, ast.Call)}
+        assert calls & {"split", "rsplit", "strip", "lstrip", "rstrip", "fullmatch"} == set(), name
+        assert not any(isinstance(node, ast.Slice) for node in ast.walk(defs[name])), name
+
+
 def test_only_foxcover_owns_the_letter_budget_and_cli_main_checks_d_and_g():
     # the walk budget is foxcover's decision alone, and the --d/--g check
     # runs once, in cli.main, for every command that takes them
@@ -253,9 +270,9 @@ INPUT_RULES = [
     ("modulus mismatch", r"modulus mismatch: d=\S+ vs d=\S+"),
     ('"rank must be >= 2"', r"rank must be >= 2"),
     ('"rank mismatch"', r"rank mismatch"),
-    ("out of range for rank", r"generator x\d+ out of range for rank \d+"),
+    ("out of range for rank", r"generator x\d+ out of range for rank \d+ at position \d+: '.*'"),
     ("is not a generator of rank", r"letter -?\d+ is not a generator of rank \d+"),
-    ("bad free word", r"bad free word '.*' near position \d+"),
+    ("bad free word", r"bad free word at position \d+: '.*'"),
     ('"matrix dimensions must be positive"', r"matrix dimensions must be positive"),
     ('"word factors must be (GenSpec, int) pairs"', r"word factors must be \(GenSpec, int\) pairs"),
 ]
