@@ -28,15 +28,20 @@ MAX_D = 1000  # largest modulus; _power_table(997) and _units(997) hold about 2 
 MAX_EXPONENT = 10**5  # largest exponent of z in a ring literal
 MAX_DIGITS = 4000  # longest integer in text; below int()'s own limit of 4300
 MAX_PRINT_DIGITS = 4300  # longest integer rendered as text; int()'s own limit
+MAX_ECHO = 240  # longest text a ParseError quotes whole
 _PRINT_BOUND = 10**MAX_PRINT_DIGITS
 
 
 class ParseError(ValueError):
     """Syntax error in a text input; carries the message, the whole text and
-    the offending position in it."""
+    the offending position in it.  A text over MAX_ECHO characters is quoted
+    as the 200 characters around pos, with '...' where it is cut."""
 
     def __init__(self, message, text, pos):
-        super().__init__(f"{message} at position {pos}: {text!r}")
+        lo = max(0, min(pos - 100, len(text) - 200))
+        shown = repr(text) if len(text) <= MAX_ECHO else (
+            f"{'...' * (lo > 0)}{text[lo:lo + 200]!r}{'...' * (lo + 200 < len(text))}")
+        super().__init__(f"{message} at position {pos}: {shown}")
         self.message, self.text, self.pos = message, text, pos
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain, islice
 from operator import add, neg
@@ -109,29 +109,36 @@ def _append_reduced(out: array, block: tuple) -> None:
     out += v
 
 
-@dataclass(frozen=True)
 class Endo:
     """A free-group endomorphism by generator images, with an inverse
     certificate: composing images with inverse_images must reduce to the
     identity, which certifies an automorphism (free groups are Hopfian).
     The constructor checks every letter (_check_letters), then stores each
-    word reduced, so eq and hash compare maps.  The certificate's outcome is
-    cached per instance, outside eq, hash and repr, and compose and inverse
-    carry a pass to their result unwalked.  A walk (_walks) takes one block
-    step per letter, and nothing else outlives it."""
+    word reduced, so eq and hash compare maps (immutable by convention).
+    The certificate's outcome is cached per instance, outside eq, hash and
+    repr, and compose and inverse carry a pass to their result unwalked.
+    A walk (_walks) takes one block step per letter, and nothing else outlives it."""
 
-    images: tuple
-    inverse_images: tuple
-
-    def __post_init__(self):
-        images, inverse = (tuple(map(tuple, ws)) for ws in (self.images, self.inverse_images))
+    def __init__(self, images, inverse_images):
+        images, inverse = (tuple(map(tuple, ws)) for ws in (images, inverse_images))
         if len(images) != len(inverse):
             raise ValueError("images and inverse_images must have equal length")
         _check_letters(len(images), *images, *inverse)
         # a word with no cancelling neighbours is reduced: one C-level scan
-        for name, words in ("images", images), ("inverse_images", inverse):
-            object.__setattr__(self, name, tuple(
-                word_mul(w) if 0 in map(add, w, islice(w, 1, None)) else w for w in words))
+        self.images, self.inverse_images = (tuple(
+            word_mul(w) if 0 in map(add, w, islice(w, 1, None)) else w for w in words)
+            for words in (images, inverse))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.images, self.inverse_images) == (other.images, other.inverse_images)
+
+    def __hash__(self):
+        return hash((self.images, self.inverse_images))
+
+    def __repr__(self):
+        return f"Endo(images={self.images!r}, inverse_images={self.inverse_images!r})"
 
     @property
     def g(self):
@@ -209,9 +216,9 @@ def _checked(images, inverse_images, certified=False) -> Endo:
     gave, checked and reduced already: not checked again.  certified caches
     the pass that compose and inverse carry, the one place that does."""
     phi = object.__new__(Endo)
-    phi.__dict__.update(images=images, inverse_images=inverse_images)
+    phi.images, phi.inverse_images = images, inverse_images
     if certified:
-        phi.__dict__["_certificate_failure"] = 0
+        phi._certificate_failure = 0
     return phi
 
 
@@ -229,13 +236,11 @@ def check_member(phi: Endo, d: int) -> Verdict:
     return Verdict(True)
 
 
-@dataclass(frozen=True)
-class CoverClass:
-    """Homology class in the covering graph: loop coefficients indexed by
-    (generator i < g, sheet c in Z/d), plus the winding number lambda."""
+class CoverClass(namedtuple("CoverClass", "loops lam")):
+    """Homology class in the covering graph: loops, (g-1) rows of length d of
+    coefficients indexed by (generator i < g, sheet c in Z/d), and the winding number lam."""
 
-    loops: tuple  # (g-1) rows of length d
-    lam: int
+    __slots__ = ()
 
 
 def lift_class(w, d: int, g: int) -> CoverClass:

@@ -31,7 +31,7 @@ delta_g2 and delta_g3) are the tests' independent oracle.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cyclotomic import CycInt, _ints, one, zeta_pow
 from .predicates import GroupTag, is_member
@@ -249,8 +249,7 @@ def scalar_zeta(g: int, d: int, k: int) -> BlockMat:
 # GenSpec, matrix_of, the word parser and renderer, and the sweeps.
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(namedtuple("Family", "slots takes group entries")):
     """One catalogue family.
 
     slots: one letter per integer argument, s a nonzero index, p a positive
@@ -267,10 +266,7 @@ class Family:
     polynomials (GenSpec._args), and is called only through _entries.
     """
 
-    slots: str
-    takes: str
-    group: GroupTag
-    entries: object
+    __slots__ = ()
 
 
 # The order is the order of the random word draws in sweeps.
@@ -362,43 +358,38 @@ def _canon(poly):
     return poly[:n] if poly else (0,)
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(namedtuple("GenSpec", "name indices scalar matrix")):
     """One named generator with its arguments; evaluation happens later.
 
-    Ring arguments are stored as raw integer polynomials, so a parsed word
-    stays independent of the ambient modulus until evaluation.  Every rule
-    that needs no d or g is checked here, from the family's slots.
+    Ring arguments are stored as raw integer polynomials, constant term first
+    (scalar, or the grid of an UrSp literal in matrix), so a parsed word stays
+    independent of the ambient modulus until evaluation.  __new__ checks
+    every rule that needs no d or g, from the family's slots.
     """
 
-    name: str
-    indices: tuple = ()
-    scalar: tuple = None  # integer polynomial, constant term first
-    matrix: tuple = None  # grid of integer polynomials (UrSp literal)
+    __slots__ = ()
 
-    def __post_init__(self):
-        fam = FAMILIES.get(self.name)
+    def __new__(cls, name, indices=(), scalar=None, matrix=None):
+        fam = FAMILIES.get(name)
         if fam is None:
-            raise ValueError(f"unknown generator name {self.name!r}")
-        name, idx = self.name, _ints(self.indices, f"{self.name} indices")
-        object.__setattr__(self, "indices", idx)
-        if len(idx) != len(fam.slots):
+            raise ValueError(f"unknown generator name {name!r}")
+        indices = _ints(indices, f"{name} indices")
+        if len(indices) != len(fam.slots):
             raise ValueError(
-                f"{name} takes {len(fam.slots)} integer argument(s), got {len(idx)}"
+                f"{name} takes {len(fam.slots)} integer argument(s), got {len(indices)}"
             )
-        for what, wanted, arg in (("ring", fam.takes in ("real", "ring"), self.scalar),
-                                  ("matrix", fam.takes == "matrix", self.matrix)):
+        for what, wanted, arg in (("ring", fam.takes in ("real", "ring"), scalar),
+                                  ("matrix", fam.takes == "matrix", matrix)):
             if wanted != (arg is not None):
                 raise ValueError(
                     f"{name} {'requires' if wanted else 'does not take'} a {what} argument"
                 )
-        if self.scalar is not None:
-            object.__setattr__(self, "scalar", _canon(self.scalar))
-        if self.matrix is not None:
-            object.__setattr__(
-                self, "matrix", tuple(tuple(map(_canon, row)) for row in self.matrix)
-            )
-        _check_slots(name, idx)
+        if scalar is not None:
+            scalar = _canon(scalar)
+        if matrix is not None:
+            matrix = tuple(tuple(map(_canon, row)) for row in matrix)
+        _check_slots(name, indices)
+        return tuple.__new__(cls, (name, indices, scalar, matrix))
 
     def _args(self, d):
         """The arguments after (g, d) of the family's entry function at

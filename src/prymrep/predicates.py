@@ -15,7 +15,7 @@ product only names the clause that fails.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cyclotomic import CycInt, unit_exponent, zeta_pow
 from .ringlinalg import BlockMat, RingMatrix, preserves_form
@@ -32,10 +32,8 @@ class GroupTag(enum.Enum):
     Genus2Theta = "Genus2Theta"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    reason: str = ""
+class Verdict(namedtuple("Verdict", "ok reason", defaults=("",))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok

@@ -10,8 +10,6 @@ form preservation literally M* Omega M = Omega.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from operator import add, sub
 
 from .cyclotomic import (
@@ -321,16 +319,24 @@ def _square(m, n, g, what):
         raise ValueError(f"{what} is {m.rows}x{m.cols}, expected {n}x{n} for genus {g}")
 
 
-@dataclass(frozen=True)
 class BlockMat:
-    """A 2(g-1)-square matrix with the e_+/e_- block split.  Its det, form test
-    and membership clauses are each decided once, in a memo outside eq, hash and repr."""
+    """A 2(g-1)-square matrix with the e_+/e_- block split, immutable by
+    convention; eq and hash compare (mat, g).  Its det, form test and membership
+    clauses are each decided once, in a memo outside eq, hash and repr."""
 
-    mat: RingMatrix
-    g: int
+    __slots__ = ("mat", "g", "_memo")
 
-    def __post_init__(self):
-        _square(self.mat, _side(self.g), self.g, "matrix")
+    def __init__(self, mat: RingMatrix, g: int):
+        _square(mat, _side(g), g, "matrix")
+        self.mat, self.g, self._memo = mat, g, {}  # _memo: fn -> fn(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.mat, self.g) == (other.mat, other.g)
+
+    def __hash__(self):
+        return hash((self.mat, self.g))
 
     @property
     def d(self):
@@ -404,8 +410,6 @@ class BlockMat:
                 row.append(x if (p < n) == (q < n) or not any(x) else _neg(x))
             rows.append(tuple(row))
         return BlockMat(RingMatrix._make(self.d, tuple(rows)), self.g)
-
-    _memo = cached_property(lambda self: {})  # fn -> fn(self), in the instance __dict__
 
     def _once(self, fn):
         """fn(self), computed at most once per matrix; a raise stores nothing."""

@@ -16,7 +16,7 @@ lazily never changes which inputs a case sees.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from .cyclotomic import (
@@ -36,12 +36,8 @@ from .ringlinalg import BlockMat, RingMatrix, _side, preserves_form
 from .wordlang import Word, evaluate, parse
 
 
-@dataclass
-class SweepReport:
-    name: str
-    ok: bool
-    checked: int
-    detail: str = ""
+class SweepReport(namedtuple("SweepReport", "name ok checked detail", defaults=("",))):
+    __slots__ = ()
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"

@@ -165,6 +165,24 @@ def test_fox_generator_mapped_twice_exit_2(capsys):
     assert err == "parse error: generator x1 is mapped twice at position 11: 'x1 -> x1 ; x1 -> x2'\n"
 
 
+_LONG_WORD = "T^2*" * 100_000 + "Foo"
+_LONG_MAP = "x1 -> " + "x1 x2 " * 200_000 + "; x2 -> x2^"
+
+
+@pytest.mark.parametrize("argv, text, pos", [
+    (("eval", "--d", "5", "--g", "3", "--word", _LONG_WORD), _LONG_WORD, 400_000),
+    (("fox", "--d", "5", "--g", "2", "--map", _LONG_MAP, "--inverse", "x1 -> x1 ; x2 -> x2"),
+     _LONG_MAP, 1_200_016),
+], ids=["word", "map"])
+def test_a_syntax_error_in_a_long_text_prints_a_short_line(capsys, argv, text, pos):
+    # a slip at the end of a 400 kB word or a 1.2 MB map: the position counts
+    # in the whole text, and the line quotes only the text around it
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and err.endswith(f" at position {pos}: ...{text[-200:]!r}\n")
+    assert err.count("\n") == 1 and len(err) < 300
+
+
 def test_fox_is_linear_in_the_image_length(capsys):
     # a 24,001-letter image written out letter by letter: the Fox route walks
     # it once, where a walk that copies every prefix is quadratic

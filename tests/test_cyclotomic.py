@@ -10,6 +10,7 @@ from prymrep import cyclotomic
 from prymrep.cyclotomic import (
     MAX_D,
     MAX_DIGITS,
+    MAX_ECHO,
     MAX_EXPONENT,
     CycInt,
     ParseError,
@@ -450,6 +451,21 @@ def test_digit_budget():
         with pytest.raises(ParseError, match=f"budget MAX_DIGITS = {MAX_DIGITS}") as exc:
             parse_ring_literal(text)
         assert exc.value.pos == pos
+
+
+def test_a_parse_error_quotes_a_window_of_a_long_text():
+    # a text of MAX_ECHO characters is quoted whole; a longer one as the 200
+    # characters around the position, marked where cut; pos and text stay
+    # those of the whole input
+    whole = "x" * MAX_ECHO
+    assert str(ParseError("bad", whole, 3)) == f"bad at position 3: {whole!r}"
+    text = "a" * 1000 + "!" + "b" * 1000
+    for pos, shown in ((1000, f"...{'a' * 100 + '!' + 'b' * 99!r}..."),
+                       (5, f"{'a' * 200!r}..."),
+                       (len(text), f"...{'b' * 200!r}")):
+        exc = ParseError("bad", text, pos)
+        assert str(exc) == f"bad at position {pos}: {shown}"
+        assert (exc.message, exc.text, exc.pos) == ("bad", text, pos)
 
 
 def test_valid_literals_skip_the_scanner(monkeypatch):

@@ -545,7 +545,7 @@ def _token_start(text, i):
 @settings(max_examples=200, deadline=None)
 def test_a_corrupted_map_parses_or_says_where_in_the_text(g, d, seed, data):
     # one character of a valid map, changed: the parse succeeds, or refuses
-    # a letter budget, or raises a ParseError that quotes the whole input and
+    # a letter budget, or raises a ParseError that carries the whole input and
     # points into it, not before the token that holds the changed character
     images = random_member(random.Random(seed), g, d).images
     text = " ; ".join(f"x{i} -> {render_free_word(w)}" for i, w in enumerate(images, start=1))

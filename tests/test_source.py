@@ -1,7 +1,10 @@
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,7 +97,7 @@ def test_only_the_endo_constructor_reduces_free_words():
     callers = {f"{src.name} {qual}"
                for src in sorted(SRC.glob("*.py"))
                for qual in _calls_by_function(ast.parse(src.read_text()), "word_mul")}
-    assert callers == {"foxcover.py Endo.__post_init__"}
+    assert callers == {"foxcover.py Endo.__init__"}
 
 
 def test_free_word_text_is_read_in_place_and_errors_name_their_position():
@@ -211,12 +214,57 @@ def test_constructors_build_through_genspec_and_matrix_of():
                 and [ast.unparse(a) for a in call.args[1:]] == ["d", "g"]), name
     callers = [f"{src.name} {qual}" for src in sorted(SRC.glob("*.py"))
                for qual in _calls_by_function(ast.parse(src.read_text()), "_check_slots")]
-    assert callers == ["generators.py GenSpec.__post_init__"]
+    assert callers == ["generators.py GenSpec.__new__"]
     defs = {node.name: node for node in gens.body if isinstance(node, ast.FunctionDef)}
     called = {ast.unparse(node.func).rpartition(".")[2]
               for node in ast.walk(defs["_entries"]) if isinstance(node, ast.Call)}
     assert called & {"_ints", "_check_slots", "_coerce"} == set()
     assert "_build" not in defs and "_build" not in _names(gens)
+
+
+def _unchecked_record_route(node):
+    """Is node an import of dataclasses, or a call that writes past a
+    constructor: object.__setattr__, a namedtuple's _replace, or any _make
+    but RingMatrix's trusted constructor?"""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "dataclasses" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "dataclasses"
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    call = ast.unparse(node.func)
+    return (call == "object.__setattr__" or node.func.attr == "_replace"
+            or node.func.attr == "_make" and call not in ("RingMatrix._make", "cls._make"))
+
+
+def test_records_are_built_only_through_their_constructors():
+    # the records are namedtuples or __slots__ classes whose constructors
+    # check and normalise their fields: no dataclass, no write past a frozen
+    # instance, and no namedtuple route around the checks of GenSpec.__new__
+    found = {src.name: sorted(_nodes_by_function(ast.parse(src.read_text()),
+                                                 _unchecked_record_route))
+             for src in sorted(SRC.glob("*.py"))}
+    assert {name: quals for name, quals in found.items() if quals} == {}
+    rings = {qual for qual in _nodes_by_function(
+        ast.parse((SRC / "ringlinalg.py").read_text()),
+        lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "cls._make")}
+    assert rings and all(qual.startswith("RingMatrix.") for qual in rings)
+
+
+def test_importing_the_cli_loads_no_dataclasses_and_no_sweeps():
+    # a cold start of the package and its CLI: the records need no
+    # dataclasses, which brings inspect, ast and dis, and the sweeps load
+    # only for selftest
+    probe = ("import sys; before = set(sys.modules); import prymrep, prymrep.cli; "
+             "print(prymrep.__file__); print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, cwd=ROOT, check=True).stdout.splitlines()
+    assert Path(out[0]).resolve() == SRC / "__init__.py"
+    loaded = set(out[1].split())
+    assert "prymrep.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "prymrep.sweeps"} == set()
 
 
 def _benchmark_tree(name):
