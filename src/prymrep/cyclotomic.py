@@ -5,9 +5,10 @@ the d-th cyclotomic polynomial Phi_d, so the representation is canonical and
 ring equality is literal tuple equality.  Coefficients are arbitrary-precision
 Python integers; nothing in this module touches floating point.
 
-The module also owns the package's ring-literal grammar, read in one regex
-match; the scanner, which the word grammar reads text with, reports a literal's
-errors.  In EBNF, with whitespace allowed between any two tokens:
+The module also owns the package's ring-literal grammar, read in place one
+term per regex match; every part of the term pattern is optional, so the match
+that stops short names the error and its position.  In EBNF, with whitespace
+allowed between any two tokens:
 
     literal := [ sign ] term { sign term }        sign := "+" | "-"
     term    := INT [ [ "*" ] "z" [ "^" INT ] ] | "z" [ "^" INT ]
@@ -28,75 +29,29 @@ MAX_D = 1000  # largest modulus; _power_table(997) and _units(997) hold about 2 
 MAX_EXPONENT = 10**5  # largest exponent of z in a ring literal
 MAX_DIGITS = 4000  # longest integer in text; below int()'s own limit of 4300
 MAX_PRINT_DIGITS = 4300  # longest integer rendered as text; int()'s own limit
-MAX_ECHO = 240  # longest text a ParseError quotes whole
+MAX_ECHO = 240  # longest repr, less its quotes, of a text a ParseError quotes whole
 _PRINT_BOUND = 10**MAX_PRINT_DIGITS
+_LONG = f"integer of {{}} digits is over the budget MAX_DIGITS = {MAX_DIGITS}"
 
 
 class ParseError(ValueError):
     """Syntax error in a text input; carries the message, the whole text and
-    the offending position in it.  A text over MAX_ECHO characters is quoted
-    as the 200 characters around pos, with '...' where it is cut."""
+    the offending position in it.  The text is quoted whole while its repr
+    fits in MAX_ECHO + 2 characters; otherwise as the 200 characters around
+    pos, halved until their repr fits, with '...' where it is cut."""
 
     def __init__(self, message, text, pos):
-        lo = max(0, min(pos - 100, len(text) - 200))
-        shown = repr(text) if len(text) <= MAX_ECHO else (
-            f"{'...' * (lo > 0)}{text[lo:lo + 200]!r}{'...' * (lo + 200 < len(text))}")
-        super().__init__(f"{message} at position {pos}: {shown}")
+        lo, hi, size = 0, len(text), 400
+        while hi - lo > MAX_ECHO or len(repr(text[lo:hi])) > MAX_ECHO + 2:
+            size //= 2
+            lo = max(0, min(pos - size // 2, len(text) - size))
+            hi = lo + size
+        super().__init__(f"{message} at position {pos}: {'...' * (lo > 0)}{text[lo:hi]!r}"
+                         f"{'...' * (hi < len(text))}")
         self.message, self.text, self.pos = message, text, pos
 
 
 _SPACE = re.compile(r"\s*")
-
-
-class _Scanner:
-    """A cursor over the text of one hand-written grammar.  Whitespace is
-    insignificant: every read skips it first, so an error reports the
-    position of the next token, or the end of the text."""
-
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def err(self, message):
-        raise ParseError(message, self.text, self.pos)
-
-    def peek(self):
-        """The next character after whitespace, or "" at the end."""
-        if self.text[self.pos:self.pos + 1].isspace():  # isspace and \s agree
-            self.pos = _SPACE.match(self.text, self.pos).end()
-        return self.text[self.pos:self.pos + 1]
-
-    def done(self):
-        return not self.peek()
-
-    def expect(self, ch):
-        if self.peek() != ch:
-            self.err(f"expected {ch!r}")
-        self.pos += 1
-
-    def take(self, regex):
-        """Consume and return the next token if regex matches it, else None."""
-        self.peek()
-        m = regex.match(self.text, self.pos)
-        if m is None:
-            return None
-        self.pos = m.end()
-        return m.group()
-
-    def need(self, regex, what):
-        """Like take, but a missing token is the error "expected <what>"."""
-        token = self.take(regex)
-        if token is None:
-            self.err(f"expected {what}")
-        return token
-
-    def integer(self, token):
-        """_int of the token just read; an error points at its start."""
-        try:
-            return _int(token)
-        except ValueError as exc:
-            self.pos -= len(token)
-            self.err(exc.args[0])
 
 
 def _int(token):
@@ -104,7 +59,7 @@ def _int(token):
     MAX_DIGITS digits are refused before int() runs."""
     digits = len(token.lstrip("-"))
     if digits > MAX_DIGITS:
-        raise ValueError(f"integer of {digits} digits is over the budget MAX_DIGITS = {MAX_DIGITS}")
+        raise ValueError(_LONG.format(digits))
     return int(token)
 
 
@@ -297,10 +252,10 @@ class CycInt:
         return cls.from_poly(d, (n,))
 
     @classmethod
-    def from_literal(cls, d, text):
-        """Parse a ring literal at modulus d.  Its terms fold by exponent
-        mod d, so no dense polynomial of a high exponent is built."""
-        terms = _literal_terms(text)
+    def from_literal(cls, d, text, pos=0, end=None):
+        """Parse the ring literal text[pos:end] at modulus d.  Its terms fold
+        by exponent mod d, so no dense polynomial of a high exponent is built."""
+        terms = _literal_terms(text, pos, end)
         euler_phi(d)  # the modulus rule, before the fold divides by d
         folded = [0] * d
         for e, c in terms.items():
@@ -497,13 +452,11 @@ def _divider(d, b):
 # ---------------------------------------------------------------------------
 # Ring-literal grammar: integer polynomials in `z`, e.g. "1 - z^3 + 2*z".
 
+# One term with every part optional, so that a match shows how far the term
+# got: sign, coefficient, '*', 'z', '^', exponent.  Each part takes the
+# whitespace after it, so an empty group starts at the next token.
+_TERM = re.compile(r"\s*([+-]?)\s*(\d*)\s*(\*?)\s*(?:(z)\s*(?:(\^)\s*(\d*)\s*)?)?")
 _LEXEMES = re.compile(r"(?:\s*[\dz*^+-])*")
-_SIGN = re.compile(r"[+-]")
-_DIGITS = re.compile(r"\d+")
-# one term, digit runs bounded; each run of whitespace has one place to go, so a failure is linear
-_TERM = (rf"(^\s*(?:[+-]\s*)?|[+-]\s*)(\d{{1,{MAX_DIGITS}}}|(?=z))"
-         rf"(?:\s*(?:\*\s*)?(z)(?:\s*\^\s*(\d{{1,{len(str(MAX_EXPONENT))}}}))?)?\s*")
-_TERMS, _LITERAL = re.compile(_TERM), re.compile(f"(?:{_TERM})+")
 
 
 def parse_ring_literal(text: str) -> tuple[int, ...]:
@@ -518,54 +471,45 @@ def _dense(terms):
     return tuple(_poly_trim(out)) or (0,)
 
 
-def _literal_terms(text):
-    """The terms of a ring literal as {exponent: coefficient}, a repeated
-    exponent summed, read in one match; text outside the grammar, or with an
-    exponent over MAX_EXPONENT, goes to the scanner, which reports errors."""
-    terms = {}
-    if _LITERAL.fullmatch(text):
-        for sign, c, z, e in _TERMS.findall(text):
-            e = int(e) if e else 1 if z else 0
-            terms[e] = terms.get(e, 0) + int(sign.strip() + (c or "1"))
-    return terms if terms and max(terms) <= MAX_EXPONENT else _scanned_terms(text)
-
-
-def _scanned_terms(text):
-    bad = _LEXEMES.match(text).end()
-    if bad < len(text) and not text[bad:].isspace():
-        raise ParseError("unexpected character in ring literal", text, bad)
-    s = _Scanner(text)
-    if s.done():
-        raise ParseError("empty ring literal", text, 0)
-    coeffs = {}
-    sign = s.take(_SIGN)
+def _literal_terms(text, pos=0, end=None):
+    """The terms of the ring literal text[pos:end] as {exponent: coefficient},
+    a repeated exponent summed, read in place one term per match.  An error
+    is a ParseError at its position in the whole text; a character outside
+    the grammar is reported first, at the end of the last token before it."""
+    end = len(text) if end is None else end
+    start, terms = pos, {}
     while True:
-        if sign and s.done():
-            s.err("dangling sign in ring literal")
-        coeff = s.take(_DIGITS)
-        c = 1 if coeff is None else s.integer(coeff)
-        if coeff and s.peek() == "*":
-            s.pos += 1
-            if s.peek() != "z":
-                s.err("expected 'z' after '*'")
-        exp = 0
-        if s.peek() == "z":
-            s.pos += 1
-            exp = 1
-            if s.peek() == "^":
-                s.pos += 1
-                digits = s.need(_DIGITS, "integer exponent after '^'")
-                exp = s.integer(digits)
-                if exp > MAX_EXPONENT:
-                    s.pos -= len(digits)
-                    s.err(f"exponent {exp} is over the budget MAX_EXPONENT = {MAX_EXPONENT}")
-        elif coeff is None:
-            s.err("expected integer or 'z'")
-        coeffs[exp] = coeffs.get(exp, 0) + (-c if sign == "-" else c)
-        if s.done():
-            break
-        sign = s.need(_SIGN, "'+' or '-' between terms")
-    return coeffs
+        m = _TERM.match(text, pos, end)
+        sign, coeff, star, z, caret, exp = m.groups()
+        if pos > start and not sign:
+            message, at = "expected '+' or '-' between terms", pos
+        elif m.start(2) == end:
+            message, at = (("dangling sign in ring literal", end) if sign
+                           else ("empty ring literal", start))
+        elif not coeff and (star or not z):
+            message, at = "expected integer or 'z'", m.start(3)
+        elif len(coeff) > MAX_DIGITS:
+            message, at = _LONG.format(len(coeff)), m.start(2)
+        elif star and not z:
+            message, at = "expected 'z' after '*'", m.end()
+        elif caret and not exp:
+            message, at = "expected integer exponent after '^'", m.start(6)
+        elif exp and len(exp) > MAX_DIGITS:
+            message, at = _LONG.format(len(exp)), m.start(6)
+        elif exp and int(exp) > MAX_EXPONENT:
+            message, at = (f"exponent {int(exp)} is over the budget MAX_EXPONENT = {MAX_EXPONENT}",
+                           m.start(6))
+        else:
+            e = int(exp) if exp else 1 if z else 0
+            terms[e] = terms.get(e, 0) + int(sign + (coeff or "1"))
+            pos = m.end()
+            if pos == end:
+                return terms
+            continue
+        bad = _LEXEMES.match(text, start, end).end()
+        if _SPACE.match(text, bad, end).end() < end:
+            message, at = "unexpected character in ring literal", bad
+        raise ParseError(message, text, at)
 
 
 def render_poly(coeffs) -> str:

@@ -10,6 +10,7 @@ form preservation literally M* Omega M = Omega.
 
 from __future__ import annotations
 
+import re
 from operator import add, sub
 
 from .cyclotomic import (
@@ -282,13 +283,24 @@ def _sparse_product(d, a_rows, b_rows, cols):
     return tuple(out)
 
 
-def parse_matrix_poly(text: str, read):
-    """Parse the matrix text format, rows split by ';' and ring literals by
-    ',', into the grid of read(literal)."""
-    rows = tuple(tuple(map(read, chunk.split(","))) for chunk in text.split(";"))
+_CUT = re.compile("[,;]")  # the end of a matrix entry
+
+
+def parse_matrix_poly(text: str, read, pos=0, end=None):
+    """Parse the matrix text format in text[pos:end], rows cut by ';' and
+    ring literals by ',', into the grid of read(text, start, stop) over the
+    span of each literal, read in place."""
+    end = len(text) if end is None else end
+    start, rows = pos, [[]]
+    for cut in _CUT.finditer(text, pos, end):
+        rows[-1].append(read(text, pos, cut.start()))
+        if cut[0] == ";":
+            rows.append([])
+        pos = cut.end()
+    rows[-1].append(read(text, pos, end))
     if any(len(r) != len(rows[0]) for r in rows):
-        raise ParseError("ragged matrix literal", text, 0)
-    return rows
+        raise ParseError("ragged matrix literal", text, start)
+    return tuple(map(tuple, rows))
 
 
 def _matrix_text(rows):
@@ -302,7 +314,7 @@ def parse_matrix(text: str, d: int) -> RingMatrix:
     its coefficient tuple as it is read, so no dense polynomial of a long
     literal outlives its entry."""
     return RingMatrix._make(d, parse_matrix_poly(
-        text, lambda literal: CycInt.from_literal(d, literal).coeffs))
+        text, lambda *span: CycInt.from_literal(d, *span).coeffs))
 
 
 def _side(g):

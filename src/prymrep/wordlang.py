@@ -26,8 +26,8 @@ from functools import lru_cache
 from itertools import chain
 from operator import add
 
-from .cyclotomic import (_PRINT_BOUND, MAX_PRINT_DIGITS, ParseError, _dense, _ints, _literal_terms,
-                         _mul_reduce, _power, _power_table, _Scanner, render_poly)
+from .cyclotomic import (_PRINT_BOUND, _SPACE, MAX_PRINT_DIGITS, ParseError, _dense, _int, _ints,
+                         _literal_terms, _mul_reduce, _power, _power_table, render_poly)
 from .generators import FAMILIES, GenSpec, _entries, _rank_update
 from .ringlinalg import BlockMat, RingMatrix, _matrix_text, parse_matrix_poly
 
@@ -152,25 +152,66 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
     return BlockMat(RingMatrix._make(d, tuple(map(tuple, rows))), g)
 
 
+class _Scanner:
+    """A cursor over the text of a word.  Whitespace is insignificant: every
+    read skips it first, so an error reports the position of the next token,
+    or the end of the text."""
+
+    def __init__(self, text):
+        self.text, self.pos = text, 0
+
+    def err(self, message):
+        raise ParseError(message, self.text, self.pos)
+
+    def peek(self):
+        """The next character after whitespace, or "" at the end."""
+        if self.text[self.pos:self.pos + 1].isspace():  # isspace and \s agree
+            self.pos = _SPACE.match(self.text, self.pos).end()
+        return self.text[self.pos:self.pos + 1]
+
+    def expect(self, ch):
+        if self.peek() != ch:
+            self.err(f"expected {ch!r}")
+        self.pos += 1
+
+    def need(self, regex, what):
+        """Consume and return the next token, which regex must match; else
+        the error "expected <what>"."""
+        self.peek()
+        m = regex.match(self.text, self.pos)
+        if m is None:
+            self.err(f"expected {what}")
+        self.pos = m.end()
+        return m.group()
+
+    def integer(self, token):
+        """_int of the token just read; an error points at its start."""
+        try:
+            return _int(token)
+        except ValueError as exc:
+            self.pos -= len(token)
+            self.err(exc.args[0])
+
+
 class _Parser(_Scanner):
     expanded = 0  # (top exponent + 1) summed over the ring literals read so far
 
-    def ring(self, text):  # parse_ring_literal, checked against MAX_DENSE first
-        terms = _literal_terms(text)
+    def ring(self, text, pos, end):  # parse_ring_literal in place, checked against MAX_DENSE
+        terms = _literal_terms(text, pos, end)
         self.expanded += max(terms) + 1
         if self.expanded > MAX_DENSE:
             self.err(f"dense length {self.expanded} is over the budget MAX_DENSE = {MAX_DENSE}")
         return _dense(terms)
 
-    def literal(self, parse_text, what):
-        """A ring or matrix literal: raw text up to the next ')', which
-        neither kind contains."""
+    def literal(self, read, what):
+        """A ring or matrix literal, read in place by read(text, pos, end):
+        the text up to the next ')', which neither kind contains."""
         start = self.pos
         end = self.text.find(")", start)
         if end < 0:
             self.err(f"bad {what} literal (unterminated '(')")
         try:
-            value = parse_text(self.text[start:end])
+            value = read(self.text, start, end)
         except ParseError as exc:
             self.err(f"bad {what} literal ({exc.message})")
         self.pos = end
@@ -190,7 +231,8 @@ class _Parser(_Scanner):
                     self.expect(",")
                 indices.append(self.integer(self.need(_INT, "an integer")))
             if fam.takes == "matrix":
-                matrix = self.literal(lambda t: parse_matrix_poly(t, self.ring), "matrix")
+                matrix = self.literal(
+                    lambda text, pos, end: parse_matrix_poly(text, self.ring, pos, end), "matrix")
             elif fam.takes:
                 self.expect(";")
                 scalar = self.literal(self.ring, "ring")
@@ -207,7 +249,7 @@ class _Parser(_Scanner):
 
     def word(self):
         factors = []
-        while not self.done():
+        while self.peek():
             if factors:
                 self.expect("*")
             factors.append(self.factor())

@@ -183,6 +183,15 @@ def test_a_syntax_error_in_a_long_text_prints_a_short_line(capsys, argv, text, p
     assert err.count("\n") == 1 and len(err) < 300
 
 
+@pytest.mark.parametrize("word", ["T*" + "\U000e0001" * 1000, "\x00" * 240], ids=["tags", "nuls"])
+def test_a_syntax_error_in_escaped_text_prints_a_short_line(capsys, word):
+    # repr spells each of these characters in 4 to 10, so the quoted window
+    # is bounded by the length of its repr, not by its count of characters
+    code, out, err = run(capsys, "eval", "--d", "3", "--g", "2", "--word", word)
+    assert code == 2 and out == "" and err.startswith("parse error: ")
+    assert err.count("\n") == 1 and len(err) < 300
+
+
 def test_fox_is_linear_in_the_image_length(capsys):
     # a 24,001-letter image written out letter by letter: the Fox route walks
     # it once, where a walk that copies every prefix is quadratic

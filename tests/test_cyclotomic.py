@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prymrep import cyclotomic
 from prymrep.cyclotomic import (
     MAX_D,
     MAX_DIGITS,
@@ -466,28 +465,22 @@ def test_a_parse_error_quotes_a_window_of_a_long_text():
         exc = ParseError("bad", text, pos)
         assert str(exc) == f"bad at position {pos}: {shown}"
         assert (exc.message, exc.text, exc.pos) == ("bad", text, pos)
+    # the bound is on the repr: 60 NULs, a repr of MAX_ECHO + 2, are quoted
+    # whole, and 61 as the 50 around pos, the window halved until it fits
+    nuls = "\x00" * 61
+    assert str(ParseError("bad", nuls[:60], 0)) == f"bad at position 0: {nuls[:60]!r}"
+    assert str(ParseError("bad", nuls, 30)) == f"bad at position 30: ...{nuls[:50]!r}..."
 
 
-def test_valid_literals_skip_the_scanner(monkeypatch):
-    # the scanner only reports errors: a valid literal is read in one match,
-    # unless an exponent is over MAX_EXPONENT or padded past six digits
-    from test_grammar import _literal_cases
-
-    valid = {}
-    for _, text in _literal_cases():
-        try:
-            valid[text] = parse_ring_literal(text)
-        except ParseError:
-            pass
-    scanned, scanner = [], cyclotomic._scanned_terms
-    monkeypatch.setattr(cyclotomic, "_scanned_terms",
-                        lambda text: scanned.append(text) or scanner(text))
-    assert len(valid) > 10000
-    assert {text: parse_ring_literal(text) for text in valid} == valid and scanned == []
-    assert parse_ring_literal("1 + z^0000001") == (1, 1) and scanned == ["1 + z^0000001"]
-    with pytest.raises(ParseError, match="budget MAX_EXPONENT") as exc:
-        CycInt.from_literal(5, "z^100001")
-    assert exc.value.pos == 2 and scanned[1:] == ["z^100001"]
+def test_padded_and_over_budget_exponents():
+    # an exponent zero-padded past six digits is read, not refused; one over
+    # MAX_EXPONENT is refused at the start of its digits, at a modulus too
+    assert parse_ring_literal("1 + z^0000001") == (1, 1)
+    assert CycInt.from_literal(5, "1 + z^0000001") == 1 + zeta_pow(5, 1)
+    for read in (parse_ring_literal, lambda text: CycInt.from_literal(5, text)):
+        with pytest.raises(ParseError, match="budget MAX_EXPONENT") as exc:
+            read("z^100001")
+        assert exc.value.pos == 2
 
 
 @st.composite

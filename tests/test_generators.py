@@ -22,6 +22,7 @@ from prymrep.generators import (
     elem_Ti,
     elem_Tij,
     gamma_ijk,
+    _instances,
     gamma_ik,
     matrix_of,
     scalar_zeta,
@@ -29,7 +30,7 @@ from prymrep.generators import (
 )
 from prymrep.predicates import GroupTag, is_member
 from prymrep.ringlinalg import BlockMat, RingMatrix, basis_position, parse_matrix, preserves_form
-from prymrep.sweeps import random_lambda_word
+from prymrep.sweeps import _soundness_problem, random_lambda_word
 from prymrep.wordlang import Word, evaluate, parse
 
 from matrix_helpers import (apply, basis_vector, column, disjoint_support, form_eval, omega,
@@ -708,3 +709,58 @@ def test_readme_lists_the_budgets():
             names.append(name)
             assert f"`{src.stem}.{name} = {value}`" in budgets, (src.stem, name, value)
     assert "MAX_POWER" in names
+
+
+def test_criteria_1_to_3_at_d_61_hold_at_every_d():
+    """The scalar-free instances of criteria 1-3 at k = 1, every index
+    pattern at g = 4, checked at d = 61 and so proved at every d >= 2.
+
+    Every entry function reads d only as the first argument of one, zeta_pow,
+    CycInt.from_int or CycInt.from_poly (test_source.py::
+    test_generator_entries_read_d_only_through_ring_constructors).  So each
+    family's matrix at d is the image of one matrix over Z[x, x^-1] under
+    x -> zeta_d, and conjugation is the involution x -> x^-1.  At k = 1 the
+    entries of N in Id + N have Laurent support in [-1, 1]:
+
+        T, TH, THPrime, Zeta   x - 1 and 1 - x
+        TwistE, AH, AHPrime    integers
+        GammaIK                2 - x - x^-1
+        GammaIJK, G3           1, -x, -x^-1
+        G1, G2                 -1, -x - x^-1
+        Ti(+-(x + x^-1))       +-(x + x^-1)
+        Tij(1 - x), Tij(x)     1 - x, 1 - x^-1, x, x^-1
+
+    A form inverse conjugates, so it keeps the support [-1, 1].  Criterion 1,
+    Tij(1 - x) = TH^-1 THPrime, and criterion 2, the commutator
+    [Tij(i, -j; x), Tij(i, j; 1)] = Ti(x + x^-1)^sgn(j), set products of at
+    most four such factors equal, and criterion 3's form clause
+    M* Omega M = Omega and block clauses (a zero lower-left block, A = D =
+    x^m Id and B = B* for Delta, D*A = Id and D*B = B*D for Lambda) are
+    products of at most two.  Each is an identity P = 0 whose entries span
+    at most 8 degrees.  A nonzero Laurent polynomial x^a p(x), p(0) != 0, is
+    divisible by Phi_d only if deg p >= phi(d).  With phi(61) = 60 > 8,
+    P(zeta_61) = 0 gives P = 0, and with it the identity at every d.  The
+    unit-determinant clauses are checked at d = 61 alone.
+    """
+    d, g = 61, 4
+    z = zeta_pow(d, 1)
+    pairs = _instances("ss", d, g)
+    for i, j in pairs:
+        th_inv = matrix_of(GenSpec("TH", (i,)), d, g).form_inverse()
+        thp = matrix_of(GenSpec("THPrime", (i, j)), d, g)
+        assert matrix_of(GenSpec("Tij", (i, j), (one(d) - z).coeffs), d, g) == th_inv * thp, (i, j)
+        a = matrix_of(GenSpec("Tij", (i, -j), z.coeffs), d, g)
+        b = matrix_of(GenSpec("Tij", (i, j), (1,)), d, g)
+        r = z + z.conj()
+        rhs = matrix_of(GenSpec("Ti", (i,), (r if j > 0 else -r).coeffs), d, g)
+        assert a * b * a.form_inverse() * b.form_inverse() == rhs, (i, j)
+    checked = []
+    for name, fam in FAMILIES.items():
+        if fam.takes:
+            continue
+        for ix in _instances(fam.slots, d, g):
+            if all(k == 1 for slot, k in zip(fam.slots, ix) if slot == "k"):
+                m = matrix_of(GenSpec(name, ix), d, g)
+                assert _soundness_problem(m, name, fam.group) is None, (name, ix)
+                checked.append(name)
+    assert len(pairs) == 12 and len(set(checked)) == 12 and len(checked) == 56

@@ -5,7 +5,9 @@ the exception class, message and position of every outcome is hashed; the
 digest was taken before the two grammars came to share one scanner.  The
 alphabets include characters that only Unicode counts as whitespace or
 digits (em space, the file separator, the Arabic-Indic digit three).  The
-ring-literal grammar is also checked against one regular expression.
+ring-literal reader is also checked against one regular expression, and
+against a frozen copy of the token-by-token scanner that reported its errors
+before it did.
 """
 
 import hashlib
@@ -16,8 +18,8 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prymrep.cyclotomic import (MAX_DIGITS, MAX_EXPONENT, CycInt, ParseError, _literal_terms,
-                                _scanned_terms, parse_ring_literal)
+from prymrep.cyclotomic import (_SPACE, MAX_DIGITS, MAX_EXPONENT, CycInt, ParseError, _dense, _int,
+                                _literal_terms, parse_ring_literal)
 from prymrep.ringlinalg import parse_matrix_poly
 from prymrep.wordlang import parse
 
@@ -135,12 +137,16 @@ def _literal_cases():
 def _word_and_matrix_cases():
     return _cases(11, 10000, lambda rng, n: (
         (parse, _mutate(rng, _word(rng))) if n % 2
-        else (lambda t: parse_matrix_poly(t, parse_ring_literal),
+        else (lambda t: parse_matrix_poly(t, lambda *span: _dense(_literal_terms(*span))),
               _mutate(rng, _matrix(rng)))))
 
 
+# WORD_DIGEST was retaken when matrix entries came to be read in place (an
+# entry's error carries the whole matrix text and its position in it) and
+# the quote of a text came to be bounded by its repr (three words of about
+# 200 characters with a repr over MAX_ECHO + 2 are quoted as a window)
 LITERAL_DIGEST = "428bf1843fc80d873dd41cbe651acf6f7c4d4e77ff02440179796718d6879439"
-WORD_DIGEST = "e5ebd9e4c480f0c99b568064a4659a5226edab193c1bfdd78aa6701113f78b94"
+WORD_DIGEST = "b598e5ebf2129c4c0f50b9b5b8557a6fd87e5e6cd18f80cd35de088ff3a21fdf"
 
 
 def test_ring_literal_digest():
@@ -170,9 +176,94 @@ _BOUNDARY = (f"{'9' * MAX_DIGITS}*z", f"1 - {'9' * (MAX_DIGITS + 1)}*z",
              " " * 10**5 + "x", " - " + " " * 10**5 + "z  *")
 
 
+class _Scanner:
+    """The token cursor of the frozen reference below: whitespace is skipped
+    before every read, so an error reports the position of the next token."""
+
+    def __init__(self, text):
+        self.text, self.pos = text, 0
+
+    def err(self, message):
+        raise ParseError(message, self.text, self.pos)
+
+    def peek(self):
+        self.pos = _SPACE.match(self.text, self.pos).end()
+        return self.text[self.pos:self.pos + 1]
+
+    def done(self):
+        return not self.peek()
+
+    def take(self, regex):
+        self.peek()
+        m = regex.match(self.text, self.pos)
+        if m is None:
+            return None
+        self.pos = m.end()
+        return m.group()
+
+    def need(self, regex, what):
+        token = self.take(regex)
+        if token is None:
+            self.err(f"expected {what}")
+        return token
+
+    def integer(self, token):
+        try:
+            return _int(token)
+        except ValueError as exc:
+            self.pos -= len(token)
+            self.err(exc.args[0])
+
+
+_LEXEMES = re.compile(r"(?:\s*[\dz*^+-])*")
+_SIGN = re.compile(r"[+-]")
+_DIGITS = re.compile(r"\d+")
+
+
+def _scanned_terms(text):
+    """The token-by-token ring-literal parser that reported every literal
+    error before the term pattern did, frozen with its cursor as the
+    reference for it."""
+    bad = _LEXEMES.match(text).end()
+    if bad < len(text) and not text[bad:].isspace():
+        raise ParseError("unexpected character in ring literal", text, bad)
+    s = _Scanner(text)
+    if s.done():
+        raise ParseError("empty ring literal", text, 0)
+    coeffs = {}
+    sign = s.take(_SIGN)
+    while True:
+        if sign and s.done():
+            s.err("dangling sign in ring literal")
+        coeff = s.take(_DIGITS)
+        c = 1 if coeff is None else s.integer(coeff)
+        if coeff and s.peek() == "*":
+            s.pos += 1
+            if s.peek() != "z":
+                s.err("expected 'z' after '*'")
+        exp = 0
+        if s.peek() == "z":
+            s.pos += 1
+            exp = 1
+            if s.peek() == "^":
+                s.pos += 1
+                digits = s.need(_DIGITS, "integer exponent after '^'")
+                exp = s.integer(digits)
+                if exp > MAX_EXPONENT:
+                    s.pos -= len(digits)
+                    s.err(f"exponent {exp} is over the budget MAX_EXPONENT = {MAX_EXPONENT}")
+        elif coeff is None:
+            s.err("expected integer or 'z'")
+        coeffs[exp] = coeffs.get(exp, 0) + (-c if sign == "-" else c)
+        if s.done():
+            break
+        sign = s.need(_SIGN, "'+' or '-' between terms")
+    return coeffs
+
+
 def test_one_match_reads_like_the_scanner():
-    # _literal_terms reads a literal in one match and leaves the rest to the
-    # scanner; both must give the same terms, or the same error and position
+    # _literal_terms reads a literal one term per match and reports its own
+    # errors; it must give the frozen scanner's terms, or its error and position
     for text in (*(text for _, text in _literal_cases()), *_BOUNDARY):
         assert _outcome(_literal_terms, text) == _outcome(_scanned_terms, text), text
 

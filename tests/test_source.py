@@ -117,6 +117,66 @@ def test_free_word_text_is_read_in_place_and_errors_name_their_position():
         assert not any(isinstance(node, ast.Slice) for node in ast.walk(defs[name])), name
 
 
+def _defs(module):
+    """The functions and classes defined anywhere in a module, by name."""
+    return {node.name: node for node in ast.walk(ast.parse((SRC / module).read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_ring_literals_have_one_reader_and_matrix_entries_are_read_in_place():
+    # the term pattern of _literal_terms is the only ring-literal reader and
+    # reports its own errors, so no fallback scanner re-reads what it refuses;
+    # it and parse_matrix_poly read the caller's string through positions, so
+    # no split, strip, fullmatch, findall or slice copies it, and an entry's
+    # error counts in the whole matrix
+    assert {"_Scanner", "_scanned_terms"} & set(_defs("cyclotomic.py")) == set()
+    assert "_Scanner" in _defs("wordlang.py")
+    for module, name in (("cyclotomic.py", "_literal_terms"),
+                         ("ringlinalg.py", "parse_matrix_poly")):
+        fn = _defs(module)[name]
+        calls = {getattr(node.func, "attr", getattr(node.func, "id", None))
+                 for node in ast.walk(fn) if isinstance(node, ast.Call)}
+        assert calls & {"split", "rsplit", "strip", "lstrip", "rstrip", "fullmatch",
+                        "findall"} == set(), name
+        assert not any(isinstance(node, ast.Slice) for node in ast.walk(fn)), name
+
+
+def test_generator_entries_read_d_only_through_ring_constructors():
+    # the premise of test_generators.py::test_criteria_1_to_3_at_d_61_hold_at_every_d:
+    # each entry function but UrSp's, and each function of generators it
+    # hands d to as a parameter named d, reads d only as the first argument
+    # of one, zeta_pow, CycInt.from_int or CycInt.from_poly, so its entries
+    # are Laurent polynomials in zeta_d whose coefficients do not depend on d
+    from prymrep.generators import FAMILIES
+
+    defs = _defs("generators.py")
+    ring = {"one", "zeta_pow", "CycInt.from_int", "CycInt.from_poly"}
+    todo = [fam.entries.__name__ for fam in FAMILIES.values() if fam.takes != "matrix"]
+    seen = set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        allowed = set()
+        for call in ast.walk(defs[name]):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = ast.unparse(call.func)
+            for at, arg in enumerate(call.args):
+                if not (isinstance(arg, ast.Name) and arg.id == "d"):
+                    continue
+                if callee in ring and at == 0:
+                    allowed.add(arg)
+                elif callee in defs and [a.arg for a in defs[callee].args.args][at:at + 1] == ["d"]:
+                    allowed.add(arg)
+                    todo.append(callee)
+        reads = [node for node in ast.walk(defs[name])
+                 if isinstance(node, ast.Name) and node.id == "d" and node not in allowed]
+        assert reads == [], (name, [ast.unparse(node) for node in reads], reads[0].lineno)
+    assert {"_zeta_on_plane", "_image_entries", "_ti_entries"} <= seen
+
+
 def test_only_foxcover_owns_the_letter_budget_and_cli_main_checks_d_and_g():
     # the walk budget is foxcover's decision alone, and the --d/--g check
     # runs once, in cli.main, for every command that takes them
