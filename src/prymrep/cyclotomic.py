@@ -410,8 +410,9 @@ def eval_real_basis(d: int, n0: int, nk) -> CycInt:
 def divide_exact(a, b: CycInt) -> CycInt:
     """a / b when the quotient lies in Z[zeta_d], in integer arithmetic only
     (_divider).  Raises ZeroDivisionError for b = 0 and ArithmeticError when
-    the quotient is not integral; a may be a rational integer."""
-    a = b._coerce(a)
+    the quotient is not integral; a may be a rational integer, coerced as
+    RingMatrix entries are, so any other a breaks the integer rule."""
+    a = b._coerce(a) or CycInt.from_int(b.d, a)
     return _new(b.d, _divider(b.d, b.coeffs)(a.coeffs))
 
 

@@ -65,13 +65,9 @@ def reduce_lambda(m: BlockMat, word_d: Word) -> Word:
     word_d followed by the delta decomposition of F evaluates to M exactly.
     """
     d, g = m.d, m.g
-    v = is_member(m, GroupTag.Lambda)
-    if not v:
-        raise ValueError(f"matrix is not in Lambda: {v.reason}")
+    is_member(m, GroupTag.Lambda).require("matrix is not in Lambda")
     witness = evaluate(word_d, d, g)
-    v = is_member(witness, GroupTag.Lambda)
-    if not v:
-        raise ValueError(f"witness word does not evaluate into Lambda: {v.reason}")
+    is_member(witness, GroupTag.Lambda).require("witness word does not evaluate into Lambda")
     dm = m.lower_right()
     if witness.lower_right() != dm:
         raise ValueError("witness word has a different lower-right block than M")

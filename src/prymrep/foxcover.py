@@ -277,9 +277,7 @@ def _project(cls: CoverClass, d: int):
 def _require_member(phi: Endo, d: int, g: int) -> None:
     """The shared guard of both eta routes, checked before either walks."""
     _same_rank(_rank(g), phi.g)
-    v = check_member(phi, d)
-    if not v:
-        raise ValueError(f"endomorphism is not in the covering-preserving group: {v.reason}")
+    check_member(phi, d).require("endomorphism is not in the covering-preserving group")
 
 
 def eta_chain(phi: Endo, d: int, g: int) -> RingMatrix:

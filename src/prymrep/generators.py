@@ -145,9 +145,7 @@ def _ursp_entries(g, d, polys):
     """The UrSp literal of a grid of integer polynomials, checked to lie in
     urSp(Z), less Id."""
     m = BlockMat(RingMatrix(d, [[CycInt.from_poly(d, p) for p in row] for row in polys]), g)
-    v = is_member(m, GroupTag.UrSpZ)
-    if not v:
-        raise ValueError(f"matrix is not in urSp_2(g-1)(Z): {v.reason}")
+    is_member(m, GroupTag.UrSpZ).require("matrix is not in urSp_2(g-1)(Z)")
     o = one(d)
     return [(p, q, c - o if p == q else c)
             for p, row in enumerate(m.mat.entries) for q, c in enumerate(row)]

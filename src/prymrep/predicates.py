@@ -38,6 +38,11 @@ class Verdict(namedtuple("Verdict", "ok reason", defaults=("",))):
     def __bool__(self):
         return self.ok
 
+    def require(self, what):
+        """Raise ValueError("<what>: <reason>") for a negative verdict."""
+        if not self.ok:
+            raise ValueError(f"{what}: {self.reason}")
+
 
 _OK = Verdict(True)
 
@@ -166,9 +171,7 @@ def genus2_real_project(m: BlockMat) -> CycInt:
     """
     if m.g != 2:
         raise ValueError("projection is defined for genus 2 only")
-    v = is_member(m, GroupTag.Lambda)
-    if not v:
-        raise ValueError(f"matrix is not in Lambda: {v.reason}")
+    is_member(m, GroupTag.Lambda).require("matrix is not in Lambda")
     ue = unit_exponent(m.mat[1, 1])
     assert ue is not None
     sign, k = ue

@@ -152,13 +152,14 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
     return BlockMat(RingMatrix._make(d, tuple(map(tuple, rows))), g)
 
 
-class _Scanner:
-    """A cursor over the text of a word.  Whitespace is insignificant: every
-    read skips it first, so an error reports the position of the next token,
-    or the end of the text."""
+class _Parser:
+    """The reader of word text, a cursor over it.  Whitespace is
+    insignificant: every read skips it first, so an error reports the
+    position of the next token, or the end of the text."""
 
     def __init__(self, text):
         self.text, self.pos = text, 0
+        self.expanded = 0  # (top exponent + 1) summed over the ring literals read so far
 
     def err(self, message):
         raise ParseError(message, self.text, self.pos)
@@ -184,17 +185,14 @@ class _Scanner:
         self.pos = m.end()
         return m.group()
 
-    def integer(self, token):
-        """_int of the token just read; an error points at its start."""
+    def integer(self):
+        """The next token, an integer read by _int; an error points at its start."""
+        token = self.need(_INT, "an integer")
         try:
             return _int(token)
         except ValueError as exc:
             self.pos -= len(token)
             self.err(exc.args[0])
-
-
-class _Parser(_Scanner):
-    expanded = 0  # (top exponent + 1) summed over the ring literals read so far
 
     def ring(self, text, pos, end):  # parse_ring_literal in place, checked against MAX_DENSE
         terms = _literal_terms(text, pos, end)
@@ -229,7 +227,7 @@ class _Parser(_Scanner):
             for n in range(len(fam.slots)):
                 if n:
                     self.expect(",")
-                indices.append(self.integer(self.need(_INT, "an integer")))
+                indices.append(self.integer())
             if fam.takes == "matrix":
                 matrix = self.literal(
                     lambda text, pos, end: parse_matrix_poly(text, self.ring, pos, end), "matrix")
@@ -244,7 +242,7 @@ class _Parser(_Scanner):
         exponent = 1
         if self.peek() == "^":
             self.pos += 1
-            exponent = self.integer(self.need(_INT, "an integer"))
+            exponent = self.integer()
         return spec, exponent
 
     def word(self):

@@ -30,7 +30,7 @@ from prymrep.generators import (
 )
 from prymrep.predicates import GroupTag, is_member
 from prymrep.ringlinalg import BlockMat, RingMatrix, basis_position, parse_matrix, preserves_form
-from prymrep.sweeps import _soundness_problem, random_lambda_word
+from prymrep.sweeps import _sample_scalars, _soundness_problem, random_lambda_word
 from prymrep.wordlang import Word, evaluate, parse
 
 from matrix_helpers import (apply, basis_vector, column, disjoint_support, form_eval, omega,
@@ -764,3 +764,49 @@ def test_criteria_1_to_3_at_d_61_hold_at_every_d():
                 assert _soundness_problem(m, name, fam.group) is None, (name, ix)
                 checked.append(name)
     assert len(pairs) == 12 and len(set(checked)) == 12 and len(checked) == 56
+
+
+def _embedding_mismatches(d, every_k):
+    """The (name, g, indices) of each instance, at g = 5, 6, 7, of a family
+    but Zeta and UrSp whose matrix is not its g = 4 pattern embedded.  The
+    index pairs the instance touches, plus pair 1, map onto 1..3 in order;
+    the g = 4 instance at the mapped indices, with the same k and scalar,
+    gives the entries among the touched pairs, and every other entry is
+    Id's.  every_k takes each k and sampled scalars, else k = 1 alone and
+    no scalar families."""
+    rng, out = random.Random(0), []
+    for name, fam in FAMILIES.items():
+        if name in ("Zeta", "UrSp") or (fam.takes and not every_k):
+            continue
+        for g, ix in ((g, ix) for g in (5, 6, 7) for ix in _instances(fam.slots, d, g)):
+            if not every_k and any(k != 1 for slot, k in zip(fam.slots, ix) if slot == "k"):
+                continue
+            pairs = sorted({1} | {abs(i) for slot, i in zip(fam.slots, ix) if slot != "k"})
+            ix4 = tuple(i if slot == "k" else (pairs.index(abs(i)) + 1) * (1 if i > 0 else -1)
+                        for slot, i in zip(fam.slots, ix))
+            at = [(basis_position(g, s * a), basis_position(4, s * b))
+                  for b, a in enumerate(pairs, 1) for s in (1, -1)]
+            for scalar in _sample_scalars(rng, d, fam.takes):
+                m4 = matrix_of(GenSpec(name, ix4, scalar), d, 4).mat.coeffs
+                want = [list(row) for row in RingMatrix.identity(d, 2 * (g - 1)).coeffs]
+                for p, p4 in at:
+                    for q, q4 in at:
+                        want[p][q] = m4[p4][q4]
+                got = matrix_of(GenSpec(name, ix, scalar), d, g).mat.coeffs
+                if got != tuple(map(tuple, want)):
+                    out.append((name, g, ix))
+    return out
+
+
+def test_every_family_at_g_5_to_7_is_its_g_4_matrix_embedded(monkeypatch):
+    """Each family but Zeta and UrSp touches at most three index pairs and
+    fixes the rest, so its matrix at g = 5, 6, 7 is the g = 4 pattern
+    embedded: the identities of test_criteria_1_to_3_at_d_61_hold_at_every_d,
+    whose factors share one embedding, carry over from g = 4 to these g.  An
+    entry function that reads g (T on the pair g - 1) fails the check."""
+    for d in (5, 7, 12):
+        assert _embedding_mismatches(d, every_k=True) == [], d
+    assert _embedding_mismatches(61, every_k=False) == []
+    moved = FAMILIES["T"]._replace(entries=lambda g, d: generators._zeta_on_plane(g, d, g - 1))
+    monkeypatch.setitem(FAMILIES, "T", moved)
+    assert _embedding_mismatches(61, every_k=False) == [("T", 5, ()), ("T", 6, ()), ("T", 7, ())]

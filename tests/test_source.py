@@ -78,17 +78,21 @@ def test_every_public_name_is_used():
     assert unused == []
 
 
-def _calls_by_function(tree, name, scope=""):
-    """The qualified name of the function around each call of name in tree;
-    a call outside any function yields "<module>"."""
+def _scoped_nodes(tree, scope=""):
+    """(qualified name of the function or class around it, node) for each
+    node of tree; a node outside any of them has the scope "<module>"."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _calls_by_function(node, name, f"{scope}{node.name}.")
+            yield from _scoped_nodes(node, f"{scope}{node.name}.")
             continue
-        if isinstance(node, ast.Call) and name in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-            yield scope.rstrip(".") or "<module>"
-        yield from _calls_by_function(node, name, scope)
+        yield scope.rstrip(".") or "<module>", node
+        yield from _scoped_nodes(node, scope)
+
+
+def _calls_by_function(tree, name):
+    """The qualified name of the function around each call of name in tree."""
+    return (qual for qual, node in _scoped_nodes(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def test_only_the_endo_constructor_reduces_free_words():
@@ -130,7 +134,7 @@ def test_ring_literals_have_one_reader_and_matrix_entries_are_read_in_place():
     # no split, strip, fullmatch, findall or slice copies it, and an entry's
     # error counts in the whole matrix
     assert {"_Scanner", "_scanned_terms"} & set(_defs("cyclotomic.py")) == set()
-    assert "_Scanner" in _defs("wordlang.py")
+    assert "_Parser" in _defs("wordlang.py")
     for module, name in (("cyclotomic.py", "_literal_terms"),
                          ("ringlinalg.py", "parse_matrix_poly")):
         fn = _defs(module)[name]
@@ -139,6 +143,40 @@ def test_ring_literals_have_one_reader_and_matrix_entries_are_read_in_place():
         assert calls & {"split", "rsplit", "strip", "lstrip", "rstrip", "fullmatch",
                         "findall"} == set(), name
         assert not any(isinstance(node, ast.Slice) for node in ast.walk(fn)), name
+
+
+def test_every_sweep_is_a_generator_under_the_one_runner():
+    # _sweep counts the cases and builds the report, so each sweep that
+    # run_selftest yields is a generator decorated @_sweep("<name>"), wrapped
+    # with its own signature, and no sweep nests a def cases
+    from prymrep import sweeps
+
+    defs = _defs("sweeps.py")
+    runs = [node.value.func.id for node in ast.walk(defs["run_selftest"])
+            if isinstance(node, ast.Yield)]
+    decorated = sorted(name for name, node in defs.items()
+                       if [ast.unparse(dec)[:7] for dec in node.decorator_list] == ["_sweep("])
+    assert len(runs) == 10 and decorated == sorted(runs)
+    for name in runs:
+        assert inspect.isgeneratorfunction(getattr(sweeps, name).__wrapped__), name
+    assert "cases" not in defs and "_run" not in defs
+
+
+def test_verdict_require_is_the_one_refusal_that_quotes_a_reason():
+    # a negative verdict becomes "<what>: <reason>" in one place
+    sites = [f"{src.name} {qual}"
+             for src in sorted(SRC.glob("*.py"))
+             for qual, node in _scoped_nodes(ast.parse(src.read_text()))
+             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+             and ast.unparse(node.exc.func) == "ValueError"
+             and any(getattr(sub, "attr", None) == "reason" for sub in ast.walk(node.exc))]
+    assert sites == ["predicates.py Verdict.require"]
+
+
+def test_wordlang_has_one_parser_class():
+    classes = {name: node for name, node in _defs("wordlang.py").items()
+               if isinstance(node, ast.ClassDef)}
+    assert sorted(classes) == ["Word", "_Parser"] and classes["_Parser"].bases == []
 
 
 def test_generator_entries_read_d_only_through_ring_constructors():
@@ -565,9 +603,18 @@ def test_free_word_entries_refuse_bad_letters():
     # Endo.identity(True) returned a rank-1 Endo
     (lambda p: p.Endo.identity(2.0), "ranks must be integers"),
     (lambda p: p.Endo.identity(True), "ranks must be integers"),
+    # a dividend that is neither a CycInt nor an int coerced to None, and
+    # divide_exact raised AttributeError on None.coeffs
+    (lambda p: p.cyclotomic.divide_exact("x", p.one(5)),
+     "polynomial coefficients must be integers"),
+    (lambda p: p.cyclotomic.divide_exact(1.5, p.one(5)),
+     "polynomial coefficients must be integers"),
+    (lambda p: p.cyclotomic.divide_exact(None, p.one(5)),
+     "polynomial coefficients must be integers"),
 ], ids=["decompose_delta-float-d", "RingMatrix-entry-of-another-modulus",
         "from_blocks-block-of-another-modulus", "from_blocks-block-of-the-wrong-shape",
-        "Endo.identity-float-rank", "Endo.identity-bool-rank"])
+        "Endo.identity-float-rank", "Endo.identity-bool-rank", "divide_exact-str-dividend",
+        "divide_exact-float-dividend", "divide_exact-None-dividend"])
 def test_fixed_refusals(call, message):
     import prymrep
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -131,10 +131,13 @@ def test_run_counts_up_to_the_first_problem():
         yield "case b", "broken"
         raise AssertionError("drawn past the first problem")
 
-    rep = sweeps._run("demo", cases())
+    def run(name, cases):  # the sweep `name` whose generator yields cases
+        return sweeps._sweep(name)(lambda: cases)()
+
+    rep = run("demo", cases())
     assert (rep.ok, rep.checked, rep.detail) == (False, 2, "broken at case b")
-    assert sweeps._run("demo", iter([("a", None)] * 3)).line() == "PASS demo: 3 checks"
-    assert sweeps._run("demo", iter(())).line() == "PASS demo: 0 checks"
+    assert run("demo", iter([("a", None)] * 3)).line() == "PASS demo: 3 checks"
+    assert run("demo", iter(())).line() == "PASS demo: 0 checks"
 
 
 def test_identity_failure_names_its_case(monkeypatch):
