@@ -241,11 +241,8 @@ class CycInt:
         """Build from an integer polynomial in zeta of any degree, whose
         coefficients must all be integers (_ints).  One longer than d is
         first folded mod x^d - 1, which Phi_d divides."""
-        euler_phi(d)  # the modulus rule, before the fold reads d
-        coeffs = _ints(coeffs, "polynomial coefficients")
-        if len(coeffs) > d:
-            coeffs = tuple(sum(coeffs[r::d]) for r in range(d))
-        return _new(d, _reduce_poly(d, coeffs))
+        euler_phi(d)  # the modulus rule, before the integer rule
+        return _from_ints(d, _ints(coeffs, "polynomial coefficients"))
 
     @classmethod
     def from_int(cls, d, n):
@@ -356,6 +353,14 @@ def _new(d: int, coeffs: tuple) -> CycInt:
     return c
 
 
+def _from_ints(d, coeffs):
+    """CycInt.from_poly on a tuple of ints already checked, with no integer walk."""
+    euler_phi(d)  # the modulus rule, before the fold reads d
+    if len(coeffs) > d:
+        coeffs = tuple(sum(coeffs[r::d]) for r in range(d))
+    return _new(d, _reduce_poly(d, coeffs))
+
+
 def zeta_pow(d: int, k: int) -> CycInt:
     """The canonical representative of zeta_d^k."""
     return _new(d, _power_table(d)[_ints((k,), "exponents")[0] % d])
@@ -412,6 +417,8 @@ def divide_exact(a, b: CycInt) -> CycInt:
     (_divider).  Raises ZeroDivisionError for b = 0 and ArithmeticError when
     the quotient is not integral; a may be a rational integer, coerced as
     RingMatrix entries are, so any other a breaks the integer rule."""
+    if not hasattr(b, "_coerce"):
+        raise ValueError("divide_exact requires a CycInt divisor")
     a = b._coerce(a) or CycInt.from_int(b.d, a)
     return _new(b.d, _divider(b.d, b.coeffs)(a.coeffs))
 

@@ -6,9 +6,9 @@ the embedding of integer upper-block symplectic matrices.
 Every family is the function that gives the entries (p, q, c) of N in its
 matrix Id + N (Family.entries).  GenSpec checks the argument rules that need
 no (d, g), _entries those that need g before it calls the entry function,
-and _rank_update builds Id + N, whose product M(Id + N) adds c times column p
-of M into column q: matrix_of, wordlang.evaluate and each (g, d, ...)
-constructor, one call of matrix_of, read the entries from this one route.
+and _rank_update builds Id + N.  matrix_of, wordlang.evaluate, which joins
+M(Id + N) by adding c times column p of M into column q, with no product,
+and each (g, d, ...) constructor, one call of matrix_of, read this route.
 
 Since <x, e_i> = -sgn(i) x[pos(-i)], the map x -> x + c<x, e_i>e_j is the
 single entry (pos(j), pos(-i), -sgn(i) c) (_entry).  Wherever the rows and
@@ -33,16 +33,16 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 
-from .cyclotomic import CycInt, _ints, one, zeta_pow
+from .cyclotomic import CycInt, _from_ints, _ints, one, zeta_pow
 from .predicates import GroupTag, is_member
 from .ringlinalg import BlockMat, RingMatrix, _side, basis_position
 
 
 def _rank_update(d, g, entries):
-    """Id + N, where N has the entry c at (p, q) for each (p, q, c)."""
+    """Id + N, where N has the coefficient tuple c at (p, q) for each (p, q, c)."""
     rows = [list(row) for row in RingMatrix.identity(d, 2 * (g - 1)).coeffs]
     for p, q, c in entries:
-        rows[p][q] = tuple(map(operator.add, rows[p][q], c.coeffs))
+        rows[p][q] = tuple(map(operator.add, rows[p][q], c))
     return BlockMat(RingMatrix._make(d, tuple(map(tuple, rows))), g)
 
 
@@ -392,8 +392,8 @@ class GenSpec(namedtuple("GenSpec", "name indices scalar matrix")):
     def _args(self, d):
         """The arguments after (g, d) of the family's entry function at
         modulus d."""
-        if self.scalar is not None:
-            return self.indices + (CycInt.from_poly(d, self.scalar),)
+        if self.scalar is not None:  # checked by _canon: folded with no second walk
+            return self.indices + (_from_ints(d, self.scalar),)
         if self.matrix is not None:
             return (self.matrix,)
         return self.indices
@@ -401,4 +401,5 @@ class GenSpec(namedtuple("GenSpec", "name indices scalar matrix")):
 
 def matrix_of(spec: GenSpec, d: int, g: int) -> BlockMat:
     """Evaluate a generator spec to its matrix for the ambient (d, g)."""
-    return _rank_update(d, g, _entries(spec.name, g, d, *spec._args(d)))
+    entries = _entries(spec.name, g, d, *spec._args(d))
+    return _rank_update(d, g, [(p, q, c.coeffs) for p, q, c in entries])

@@ -12,11 +12,11 @@ The names, the number and kind of the indices, and what follows them come
 from generators.FAMILIES: a generator with no arguments is written bare (T),
 ring scalars follow the indices after ";" (Ti, Tij), and UrSp takes an inline
 matrix literal.  The empty string denotes the identity.  Evaluation is the
-left-to-right product, kept as rows: a factor Id + N whose nonzero entries
-occupy disjoint rows and columns is a handful of column operations whatever
-its exponent, and any other factor is a matrix, inverted for a negative
-exponent by the division-free form inverse; no symbolic simplification is
-performed.
+left-to-right product, kept as sparse columns that every factor Id + N joins
+by column operations, with no matrix product: whatever its exponent if N's
+nonzero entries occupy disjoint rows and columns, else by the entries of N or
+of its form inverse, powered as a matrix first for |e| >= 2; no symbolic
+simplification is performed.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import chain
-from operator import add
+from operator import add, sub
 
-from .cyclotomic import (_PRINT_BOUND, _SPACE, MAX_PRINT_DIGITS, ParseError, _dense, _int, _ints,
-                         _literal_terms, _mul_reduce, _power, _power_table, render_poly)
+from .cyclotomic import (_PRINT_BOUND, _SPACE, MAX_PRINT_DIGITS, ParseError, _conj, _dense, _int,
+                         _ints, _literal_terms, _mul_reduce, _power, render_poly)
 from .generators import FAMILIES, GenSpec, _entries, _rank_update
-from .ringlinalg import BlockMat, RingMatrix, _matrix_text, parse_matrix_poly
+from .ringlinalg import (BlockMat, RingMatrix, _matrix_text, _neg, _one_zero, _side,
+                         parse_matrix_poly)
 
 # Largest |e| of a factor raised by binary powering: the entries of a
 # hyperbolic UrSp grow by a constant number of digits per unit of e.
@@ -95,10 +96,10 @@ class Word:
 
 @lru_cache(maxsize=4096, typed=True)
 def _factor(name, g, d, *args):
-    """The nonzero entries (p, q, c) of a factor's N, and whether their rows
-    and columns are disjoint: up to 4096 entries of O(g phi(d)) ints, keyed by
-    name, g, d and the reduced GenSpec._args(d); UrSp bypasses via __wrapped__."""
-    support = tuple((p, q, c) for p, q, c in _entries(name, g, d, *args) if any(c.coeffs))
+    """The nonzero entries (p, q, c) of a factor's N, c a coefficient tuple, and
+    whether their rows and columns are disjoint: up to 4096 entries of O(g phi(d))
+    ints, keyed by name, g, d and the reduced GenSpec._args(d); UrSp bypasses it."""
+    support = tuple((p, q, c.coeffs) for p, q, c in _entries(name, g, d, *args) if any(c.coeffs))
     return support, {p for p, _, _ in support}.isdisjoint(q for _, q, _ in support)
 
 
@@ -107,49 +108,63 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
 
     Every factor is Id + N for the entries (p, q, c) of N that the family
     gives through generators._entries, read through _factor.  The product is
-    kept as mutable rows of coefficient tuples.  If the rows and the columns
-    of N's nonzero entries are disjoint, N^2 = 0, so the factor's power is
-    Id + eN for every integer e: multiplying by it adds e*c times column p
-    into column q for each entry, and it never becomes a matrix; where the
-    column-p entry is the ring's 1, e*c is added as it stands.  Any other
-    factor is built by generators._rank_update, inverted for a negative
-    exponent by the division-free BlockMat.form_inverse, -Omega M* Omega
-    (every generator lies in U: UrSp literals are checked on entry, the
-    other families by construction), raised by the package's one binary
-    powering, cyclotomic._power, and joined by one product.  Such a factor's
-    |e| is at most MAX_POWER, and its powering stops at the first step past
-    MAX_PRINT_DIGITS (the check it passes _power, one max over every
-    coefficient); a column-op factor's exponent is unbounded.
+    kept as one dict per column, {row: coefficient tuple} of its nonzeros,
+    from the unit columns on, and becomes a grid at the end.  A factor joins
+    it by column operations, not by a matrix product: column q gains c times
+    column p (its nonzeros alone; a 1 adds c as it stands) for each entry
+    (p, q, c) of the factor's power less Id.  If N's rows and columns are
+    disjoint, N^2 = 0 and those entries are e*c (c for e = 1) for every
+    integer e.  Else |e| is at most MAX_POWER; a negative e turns N into
+    N' = -Omega N* Omega, as (Id + N)^-1 = Id + N' in U (UrSp literals are
+    checked on entry, the other families by construction), sending each
+    (p, q, c) to (twin q, twin p, +-conj c), - where p and q lie on opposite
+    sides of the split; and |e| >= 2 builds the matrix by
+    generators._rank_update and raises it by the one binary powering,
+    cyclotomic._power, which stops at the first step past MAX_PRINT_DIGITS
+    (the check it passes).  Only a factor of disjoint support writes its
+    columns in place; any other reads the columns it writes, so it writes
+    copies.
     """
-    rows = [list(row) for row in BlockMat.identity(d, g).mat.coeffs]
+    size = _side(g)
+    n, (one, zero) = size // 2, _one_zero(d)
+    cols = {q: {q: one} for q in range(size)}
     for spec, e in word.factors:
         read = _factor.__wrapped__ if spec.matrix is not None else _factor
         support, disjoint = read(spec.name, g, d, *spec._args(d))
         if disjoint:
-            one = _power_table(d)[0]
-            for p, q, c in support:
-                c = tuple(e * x for x in c.coeffs)
-                for row in rows:
-                    x = row[p]
-                    if any(x):
-                        row[q] = tuple(map(add, row[q], c if x == one else _mul_reduce(d, x, c)))
-            continue
-        if abs(e) > MAX_POWER:
+            if e != 1:
+                support = [(p, q, tuple([e * x for x in c])) for p, q, c in support]
+        elif abs(e) > MAX_POWER:
             raise ValueError(f"exponent {e} of {spec.name} is over the budget "
                              f"MAX_POWER = {MAX_POWER}")
-        m = _rank_update(d, g, support)
-        if e < 0:
-            m, e = m.form_inverse(), -e
-
-        def check(power):
-            coeffs = chain.from_iterable(chain.from_iterable(power.coeffs))
-            if max(map(abs, coeffs)) >= _PRINT_BOUND:
-                raise ValueError(f"a power of {spec.name} passes the budget "
-                                 f"MAX_PRINT_DIGITS = {MAX_PRINT_DIGITS} digits")
-        m = _power(m.mat, e, None, check)  # e > 0: a word keeps no zero exponent
-        m = RingMatrix._make(d, tuple(map(tuple, rows))) * m
-        rows = [list(row) for row in m.coeffs]
-    return BlockMat(RingMatrix._make(d, tuple(map(tuple, rows))), g)
+        else:
+            if e < 0:
+                support, e = [((q + n) % size, (p + n) % size,
+                               _conj(d, c) if (p < n) == (q < n) else _neg(_conj(d, c)))
+                              for p, q, c in support], -e
+            if e > 1:
+                def check(power):
+                    coeffs = chain.from_iterable(chain.from_iterable(power.coeffs))
+                    if max(map(abs, coeffs)) >= _PRINT_BOUND:
+                        raise ValueError(f"a power of {spec.name} passes the budget "
+                                         f"MAX_PRINT_DIGITS = {MAX_PRINT_DIGITS} digits")
+                power = _power(_rank_update(d, g, support).mat, e, None, check).coeffs
+                support = [(p, q, y) for p, row in enumerate(power) for q, x in enumerate(row)
+                           if any(y := tuple(map(sub, x, one)) if p == q else x)]
+        written = cols if disjoint else {}
+        for p, q, c in support:
+            col = written.get(q)
+            if col is None:
+                col = written[q] = dict(cols[q])
+            for r, x in cols[p].items():
+                y = c if x == one else _mul_reduce(d, x, c)
+                if r in col:
+                    y = tuple(map(add, col.pop(r), y))
+                if any(y):
+                    col[r] = y
+        cols.update(written)
+    grid = tuple(tuple([col.get(p, zero) for col in cols.values()]) for p in range(size))
+    return BlockMat(RingMatrix._make(d, grid), g)
 
 
 class _Parser:

@@ -415,11 +415,12 @@ def test_pow_wastes_no_products(monkeypatch):
         calls.clear()
         assert m ** e == expected_m[e]
         assert len(calls) == products, e
-    # TwistE and Ti^-1 are column operations on the rows of the product and
-    # cost no matrix product; AH^2 costs one, and one more joins it
+    # TwistE and Ti^-1 are column operations on the columns of the product
+    # and cost no matrix product; AH^2 costs one, its square, and joins by
+    # column operations too
     calls.clear()
     assert evaluate(word, 5, 3).mat == expected_w
-    assert len(calls) == 2
+    assert len(calls) == 1
     # a decompose_delta word has only column-op factors, so none at all
     b = random_self_adjoint(random.Random(11), 7, 3)
     calls.clear()
@@ -430,6 +431,27 @@ def test_pow_wastes_no_products(monkeypatch):
         calls.clear()
         assert z ** e == expected_z[e]
         assert len(calls) == products, e
+
+
+def test_unit_exponents_cost_no_product_and_no_form_inverse(monkeypatch):
+    # a factor of exponent +-1 joins the product from its entries, those of
+    # N or of N' = -Omega N* Omega, whatever its support: no matrix product
+    # and no form inverse.  The oracle inverts by the generic Bareiss route
+    from prymrep.generators import matrix_of
+    from prymrep.wordlang import evaluate, parse
+
+    word = parse("T * TH(2)^-1 * AHPrime(1,-2) * Zeta(2)^-1 * "
+                 "UrSp(2,1,0,0 ; 1,1,0,0 ; 0,0,1,-1 ; 0,0,-1,2)^-1 * G1(1)^-3")
+    expected = RingMatrix.identity(5, 4)
+    for spec, e in word.factors:
+        m = matrix_of(spec, 5, 3).mat
+        expected = expected * (m if e > 0 else m.inverse()) ** abs(e)
+    calls = _count_calls(monkeypatch, RingMatrix)
+    inverses = []
+    original = BlockMat.form_inverse
+    monkeypatch.setattr(BlockMat, "form_inverse", lambda m: inverses.append(1) or original(m))
+    assert evaluate(word, 5, 3).mat == expected
+    assert calls == [] and inverses == []
 
 
 def _corpus_matrices(rng, d):

@@ -611,10 +611,15 @@ def test_free_word_entries_refuse_bad_letters():
      "polynomial coefficients must be integers"),
     (lambda p: p.cyclotomic.divide_exact(None, p.one(5)),
      "polynomial coefficients must be integers"),
+    # a divisor that is not a CycInt raised AttributeError on its _coerce
+    (lambda p: p.cyclotomic.divide_exact(1, 2), "divide_exact requires a CycInt divisor"),
+    (lambda p: p.cyclotomic.divide_exact(1, None), "divide_exact requires a CycInt divisor"),
+    (lambda p: p.cyclotomic.divide_exact(1, "x"), "divide_exact requires a CycInt divisor"),
 ], ids=["decompose_delta-float-d", "RingMatrix-entry-of-another-modulus",
         "from_blocks-block-of-another-modulus", "from_blocks-block-of-the-wrong-shape",
         "Endo.identity-float-rank", "Endo.identity-bool-rank", "divide_exact-str-dividend",
-        "divide_exact-float-dividend", "divide_exact-None-dividend"])
+        "divide_exact-float-dividend", "divide_exact-None-dividend", "divide_exact-int-divisor",
+        "divide_exact-None-divisor", "divide_exact-str-divisor"])
 def test_fixed_refusals(call, message):
     import prymrep
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prymrep.cyclotomic import MAX_DIGITS, MAX_EXPONENT, CycInt, ParseError
-from prymrep.generators import (FAMILIES, GenSpec, TH, conj_AH, delta_g1, delta_g3, matrix_of,
-                                 scalar_zeta)
+from prymrep.generators import (FAMILIES, GenSpec, TH, _instances, conj_AH, delta_g1, delta_g3,
+                                 matrix_of, scalar_zeta)
 from prymrep.ringlinalg import BlockMat
 from prymrep.sweeps import random_lambda_word
 from prymrep.wordlang import MAX_POWER, Word, _factor, evaluate, parse
@@ -187,16 +187,22 @@ def test_range_errors_surface_at_evaluate():
             evaluate(parse(text), 5, 3)
 
 
-def _dense_product(word, d, g):
-    """The oracle: the left-to-right product of matrix_of(spec), through
-    form_inverse for a negative exponent, raised to |e|."""
+def _dense_product(word, d, g, invert=BlockMat.form_inverse):
+    """The oracle: the left-to-right product of matrix_of(spec), inverted
+    by invert (form_inverse unless given) for a negative exponent, raised
+    to |e|."""
     acc = BlockMat.identity(d, g)
     for spec, e in word.factors:
         m = matrix_of(spec, d, g)
         if e < 0:
-            m = m.form_inverse()
+            m = invert(m)
         acc = acc * m ** abs(e)
     return acc
+
+
+def _bareiss_inverse(m):
+    """The generic inverse, by Bareiss elimination: no form is assumed."""
+    return BlockMat(m.mat.inverse(), m.g)
 
 
 @st.composite
@@ -250,6 +256,37 @@ def _words(draw, memoized=False, at=None):
 def test_column_ops_equal_the_dense_product(case):
     d, g, word = case
     assert evaluate(word, d, g) == _dense_product(word, d, g), (d, g, word)
+
+
+@given(_words())
+@settings(max_examples=80, deadline=None)
+def test_negative_exponents_equal_the_generic_inverse(case):
+    # evaluate inverts through N' = -Omega N* Omega, the formula of
+    # form_inverse; the Bareiss inverse shares nothing with it
+    d, g, word = case
+    assert evaluate(word, d, g) == _dense_product(word, d, g, _bareiss_inverse), (d, g, word)
+
+
+def _family_instances(d, g):
+    """A GenSpec of every positive-index instance of every family at (d, g):
+    Ti with the real scalar 2 + z + z^-1, Tij with 1 - 2z + z^2, and UrSp
+    the non-unipotent [[-Id, E_11], [0, -Id]]."""
+    n, real = g - 1, (2, 1) + (0,) * (d - 3) + (1,)
+    ursp = tuple(tuple((-1,) if r == c else (1,) if (r, c) == (0, n) else (0,)
+                       for c in range(2 * n)) for r in range(2 * n))
+    for name, fam in FAMILIES.items():
+        scalar = {"real": real, "ring": (1, -2, 1)}.get(fam.takes)
+        for ix in _instances(fam.slots, d, g):
+            yield GenSpec(name, ix, scalar, ursp if fam.takes == "matrix" else None)
+
+
+def test_every_instance_times_its_inverse_word_is_the_identity():
+    for d in (3, 5, 12):
+        for g in range(2, 6):
+            ident = BlockMat.identity(d, g)
+            for spec in _family_instances(d, g):
+                inverse = evaluate(Word(((spec, -1),)), d, g)
+                assert inverse * matrix_of(spec, d, g) == ident, (d, g, spec)
 
 
 @st.composite
