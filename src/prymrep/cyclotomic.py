@@ -95,9 +95,11 @@ def _same_modulus(d, other):
 
 
 def _poly_trim(coeffs):
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+    """Coefficients with no trailing 0, (0,) for 0; a canonical tuple is not copied."""
+    n = len(coeffs)
+    while n > 1 and coeffs[n - 1] == 0:
+        n -= 1
+    return tuple(coeffs if n == len(coeffs) else coeffs[:n]) or (0,)
 
 
 def _poly_divmod_monic(num, den):
@@ -120,7 +122,7 @@ def cyclotomic_poly(d: int) -> tuple[int, ...]:
     for e in range(1, d):
         if d % e == 0:
             num, rem = _poly_divmod_monic(num, cyclotomic_poly(e))
-            assert not rem
+            assert rem == (0,)
     return tuple(num)
 
 
@@ -304,6 +306,7 @@ class CycInt:
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
+        (e,) = _ints((e,), "exponents")  # a bool is an int, refused by the integer rule
         if e < 0:
             return self.inverse() ** -e
         return _power(self, e, lambda: one(self.d))
@@ -476,7 +479,7 @@ def _dense(terms):
     out = [0] * (max(terms) + 1)
     for e, c in terms.items():
         out[e] = c
-    return tuple(_poly_trim(out)) or (0,)
+    return _poly_trim(out)
 
 
 def _literal_terms(text, pos=0, end=None):

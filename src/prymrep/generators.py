@@ -6,9 +6,9 @@ the embedding of integer upper-block symplectic matrices.
 Every family is the function that gives the entries (p, q, c) of N in its
 matrix Id + N (Family.entries).  GenSpec checks the argument rules that need
 no (d, g), _entries those that need g before it calls the entry function,
-and _rank_update builds Id + N.  matrix_of, wordlang.evaluate, which joins
-M(Id + N) by adding c times column p of M into column q, with no product,
-and each (g, d, ...) constructor, one call of matrix_of, read this route.
+and ringlinalg._rank_update builds Id + N.  matrix_of, each (g, d, ...)
+constructor (one call of matrix_of) and wordlang.evaluate, which joins
+M(Id + N) by adding c times column p of M into column q, read this route.
 
 Since <x, e_i> = -sgn(i) x[pos(-i)], the map x -> x + c<x, e_i>e_j is the
 single entry (pos(j), pos(-i), -sgn(i) c) (_entry).  Wherever the rows and
@@ -30,20 +30,11 @@ delta_g2 and delta_g3) are the tests' independent oracle.
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
 
-from .cyclotomic import CycInt, _from_ints, _ints, one, zeta_pow
+from .cyclotomic import CycInt, _from_ints, _ints, _poly_trim, one, zeta_pow
 from .predicates import GroupTag, is_member
-from .ringlinalg import BlockMat, RingMatrix, _side, basis_position
-
-
-def _rank_update(d, g, entries):
-    """Id + N, where N has the coefficient tuple c at (p, q) for each (p, q, c)."""
-    rows = [list(row) for row in RingMatrix.identity(d, 2 * (g - 1)).coeffs]
-    for p, q, c in entries:
-        rows[p][q] = tuple(map(operator.add, rows[p][q], c))
-    return BlockMat(RingMatrix._make(d, tuple(map(tuple, rows))), g)
+from .ringlinalg import BlockMat, RingMatrix, _rank_update, _side, basis_position
 
 
 def _entry(g, c, i, j):
@@ -349,11 +340,7 @@ def _random_instance(rng, slots, d, g):
 
 
 def _canon(poly):
-    poly = _ints(poly, "polynomial coefficients")
-    n = len(poly)
-    while n > 1 and poly[n - 1] == 0:
-        n -= 1
-    return poly[:n] if poly else (0,)
+    return _poly_trim(_ints(poly, "polynomial coefficients"))
 
 
 class GenSpec(namedtuple("GenSpec", "name indices scalar matrix")):

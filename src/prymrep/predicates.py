@@ -8,8 +8,8 @@ carries the first clause that fails, for CLI diagnostics.  A matrix decides each
 clause, like det and the form test, once (BlockMat._once, a memo outside its eq,
 hash and repr), so the groups of a chain share the work.  With C = 0,
 M* Omega M = [[0, A*D], [-D*A, B*D - D*B]]: the form walk decides Lambda's
-D*A = Id and D*B = B*D and, once A = D = zeta^k Id, Delta's B = B*, so a block
-product only names the clause that fails.
+D*A = Id and D*B = B*D and, once A = D = zeta^k Id, Delta's B = B*; the row
+where it first fails names the clause, so membership multiplies no matrices.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
+from . import ringlinalg
 from .cyclotomic import CycInt, unit_exponent, zeta_pow
-from .ringlinalg import BlockMat, RingMatrix, preserves_form
+from .ringlinalg import BlockMat, preserves_form
 
 
 class GroupTag(enum.Enum):
@@ -78,15 +79,14 @@ def _even_det(m: BlockMat) -> Verdict:
 
 def _lambda_blocks(m: BlockMat) -> Verdict:
     """[[(D*)^-1, B], [0, D]], det D = +-zeta^k, D*B = B*D; C = 0 is given.
-    Past det D the form decides; A*D = (D*A)*, so D*A = Id leaves D*B != B*D."""
-    dd = m.lower_right()
-    if unit_exponent(dd.det()) is None:
+    Past det D the form walk decides: its first failing row p < g-1 is one of
+    A*D, else A*D = Id = (A*D)* = D*A and the row is one of B*D - D*B."""
+    if unit_exponent(m.lower_right().det()) is None:
         return Verdict(False, "det(D) is not +-zeta^k")
-    if m._once(_preserves):
+    p = m._once(ringlinalg._form_walk)  # through the module: one memo key
+    if p is None:
         return _OK
-    if dd.adjoint() * m.upper_left() != RingMatrix.identity(m.d, m.n):
-        return Verdict(False, "upper-left block is not (D*)^-1")
-    return Verdict(False, "D*B != B*D")
+    return Verdict(False, "upper-left block is not (D*)^-1" if p < m.n else "D*B != B*D")
 
 
 def _delta_blocks(m: BlockMat) -> Verdict:
@@ -175,6 +175,5 @@ def genus2_real_project(m: BlockMat) -> CycInt:
     ue = unit_exponent(m.mat[1, 1])
     assert ue is not None
     sign, k = ue
-    scaled = m * zeta_pow(m.d, -k)
-    r = scaled.mat[0, 1]
+    r = m.mat[0, 1] * zeta_pow(m.d, -k)
     return -r if sign < 0 else r

@@ -156,6 +156,7 @@ class RingMatrix:
     __rmul__ = __mul__  # reached only for a scalar on the left
 
     def __pow__(self, e: int):
+        (e,) = _ints((e,), "exponents")
         if not self.is_square():
             raise ValueError("only square matrices can be raised to powers")
         if e < 0:
@@ -408,20 +409,12 @@ class BlockMat:
         return BlockMat(self.mat ** e, self.g)
 
     def form_inverse(self):
-        """M^-1 for M in U, without division: [[D*, -B*], [-C*, A*]], which is
-        -Omega M* Omega for M = [[A, B], [C, D]].  For M outside U it is not
-        the inverse (preserves_form tests exactly that); RingMatrix.inverse
-        is the route for any invertible matrix."""
-        n, e, d = self.n, self.mat.coeffs, self.d
-        across = [*range(n, 2 * n), *range(n)]  # a position's twin across the split
-        rows = []
-        for p in range(2 * n):
-            row = []
-            for q in range(2 * n):
-                x = _conj(d, e[across[q]][across[p]])
-                row.append(x if (p < n) == (q < n) or not any(x) else _neg(x))
-            rows.append(tuple(row))
-        return BlockMat(RingMatrix._make(self.d, tuple(rows)), self.g)
+        """M^-1 for M in U, without division: Id + N' = -Omega M* Omega for
+        N = M - Id.  For M outside U it is not the inverse (preserves_form
+        tests exactly that); RingMatrix.inverse is for any invertible matrix."""
+        d = self.d
+        less_id = _less_id(self.mat.coeffs, _one_zero(d)[0])
+        return _rank_update(d, self.g, _form_dual(d, self.n, less_id))
 
     def _once(self, fn):
         """fn(self), computed at most once per matrix; a raise stores nothing."""
@@ -453,15 +446,38 @@ def basis_position(g: int, i: int) -> int:
 
 def preserves_form(m: BlockMat) -> bool:
     """True iff M* Omega M = Omega exactly, walked once per matrix."""
-    return m._once(_form_walk)
+    return m._once(_form_walk) is None
 
 
-def _form_walk(m: BlockMat) -> bool:
+def _rank_update(d, g, entries):
+    """Id + N, where N has the coefficient tuple c at (p, q) for each (p, q, c)."""
+    rows = [list(row) for row in RingMatrix.identity(d, 2 * (g - 1)).coeffs]
+    for p, q, c in entries:
+        rows[p][q] = tuple(map(add, rows[p][q], c))
+    return BlockMat(RingMatrix._make(d, tuple(map(tuple, rows))), g)
+
+
+def _less_id(coeffs, one):
+    """The nonzero entries (p, q, c) of M - Id; one is the coefficients of 1."""
+    return [(p, q, y) for p, row in enumerate(coeffs) for q, x in enumerate(row)
+            if any(y := tuple(map(sub, x, one)) if p == q else x)]
+
+
+def _form_dual(d, n, entries):
+    """The entries (twin q, twin p, +-conj c) of N' = -Omega N* Omega for those
+    of N, twin r = r +- n across the split and - where p and q lie on opposite
+    sides of it: Id + N' = (Id + N)^-1 for Id + N in U."""
+    size = 2 * n
+    return [((q + n) % size, (p + n) % size,
+             _conj(d, c) if (p < n) == (q < n) else _neg(_conj(d, c))) for p, q, c in entries]
+
+
+def _form_walk(m: BlockMat):
     """Entry (p, q) of M* Omega M sums +-conj(M[r][p]) M[r'][q] over the rows
     r of column p, with r' = r -+ (g-1) the twin of r across the split and
     the sign - for r >= g-1.  A term x zeta^-t times y zeta^s adds x*y times
-    the reduced row of zeta^(s-t).  No matrix is built, and the first row
-    that differs from Omega's ends the test.
+    the reduced row of zeta^(s-t).  No matrix is built, and the first p whose
+    row differs from Omega's is returned; None if none does.
     """
     d, n = m.d, m.n
     o, z = _one_zero(d)
@@ -488,5 +504,5 @@ def _form_walk(m: BlockMat) -> bool:
                             out[j] += xy * c
         for q, out in acc.items():
             if tuple(out) != (want if q == partner else z):
-                return False
-    return True
+                return p
+    return None

@@ -15,8 +15,8 @@ matrix literal.  The empty string denotes the identity.  Evaluation is the
 left-to-right product, kept as sparse columns that every factor Id + N joins
 by column operations, with no matrix product: whatever its exponent if N's
 nonzero entries occupy disjoint rows and columns, else by the entries of N or
-of its form inverse, powered as a matrix first for |e| >= 2; no symbolic
-simplification is performed.
+of its form dual N', ringlinalg's one form-inverse rule, powered as a matrix
+first for |e| >= 2; no symbolic simplification is performed.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import chain
-from operator import add, sub
+from operator import add
 
-from .cyclotomic import (_PRINT_BOUND, _SPACE, MAX_PRINT_DIGITS, ParseError, _conj, _dense, _int,
-                         _ints, _literal_terms, _mul_reduce, _power, render_poly)
-from .generators import FAMILIES, GenSpec, _entries, _rank_update
-from .ringlinalg import (BlockMat, RingMatrix, _matrix_text, _neg, _one_zero, _side,
-                         parse_matrix_poly)
+from .cyclotomic import (_PRINT_BOUND, _SPACE, MAX_PRINT_DIGITS, ParseError, _dense, _int, _ints,
+                         _literal_terms, _mul_reduce, _power, render_poly)
+from .generators import FAMILIES, GenSpec, _entries
+from .ringlinalg import (BlockMat, RingMatrix, _form_dual, _less_id, _matrix_text, _one_zero,
+                         _rank_update, _side, parse_matrix_poly)
 
 # Largest |e| of a factor raised by binary powering: the entries of a
 # hyperbolic UrSp grow by a constant number of digits per unit of e.
@@ -114,16 +114,14 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
     column p (its nonzeros alone; a 1 adds c as it stands) for each entry
     (p, q, c) of the factor's power less Id.  If N's rows and columns are
     disjoint, N^2 = 0 and those entries are e*c (c for e = 1) for every
-    integer e.  Else |e| is at most MAX_POWER; a negative e turns N into
-    N' = -Omega N* Omega, as (Id + N)^-1 = Id + N' in U (UrSp literals are
-    checked on entry, the other families by construction), sending each
-    (p, q, c) to (twin q, twin p, +-conj c), - where p and q lie on opposite
-    sides of the split; and |e| >= 2 builds the matrix by
-    generators._rank_update and raises it by the one binary powering,
-    cyclotomic._power, which stops at the first step past MAX_PRINT_DIGITS
-    (the check it passes).  Only a factor of disjoint support writes its
-    columns in place; any other reads the columns it writes, so it writes
-    copies.
+    integer e.  Else |e| is at most MAX_POWER; a negative e turns N into its
+    form dual N' (ringlinalg._form_dual, as BlockMat.form_inverse does), as
+    (Id + N)^-1 = Id + N' in U (UrSp literals are checked on entry, the other
+    families by construction); and |e| >= 2 raises Id + N by the one binary
+    powering, cyclotomic._power, which stops at the first step past
+    MAX_PRINT_DIGITS (the check it passes), and joins by its power less Id.
+    Only a factor of disjoint support writes its columns in place; any other
+    reads the columns it writes, so it writes copies.
     """
     size = _side(g)
     n, (one, zero) = size // 2, _one_zero(d)
@@ -139,9 +137,7 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
                              f"MAX_POWER = {MAX_POWER}")
         else:
             if e < 0:
-                support, e = [((q + n) % size, (p + n) % size,
-                               _conj(d, c) if (p < n) == (q < n) else _neg(_conj(d, c)))
-                              for p, q, c in support], -e
+                support, e = _form_dual(d, n, support), -e
             if e > 1:
                 def check(power):
                     coeffs = chain.from_iterable(chain.from_iterable(power.coeffs))
@@ -149,8 +145,7 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
                         raise ValueError(f"a power of {spec.name} passes the budget "
                                          f"MAX_PRINT_DIGITS = {MAX_PRINT_DIGITS} digits")
                 power = _power(_rank_update(d, g, support).mat, e, None, check).coeffs
-                support = [(p, q, y) for p, row in enumerate(power) for q, x in enumerate(row)
-                           if any(y := tuple(map(sub, x, one)) if p == q else x)]
+                support = _less_id(power, one)
         written = cols if disjoint else {}
         for p, q, c in support:
             col = written.get(q)

@@ -301,12 +301,18 @@ def test_lambda_closed_under_form_inverse():
 
 
 def test_preserves_form_is_the_literal_form_test():
-    # the one-product test form_inverse(M) M = Id against M* Omega M = Omega
+    # the walk against the literal product M* Omega M: it stops at the first
+    # row that differs from Omega's, and form_inverse is -Omega M* Omega for
+    # members and non-members alike
     truths = []
     for m in (*_corpus(), *_hand_built()):
         om = omega(m.g, m.d).mat
+        product = m.mat.adjoint() * om * m.mat
+        differs = [p for p in range(om.rows) if product.coeffs[p] != om.coeffs[p]]
+        assert ringlinalg._form_walk(m) == (differs[0] if differs else None), m
         truths.append(preserves_form(m))
-        assert truths[-1] == (m.mat.adjoint() * om * m.mat == om)
+        assert truths[-1] == (product == om)
+        assert m.form_inverse().mat == om * m.mat.adjoint() * om * -1, m
     assert len(truths) == 384 and 0 < sum(truths) < 384
 
 
@@ -444,9 +450,10 @@ def test_block_clauses_match_the_product_oracle():
 
 
 def test_positive_block_verdicts_compute_no_product(monkeypatch):
-    # a positive Lambda, Delta or Genus2Theta verdict reads the form walk and
-    # multiplies no blocks; asking one matrix the chain
-    # Delta <= Lambda <= urU# <= urU <= U walks the form once
+    # a Lambda, Delta or Genus2Theta verdict reads the form walk and
+    # multiplies no blocks, whether it holds or names the failing block
+    # clause; asking one matrix the chain Delta <= Lambda <= urU# <= urU <= U
+    # walks the form once
     delta = [_c_zero_matrix(7, 2, 0, "delta", None, 0),
              _c_zero_matrix(12, 3, 1, "delta", None, 0)]
     # -Id is in Lambda but not in Delta for odd d, where -1 is no power of zeta
@@ -455,7 +462,9 @@ def test_positive_block_verdicts_compute_no_product(monkeypatch):
     members += [(GroupTag.Lambda, m) for m in delta + lam]
     members += [(GroupTag.Genus2Theta, m) for m in delta + lam if m.g == 2]
     asked = [(tag, _fresh(m)) for tag, m in members]
-    failing = _c_zero_matrix(5, 3, 0, "unipotent", ("B", 0, 1), 0)
+    failing = {"D*B != B*D": _c_zero_matrix(5, 3, 0, "unipotent", ("B", 0, 1), 0),
+               "upper-left block is not (D*)^-1":
+                   _c_zero_matrix(5, 3, 0, "unipotent", ("A", 0, 0), 0)}
     chained = [_fresh(m) for m in delta + lam]
     products, walks = [], []
     product, walk = ringlinalg._sparse_product, ringlinalg._form_walk
@@ -464,9 +473,13 @@ def test_positive_block_verdicts_compute_no_product(monkeypatch):
     monkeypatch.setattr(ringlinalg, "_form_walk", lambda x: walks.append(x) or walk(x))
     assert all(is_member(m, tag) for tag, m in asked)
     assert products == []
-    # the counter is live: naming this failure takes the one product D*A
-    assert is_member(failing, GroupTag.Lambda).reason == "D*B != B*D"
-    assert len(products) == 1
+    for reason, m in failing.items():
+        assert is_member(m, GroupTag.Lambda).reason == reason
+    assert products == []
+    # the counter is live: the block-product oracle names the same clauses
+    for reason, m in failing.items():
+        assert lambda_blocks_by_products(m).reason == reason
+    assert len(products) > 0
     walks.clear()
     chain = (GroupTag.Delta, GroupTag.Lambda, GroupTag.UrUSharp, GroupTag.UrU, GroupTag.U)
     for m in chained:

@@ -173,6 +173,24 @@ def test_verdict_require_is_the_one_refusal_that_quotes_a_reason():
     assert sites == ["predicates.py Verdict.require"]
 
 
+def test_the_form_layout_has_one_owner():
+    # ringlinalg states Omega's layout: a negative word exponent and
+    # BlockMat.form_inverse share _form_dual, wordlang does no twin or sign
+    # arithmetic of its own, and membership names a failed block clause from
+    # the form walk, with no RingMatrix product
+    imports = {}
+    for module in ("wordlang", "predicates"):
+        for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imports.update({(module, alias.name): node.module for alias in node.names})
+    assert {"_conj", "_neg"} & {name for module, name in imports if module == "wordlang"} == set()
+    assert imports[("wordlang", "_rank_update")] == "ringlinalg"
+    assert ("predicates", "RingMatrix") not in imports
+    callers = sorted(f"{src.name} {qual}" for src in sorted(SRC.glob("*.py"))
+                     for qual in _calls_by_function(ast.parse(src.read_text()), "_form_dual"))
+    assert callers == ["ringlinalg.py BlockMat.form_inverse", "wordlang.py evaluate"]
+
+
 def test_wordlang_has_one_parser_class():
     classes = {name: node for name, node in _defs("wordlang.py").items()
                if isinstance(node, ast.ClassDef)}
@@ -615,11 +633,22 @@ def test_free_word_entries_refuse_bad_letters():
     (lambda p: p.cyclotomic.divide_exact(1, 2), "divide_exact requires a CycInt divisor"),
     (lambda p: p.cyclotomic.divide_exact(1, None), "divide_exact requires a CycInt divisor"),
     (lambda p: p.cyclotomic.divide_exact(1, "x"), "divide_exact requires a CycInt divisor"),
+    # ** read True as 1 and returned the base, and RingMatrix ** 1.5 raised a
+    # bare TypeError from bin(); zeta_pow and word exponents already refused them
+    (lambda p: p.zeta_pow(5, 1) ** True, "exponents must be integers"),
+    (lambda p: p.RingMatrix.identity(5, 2) ** True, "exponents must be integers"),
+    (lambda p: p.RingMatrix.identity(5, 2) ** 1.5, "exponents must be integers"),
+    (lambda p: p.RingMatrix.identity(5, 2) ** "2", "exponents must be integers"),
+    (lambda p: p.BlockMat.identity(5, 2) ** True, "exponents must be integers"),
+    (lambda p: p.BlockMat.identity(5, 2) ** 1.5, "exponents must be integers"),
+    (lambda p: p.BlockMat.identity(5, 2) ** "2", "exponents must be integers"),
 ], ids=["decompose_delta-float-d", "RingMatrix-entry-of-another-modulus",
         "from_blocks-block-of-another-modulus", "from_blocks-block-of-the-wrong-shape",
         "Endo.identity-float-rank", "Endo.identity-bool-rank", "divide_exact-str-dividend",
         "divide_exact-float-dividend", "divide_exact-None-dividend", "divide_exact-int-divisor",
-        "divide_exact-None-divisor", "divide_exact-str-divisor"])
+        "divide_exact-None-divisor", "divide_exact-str-divisor", "CycInt-pow-bool",
+        "RingMatrix-pow-bool", "RingMatrix-pow-float", "RingMatrix-pow-str", "BlockMat-pow-bool",
+        "BlockMat-pow-float", "BlockMat-pow-str"])
 def test_fixed_refusals(call, message):
     import prymrep
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

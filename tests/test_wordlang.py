@@ -285,8 +285,8 @@ def test_every_instance_times_its_inverse_word_is_the_identity():
         for g in range(2, 6):
             ident = BlockMat.identity(d, g)
             for spec in _family_instances(d, g):
-                inverse = evaluate(Word(((spec, -1),)), d, g)
-                assert inverse * matrix_of(spec, d, g) == ident, (d, g, spec)
+                inverse, m = evaluate(Word(((spec, -1),)), d, g), matrix_of(spec, d, g)
+                assert inverse * m == ident and inverse == m.form_inverse(), (d, g, spec)
 
 
 @st.composite
