@@ -210,9 +210,11 @@ def _units(d: int):
 
 
 def _power(base, e, unit, check=None):
-    """base ** e for e >= 0 by binary powering from the top bit, with no
-    product wasted: e = 1 costs none, e = 2 one and e = 3 two.  unit() is
-    the e = 0 result, and check, if given, sees the power after each step."""
+    """base ** e by binary powering from the top bit, of base.inverse() for
+    e < 0, with no product wasted: e = 1 costs none, e = 2 one and e = 3 two.
+    unit() is the e = 0 result; check, if given, sees each step's power."""
+    if e < 0:
+        base, e = base.inverse(), -e
     if e == 0:
         return unit()
     result = base
@@ -307,8 +309,6 @@ class CycInt:
         if not isinstance(e, int):
             return NotImplemented
         (e,) = _ints((e,), "exponents")  # a bool is an int, refused by the integer rule
-        if e < 0:
-            return self.inverse() ** -e
         return _power(self, e, lambda: one(self.d))
 
     def __eq__(self, other):
@@ -467,7 +467,7 @@ def _divider(d, b):
 # got: sign, coefficient, '*', 'z', '^', exponent.  Each part takes the
 # whitespace after it, so an empty group starts at the next token.
 _TERM = re.compile(r"\s*([+-]?)\s*(\d*)\s*(\*?)\s*(?:(z)\s*(?:(\^)\s*(\d*)\s*)?)?")
-_LEXEMES = re.compile(r"(?:\s*[\dz*^+-])*")
+_UNEXPECTED = re.compile(r"[^\s\dz*^+-]")  # the first character outside the grammar
 
 
 def parse_ring_literal(text: str) -> tuple[int, ...]:
@@ -486,7 +486,7 @@ def _literal_terms(text, pos=0, end=None):
     """The terms of the ring literal text[pos:end] as {exponent: coefficient},
     a repeated exponent summed, read in place one term per match.  An error
     is a ParseError at its position in the whole text; a character outside
-    the grammar is reported first, at the end of the last token before it."""
+    the grammar is reported first, at its own position."""
     end = len(text) if end is None else end
     start, terms = pos, {}
     while True:
@@ -517,9 +517,9 @@ def _literal_terms(text, pos=0, end=None):
             if pos == end:
                 return terms
             continue
-        bad = _LEXEMES.match(text, start, end).end()
-        if _SPACE.match(text, bad, end).end() < end:
-            message, at = "unexpected character in ring literal", bad
+        bad = _UNEXPECTED.search(text, start, end)
+        if bad:
+            message, at = "unexpected character in ring literal", bad.start()
         raise ParseError(message, text, at)
 
 

@@ -4,11 +4,13 @@ their conjugates T_H and T_H', lifted-twist transvections, deck scalars, and
 the embedding of integer upper-block symplectic matrices.
 
 Every family is the function that gives the entries (p, q, c) of N in its
-matrix Id + N (Family.entries).  GenSpec checks the argument rules that need
-no (d, g), _entries those that need g before it calls the entry function,
-and ringlinalg._rank_update builds Id + N.  matrix_of, each (g, d, ...)
-constructor (one call of matrix_of) and wordlang.evaluate, which joins
-M(Id + N) by adding c times column p of M into column q, read this route.
+matrix Id + N, c a coefficient tuple (CycInt.coeffs), the one entry format
+from the family to the product (Family.entries).  GenSpec checks the
+argument rules that need no (d, g), _entries those that need g before it
+calls the entry function, and ringlinalg._rank_update builds Id + N.
+matrix_of, each (g, d, ...) constructor (one call of matrix_of) and
+wordlang.evaluate, which joins M(Id + N) by adding c times column p of M
+into column q, read this route.
 
 Since <x, e_i> = -sgn(i) x[pos(-i)], the map x -> x + c<x, e_i>e_j is the
 single entry (pos(j), pos(-i), -sgn(i) c) (_entry).  Wherever the rows and
@@ -34,13 +36,14 @@ from collections import namedtuple
 
 from .cyclotomic import CycInt, _from_ints, _ints, _poly_trim, one, zeta_pow
 from .predicates import GroupTag, is_member
-from .ringlinalg import BlockMat, RingMatrix, _rank_update, _side, basis_position
+from .ringlinalg import (BlockMat, RingMatrix, _less_id, _one_zero, _rank_update, _side,
+                         basis_position)
 
 
 def _entry(g, c, i, j):
     """The entry (p, q, c') of x -> x + c <x, e_i> e_j: <x, e_i> is
     -sgn(i) times the coordinate of x at e_-i."""
-    return (basis_position(g, j), basis_position(g, -i), -c if i > 0 else c)
+    return (basis_position(g, j), basis_position(g, -i), (-c if i > 0 else c).coeffs)
 
 
 def _twist_entries(g, v):
@@ -110,8 +113,8 @@ def _image_entries(g, d, images):
     entries = []
     for k, image in images.items():
         q = basis_position(g, k)
-        entries.append((q, q, -one(d)))
-        entries += [(basis_position(g, l), q, CycInt.from_int(d, c)) for c, l in image]
+        entries.append((q, q, (-one(d)).coeffs))
+        entries += [(basis_position(g, l), q, CycInt.from_int(d, c).coeffs) for c, l in image]
     return entries
 
 
@@ -128,8 +131,8 @@ def _ahprime_entries(g, d, i, j):
 
 
 def _zeta_entries(g, d, k):
-    c = zeta_pow(d, k) - one(d)
-    return [(p, p, c) for p in range(2 * (g - 1))]
+    c = (zeta_pow(d, k) - one(d)).coeffs
+    return [(p, p, c) for p in range(_side(g))]
 
 
 def _ursp_entries(g, d, polys):
@@ -137,9 +140,7 @@ def _ursp_entries(g, d, polys):
     urSp(Z), less Id."""
     m = BlockMat(RingMatrix(d, [[CycInt.from_poly(d, p) for p in row] for row in polys]), g)
     is_member(m, GroupTag.UrSpZ).require("matrix is not in urSp_2(g-1)(Z)")
-    o = one(d)
-    return [(p, q, c - o if p == q else c)
-            for p, row in enumerate(m.mat.entries) for q, c in enumerate(row)]
+    return _less_id(m.mat.coeffs, _one_zero(d)[0])
 
 
 def _coeffs(d, r):
@@ -250,9 +251,10 @@ class Family(namedtuple("Family", "slots takes group entries")):
     group: the image group, Lambda or Delta, that the instances with a
     positive first index lie in (the sweeps check the chain above it).
     entries: the family's entry function, which returns the entries
-    (p, q, c) of N in its matrix Id + N; it takes (g, d, *indices), then the
-    ring scalar as a CycInt or the matrix literal as a grid of integer
-    polynomials (GenSpec._args), and is called only through _entries.
+    (p, q, c) of N in its matrix Id + N, c a coefficient tuple; it takes
+    (g, d, *indices), then the ring scalar as a CycInt or the matrix literal
+    as a grid of integer polynomials (GenSpec._args), and is called only
+    through _entries.
     """
 
     __slots__ = ()
@@ -388,5 +390,4 @@ class GenSpec(namedtuple("GenSpec", "name indices scalar matrix")):
 
 def matrix_of(spec: GenSpec, d: int, g: int) -> BlockMat:
     """Evaluate a generator spec to its matrix for the ambient (d, g)."""
-    entries = _entries(spec.name, g, d, *spec._args(d))
-    return _rank_update(d, g, [(p, q, c.coeffs) for p, q, c in entries])
+    return _rank_update(d, g, _entries(spec.name, g, d, *spec._args(d)))

@@ -108,7 +108,7 @@ def _delta_blocks(m: BlockMat) -> Verdict:
 def _integer(m: BlockMat) -> Verdict:
     # conjugation is trivial on integer matrices, so U's form clause then reads
     # M^T Omega M = Omega
-    if not m.is_integer():
+    if not m.mat.is_integer():
         return Verdict(False, "entries are not rational integers")
     return _OK
 

@@ -159,8 +159,6 @@ class RingMatrix:
         (e,) = _ints((e,), "exponents")
         if not self.is_square():
             raise ValueError("only square matrices can be raised to powers")
-        if e < 0:
-            return self.inverse() ** -e
         return _power(self, e, lambda: RingMatrix.identity(self.d, self.rows))
 
     def adjoint(self):
@@ -428,9 +426,6 @@ class BlockMat:
     def det(self):
         return self._once(BlockMat._mat_det)
 
-    def is_integer(self):
-        return self.mat.is_integer()
-
     def to_text(self):
         return self.mat.to_text()
 
@@ -451,7 +446,7 @@ def preserves_form(m: BlockMat) -> bool:
 
 def _rank_update(d, g, entries):
     """Id + N, where N has the coefficient tuple c at (p, q) for each (p, q, c)."""
-    rows = [list(row) for row in RingMatrix.identity(d, 2 * (g - 1)).coeffs]
+    rows = [list(row) for row in RingMatrix.identity(d, _side(g)).coeffs]
     for p, q, c in entries:
         rows[p][q] = tuple(map(add, rows[p][q], c))
     return BlockMat(RingMatrix._make(d, tuple(map(tuple, rows))), g)

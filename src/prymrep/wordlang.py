@@ -99,7 +99,7 @@ def _factor(name, g, d, *args):
     """The nonzero entries (p, q, c) of a factor's N, c a coefficient tuple, and
     whether their rows and columns are disjoint: up to 4096 entries of O(g phi(d))
     ints, keyed by name, g, d and the reduced GenSpec._args(d); UrSp bypasses it."""
-    support = tuple((p, q, c.coeffs) for p, q, c in _entries(name, g, d, *args) if any(c.coeffs))
+    support = tuple(entry for entry in _entries(name, g, d, *args) if any(entry[2]))
     return support, {p for p, _, _ in support}.isdisjoint(q for _, q, _ in support)
 
 
@@ -112,7 +112,8 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
     from the unit columns on, and becomes a grid at the end.  A factor joins
     it by column operations, not by a matrix product: column q gains c times
     column p (its nonzeros alone; a 1 adds c as it stands) for each entry
-    (p, q, c) of the factor's power less Id.  If N's rows and columns are
+    (p, q, c) of the factor's power less Id, every gain read from the columns
+    as they stand before any is added.  If N's rows and columns are
     disjoint, N^2 = 0 and those entries are e*c (c for e = 1) for every
     integer e.  Else |e| is at most MAX_POWER; a negative e turns N into its
     form dual N' (ringlinalg._form_dual, as BlockMat.form_inverse does), as
@@ -120,8 +121,6 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
     families by construction); and |e| >= 2 raises Id + N by the one binary
     powering, cyclotomic._power, which stops at the first step past
     MAX_PRINT_DIGITS (the check it passes), and joins by its power less Id.
-    Only a factor of disjoint support writes its columns in place; any other
-    reads the columns it writes, so it writes copies.
     """
     size = _side(g)
     n, (one, zero) = size // 2, _one_zero(d)
@@ -146,18 +145,13 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
                                          f"MAX_PRINT_DIGITS = {MAX_PRINT_DIGITS} digits")
                 power = _power(_rank_update(d, g, support).mat, e, None, check).coeffs
                 support = _less_id(power, one)
-        written = cols if disjoint else {}
-        for p, q, c in support:
-            col = written.get(q)
-            if col is None:
-                col = written[q] = dict(cols[q])
-            for r, x in cols[p].items():
-                y = c if x == one else _mul_reduce(d, x, c)
-                if r in col:
-                    y = tuple(map(add, col.pop(r), y))
-                if any(y):
-                    col[r] = y
-        cols.update(written)
+        adds = [(cols[q], r, c if x == one else _mul_reduce(d, x, c))
+                for p, q, c in support for r, x in cols[p].items()]
+        for col, r, y in adds:
+            if r in col:
+                y = tuple(map(add, col.pop(r), y))
+            if any(y):
+                col[r] = y
     grid = tuple(tuple([col.get(p, zero) for col in cols.values()]) for p in range(size))
     return BlockMat(RingMatrix._make(d, grid), g)
 

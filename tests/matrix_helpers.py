@@ -108,8 +108,7 @@ def galois(a: CycInt, k: int) -> CycInt:
 def disjoint_support(spec, d: int, g: int) -> bool:
     """The support rule: the rows and the columns of the nonzero entries of
     the generator's N are disjoint, so N^2 = 0."""
-    support = [(p, q) for p, q, c in _entries(spec.name, g, d, *spec._args(d))
-               if not c.is_zero()]
+    support = [(p, q) for p, q, c in _entries(spec.name, g, d, *spec._args(d)) if any(c)]
     return not {p for p, _ in support} & {q for _, q in support}
 
 

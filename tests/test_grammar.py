@@ -144,9 +144,12 @@ def _word_and_matrix_cases():
 # WORD_DIGEST was retaken when matrix entries came to be read in place (an
 # entry's error carries the whole matrix text and its position in it) and
 # the quote of a text came to be bounded by its repr (three words of about
-# 200 characters with a repr over MAX_ECHO + 2 are quoted as a window)
-LITERAL_DIGEST = "428bf1843fc80d873dd41cbe651acf6f7c4d4e77ff02440179796718d6879439"
-WORD_DIGEST = "b598e5ebf2129c4c0f50b9b5b8557a6fd87e5e6cd18f80cd35de088ff3a21fdf"
+# 200 characters with a repr over MAX_ECHO + 2 are quoted as a window).
+# Both were retaken when an unexpected character came to be reported at its
+# own position, not after the last token before it: 771 literal and 96
+# matrix outcomes moved, each an "unexpected character" error
+LITERAL_DIGEST = "4643b332ce00145fd19482a3f27176cf71528d4c503b798de8b82fa24d41da30"
+WORD_DIGEST = "59993a1f8a5c993874fb84467c7f071239333951955f7a75e939f4fdfdc9ffb5"
 
 
 def test_ring_literal_digest():
@@ -215,7 +218,7 @@ class _Scanner:
             self.err(exc.args[0])
 
 
-_LEXEMES = re.compile(r"(?:\s*[\dz*^+-])*")
+_UNEXPECTED = re.compile(r"[^\s\dz*^+-]|\Z")
 _SIGN = re.compile(r"[+-]")
 _DIGITS = re.compile(r"\d+")
 
@@ -224,7 +227,7 @@ def _scanned_terms(text):
     """The token-by-token ring-literal parser that reported every literal
     error before the term pattern did, frozen with its cursor as the
     reference for it."""
-    bad = _LEXEMES.match(text).end()
+    bad = _UNEXPECTED.search(text).start()
     if bad < len(text) and not text[bad:].isspace():
         raise ParseError("unexpected character in ring literal", text, bad)
     s = _Scanner(text)

@@ -1,16 +1,18 @@
+import ast
+import inspect
 import random
 import re
 import tracemalloc
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prymrep.cyclotomic import MAX_DIGITS, MAX_EXPONENT, CycInt, ParseError
-from prymrep.generators import (FAMILIES, GenSpec, TH, _instances, conj_AH, delta_g1, delta_g3,
-                                 matrix_of, scalar_zeta)
-from prymrep.ringlinalg import BlockMat
+from prymrep.cyclotomic import MAX_DIGITS, MAX_EXPONENT, CycInt, ParseError, euler_phi
+from prymrep.generators import (FAMILIES, GenSpec, TH, _entries, _instances, conj_AH, delta_g1,
+                                 delta_g3, matrix_of, scalar_zeta)
+from prymrep.ringlinalg import BlockMat, _rank_update
 from prymrep.sweeps import random_lambda_word
 from prymrep.wordlang import MAX_POWER, Word, _factor, evaluate, parse
 
@@ -251,7 +253,16 @@ def _words(draw, memoized=False, at=None):
     return d, g, Word(tuple(factors))
 
 
+# factors whose N reads columns that it writes: THPrime(1,-2) has N's
+# rows and columns meeting, and so has the full urSp(Z) matrix
+# [[A, AS], [0, A^-T]] with A = [[2, 1], [1, 1]] and S = [[1, 1], [1, 0]]
+_FULL_URSP = "UrSp(2,1,3,2 ; 1,1,2,1 ; 0,0,1,-1 ; 0,0,-1,2)"
+
+
 @given(_words())
+@example((5, 3, parse("THPrime(1,-2)^-1")))
+@example((5, 3, parse(f"{_FULL_URSP} * THPrime(1,-2)^-1 * {_FULL_URSP}^-1")))
+@example((12, 3, parse(f"T^3 * {_FULL_URSP}^2 * THPrime(2,-1) * {_FULL_URSP}^-2")))
 @settings(max_examples=120, deadline=None)
 def test_column_ops_equal_the_dense_product(case):
     d, g, word = case
@@ -278,6 +289,27 @@ def _family_instances(d, g):
         scalar = {"real": real, "ring": (1, -2, 1)}.get(fam.takes)
         for ix in _instances(fam.slots, d, g):
             yield GenSpec(name, ix, scalar, ursp if fam.takes == "matrix" else None)
+
+
+def test_every_factor_is_coefficient_triples_joined_by_rank_update():
+    # one entry format from the family to the product: every instance of
+    # every family gives its entries (p, q, c), c a tuple of phi(d) ints, and
+    # matrix_of is _rank_update of them; neither matrix_of nor the memo
+    # _factor converts an entry (reads a CycInt's coeffs)
+    names = set()
+    for d, g in ((3, 2), (5, 3), (12, 4)):
+        phi = euler_phi(d)
+        for spec in _family_instances(d, g):
+            names.add(spec.name)
+            entries = list(_entries(spec.name, g, d, *spec._args(d)))
+            assert all(len(entry) == 3 and type(entry[2]) is tuple and len(entry[2]) == phi
+                       and {*map(type, entry[2])} == {int} for entry in entries), (d, g, spec)
+            assert matrix_of(spec, d, g) == _rank_update(d, g, entries), (d, g, spec)
+    assert names == set(FAMILIES)
+    for fn in (_factor.__wrapped__, matrix_of):
+        reads = [node for node in ast.walk(ast.parse(inspect.getsource(fn)))
+                 if isinstance(node, ast.Attribute) and node.attr == "coeffs"]
+        assert reads == [], fn.__name__
 
 
 def test_every_instance_times_its_inverse_word_is_the_identity():
