@@ -261,7 +261,7 @@ class CycInt:
         folded = [0] * d
         for e, c in terms.items():
             folded[e % d] += c
-        return cls.from_poly(d, folded)
+        return _from_ints(d, folded)
 
     def _coerce(self, other):
         if isinstance(other, CycInt):
@@ -357,7 +357,7 @@ def _new(d: int, coeffs: tuple) -> CycInt:
 
 
 def _from_ints(d, coeffs):
-    """CycInt.from_poly on a tuple of ints already checked, with no integer walk."""
+    """CycInt.from_poly on a sequence of ints already checked, with no integer walk."""
     euler_phi(d)  # the modulus rule, before the fold reads d
     if len(coeffs) > d:
         coeffs = tuple(sum(coeffs[r::d]) for r in range(d))

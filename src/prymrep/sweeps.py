@@ -12,6 +12,10 @@ built, with the detail "<problem> at <where>"; functools.wraps keeps each
 sweep's name, docstring and signature.  Inputs are drawn from a seeded RNG
 inside the generators; no check draws from it, so stopping early or
 evaluating lazily never changes which inputs a case sees.
+
+CRITERIA states each acceptance criterion once, as a row (criterion, sweep
+name, cells, keyword arguments, check count): the sweep run at its
+acceptance parameters must pass with exactly that many checks.
 """
 
 from __future__ import annotations
@@ -366,6 +370,24 @@ def remark_crosscheck():
     two_sqrt5 = CycInt.from_literal(d, "2+4*z+4*z^4")
     yield where, (None if trace in (two_sqrt5, -two_sqrt5)
                   else f"trace is {trace!r}, not +-(2+4z+4z^4)")
+
+
+CRITERIA = [
+    (1, "identity_sweep", (range(2, 11), range(2, 6)), {}, 1800),
+    (2, "commutator_sweep", (range(2, 11), range(2, 6)), {}, 1800),
+    (3, "soundness_sweep", (range(2, 9), range(2, 5)), {"seed": 0}, 2198),
+    (4, "delta_roundtrip_sweep", ((2, 3, 4, 5, 12), (2, 3, 5)),
+     {"count": 100, "seed": 0}, 1500),
+    (5, "lambda_roundtrip_sweep", ((2, 3, 5, 7), (2, 3, 4)),
+     {"per_cell": 9, "seed": 0, "max_len": 6}, 108),
+    (6, "oracle_sweep", (range(2, 9), range(2, 6)),
+     {"per_cell": 8, "pairs_per_cell": 2, "seed": 0, "max_moves": 8}, 280),
+    (7, "deck_scalar_sweep", (range(2, 9), range(2, 6)), {}, 28),
+    (8, "remark_crosscheck", (), {}, 5),
+    (9, "real_basis_sweep", (range(2, 13),), {"count": 200, "seed": 0}, 2200),
+    (10, "genus2_sweep", (range(2, 10),),
+     {"count": 200, "theta_pairs": 100, "seed": 0}, 300),
+]
 
 
 def run_selftest(max_d, max_g, seed=0):

@@ -221,9 +221,10 @@ class _Parser:
 
     def factor(self):
         nm = self.need(_NAME, "a generator name")
+        start = self.pos - len(nm)  # a refusal of the name or of GenSpec points here
         fam = FAMILIES.get(nm)
         if fam is None:
-            self.pos -= len(nm)
+            self.pos = start
             self.err(f"unknown generator name {nm!r}")
         indices, scalar, matrix = [], None, None
         if fam.slots or fam.takes:
@@ -242,6 +243,7 @@ class _Parser:
         try:
             spec = GenSpec(nm, tuple(indices), scalar, matrix)
         except ValueError as exc:
+            self.pos = start
             self.err(str(exc))
         exponent = 1
         if self.peek() == "^":

@@ -157,6 +157,7 @@ def test_every_sweep_is_a_generator_under_the_one_runner():
     decorated = sorted(name for name, node in defs.items()
                        if [ast.unparse(dec)[:7] for dec in node.decorator_list] == ["_sweep("])
     assert len(runs) == 10 and decorated == sorted(runs)
+    assert sorted(row[1] for row in sweeps.CRITERIA) == sorted(runs)
     for name in runs:
         assert inspect.isgeneratorfunction(getattr(sweeps, name).__wrapped__), name
     assert "cases" not in defs and "_run" not in defs
@@ -388,8 +389,9 @@ def _benchmark_tree(name):
 
 
 def test_the_benchmark_harness_names_exist_in_the_package():
-    # benchmarks/ is read here, never run or changed: every CRITERIA row of
-    # acceptance.py binds to its sweep's signature, and every attribute that
+    # benchmarks/ is read here, never run or changed: the CRITERIA of
+    # acceptance.py equal sweeps.CRITERIA, so its copy cannot drift, every
+    # row binds to its sweep's signature, and every attribute that
     # workloads.py reads off a package module exists, so dropping a keyword
     # or a name that the harness passes fails here, not in the harness
     from prymrep import sweeps
@@ -397,7 +399,7 @@ def test_the_benchmark_harness_names_exist_in_the_package():
     for node in _benchmark_tree("acceptance.py").body:
         if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) in ("SEED", "CRITERIA"):
             exec(compile(ast.Module([node], []), "acceptance.py", "exec"), ns)
-    assert len(ns["CRITERIA"]) == 10
+    assert len(ns["CRITERIA"]) == 10 and ns["CRITERIA"] == sweeps.CRITERIA
     for _, name, args, kwargs, _ in ns["CRITERIA"]:
         inspect.signature(getattr(sweeps, name)).bind(*args, **kwargs)
     tree = _benchmark_tree("workloads.py")

@@ -132,11 +132,14 @@ def test_parse_errors_carry_position():
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert exc.value.pos >= pos_lo - 1, (text, exc.value.pos)
-    # index rules that need no (d, g) are parse errors naming the generator
-    for text in ("TH(-1)", "Tij(1,0; 1)", "AHPrime(1,0)", "THPrime(1,0)"):
+    # index rules that need no (d, g) are parse errors naming the generator,
+    # at the start of its name
+    for text, pos in (("TH(-1)", 0), ("Tij(1,0; 1)", 0), ("AHPrime(1,0)", 0),
+                      ("THPrime(1,0)", 0), ("Tij(1,1;1)", 0), ("T * Tij(1,1;1)", 4)):
         with pytest.raises(ParseError) as exc:
             parse(text)
-        assert str(exc.value).startswith(text.split("(")[0] + " "), (text, exc.value)
+        assert exc.value.pos == pos, (text, exc.value.pos)
+        assert str(exc.value).startswith(text[pos:].split("(")[0] + " "), (text, exc.value)
 
 
 def test_word_integers_have_a_digit_budget():
