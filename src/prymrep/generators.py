@@ -390,4 +390,4 @@ class GenSpec(namedtuple("GenSpec", "name indices scalar matrix")):
 
 def matrix_of(spec: GenSpec, d: int, g: int) -> BlockMat:
     """Evaluate a generator spec to its matrix for the ambient (d, g)."""
-    return _rank_update(d, g, _entries(spec.name, g, d, *spec._args(d)))
+    return BlockMat(_rank_update(d, _side(g), _entries(spec.name, g, d, *spec._args(d))), g)

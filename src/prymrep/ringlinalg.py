@@ -215,8 +215,10 @@ def _eliminate(d, rows, n, jordan):
     (p*x - f*y) / prev, for the pivot p, the pivot row y, the row's entry f
     in column k and the previous pivot prev (1 at first).  That is exact by
     Sylvester's identity, so an ArithmeticError is a bug; _divider is built
-    at a step's first update.  A row with f = 0 stays when p = prev, and only
-    the columns right of the pivot change: no later step reads the others.
+    at a step's first division.  Only entries that can be nonzero are
+    computed: an entry x = 0 with f = 0 or y = 0 stays the zero it is, with
+    no product and no division, and a row with f = 0 stays when p = prev.
+    Only the columns right of the pivot change: no later step reads the others.
     Returns 0 if a column has no pivot, else the sign s of the swaps, with
     s * det M, the last pivot, in rows[n - 1][n - 1]; without jordan the
     last column, where nothing is left to eliminate, is not searched.
@@ -234,14 +236,17 @@ def _eliminate(d, rows, n, jordan):
         p, tail, div = rows[k][k], rows[k][k + 1:], None
         unchanged = p == prev
         for i in (*range(k), *range(k + 1, n)) if jordan else range(k + 1, n):
-            f = rows[i][k]
-            if unchanged and not any(f):
+            row, f = rows[i], rows[i][k]
+            f_nonzero = any(f)
+            if unchanged and not f_nonzero:
                 continue
-            row = [_mul_reduce(d, p, x, f, y) for x, y in zip(rows[i][k + 1:], tail)]
-            if k:
-                div = div or _divider(d, prev)
-                row = map(div, row)
-            rows[i][k + 1:] = row
+            for j, y in enumerate(tail, k + 1):
+                if any(row[j]) or f_nonzero and any(y):
+                    x = _mul_reduce(d, p, row[j], f, y)
+                    if k:
+                        div = div or _divider(d, prev)
+                        x = div(x)
+                    row[j] = x
         prev = p
     return sign
 
@@ -412,7 +417,7 @@ class BlockMat:
         tests exactly that); RingMatrix.inverse is for any invertible matrix."""
         d = self.d
         less_id = _less_id(self.mat.coeffs, _one_zero(d)[0])
-        return _rank_update(d, self.g, _form_dual(d, self.n, less_id))
+        return BlockMat(_rank_update(d, self.mat.rows, _form_dual(d, self.n, less_id)), self.g)
 
     def _once(self, fn):
         """fn(self), computed at most once per matrix; a raise stores nothing."""
@@ -444,12 +449,13 @@ def preserves_form(m: BlockMat) -> bool:
     return m._once(_form_walk) is None
 
 
-def _rank_update(d, g, entries):
-    """Id + N, where N has the coefficient tuple c at (p, q) for each (p, q, c)."""
-    rows = [list(row) for row in RingMatrix.identity(d, _side(g)).coeffs]
+def _rank_update(d, size, entries):
+    """Id + N, size-square, where N has the coefficient tuple c at (p, q) for
+    each (p, q, c)."""
+    rows = [list(row) for row in RingMatrix.identity(d, size).coeffs]
     for p, q, c in entries:
         rows[p][q] = tuple(map(add, rows[p][q], c))
-    return BlockMat(RingMatrix._make(d, tuple(map(tuple, rows))), g)
+    return RingMatrix._make(d, tuple(map(tuple, rows)))
 
 
 def _less_id(coeffs, one):

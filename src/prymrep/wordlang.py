@@ -15,8 +15,8 @@ matrix literal.  The empty string denotes the identity.  Evaluation is the
 left-to-right product, kept as sparse columns that every factor Id + N joins
 by column operations, with no matrix product: whatever its exponent if N's
 nonzero entries occupy disjoint rows and columns, else by the entries of N or
-of its form dual N', ringlinalg's one form-inverse rule, powered as a matrix
-first for |e| >= 2; no symbolic simplification is performed.
+of its form dual N', ringlinalg's one form-inverse rule, powered on its
+support first for |e| >= 2; no symbolic simplification is performed.
 """
 
 from __future__ import annotations
@@ -118,9 +118,11 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
     integer e.  Else |e| is at most MAX_POWER; a negative e turns N into its
     form dual N' (ringlinalg._form_dual, as BlockMat.form_inverse does), as
     (Id + N)^-1 = Id + N' in U (UrSp literals are checked on entry, the other
-    families by construction); and |e| >= 2 raises Id + N by the one binary
-    powering, cyclotomic._power, which stops at the first step past
-    MAX_PRINT_DIGITS (the check it passes), and joins by its power less Id.
+    families by construction); and |e| >= 2 raises Id + N on its support S,
+    the rows and columns of N's entries, as (Id + N)^e is Id off S: the
+    |S|-square matrix goes through the one binary powering, cyclotomic._power,
+    which stops at the first step past MAX_PRINT_DIGITS (the check it
+    passes), and joins by its power less Id.
     """
     size = _side(g)
     n, (one, zero) = size // 2, _one_zero(d)
@@ -143,8 +145,11 @@ def evaluate(word: Word, d: int, g: int) -> BlockMat:
                     if max(map(abs, coeffs)) >= _PRINT_BOUND:
                         raise ValueError(f"a power of {spec.name} passes the budget "
                                          f"MAX_PRINT_DIGITS = {MAX_PRINT_DIGITS} digits")
-                power = _power(_rank_update(d, g, support).mat, e, None, check).coeffs
-                support = _less_id(power, one)
+                span = sorted({p for p, _, _ in support} | {q for _, q, _ in support})
+                at = {s: i for i, s in enumerate(span)}
+                power = _rank_update(d, len(span), [(at[p], at[q], c) for p, q, c in support])
+                power = _power(power, e, None, check).coeffs
+                support = [(span[i], span[j], c) for i, j, c in _less_id(power, one)]
         adds = [(cols[q], r, c if x == one else _mul_reduce(d, x, c))
                 for p, q, c in support for r, x in cols[p].items()]
         for col, r, y in adds:

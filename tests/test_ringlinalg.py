@@ -2,6 +2,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prymrep import cyclotomic
 from prymrep.cyclotomic import CycInt, euler_phi, zeta_pow
@@ -127,6 +129,92 @@ def test_det_builds_one_cofactor_per_dividing_pivot(monkeypatch):
     monkeypatch.setattr(cyclotomic, "_monomial_map", counting)
     assert m.det() == det_cofactor(m)
     assert 0 < len(conjugates) <= (n - 2) * (euler_phi(d) - 2)
+
+
+def test_elimination_computes_only_entries_that_can_be_nonzero(monkeypatch):
+    # (p*x - f*y) / prev is computed only where x != 0 or f*y != 0.  det of
+    # zeta^3 Id at (g, d) = (5, 11) makes one product per diagonal entry
+    # below the pivot, 7 + 6 + ... + 1 = 28, and divides the 21 made after
+    # the first step (every entry of every row would take 140 and 91); the
+    # Gauss-Jordan inverse of TH(2) makes 22 products, not 168
+    from prymrep import ringlinalg
+    from prymrep.generators import TH, scalar_zeta
+
+    zeta3, th = scalar_zeta(5, 11, 3), TH(5, 11, 2)
+    th_inverse = th.form_inverse().mat
+    products, divisions = [], []
+    mul_reduce, divider = ringlinalg._mul_reduce, ringlinalg._divider
+
+    def counting(d, b):
+        divide = divider(d, b)
+        return lambda x: divisions.append(1) or divide(x)
+    monkeypatch.setattr(ringlinalg, "_mul_reduce",
+                        lambda *args: products.append(1) or mul_reduce(*args))
+    monkeypatch.setattr(ringlinalg, "_divider", counting)
+    assert zeta3.mat.det() == zeta_pow(11, 2)  # zeta^(3*8)
+    assert (len(products), len(divisions)) == (28, 21)
+    products.clear()
+    assert th.mat.inverse() == th_inverse
+    assert len(products) == 22
+
+
+def _sparse_matrix(rng, d, n, density):
+    """An n-square matrix whose entries are nonzero with probability density."""
+    phi = euler_phi(d)
+    return RingMatrix(d, [[CycInt(d, [rng.randint(-3, 3) for _ in range(phi)])
+                           if rng.random() < density else 0 for _ in range(n)]
+                          for _ in range(n)])
+
+
+def _sparse_unit_det_matrix(rng, d, n, density):
+    """P T Q, or P L U Q, for permutations P and Q and triangular T, L and U
+    with +-zeta^k on the diagonal and sparse entries off it: det is a unit."""
+    def triangular(lower):
+        m = _sparse_matrix(rng, d, n, density).entries
+        return RingMatrix(d, [[zeta_pow(d, rng.randrange(d)) * rng.choice((1, -1)) if i == j
+                               else m[i][j] if (i > j) == lower else 0 for j in range(n)]
+                              for i in range(n)])
+    m = triangular(False)
+    if rng.random() < 0.5:
+        m = triangular(True) * m
+    return m.submatrix(rng.sample(range(n), n), rng.sample(range(n), n))
+
+
+_SPARSE = (st.sampled_from((2, 3, 5, 12)), st.integers(1, 7), st.floats(0.15, 0.4),
+           st.integers(0, 2**32))
+
+
+@given(*_SPARSE)
+@settings(max_examples=200, deadline=None)
+def test_sparse_det_is_the_cofactor_det_and_survives_relabelling(d, n, density, seed):
+    # det(M) = det(P M P^T) = det(M^T) for a permutation P, at the densities
+    # where the elimination skips most entries
+    rng = random.Random(seed)
+    m = _sparse_matrix(rng, d, n, density)
+    det = m.det()
+    assert det == det_cofactor(m), m
+    perm = rng.sample(range(n), n)
+    assert m.submatrix(perm, perm).det() == det, (m, perm)
+    assert RingMatrix(d, list(zip(*m.entries))).det() == det, m
+
+
+@given(*_SPARSE)
+@settings(max_examples=200, deadline=None)
+def test_sparse_unit_det_inverse_round_trip(d, n, density, seed):
+    m = _sparse_unit_det_matrix(random.Random(seed), d, n, density)
+    assert m.inverse() * m == RingMatrix.identity(d, n), m
+
+
+@given(st.sampled_from((2, 3, 5, 12)), st.integers(2, 4), st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_inverse_is_the_form_inverse_on_lambda_words(d, g, seed):
+    # the generic elimination and the division-free form inverse agree on
+    # members of U, here evaluated random_lambda_word draws
+    from prymrep.sweeps import random_lambda_word
+    from prymrep.wordlang import evaluate
+
+    m = evaluate(random_lambda_word(random.Random(seed), d, g, 4), d, g)
+    assert m.mat.inverse() == m.form_inverse().mat, m
 
 
 def test_matrix_operations_build_no_ring_elements(monkeypatch):
@@ -389,7 +477,7 @@ def _count_calls(monkeypatch, cls):
     original = cls.__mul__
 
     def counted(self, other):
-        calls.append(1)
+        calls.append((self, other))
         return original(self, other)
 
     monkeypatch.setattr(cls, "__mul__", counted)
@@ -431,6 +519,28 @@ def test_pow_wastes_no_products(monkeypatch):
         calls.clear()
         assert z ** e == expected_z[e]
         assert len(calls) == products, e
+
+
+def test_a_powered_factor_is_multiplied_on_its_support(monkeypatch):
+    # (Id + N)^e is Id off the rows and columns S of N's entries, so at
+    # g = 40 a powered factor costs |S|-square products, not 78-square
+    # ones: AH(2) and THPrime(1,-2) touch 4 rows and columns, TH(2) 2 and
+    # AHPrime(2,-3)^-1 6; Zeta touches them all
+    from prymrep.wordlang import evaluate, parse
+
+    d, g = 5, 40
+    cases = {"AH(2)^3": [4, 4], "TH(2)^-3": [2, 2], "THPrime(1,-2)^2": [4],
+             "AHPrime(2,-3)^-2": [6], "Zeta(1)^2": [78]}
+    expected = {}
+    for text in cases:
+        e = parse(text).factors[0][1]
+        m = evaluate(parse(text.split("^")[0]), d, g)
+        expected[text] = (m if e > 0 else m.form_inverse()) ** abs(e)
+    calls = _count_calls(monkeypatch, RingMatrix)
+    for text, sides in cases.items():
+        calls.clear()
+        assert evaluate(parse(text), d, g) == expected[text], text
+        assert [(a.rows, a.cols, b.cols) for a, b in calls] == [(s, s, s) for s in sides], text
 
 
 def test_unit_exponents_cost_no_product_and_no_form_inverse(monkeypatch):

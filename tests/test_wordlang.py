@@ -307,7 +307,8 @@ def test_every_factor_is_coefficient_triples_joined_by_rank_update():
             entries = list(_entries(spec.name, g, d, *spec._args(d)))
             assert all(len(entry) == 3 and type(entry[2]) is tuple and len(entry[2]) == phi
                        and {*map(type, entry[2])} == {int} for entry in entries), (d, g, spec)
-            assert matrix_of(spec, d, g) == _rank_update(d, g, entries), (d, g, spec)
+            assert matrix_of(spec, d, g).mat == _rank_update(d, 2 * (g - 1), entries), \
+                (d, g, spec)
     assert names == set(FAMILIES)
     for fn in (_factor.__wrapped__, matrix_of):
         reads = [node for node in ast.walk(ast.parse(inspect.getsource(fn)))
