@@ -29,7 +29,7 @@ from functools import cached_property
 from itertools import chain, islice
 from operator import add, neg
 
-from .cyclotomic import _SPACE, CycInt, ParseError, _int, _ints, euler_phi
+from .cyclotomic import _SPACE, ParseError, _int, _ints, _reduce_poly, euler_phi
 from .predicates import Verdict
 from .ringlinalg import RingMatrix
 
@@ -244,18 +244,18 @@ class CoverClass(namedtuple("CoverClass", "loops lam")):
 
 
 def lift_class(w, d: int, g: int) -> CoverClass:
-    """Path-lift a closed word from sheet 0 and read off its homology class
-    (_lift), past the modulus, rank and letter rules (_check_letters)."""
+    """Path-lift a closed word from sheet 0 and read off its homology class (_lift),
+    past the modulus, rank, letter (_check_letters) and closed-path rules."""
     euler_phi(d)
     w = tuple(w)
     _check_letters(_rank(g), w)
+    if exponent_sum(w, g) % d != 0:
+        raise ValueError(f"word does not lift to a closed path: x{g}-exponent not 0 mod {d}")
     return _lift(w, d, g)
 
 
 def _lift(w, d: int, g: int) -> CoverClass:
-    """lift_class of a word of checked letters."""
-    if exponent_sum(w, g) % d != 0:
-        raise ValueError(f"word does not lift to a closed path: x{g}-exponent not 0 mod {d}")
+    """lift_class of a closed word of checked letters."""
     loops = [[0] * d for _ in range(g - 1)]
     lam = sheet = 0
     for s in w:
@@ -268,12 +268,6 @@ def _lift(w, d: int, g: int) -> CoverClass:
     return CoverClass(tuple(tuple(r) for r in loops), lam)
 
 
-def _project(cls: CoverClass, d: int):
-    """Drop lambda and send loop(i, c) to zeta^c e_i (well-defined because
-    sum_c zeta^c = 0 for d >= 2)."""
-    return [CycInt.from_poly(d, row) for row in cls.loops]
-
-
 def _require_member(phi: Endo, d: int, g: int) -> None:
     """The shared guard of both eta routes, checked before either walks."""
     _same_rank(_rank(g), phi.g)
@@ -281,14 +275,16 @@ def _require_member(phi: Endo, d: int, g: int) -> None:
 
 
 def eta_chain(phi: Endo, d: int, g: int) -> RingMatrix:
-    """Column j is the projected class of the lift of phi(x_j), j < g."""
+    """Column j is the class of the lift of phi(x_j), j < g, with lambda
+    dropped and loop (i, c) sent to zeta^c e_i (well defined because the
+    zeta^c sum to 0): each loop row, reduced mod Phi_d."""
     _require_member(phi, d, g)
-    cols = [_project(_lift(phi.images[j], d, g), d) for j in range(g - 1)]
-    return RingMatrix(d, zip(*cols))
+    cols = [[_reduce_poly(d, row) for row in _lift(w, d, g).loops] for w in phi.images[:g - 1]]
+    return RingMatrix._make(d, tuple(zip(*cols)))
 
 
 def _fox_column(w, d: int, g: int) -> list:
-    """[eps(d w / d x_i) for i < g] in one walk of w.  By the product rule,
+    """eps(d w / d x_i), reduced, for i < g in one walk of w.  By the product rule,
     x_i^+-1 adds +-eps(prefix) to row i, which is +-zeta^e for e the
     prefix's x_g-exponent, as eps(x_i) = 1.  eps is a ring map, so no
     prefix is reduced or copied."""
@@ -298,14 +294,14 @@ def _fox_column(w, d: int, g: int) -> list:
             e += 1 if s > 0 else -1
         else:
             rows[abs(s) - 1][e % d] += 1 if s > 0 else -1
-    return [CycInt.from_poly(d, row) for row in rows]
+    return [_reduce_poly(d, row) for row in rows]
 
 
 def eta_fox(phi: Endo, d: int, g: int) -> RingMatrix:
     """Entry (i, j) is eps(d phi(x_j) / d x_i), column j from one walk of
     phi(x_j) by _fox_column; must agree with eta_chain."""
     _require_member(phi, d, g)
-    return RingMatrix(d, zip(*[_fox_column(w, d, g) for w in phi.images[:g - 1]]))
+    return RingMatrix._make(d, tuple(zip(*[_fox_column(w, d, g) for w in phi.images[:g - 1]])))
 
 
 def eta(phi: Endo, d: int, g: int) -> RingMatrix:

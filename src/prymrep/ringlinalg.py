@@ -482,14 +482,14 @@ def _form_walk(m: BlockMat):
     """
     d, n = m.d, m.n
     o, z = _one_zero(d)
-    powers = _sparse_powers(d)
+    minus_o, powers = _neg(o), _sparse_powers(d)
     sparse = _sparse_rows(m.mat.coeffs)
     cols = [[] for _ in sparse]
     for r, row in enumerate(sparse):
         for q, terms in row:
             cols[q].append((r, terms))
     for p, col in enumerate(cols):
-        partner, want = (p + n, o) if p < n else (p - n, _neg(o))
+        partner, want = (p + n, o) if p < n else (p - n, minus_o)
         acc = {partner: [0] * len(z)}
         for r, terms_a in col:
             twin, sign = (r + n, 1) if r < n else (r - n, -1)

@@ -5,9 +5,13 @@ determinant, the oracle that Bareiss elimination (RingMatrix.det) is checked
 against, the Galois automorphisms of Z[zeta_d] from their definition, the
 support rule of word evaluation, free reduction, the oracle of
 foxcover.parse_free_word, the Fox derivative, the oracle of
-foxcover.eta_fox, and the Lambda and Delta block clauses decided by block
-products, the oracle of the clauses that read the form walk."""
+foxcover.eta_fox, the Lambda and Delta block clauses decided by block
+products, the oracle of the clauses that read the form walk, and a record
+of the ring elements a call builds."""
 
+import sys
+
+from prymrep import cyclotomic
 from prymrep.cyclotomic import CycInt, unit_exponent, zeta_pow
 from prymrep.foxcover import word_mul
 from prymrep.generators import _entries
@@ -172,3 +176,24 @@ def delta_blocks_by_products(m: BlockMat) -> Verdict:
     if b != b.adjoint():
         return Verdict(False, "upper-right block is not self-adjoint")
     return _OK
+
+
+def record_ring_elements(monkeypatch) -> list:
+    """A list that gains the coefficients of every CycInt built from here on,
+    by cyclotomic._new, at every module that binds it, or by CycInt.__init__."""
+    built = []
+    new, init = cyclotomic._new, CycInt.__init__
+
+    def counting_new(d, coeffs):
+        built.append(coeffs)
+        return new(d, coeffs)
+
+    def counting_init(self, d, coeffs):
+        built.append(coeffs)
+        init(self, d, coeffs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("prymrep") and getattr(module, "_new", None) is new:
+            monkeypatch.setattr(module, "_new", counting_new)
+    monkeypatch.setattr(CycInt, "__init__", counting_init)
+    return built

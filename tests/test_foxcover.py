@@ -9,13 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prymrep.cyclotomic import MAX_DIGITS, CycInt, ParseError, unit_exponent, zeta_pow
+from prymrep.cyclotomic import MAX_DIGITS, CycInt, ParseError, _reduce_poly, unit_exponent, zeta_pow
 from prymrep.foxcover import (
     MAX_LETTERS,
     CoverClass,
     Endo,
     _fox_column,
-    _project,
     adapted_nielsen_moves,
     check_member,
     deck_conjugation,
@@ -32,7 +31,7 @@ from prymrep.foxcover import (
 )
 from prymrep.ringlinalg import RingMatrix
 
-from matrix_helpers import column, fox_derivative, free_reduce, zero
+from matrix_helpers import column, fox_derivative, free_reduce, record_ring_elements, zero
 
 
 def render_free_word(w) -> str:
@@ -403,6 +402,14 @@ def test_eta_rejects_non_members():
         eta_chain(bad, 3, 2)
     with pytest.raises(ValueError):
         eta_fox(bad, 3, 2)
+    # x1 -> x2 x1 is an automorphism, its certificate passes, but it opens
+    # the closed lift of x1: check_member refuses it before either route lifts
+    outside = Endo(((2, 1), (2,)), ((-2, 1), (2,)))
+    assert outside._certificate_failure == 0
+    for route in (eta_chain, eta_fox, eta):
+        with pytest.raises(ValueError, match=r"^endomorphism is not in the covering-preserving "
+                           r"group: x2-exponent of phi\(x1\) is 1, not 0 mod 5$"):
+            route(outside, 5, 2)
 
 
 def test_nielsen_moves_are_members():
@@ -818,7 +825,7 @@ def test_coefficient_vector_matches_the_zeta_power_sums(d, g, data):
         for c, coeff in enumerate(row):
             acc = acc + zeta_pow(d, c) * coeff
         want.append(acc)
-    assert _project(CoverClass(tuple(map(tuple, loops)), 0), d) == want
+    assert [_reduce_poly(d, row) for row in loops] == [w.coeffs for w in want]
 
 
 @given(st.sampled_from((2, 3, 4, 5, 12)), st.integers(2, 5), st.data())
@@ -826,8 +833,20 @@ def test_coefficient_vector_matches_the_zeta_power_sums(d, g, data):
 def test_fox_column_is_eps_of_the_fox_derivatives(d, g, data):
     # unreduced words, with any x_g-exponent: the walk needs no closed path
     w = data.draw(_words(g, 60))
-    assert _fox_column(w, d, g) == [eps_eval(fox_derivative(w, i), d, g)
+    assert _fox_column(w, d, g) == [eps_eval(fox_derivative(w, i), d, g).coeffs
                                     for i in range(1, g)]
+
+
+def test_eta_routes_build_no_ring_elements(monkeypatch):
+    # both routes reduce integer rows to coefficient tuples and build their
+    # matrix from those, so neither route nor eta's comparison makes a CycInt
+    cases = [(phi, d, g) for d, g in ((2, 2), (5, 3), (12, 5))
+             for phi in [random_member(random.Random(seed), g, d) for seed in range(4)]
+             + [deck_conjugation(g)]]
+    built = record_ring_elements(monkeypatch)
+    for phi, d, g in cases:
+        eta(phi, d, g), eta_chain(phi, d, g), eta_fox(phi, d, g)
+    assert built == []
 
 
 def test_eta_fox_forms_no_derivative():

@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +9,7 @@ from prymrep.cyclotomic import CycInt, euler_phi, zeta_pow
 from prymrep.generators import THPrime
 from prymrep.ringlinalg import BlockMat, RingMatrix, parse_matrix, preserves_form
 
-from matrix_helpers import apply, basis_vector, det_cofactor, form_eval, omega
+from matrix_helpers import apply, basis_vector, det_cofactor, form_eval, omega, record_ring_elements
 
 
 def rand_matrix(rng, d, n, lo=-4, hi=4):
@@ -221,21 +220,7 @@ def test_matrix_operations_build_no_ring_elements(monkeypatch):
     # entries stay coefficient tuples: on a catalogue matrix, the form test,
     # the product, ==, the adjoint and det build one CycInt, det's result
     m, zeta2 = THPrime(5, 12, 2, -3), zeta_pow(12, 2)
-    built = []
-    new, init = cyclotomic._new, CycInt.__init__
-
-    def counting_new(d, coeffs):
-        built.append(coeffs)
-        return new(d, coeffs)
-
-    def counting_init(self, d, coeffs):
-        built.append(coeffs)
-        init(self, d, coeffs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("prymrep") and getattr(module, "_new", None) is new:
-            monkeypatch.setattr(module, "_new", counting_new)
-    monkeypatch.setattr(CycInt, "__init__", counting_init)
+    built = record_ring_elements(monkeypatch)
     assert preserves_form(m)
     assert m.mat * m.mat == (m * m).mat
     assert m.mat.adjoint() * m.mat != m.mat

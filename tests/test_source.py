@@ -466,6 +466,17 @@ def test_each_input_rule_has_one_message():
     assert calls and all(name == coerce[0] and line in coerce[1] for name, line in calls)
 
 
+def test_the_closed_path_rule_has_one_owner():
+    # lift_class states the rule; _lift, which eta_chain walks only after
+    # check_member has passed the same x_g-exponents, does not state it again
+    text = (SRC / "foxcover.py").read_text()
+    defs = {node.name: node for node in ast.parse(text).body if isinstance(node, ast.FunctionDef)}
+    assert "exponent_sum" not in _names(defs["_lift"])
+    message = "does not lift to a closed path"
+    assert sum(src.read_text().count(message) for src in SRC.glob("*.py")) == 1
+    assert message in ast.get_source_segment(text, defs["lift_class"])
+
+
 # Valid arguments of every public entry of the package root that takes d or
 # g: its functions, and the constructors and classmethods of CycInt,
 # RingMatrix and BlockMat.  Endo takes no rank, and Endo.identity any
