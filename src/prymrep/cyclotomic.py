@@ -263,45 +263,49 @@ class CycInt:
             folded[e % d] += c
         return _from_ints(d, folded)
 
-    def _coerce(self, other):
-        if isinstance(other, CycInt):
-            _same_modulus(self.d, other.d)
-            return other
-        if isinstance(other, int):
-            return CycInt.from_int(self.d, other)
+    @staticmethod
+    def _coerce(d, x):
+        """The ring-scalar rule, after the modulus rule: the coefficients at
+        modulus d of a CycInt of modulus d or of an int; None for any other x."""
+        euler_phi(d)
+        if isinstance(x, CycInt):
+            _same_modulus(d, x.d)
+            return x.coeffs
+        if isinstance(x, int):
+            return _reduce_poly(d, _ints((x,), "polynomial coefficients"))
         return None
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = CycInt._coerce(self.d, other)
         if o is None:
             return NotImplemented
-        return _new(self.d, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return _new(self.d, tuple(a + b for a, b in zip(self.coeffs, o)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = CycInt._coerce(self.d, other)
         if o is None:
             return NotImplemented
-        return _new(self.d, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return _new(self.d, tuple(a - b for a, b in zip(self.coeffs, o)))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = CycInt._coerce(self.d, other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _new(self.d, tuple(b - a for a, b in zip(self.coeffs, o)))
 
     def __neg__(self):
         return _new(self.d, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = CycInt._coerce(self.d, other)
         if o is None:
             return NotImplemented
-        return _new(self.d, _mul_reduce(self.d, self.coeffs, o.coeffs))
+        return _new(self.d, _mul_reduce(self.d, self.coeffs, o))
 
     __rmul__ = __mul__
 
@@ -312,10 +316,10 @@ class CycInt:
         return _power(self, e, lambda: one(self.d))
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = CycInt._coerce(self.d, other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.coeffs == o
 
     def __hash__(self):
         return hash((self.d, self.coeffs))
@@ -422,8 +426,8 @@ def divide_exact(a, b: CycInt) -> CycInt:
     RingMatrix entries are, so any other a breaks the integer rule."""
     if not hasattr(b, "_coerce"):
         raise ValueError("divide_exact requires a CycInt divisor")
-    a = b._coerce(a) or CycInt.from_int(b.d, a)
-    return _new(b.d, _divider(b.d, b.coeffs)(a.coeffs))
+    a = CycInt._coerce(b.d, a) or CycInt.from_int(b.d, a).coeffs
+    return _new(b.d, _divider(b.d, b.coeffs)(a))
 
 
 def _divider(d, b):

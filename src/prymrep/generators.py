@@ -143,21 +143,14 @@ def _ursp_entries(g, d, polys):
     return _less_id(m.mat.coeffs, _one_zero(d)[0])
 
 
-def _coeffs(d, r):
-    """The coefficients of a constructor's ring scalar r at modulus d
-    (CycInt._coerce), or None, which GenSpec refuses."""
-    c = one(d)._coerce(r)
-    return None if c is None else c.coeffs
-
-
 def elem_Ti(g: int, d: int, i: int, rprime: CycInt) -> BlockMat:
     """T_i(r'): x -> x + r' <x, e_i> e_i, for real r'."""
-    return matrix_of(GenSpec("Ti", (i,), _coeffs(d, rprime)), d, g)
+    return matrix_of(GenSpec("Ti", (i,), CycInt._coerce(d, rprime)), d, g)
 
 
 def elem_Tij(g: int, d: int, i: int, j: int, r: CycInt) -> BlockMat:
     """T_{i,j}(r): x -> x + r <x, e_i> e_j + conj(r) <x, e_j> e_i."""
-    return matrix_of(GenSpec("Tij", (i, j), _coeffs(d, r)), d, g)
+    return matrix_of(GenSpec("Tij", (i, j), CycInt._coerce(d, r)), d, g)
 
 
 def big_T(g: int, d: int) -> BlockMat:

@@ -8,8 +8,8 @@ carries the first clause that fails, for CLI diagnostics.  A matrix decides each
 clause, like det and the form test, once (BlockMat._once, a memo outside its eq,
 hash and repr), so the groups of a chain share the work.  With C = 0,
 M* Omega M = [[0, A*D], [-D*A, B*D - D*B]]: the form walk decides Lambda's
-D*A = Id and D*B = B*D and, once A = D = zeta^k Id, Delta's B = B*; the row
-where it first fails names the clause, so membership multiplies no matrices.
+D*A = Id and D*B = B*D and, once A = zeta^k Id, Delta's D = A and B = B*; the
+row where it first fails names the clause, so membership multiplies no matrices.
 """
 
 from __future__ import annotations
@@ -90,19 +90,20 @@ def _lambda_blocks(m: BlockMat) -> Verdict:
 
 
 def _delta_blocks(m: BlockMat) -> Verdict:
-    """M = zeta^k [[Id, B], [0, Id]] with B = B*; C = 0 is given.  With
-    A = D = zeta^k Id the form holds iff zeta^-k B is self-adjoint."""
+    """M = zeta^k [[Id, B], [0, Id]] with B = B*; C = 0 is given.  Past
+    A = zeta^k Id the form walk decides: its first failing row p < g-1 has
+    A*D = zeta^-k D != Id, else D = A and B*D - D*B = zeta^k B* - zeta^-k B."""
     ul, n = m.upper_left(), m.n
     c = ul.coeffs[0][0]
     z, ue = (0,) * len(c), unit_exponent(ul[0, 0])
     if ue is None or ue[0] < 0 or ul.coeffs != tuple(
             tuple(c if i == j else z for j in range(n)) for i in range(n)):
         return Verdict(False, "upper-left block is not zeta^k Id")
-    if m.lower_right() != ul:
-        return Verdict(False, "lower-right block does not match the upper-left scalar")
-    if not m._once(_preserves):
-        return Verdict(False, "upper-right block is not self-adjoint")
-    return _OK
+    p = m._once(ringlinalg._form_walk)  # through the module: one memo key
+    if p is None:
+        return _OK
+    return Verdict(False, "lower-right block does not match the upper-left scalar" if p < n
+                   else "upper-right block is not self-adjoint")
 
 
 def _integer(m: BlockMat) -> Verdict:

@@ -27,7 +27,6 @@ from .cyclotomic import (
     _same_modulus,
     _sparse_powers,
     euler_phi,
-    one,
     render_poly,
 )
 
@@ -46,17 +45,18 @@ class RingMatrix:
     """Dense matrix over Z[zeta_d]; immutable after construction.
 
     Entry (i, j) is stored as coeffs[i][j], its reduced coefficient tuple
-    (CycInt.coeffs), and every operation works on those tuples.  A CycInt is
-    made only where an entry is handed out: m[i, j], entries and det().
+    (CycInt.coeffs), and every operation works on those tuples; a given entry
+    or scalar is read as its tuple by CycInt._coerce.  A CycInt is made only where
+    an entry is handed out: m[i, j], entries and det().
     """
 
     __slots__ = ("d", "rows", "cols", "coeffs")
 
     def __init__(self, d, rows):
-        """Rows of ints and CycInts of modulus d, each coerced by CycInt._coerce;
-        from_int refuses any other entry by the integer rule of coefficients."""
-        o = one(d)
-        coeffs = tuple(tuple((o._coerce(e) or CycInt.from_int(d, e)).coeffs for e in row)
+        """Rows of ints and CycInts of modulus d, after the modulus rule; from_int
+        refuses any entry that CycInt._coerce does not take by the integer rule."""
+        euler_phi(d)
+        coeffs = tuple(tuple(CycInt._coerce(d, e) or CycInt.from_int(d, e).coeffs for e in row)
                        for row in rows)
         if any(len(row) != len(coeffs[0]) for row in coeffs):
             raise ValueError("ragged rows")
@@ -139,19 +139,18 @@ class RingMatrix:
             raise ValueError("shape mismatch")
 
     def __mul__(self, other):
-        """The matrix product, or each entry times a ring scalar: an int or a
-        CycInt of modulus d, coerced as CycInt arithmetic coerces (_coerce)."""
+        """The matrix product, or each entry times a ring scalar (CycInt._coerce)."""
         d = self.d
         if isinstance(other, RingMatrix):
             _same_modulus(d, other.d)
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch in matrix product")
             return RingMatrix._make(d, _sparse_product(d, self.coeffs, other.coeffs, other.cols))
-        c = one(d)._coerce(other)
+        c = CycInt._coerce(d, other)
         if c is None:
             return NotImplemented
         return RingMatrix._make(d, tuple(
-            tuple(_mul_reduce(d, c.coeffs, a) for a in row) for row in self.coeffs))
+            tuple(_mul_reduce(d, c, a) for a in row) for row in self.coeffs))
 
     __rmul__ = __mul__  # reached only for a scalar on the left
 
@@ -403,8 +402,8 @@ class BlockMat:
             if other.g != self.g:
                 raise ValueError("genus mismatch")
             return BlockMat(self.mat * other.mat, self.g)
-        c = one(self.d)._coerce(other)  # a ring scalar, as RingMatrix.__mul__ takes one
-        return NotImplemented if c is None else BlockMat(self.mat * c, self.g)
+        scalar = CycInt._coerce(self.d, other) is not None  # a RingMatrix is not one
+        return BlockMat(self.mat * other, self.g) if scalar else NotImplemented
 
     __rmul__ = __mul__  # reached only for a scalar on the left
 

@@ -486,3 +486,33 @@ def test_positive_block_verdicts_compute_no_product(monkeypatch):
         assert [bool(is_member(m, tag)) for tag in chain] == [m in delta] + [True] * 4
     monkeypatch.undo()
     assert walks == chained
+
+
+def test_delta_verdicts_copy_no_lower_right_block(monkeypatch):
+    # past the upper-left scalar, Delta's clauses are read from the form
+    # walk's first failing row, as Lambda's are: a Delta verdict, positive or
+    # naming any clause, copies no lower-right block, walks each matrix at
+    # most once and answers as the block-product oracle does
+    members = [_c_zero_matrix(7, 2, 0, "delta", None, 0),
+               _c_zero_matrix(12, 3, 1, "delta", None, 0)]
+    failing = {"lower-left block is nonzero": block("1, 0 ; 1, 1", 5, 2),
+               "upper-left block is not zeta^k Id":
+                   _c_zero_matrix(5, 3, 0, "delta", ("A", 0, 1), 0),
+               "lower-right block does not match the upper-left scalar":
+                   _c_zero_matrix(5, 3, 0, "delta", ("D", 0, 1), 0),
+               "upper-right block is not self-adjoint":
+                   _c_zero_matrix(5, 3, 0, "delta", ("B", 0, 1), 0)}
+    asked = [_fresh(m) for m in members + list(failing.values())]
+    copies, walks = [], []
+    lower_right, walk = BlockMat.lower_right, ringlinalg._form_walk
+    monkeypatch.setattr(BlockMat, "lower_right", lambda x: copies.append(x) or lower_right(x))
+    monkeypatch.setattr(ringlinalg, "_form_walk", lambda x: walks.append(x) or walk(x))
+    verdicts = [is_member(m, GroupTag.Delta) for m in asked]
+    assert [is_member(m, GroupTag.Delta) for m in asked] == verdicts
+    assert copies == []
+    assert all(sum(w is m for w in walks) <= 1 for m in asked)
+    monkeypatch.undo()
+    assert [v.reason for v in verdicts] == [""] * len(members) + list(failing)
+    # the oracle takes C = 0, so it is asked from the upper-left case on
+    assert [v.reason for v in verdicts[len(members) + 1:]] == [
+        delta_blocks_by_products(m).reason for m in asked[len(members) + 1:]]

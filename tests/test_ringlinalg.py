@@ -228,6 +228,18 @@ def test_matrix_operations_build_no_ring_elements(monkeypatch):
     assert len(built) <= 1, built
 
 
+def test_scalar_paths_build_no_ring_elements(monkeypatch):
+    # CycInt._coerce reads an int or a CycInt scalar as its coefficient
+    # tuple, so construction and scaling build no CycInt, and ring
+    # arithmetic builds only its result
+    z, m = zeta_pow(12, 2), THPrime(5, 12, 2, -3)
+    built = record_ring_elements(monkeypatch)
+    RingMatrix(12, [[1, 0], [z, 3]]), m.mat * 3, 3 * m.mat, m * z, m * 3
+    assert built == []
+    total = z + 1
+    assert built == [total.coeffs] == [(1, 0, 1, 0)]
+
+
 def test_det_multiplicative():
     rng = random.Random(8)
     for d in (2, 5, 12):

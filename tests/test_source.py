@@ -655,13 +655,28 @@ def test_free_word_entries_refuse_bad_letters():
     (lambda p: p.BlockMat.identity(5, 2) ** True, "exponents must be integers"),
     (lambda p: p.BlockMat.identity(5, 2) ** 1.5, "exponents must be integers"),
     (lambda p: p.BlockMat.identity(5, 2) ** "2", "exponents must be integers"),
+    # the ring-scalar rule, CycInt._coerce, states the modulus rule first, so
+    # a scalar of another modulus at d = 1 breaks that rule; then the modulus
+    # of a CycInt, then the integer rule of any other scalar
+    (lambda p: p.generators.elem_Tij(3, 1, 1, 2, p.zeta_pow(5, 1)), "modulus d must be >= 2"),
+    (lambda p: p.RingMatrix(1, [[p.zeta_pow(5, 1)]]), "modulus d must be >= 2"),
+    (lambda p: p.RingMatrix(1, []), "modulus d must be >= 2"),
+    (lambda p: p.RingMatrix(5, [[1.5]]), "polynomial coefficients must be integers"),
+    (lambda p: p.RingMatrix(5, [[True]]), "polynomial coefficients must be integers"),
+    (lambda p: p.zeta_pow(5, 1) + True, "polynomial coefficients must be integers"),
+    (lambda p: p.generators.elem_Ti(3, 5, 1, 1.5), "Ti requires a ring argument"),
+    (lambda p: p.RingMatrix(3, [[p.zeta_pow(5, 1)]]), "modulus mismatch: d=3 vs d=5"),
+    (lambda p: p.BlockMat.identity(5, 2) * p.zeta_pow(3, 1), "modulus mismatch: d=5 vs d=3"),
 ], ids=["decompose_delta-float-d", "RingMatrix-entry-of-another-modulus",
         "from_blocks-block-of-another-modulus", "from_blocks-block-of-the-wrong-shape",
         "Endo.identity-float-rank", "Endo.identity-bool-rank", "divide_exact-str-dividend",
         "divide_exact-float-dividend", "divide_exact-None-dividend", "divide_exact-int-divisor",
         "divide_exact-None-divisor", "divide_exact-str-divisor", "CycInt-pow-bool",
         "RingMatrix-pow-bool", "RingMatrix-pow-float", "RingMatrix-pow-str", "BlockMat-pow-bool",
-        "BlockMat-pow-float", "BlockMat-pow-str"])
+        "BlockMat-pow-float", "BlockMat-pow-str", "elem_Tij-d-1-scalar-of-d-5",
+        "RingMatrix-d-1-entry-of-d-5", "RingMatrix-d-1-no-rows", "RingMatrix-float-entry",
+        "RingMatrix-bool-entry", "CycInt-plus-bool", "elem_Ti-float-scalar",
+        "RingMatrix-d-3-entry-of-d-5", "BlockMat-times-scalar-of-another-modulus"])
 def test_fixed_refusals(call, message):
     import prymrep
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
